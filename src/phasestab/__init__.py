@@ -17,7 +17,6 @@ from .actuator import (
     bump_weight,
     kalman_certificate,
     null_control,
-    open_loop_extend,
 )
 from .config import ConfigError, SimConfig, load_config, save_config
 from .linearization import (
@@ -26,13 +25,10 @@ from .linearization import (
     assemble_plant,
     g_field,
     mean_F_second,
-    unstable_subspace,
 )
 from .lqr import (
     RiccatiError,
     RiccatiSolution,
-    closed_loop_spectrum,
-    feedback_force,
     riccati_residual,
     solve_care,
 )
@@ -41,14 +37,11 @@ from .sim import (
     StateYZ,
     TrajectoryRecord,
     from_physical,
-    h_norm,
     remainder_G_direct,
     remainder_G_expanded,
     simulate,
-    step_imex,
     physical_deviation_norm,
     to_physical,
-    xi_norm,
 )
 from .spectral import (
     ScalarField,

@@ -22,9 +22,16 @@ controllability; the minimum-energy open-loop control that nulls xi(T0) is
 built from the finite-horizon Gramian of that small ODE system.
 
 All quadratures and products live on the M collocation nodes with the exact
-node values of w.  That one choice makes B and B* exact discrete adjoints,
-makes D exactly symmetric, and keeps the applied forcing identically zero
-at every node outside omega.
+node values of w.  That one choice makes B and B* exact discrete adjoints and
+makes D exactly symmetric.  The nodal form ``apply_B`` is identically zero at
+every node outside omega; the closed-loop stepper applies the same map as the
+modal matrix ``B_matrix``, whose columns are the transforms of those node
+values.
+
+The null control's steering error is the quadrature residual of the
+variation-of-constants formula on the plan's own Gauss nodes, which does not
+go through the Gramian; ``rk4_propagate`` is kept as an independent oracle
+for tests.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ __all__ = [
     "apply_B_star",
     "kalman_certificate",
     "null_control",
-    "open_loop_extend",
     "rk4_propagate",
 ]
 
@@ -248,9 +254,8 @@ def null_control(
     xi0: np.ndarray,
     T0: float = 1.0,
     n_nodes: int = 512,
-    check_steps: int = 10_000,
 ) -> NullControlPlan:
-    """Construct and verify the minimum-energy null control on [0, T0]."""
+    """Construct the minimum-energy null control on [0, T0] and its steering residual."""
     if T0 <= 0:
         raise ValueError(f"horizon must be positive, got {T0}")
     cert = kalman_certificate(act)
@@ -290,21 +295,12 @@ def null_control(
     plan.energy = float(np.sum(t_weights * np.sum(plan.W_samples**2, axis=1)))
     plan.gramian_cond = cond
 
-    def ode(t, xi):
-        return -lambdas * xi + D @ plan.evaluate(t)
-
-    xi_T = rk4_propagate(ode, xi0, 0.0, T0, check_steps)
+    # xi(T0) = e^{-Lambda T0} xi0 + int_0^T0 e^{-Lambda (T0 - t)} D W(t) dt on the
+    # Gauss nodes; the integrand is a sum of exponentials, so the rule is exact
+    decay = np.exp(-lambdas[:, None] * (T0 - t_nodes[None, :]))
+    xi_T = np.exp(-lambdas * T0) * xi0 + (decay * (D @ plan.W_samples.T)) @ t_weights
     plan.steering_error = float(np.linalg.norm(xi_T))
     return plan
-
-
-def open_loop_extend(plan: NullControlPlan):
-    """Zero-extension of the plan's control to [0, infinity) as a callable."""
-
-    def control(t: float) -> np.ndarray:
-        return plan.evaluate(t)
-
-    return control
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -161,29 +163,38 @@ def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
         Q_diag=sol.Q_diag,
         closed_loop_eigs=sol.closed_loop_eigs,
         iterations=sol.iterations,
+        config_digest=_gain_digest(m.cfg),
     )
     write_json(outdir / "synth.json", summary)
     return sol, summary
 
 
+def _gain_digest(cfg: SimConfig) -> str:
+    """Hash of the config sections the gain depends on: all but sim, seed and output_dir."""
+    sections = {
+        name: asdict(getattr(cfg, name))
+        for name in ("params", "basis", "stationary", "actuator", "riccati")
+    }
+    return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
+
+
 def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
-    """Reuse a previously synthesized gain when its dimensions still match."""
+    """Reuse a previously synthesized gain when it was made from the same config."""
     if not path.exists():
         return None
-    data = np.load(path)
-    R, K = data["R"], data["K"]
-    if R.shape != (m.plant.dim, m.plant.dim) or K.shape[0] != m.act.N:
-        return None
-    return RiccatiSolution(
-        R_matrix=R,
-        K_gain=K,
-        residual_rel=float(data["residual_rel"]),
-        closed_loop_eigs=data["closed_loop_eigs"],
-        margin=float(data["margin"]),
-        Q_diag=data["Q_diag"],
-        method="loaded",
-        iterations=int(data["iterations"]),
-    )
+    with np.load(path) as data:
+        if "config_digest" not in data or str(data["config_digest"]) != _gain_digest(m.cfg):
+            return None
+        return RiccatiSolution(
+            R_matrix=data["R"],
+            K_gain=data["K"],
+            residual_rel=float(data["residual_rel"]),
+            closed_loop_eigs=data["closed_loop_eigs"],
+            margin=float(data["margin"]),
+            Q_diag=data["Q_diag"],
+            method="loaded",
+            iterations=int(data["iterations"]),
+        )
 
 
 def stage_simulate(
@@ -255,7 +266,7 @@ def run_sweep(cfg: SimConfig, param: str, values: list[str]) -> dict:
     base_dir = Path(cfg.output_dir)
     entries = []
     for i, raw in enumerate(values):
-        sub = load_config(data=_cfg_dict(cfg))
+        sub = load_config(data=asdict(cfg))
         apply_override(sub, param, raw)
         sub.output_dir = str(base_dir / f"sweep_{i:03d}")
         sub.validate()
@@ -272,10 +283,6 @@ def run_sweep(cfg: SimConfig, param: str, values: list[str]) -> dict:
     base_dir.mkdir(parents=True, exist_ok=True)
     write_json(base_dir / "sweep.json", index)
     return index
-
-
-def _cfg_dict(cfg: SimConfig) -> dict:
-    return asdict(cfg)
 
 
 # -- report ------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "mean_F_second",
     "g_field",
     "assemble_plant",
-    "unstable_subspace",
 ]
 
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -245,9 +244,3 @@ def assemble_plant(
         N_unstable=N_unstable,
         phi_inf=phi_inf,
     )
-
-
-def unstable_subspace(plant: LinearizedPlant) -> tuple[np.ndarray, np.ndarray]:
-    """The N nonpositive eigenvalues and their orthonormal eigenvectors."""
-    N = plant.N_unstable
-    return plant.eigenvalues[:N].copy(), plant.eigenvectors[:, :N].copy()

@@ -35,19 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .actuator import Actuator, apply_B
+from .actuator import Actuator
 from .linearization import ZERO_EIGENVALUE_TOL, LinearizedPlant
-from .spectral import ScalarField
 
 __all__ = [
     "RiccatiSolution",
     "RiccatiError",
-    "ClosedLoopSpectrum",
     "solve_care",
     "solve_care_dense",
     "riccati_residual",
-    "feedback_force",
-    "closed_loop_spectrum",
 ]
 
 
@@ -323,32 +319,3 @@ def riccati_residual(
         samples,
         np.random.default_rng(seed),
     )
-
-
-def feedback_force(
-    sol: RiccatiSolution, act: Actuator, state: tuple[ScalarField, ScalarField]
-) -> tuple[tuple[ScalarField, ScalarField], np.ndarray]:
-    """Feedback forcing -B B^T R (y, z) and the N amplitudes w = -B^T R (y, z)."""
-    y, z = state
-    x = np.concatenate([y.coeffs, z.coeffs])
-    w = -(sol.K_gain @ x)
-    return apply_B(act, w), w
-
-
-@dataclass(frozen=True)
-class ClosedLoopSpectrum:
-    eigs: np.ndarray
-    margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.margin > 0.0
-
-
-def closed_loop_spectrum(
-    sol: RiccatiSolution, plant: LinearizedPlant, act: Actuator
-) -> ClosedLoopSpectrum:
-    """Spectrum of -(Op + B B^T R); margin > 0 certifies linear stability."""
-    A_cl = -(plant.operator_matrix() + act.B_matrix @ sol.K_gain)
-    eigs = np.linalg.eigvals(A_cl)
-    return ClosedLoopSpectrum(eigs=eigs, margin=-float(np.max(eigs.real)))

@@ -9,7 +9,6 @@ from phasestab.actuator import (
     bump_weight,
     kalman_certificate,
     null_control,
-    open_loop_extend,
     propagate_linear_with_control,
     rk4_propagate,
 )
@@ -92,6 +91,16 @@ class TestBMaps:
         _, _, act = setup
         with pytest.raises(ValueError):
             apply_B(act, np.zeros(act.N + 1))
+
+    def test_b_matrix_matches_nodal_form(self, setup):
+        # the stepper applies B as B_matrix @ W; it must be the nodal map
+        _, _, act = setup
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            W = rng.standard_normal(act.N)
+            fy, fz = apply_B(act, W)
+            nodal = np.concatenate([fy.coeffs, fz.coeffs])
+            assert np.abs(act.B_matrix @ W - nodal).max() <= 1e-14 * np.abs(nodal).max()
 
     def test_adjointness(self, setup):
         basis, _, act = setup
@@ -241,14 +250,14 @@ class TestOpenLoopExtension:
     def test_zero_after_horizon(self, setup):
         _, plant, act = setup
         plan = null_control(act, plant, np.ones(act.N), T0=1.0)
-        control = open_loop_extend(plan)
+        control = plan.evaluate
         assert np.abs(control(1.0)).max() == 0.0
         assert np.abs(control(3.7)).max() == 0.0
 
     def test_matches_plan_before_horizon_bit_exact(self, setup):
         _, plant, act = setup
         plan = null_control(act, plant, np.ones(act.N), T0=1.0)
-        control = open_loop_extend(plan)
+        control = plan.evaluate
         for i in (0, 100, 311, 511):
             assert np.array_equal(control(plan.t_nodes[i]), plan.W_samples[i])
 
@@ -308,7 +317,7 @@ class TestStableTailDecay:
         # fit on [0, 1] before the amplitude reaches the noise floor
         _, plant, act = setup
         plan = null_control(act, plant, np.zeros(act.N), T0=1.0)
-        control = open_loop_extend(plan)
+        control = plan.evaluate
         x0 = plant.eigenvectors[:, act.N]
         ts = np.linspace(0.0, 1.0, 201)
         states = propagate_linear_with_control(

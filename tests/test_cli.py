@@ -118,6 +118,53 @@ class TestPipeline:
         run_pipeline(cfg)
         assert gain_path.stat().st_mtime_ns == stamp
 
+    def test_gain_reused_when_only_sim_changes(self, tmp_path):
+        cfg = fast_config(tmp_path / "run")
+        first = run_pipeline(cfg)
+        gain_path = Path(cfg.output_dir) / "gain.npz"
+        stamp = gain_path.stat().st_mtime_ns
+        for dotted, value in (("sim.rho", "0.02"), ("sim.t_end", "0.5"), ("seed", "7")):
+            apply_override(cfg, dotted, value)
+        second = run_pipeline(cfg)
+        assert gain_path.stat().st_mtime_ns == stamp
+        assert second["synth"] == first["synth"]
+
+    def test_gain_resynthesized_when_actuator_changes(self, tmp_path):
+        cfg = fast_config(tmp_path / "run")
+        stale = run_pipeline(cfg)
+        apply_override(cfg, "actuator.a", "0.05")
+        apply_override(cfg, "actuator.b", "0.95")
+        rerun = run_pipeline(cfg)
+        fresh = run_pipeline(
+            fast_config(tmp_path / "fresh", **{"actuator.a": 0.05, "actuator.b": 0.95})
+        )
+        assert fresh["synth"]["margin"] != pytest.approx(stale["synth"]["margin"], rel=1e-3)
+        assert rerun["synth"] == fresh["synth"]
+        assert rerun["simulate"]["margin"] == fresh["simulate"]["margin"]
+        K_rerun = np.load(Path(cfg.output_dir) / "gain.npz")["K"]
+        K_fresh = np.load(tmp_path / "fresh" / "gain.npz")["K"]
+        assert np.array_equal(K_rerun, K_fresh)
+
+    def test_oracles_stay_off_the_pipeline_path(self, tmp_path, monkeypatch):
+        # the independent oracles exist for tests only; the pipeline must not
+        # call them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("test oracle called on the pipeline path")
+
+        for target in (
+            "phasestab.actuator.rk4_propagate",
+            "phasestab.sim.remainder_G_expanded",
+            "phasestab.lqr._care_integrate",
+            "phasestab.lqr.solve_care_dense",
+        ):
+            monkeypatch.setattr(target, forbidden)
+        cfg = load_config()
+        cfg.sim.t_end = 0.2
+        cfg.output_dir = str(tmp_path / "run")
+        summary = run_pipeline(cfg.validate())
+        assert summary["controllability"]["steering_error"] <= 1e-8
+        assert summary["synth"]["margin"] > 0
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         cfg = fast_config(tmp_path / "run")
         run_pipeline(cfg)
@@ -168,6 +215,20 @@ class TestMainEntry:
                 "--output-dir", str(tmp_path / "run"),
             ]
         )
+        assert code == 3
+
+    def test_non_finite_run_exit_three(self, tmp_path):
+        # rho = 10 overflows the closed loop to NaN; the run must fail loudly
+        with np.errstate(all="ignore"):
+            code = main(
+                [
+                    "simulate",
+                    "--set", "sim.rho=10",
+                    "--set", "sim.t_end=2",
+                    "--set", "sim.record_every=50",
+                    "--output-dir", str(tmp_path / "run"),
+                ]
+            )
         assert code == 3
 
     def test_stage_subcommands(self, tmp_path):

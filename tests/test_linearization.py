@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasestab.actuator import build_actuator
 from phasestab.linearization import (
     PhysicalParams,
     assemble_plant,
     g_field,
     mean_F_second,
-    unstable_subspace,
 )
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
@@ -183,14 +183,16 @@ class TestAssembledPlant:
 
 class TestUnstableSubspace:
     def test_returns_nonpositive_pairs(self, default_plant):
-        lam, vecs = unstable_subspace(default_plant)
+        act = build_actuator(default_plant)
+        lam, vecs = act.lambdas, act.modes
         assert len(lam) == 3
         assert np.all(lam <= 1e-10)
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(3)).max() <= 1e-10
 
     def test_eigen_residual(self, default_plant):
-        lam, vecs = unstable_subspace(default_plant)
+        act = build_actuator(default_plant)
+        lam, vecs = act.lambdas, act.modes
         for i in range(len(lam)):
             res = default_plant.apply_operator(vecs[:, i]) - lam[i] * vecs[:, i]
             assert np.abs(res).max() < 1e-10

@@ -7,18 +7,17 @@ from phasestab.lqr import solve_care
 from phasestab.sim import (
     BlowUpError,
     StateYZ,
+    _Stepper,
     fit_exponential_rate,
     from_physical,
     remainder_G_direct,
     remainder_G_expanded,
     seeded_initial_state,
     simulate,
-    step_imex,
     physical_deviation_norm,
     to_physical,
-    xi_norm,
 )
-from phasestab.spectral import ScalarField, SpectralBasis
+from phasestab.spectral import ScalarField, SpectralBasis, norm_D_alpha
 from phasestab.stationary import stationary_constant
 
 
@@ -123,11 +122,16 @@ class TestRemainderTerm:
         assert out.coeffs[0] == 0.0
 
 
+def final_state(plant, y0, z0, dt, n_steps, **kwargs):
+    """State after n_steps IMEX steps of simulate."""
+    return simulate(plant, y0, z0, dt=dt, t_end=n_steps * dt, **kwargs).final_state
+
+
 class TestStepImex:
     def test_zero_state_is_fixed_point(self, world):
         basis, _, state, plant, _, _ = world
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
-        s1 = step_imex(s0, 1e-3, plant)
+        zero = ScalarField.zero(basis)
+        s1 = final_state(plant, zero, zero, 1e-3, 1)
         assert np.abs(s1.y.coeffs).max() == 0.0
         assert np.abs(s1.z.coeffs).max() == 0.0
 
@@ -135,11 +139,11 @@ class TestStepImex:
         basis, _, state, plant, _, _ = world
         lam = plant.eigenvalues[plant.N_unstable]
         v = plant.eigenvectors[:, plant.N_unstable]
-        s0 = StateYZ(ScalarField(basis, v[:64]), ScalarField(basis, v[64:]))
         dt, n = 1e-3, 50
-        s = s0
-        for _ in range(n):
-            s = step_imex(s, dt, plant, nonlinear=False)
+        s = final_state(
+            plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
+            nonlinear=False,
+        )
         amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
         assert amp == pytest.approx((1.0 + dt * lam) ** (-n), rel=1e-10)
 
@@ -152,23 +156,40 @@ class TestStepImex:
 
     def test_dt_validation(self, world):
         basis, _, state, plant, _, _ = world
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
+        zero = ScalarField.zero(basis)
         with pytest.raises(ValueError):
-            step_imex(s0, -1e-3, plant)
+            simulate(plant, zero, zero, dt=-1e-3, t_end=1e-3)
 
     def test_dt_beyond_invertibility_bound_rejected(self, world):
         # the k=1 block has negative determinant, so huge steps lose
         # invertibility of I + dt * block
         basis, _, state, plant, _, _ = world
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
+        zero = ScalarField.zero(basis)
         with pytest.raises(ValueError, match="invertibility"):
-            step_imex(s0, 20.0, plant)
+            simulate(plant, zero, zero, dt=20.0, t_end=20.0)
+
+    @pytest.mark.parametrize("nu, M", [(0.1, 64), (0.02, 256), (0.005, 32), (100.0, 16)])
+    def test_dt_bound_matches_root_loop(self, nu, M):
+        # reference: smallest positive real root of det(I + dt A_k), per block
+        basis = SpectralBasis(L=1.0, M=M)
+        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis), basis)
+        expected = np.inf
+        for (a, b), (_, c) in plant.A_blocks:
+            roots = np.roots([a * c - b * b, a + c, 1.0])
+            positive = roots[(roots.imag == 0) & (roots.real > 0)].real
+            if a * c - b * b < 0 and positive.size:
+                expected = min(expected, float(positive.min()))
+        bound = _Stepper._dt_bound(plant.A_blocks)
+        if np.isinf(expected):
+            assert np.isinf(bound)
+        else:
+            assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_gain_without_actuator_rejected(self, world):
         basis, _, state, plant, _, sol = world
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
+        zero = ScalarField.zero(basis)
         with pytest.raises(ValueError):
-            step_imex(s0, 1e-3, plant, sol=sol, act=None)
+            simulate(plant, zero, zero, dt=1e-3, t_end=1e-3, sol=sol, act=None)
 
 
 class TestSimulate:
@@ -228,10 +249,11 @@ class TestSimulate:
         # CN amplitude on a single eigenmode matches the scalar recursion
         lam = plant.eigenvalues[plant.N_unstable]
         v = plant.eigenvectors[:, plant.N_unstable]
-        s = StateYZ(ScalarField(basis, v[:64]), ScalarField(basis, v[64:]))
         dt, n = 1e-3, 20
-        for _ in range(n):
-            s = step_imex(s, dt, plant, nonlinear=False, scheme="imex2")
+        s = final_state(
+            plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
+            nonlinear=False, scheme="imex2",
+        )
         amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
         expected = ((1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)) ** n
         assert amp == pytest.approx(expected, rel=1e-10)
@@ -265,6 +287,19 @@ class TestSimulate:
             )
         assert info.value.norm > 0
         assert 0 < info.value.t <= 5.0
+
+    @pytest.mark.parametrize("record_every", [50, 100, 1000])
+    def test_blowup_guard_catches_non_finite_norm(self, world, record_every):
+        # at rho = 10 the closed loop overflows to NaN, which a plain
+        # "norm > factor * initial" comparison lets through
+        basis, _, state, plant, act, sol = world
+        y0, z0 = seeded_initial_state(basis, 10.0, seed=1234)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            simulate(
+                plant, y0, z0, dt=1e-3, t_end=2.0, sol=sol, act=act,
+                stat=state, record_every=record_every,
+            )
+        assert not np.isfinite(info.value.norm)
 
     def test_control_forcing_localized_along_run(self, world):
         # replay the recorded amplitudes through the actuator: node values
@@ -330,7 +365,7 @@ class TestPhysicalMap:
             ScalarField(basis, 0.01 * rng.standard_normal(basis.M)),
         )
         assert physical_deviation_norm(s0, state, params) == pytest.approx(
-            xi_norm(s0), abs=1e-12
+            norm_D_alpha(s0.y, 0.5) + norm_D_alpha(s0.z, 0.25), abs=1e-12
         )
 
     def test_zero_deviation_norm(self, nontrivial):
