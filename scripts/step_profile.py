@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Per-phase cost of one closed-loop step of ``phasestab.sim.simulate``.
+
+    PYTHONPATH=src python scripts/step_profile.py [--M 64 256] [--steps 2000] [--repeats 5]
+
+For each basis size M the default config is built at that M (stationary
+state, plant, actuator and the Newton-Kleinman gain), a short closed-loop run
+warms up every cache, and each phase of the default IMEX Euler step is then
+timed with ``time.perf_counter`` on the run's final state:
+
+    remainder   the dealiased nonlinear remainder G(y)
+    feedback    the feedback forcing B_matrix @ (-K x)
+    implicit    the 2x2 block inverse of (I + dt Op)
+    step        one whole stepper step (the three phases plus glue)
+    recording   one recorded row: simulate at record_every = 1 minus simulate
+                recording only the first and last rows, per step
+    simulate    simulate at record_every = 1, per step
+
+Every figure is in microseconds per step, the median of --repeats timed
+loops of --steps calls.  BLAS is pinned to one thread, as in the benchmark,
+unless the thread variables are already set.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from phasestab.cli import build_materials  # noqa: E402
+from phasestab.config import SimConfig  # noqa: E402
+from phasestab.lqr import solve_care  # noqa: E402
+from phasestab.sim import _remainder_coeffs, _Stepper, seeded_initial_state, simulate  # noqa: E402
+
+PHASES = ("remainder", "feedback", "implicit", "step", "recording", "simulate")
+
+
+def _us_per_call(fn, calls: int, repeats: int) -> float:
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - start) / calls * 1e6)
+    return statistics.median(samples)
+
+
+def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
+    cfg = SimConfig()
+    cfg.basis.M = M
+    cfg.validate()
+    m = build_materials(cfg)
+    sol = solve_care(m.plant, m.act)
+    run = cfg.sim
+    y0, z0 = seeded_initial_state(m.basis, run.rho, cfg.seed)
+
+    def run_simulate(record_every: int):
+        return simulate(
+            m.plant, y0, z0, dt=run.dt, t_end=steps * run.dt, sol=sol, act=m.act,
+            nonlinear=True, scheme=run.scheme, stat=m.stat, record_every=record_every,
+        )
+
+    final = run_simulate(1).final_state
+    x = np.concatenate([final.y.coeffs, final.z.coeffs])
+    y = x[:M]
+    stepper = _Stepper(m.plant, run.dt, sol, m.act, True, run.scheme)
+    B, K = m.act.B_matrix, sol.K_gain
+
+    out = {
+        "remainder": _us_per_call(
+            lambda: _remainder_coeffs(m.basis, y, stepper.phi_inf_padded, stepper.g_padded),
+            steps, repeats,
+        ),
+        "feedback": _us_per_call(lambda: B @ -(K @ x), steps, repeats),
+        "implicit": _us_per_call(lambda: stepper._implicit_solve(x), steps, repeats),
+        "step": _us_per_call(lambda: stepper.step(x), steps, repeats),
+    }
+    every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps
+    ends_only = _us_per_call(lambda: run_simulate(steps), 1, repeats) / steps
+    out["recording"] = every_step - ends_only
+    out["simulate"] = every_step
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--M", type=int, nargs="+", default=[64, 256])
+    parser.add_argument("--steps", type=int, default=2000)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+
+    print("us/step  " + "  ".join(f"{name:>9}" for name in PHASES))
+    for M in args.M:
+        row = profile(M, args.steps, args.repeats)
+        print(f"M={M:<5}  " + "  ".join(f"{row[name]:9.1f}" for name in PHASES))
+
+
+if __name__ == "__main__":
+    main()

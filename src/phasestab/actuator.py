@@ -36,6 +36,7 @@ for tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,6 +249,15 @@ def rk4_propagate(f, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.nda
     return x
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per n_nodes and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def null_control(
     act: Actuator,
     plant: LinearizedPlant,
@@ -276,7 +286,7 @@ def null_control(
         )
     eta = np.linalg.solve(G, -np.exp(-lambdas * T0) * xi0)
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     t_nodes = 0.5 * T0 * (nodes + 1.0)
     t_weights = 0.5 * T0 * weights
 

@@ -330,12 +330,11 @@ def render_report(run_dir: Path) -> str:
     traj_path = run_dir / "trajectory.csv"
     if traj_path.exists():
         data = read_trajectory_csv(traj_path)
-        lines = ["# t xi_norm h_norm physical_norm"]
-        for i in range(len(data["t"])):
-            lines.append(
-                f"{data['t'][i]!r} {data['xi_norm'][i]!r} "
-                f"{data['h_norm'][i]!r} {data['physical_norm'][i]!r}"
-            )
+        columns = ("t", "xi_norm", "h_norm", "physical_norm")
+        # tolist() gives Python floats, whose repr is the shortest exact form
+        # (a NumPy scalar's repr is "np.float64(...)", which gnuplot cannot read)
+        decay = np.column_stack([data[name] for name in columns]).tolist()
+        lines = ["# " + " ".join(columns)] + [" ".join(map(repr, row)) for row in decay]
         (run_dir / "decay.dat").write_text("\n".join(lines) + "\n")
 
     width = max(len(name) for name, _ in rows) if rows else 0

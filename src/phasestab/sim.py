@@ -19,15 +19,25 @@ and the feedback enters through the actuator's modal input matrix
 ``B_matrix``.  A Crank-Nicolson/AB2 variant is available behind the
 ``scheme`` flag.
 
+Each step evaluates the remainder with two matrix-vector products against
+one cached cosine matrix C (the basis functions on the P = 2M dealiasing
+grid, built on the first call): values v = C y, then coefficients
+-kappa (L/P) C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.
+The same code serves ``remainder_G_direct``.
+
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
 the equivalent physical-variable norm, the conserved means, and the feedback
 amplitudes; the decay rate is a least-squares fit of the log norm over a
-configurable window.
+configurable window.  The record arrays are sized up front (t = 0, every
+``record_every``-th step and the last step) and filled in place; the
+physical-variable norm goes through (phi, theta) on coefficient arrays, with
+the stationary offsets precomputed once per run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +48,10 @@ from .lqr import RiccatiSolution
 from .spectral import (
     ScalarField,
     _coeffs_from_grid,
+    _cosine_matrix,
     _values_on_grid,
+    _weighted_norm,
     gradient_values,
-    norm_D_alpha,
 )
 from .stationary import StationaryState
 
@@ -82,7 +93,7 @@ class BlowUpError(RuntimeError):
 def _decay_norm(basis, x: np.ndarray) -> float:
     """Decay norm ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} of stacked (y, z) coefficients."""
     y, z = x[: basis.M], x[basis.M :]
-    return float(np.sqrt(y @ (basis.mu * y)) + np.sqrt(z @ (np.sqrt(basis.mu) * z)))
+    return math.sqrt(y @ (basis.mu * y)) + math.sqrt(z @ (np.sqrt(basis.mu) * z))
 
 
 # -- nonlinear remainder ----------------------------------------------------
@@ -92,9 +103,13 @@ def _remainder_coeffs(
     basis, y_coeffs: np.ndarray, phi_inf_padded: np.ndarray, g_padded: np.ndarray
 ) -> np.ndarray:
     """Modal coefficients of G(y); phi_inf and g are given on the dealiasing grid."""
-    yv = _values_on_grid(basis, y_coeffs, len(phi_inf_padded))
-    inner = yv**3 + 3.0 * phi_inf_padded * yv**2 + g_padded * yv
-    return -basis.kappa * _coeffs_from_grid(basis, inner)
+    P = len(phi_inf_padded)
+    C = _cosine_matrix(basis, P)
+    yv = C @ y_coeffs
+    # yv^3 + 3 phi_inf yv^2 + g yv in Horner form: a float power costs more
+    # than both matrix-vector products at P = 128
+    inner = yv * (yv * (yv + 3.0 * phi_inf_padded) + g_padded)
+    return -basis.kappa * (basis.L / P) * (C.T @ inner)
 
 
 def remainder_G_direct(
@@ -146,21 +161,44 @@ def remainder_G_expanded(
 # -- physical variables ------------------------------------------------------
 
 
-def _sigma_inf(state: StationaryState, params: PhysicalParams) -> ScalarField:
-    """sigma_inf = alpha0 (theta_inf + l0 phi_inf) as a field."""
-    basis = state.basis
-    const = ScalarField.constant(basis, params.alpha0 * state.theta_inf)
-    return const + (params.alpha0 * params.l0) * state.phi_inf
+class _PhysicalMap:
+    """Coefficient-level map from the deviation (y, z) to (phi, theta) about one state.
+
+    phi = y + phi_inf and theta = sigma / alpha0 - l0 phi with
+    sigma = z + sigma_inf, sigma_inf = alpha0 (theta_inf + l0 phi_inf).
+    """
+
+    def __init__(self, stat: StationaryState, params: PhysicalParams):
+        basis = stat.basis
+        self.params = params
+        self.phi_inf = stat.phi_inf.coeffs
+        self.theta_inf = ScalarField.constant(basis, stat.theta_inf).coeffs
+        self.sigma_inf = ScalarField.constant(
+            basis, params.alpha0 * stat.theta_inf
+        ).coeffs + self.phi_inf * (params.alpha0 * params.l0)
+        # norm_D_alpha weights for alpha = 1/2 and 1/4
+        self.weights = (basis.mu ** (2.0 * 0.5), basis.mu ** (2.0 * 0.25))
+
+    def to_physical(self, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi = y + self.phi_inf
+        theta = (z + self.sigma_inf) * (1.0 / self.params.alpha0) - phi * self.params.l0
+        return phi, theta
+
+    def deviation_norm(self, y: np.ndarray, z: np.ndarray) -> float:
+        """See ``physical_deviation_norm``."""
+        alpha0, l0 = self.params.alpha0, self.params.l0
+        phi, theta = self.to_physical(y, z)
+        dphi = phi - self.phi_inf
+        combo = (theta - self.theta_inf) * alpha0 + dphi * (alpha0 * l0)
+        return _weighted_norm(self.weights[0], dphi) + _weighted_norm(self.weights[1], combo)
 
 
 def to_physical(
     state: StateYZ, stat: StationaryState, params: PhysicalParams
 ) -> tuple[ScalarField, ScalarField]:
     """Map (y, z) back to (phi, theta): phi = y + phi_inf, theta = sigma/alpha0 - l0 phi."""
-    phi = state.y + stat.phi_inf
-    sigma = state.z + _sigma_inf(stat, params)
-    theta = (1.0 / params.alpha0) * sigma - params.l0 * phi
-    return phi, theta
+    phi, theta = _PhysicalMap(stat, params).to_physical(state.y.coeffs, state.z.coeffs)
+    return ScalarField(stat.basis, phi), ScalarField(stat.basis, theta)
 
 
 def from_physical(
@@ -173,7 +211,7 @@ def from_physical(
     """Inverse map: y = phi - phi_inf, z = alpha0 (theta + l0 phi) - sigma_inf."""
     y = phi - stat.phi_inf
     sigma = params.alpha0 * (theta + params.l0 * phi)
-    z = sigma - _sigma_inf(stat, params)
+    z = ScalarField(stat.basis, sigma.coeffs - _PhysicalMap(stat, params).sigma_inf)
     return StateYZ(y=y, z=z, t=t)
 
 
@@ -188,11 +226,7 @@ def physical_deviation_norm(
     recomputed through (phi, theta); identically equal to the (y, z) decay
     norm since the second argument is exactly z.
     """
-    phi, theta = to_physical(state, stat, params)
-    dphi = phi - stat.phi_inf
-    theta_inf = ScalarField.constant(phi.basis, stat.theta_inf)
-    combo = params.alpha0 * (theta - theta_inf) + (params.alpha0 * params.l0) * dphi
-    return norm_D_alpha(dphi, 0.5) + norm_D_alpha(combo, 0.25)
+    return _PhysicalMap(stat, params).deviation_norm(state.y.coeffs, state.z.coeffs)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -237,7 +271,10 @@ class _Stepper:
                 f"implicit blocks lose invertibility (min det {np.min(det):.3e}); "
                 f"keep dt below {self.dt_bound:.3e}"
             )
-        self.inv = (d / det, -b / det, -c / det, a / det)
+        # block inverse [[d, -b], [-c, a]] / det, split into the columns that
+        # multiply the y and z parts of the right-hand side
+        self.inv_y = np.stack([d, -c]) / det
+        self.inv_z = np.stack([-b, a]) / det
 
         P = 2 * self.basis.M
         self.phi_inf_padded = _values_on_grid(self.basis, plant.phi_inf.coeffs, P)
@@ -261,22 +298,21 @@ class _Stepper:
     def explicit_coeffs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Explicit right-hand side (remainder plus feedback) and amplitudes."""
         M = self.basis.M
-        rhs = np.zeros(2 * M)
-        w = np.zeros(0)
+        if self.sol is None:
+            w = np.zeros(0)
+            rhs = np.zeros(2 * M)
+        else:
+            w = -(self.sol.K_gain @ x)
+            rhs = self.act.B_matrix @ w
         if self.nonlinear:
             rhs[:M] += _remainder_coeffs(
                 self.basis, x[:M], self.phi_inf_padded, self.g_padded
             )
-        if self.sol is not None:
-            w = -(self.sol.K_gain @ x)
-            rhs += self.act.B_matrix @ w
         return rhs, w
 
     def _implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
         M = self.basis.M
-        i00, i01, i10, i11 = self.inv
-        ry, rz = rhs[:M], rhs[M:]
-        return np.concatenate([i00 * ry + i01 * rz, i10 * ry + i11 * rz])
+        return (self.inv_y * rhs[:M] + self.inv_z * rhs[M:]).ravel()
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the stacked modal state by one dt; returns (x_next, w)."""
@@ -374,41 +410,41 @@ def simulate(
     n_steps = int(round(t_end / dt))
     n_amp = act.N if (act is not None and sol is not None) else 0
 
-    times, xi_s, h_s, phys_s, my_s, mz_s, amps = [], [], [], [], [], [], []
+    # rows: t = 0, every record_every-th step, and the last step once
+    n_rows = n_steps // record_every + 1 + (n_steps % record_every != 0)
+    times, xi_s, h_s, phys_s, my_s, mz_s = np.empty((6, n_rows))
+    amps = np.zeros((n_rows, n_amp))
+    phys_map = _PhysicalMap(stat, params) if stat is not None else None
     sqrtL = np.sqrt(basis.L)
 
-    def record(t: float, x: np.ndarray, w: np.ndarray):
+    def record(row: int, t: float, x: np.ndarray, w: np.ndarray):
         y_c, z_c = x[:M], x[M:]
-        times.append(t)
-        xi_s.append(_decay_norm(basis, x))
-        h_s.append(np.hypot(np.linalg.norm(y_c), np.linalg.norm(z_c)))
-        if stat is not None:
-            state = StateYZ(ScalarField(basis, y_c), ScalarField(basis, z_c), t)
-            phys_s.append(physical_deviation_norm(state, stat, params))
-        else:
-            phys_s.append(xi_s[-1])
-        my_s.append(y_c[0] / sqrtL)
-        mz_s.append(z_c[0] / sqrtL)
-        amps.append(w if len(w) else np.zeros(n_amp))
+        times[row] = t
+        xi_s[row] = _decay_norm(basis, x)
+        h_s[row] = np.hypot(math.sqrt(y_c @ y_c), math.sqrt(z_c @ z_c))
+        phys_s[row] = xi_s[row] if phys_map is None else phys_map.deviation_norm(y_c, z_c)
+        my_s[row] = y_c[0] / sqrtL
+        mz_s[row] = z_c[0] / sqrtL
+        amps[row] = w
 
-    xi0 = _decay_norm(basis, x)
-    record(0.0, x, np.zeros(n_amp))
+    record(0, 0.0, x, np.zeros(n_amp))
+    xi0 = xi_s[0]
+    row = 0
     for step_idx in range(1, n_steps + 1):
         x, w = stepper.step(x)
-        t = step_idx * dt
         if step_idx % record_every == 0 or step_idx == n_steps:
-            record(t, x, w)
-            if not np.isfinite(xi_s[-1]) or xi_s[-1] > blowup_factor * max(xi0, NORM_FLOOR):
+            row += 1
+            t = step_idx * dt
+            record(row, t, x, w)
+            if not np.isfinite(xi_s[row]) or xi_s[row] > blowup_factor * max(xi0, NORM_FLOOR):
                 raise BlowUpError(
-                    f"decay norm {xi_s[-1]:.3e} at t={t:.3f} is not finite or exceeds "
+                    f"decay norm {xi_s[row]:.3e} at t={t:.3f} is not finite or exceeds "
                     f"{blowup_factor:.0e} x initial {xi0:.3e}",
                     t=t,
-                    norm=xi_s[-1],
+                    norm=float(xi_s[row]),
                 )
 
-    times_arr = np.array(times)
-    xi_arr = np.array(xi_s)
-    rate, r2 = fit_exponential_rate(times_arr, xi_arr, fit_window)
+    rate, r2 = fit_exponential_rate(times, xi_s, fit_window)
 
     final = StateYZ(
         y=ScalarField(basis, x[:M].copy()),
@@ -416,13 +452,13 @@ def simulate(
         t=n_steps * dt,
     )
     return TrajectoryRecord(
-        times=times_arr,
-        xi_norms=xi_arr,
-        h_norms=np.array(h_s),
-        physical_norms=np.array(phys_s),
-        mean_y=np.array(my_s),
-        mean_z=np.array(mz_s),
-        control_amplitudes=np.array(amps) if amps else np.zeros((0, n_amp)),
+        times=times,
+        xi_norms=xi_s,
+        h_norms=h_s,
+        physical_norms=phys_s,
+        mean_y=my_s,
+        mean_z=mz_s,
+        control_amplitudes=amps,
         fitted_rate=rate,
         fit_window=fit_window,
         fit_r2=r2,

@@ -3,6 +3,7 @@ import pytest
 
 from phasestab.actuator import (
     GramianConditionError,
+    _gauss_legendre,
     apply_B,
     apply_B_star,
     build_actuator,
@@ -200,6 +201,15 @@ class TestKalmanCertificate:
 
 
 class TestNullControl:
+    def test_quadrature_rule_cached_and_read_only(self):
+        nodes, weights = _gauss_legendre(64)
+        again = _gauss_legendre(64)
+        assert again[0] is nodes and again[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(weights, ref_weights)
+
     def test_zero_initial_data(self, setup):
         _, plant, act = setup
         plan = null_control(act, plant, np.zeros(act.N), T0=1.0)

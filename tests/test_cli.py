@@ -272,6 +272,19 @@ class TestReport:
         riccati_row = [l for l in table.splitlines() if l.startswith("riccati_residual")]
         assert riccati_row and "absent" in riccati_row[0]
 
+    def test_decay_dat_holds_trajectory_columns_as_plain_numbers(self, tmp_path):
+        cfg = fast_config(tmp_path / "run")
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        render_report(out)
+        decay = np.loadtxt(out / "decay.dat")
+        data = read_trajectory_csv(out / "trajectory.csv")
+        expected = np.column_stack(
+            [data[name] for name in ("t", "xi_norm", "h_norm", "physical_norm")]
+        )
+        assert decay.shape == expected.shape
+        assert np.array_equal(decay, expected)
+
     def test_decay_data_monotone_after_transient(self, tmp_path):
         cfg = fast_config(tmp_path / "run", **{"sim.t_end": "8.0"})
         run_pipeline(cfg)

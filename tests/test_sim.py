@@ -7,6 +7,7 @@ from phasestab.lqr import solve_care
 from phasestab.sim import (
     BlowUpError,
     StateYZ,
+    _remainder_coeffs,
     _Stepper,
     fit_exponential_rate,
     from_physical,
@@ -120,6 +121,18 @@ class TestRemainderTerm:
         y = smooth_random_field(basis, 4)
         out = remainder_G_direct(y, state.phi_inf, plant.g)
         assert out.coeffs[0] == 0.0
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_mean_coefficient_exactly_zero(self, M, L):
+        # the k = 0 coefficient must vanish exactly for the means to be conserved
+        basis = SpectralBasis(L=L, M=M)
+        rng = np.random.default_rng(M)
+        P = 2 * M
+        out = _remainder_coeffs(
+            basis, rng.standard_normal(M), rng.standard_normal(P), rng.standard_normal(P)
+        )
+        assert out[0] == 0.0
 
 
 def final_state(plant, y0, z0, dt, n_steps, **kwargs):
@@ -300,6 +313,34 @@ class TestSimulate:
                 stat=state, record_every=record_every,
             )
         assert not np.isfinite(info.value.norm)
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_sparse_recording_matches_every_step(self, world, every):
+        basis, params, state, plant, act, sol = world
+        y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
+
+        def run(record_every):
+            return simulate(
+                plant, y0, z0, dt=1e-3, t_end=0.05, sol=sol, act=act,
+                stat=state, record_every=record_every,
+            )
+
+        full, sparse = run(1), run(every)
+        n_steps = 50
+        rows = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
+        assert len(sparse.times) == n_steps // every + 1 + (n_steps % every != 0)
+        assert len(sparse.times) == len(rows)
+        for name in (
+            "times", "xi_norms", "h_norms", "physical_norms",
+            "mean_y", "mean_z", "control_amplitudes",
+        ):
+            np.testing.assert_array_equal(getattr(sparse, name), getattr(full, name)[rows])
+        # the last step is recorded once, also when it is not a multiple of every
+        assert np.count_nonzero(sparse.times == full.times[-1]) == 1
+        assert np.all(np.diff(sparse.times) > 0)
+        assert sparse.physical_norms[-1] == physical_deviation_norm(
+            sparse.final_state, state, params
+        )
 
     def test_control_forcing_localized_along_run(self, world):
         # replay the recorded amplitudes through the actuator: node values

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasestab.spectral import (
+    PAD_FACTOR,
     ScalarField,
     SpectralBasis,
+    _coeffs_from_grid,
+    _cosine_matrix,
+    _values_on_grid,
     apply_A_power,
     gradient_squared,
     gradient_values,
@@ -253,8 +257,6 @@ class TestGradientSquared:
         coeffs = rng.standard_normal(basis.M) * np.exp(-0.5 * np.arange(basis.M))
         f = ScalarField(basis, coeffs)
         P = 4096
-        from phasestab.spectral import _values_on_grid
-
         vals = _values_on_grid(basis, f.coeffs, P)
         h = basis.L / P
         # even extension about both endpoints of the midpoint grid
@@ -268,7 +270,29 @@ class TestGradientSquared:
     def test_matches_direct_gradient_values(self, basis):
         f = random_field(basis, seed=13, decay=2.0)
         g = gradient_values(f, 2 * basis.M)
-        from phasestab.spectral import _coeffs_from_grid
-
         expected = _coeffs_from_grid(basis, g * g)
         assert np.abs(gradient_squared(f).coeffs - expected).max() < 1e-13
+
+
+class TestCosineMatrix:
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_matches_fft_transforms(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        P = PAD_FACTOR * M
+        C = _cosine_matrix(basis, P)
+        assert C.shape == (P, M)
+        rng = np.random.default_rng(M)
+        coeffs = rng.standard_normal(M)
+        values = rng.standard_normal(P)
+        synthesis = _values_on_grid(basis, coeffs, P)
+        analysis = _coeffs_from_grid(basis, values)
+        assert np.abs(C @ coeffs - synthesis).max() <= 1e-13 * np.abs(synthesis).max()
+        assert np.abs((L / P) * (C.T @ values) - analysis).max() <= 1e-13 * np.abs(
+            analysis
+        ).max()
+
+    def test_cached_and_read_only(self, basis):
+        C = _cosine_matrix(basis, 2 * basis.M)
+        assert _cosine_matrix(basis, 2 * basis.M) is C
+        assert not C.flags.writeable
