@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linearization import LinearizedPlant
-from .spectral import ScalarField, SpectralBasis, transform_inverse
+from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
 
 __all__ = [
     "Actuator",
@@ -111,12 +111,8 @@ def build_actuator(
     modes = plant.eigenvectors[:, :N].copy()
     lambdas = plant.eigenvalues[:N].copy()
 
-    phi_values = np.column_stack(
-        [transform_inverse(basis, modes[:M, j]) for j in range(N)]
-    )
-    psi_values = np.column_stack(
-        [transform_inverse(basis, modes[M:, j]) for j in range(N)]
-    )
+    phi_values = _values_on_grid(basis, modes[:M], M)
+    psi_values = _values_on_grid(basis, modes[M:], M)
 
     # D as a weighted Gram matrix: exact symmetry and PSD by construction.
     root = np.sqrt(w * basis.quad_weight)[:, None]
@@ -124,12 +120,12 @@ def build_actuator(
         root * psi_values
     )
 
-    B = np.empty((2 * M, N))
-    for j in range(N):
-        yj = ScalarField.from_values(basis, w * phi_values[:, j])
-        zj = ScalarField.from_values(basis, w * psi_values[:, j])
-        B[:M, j] = yj.coeffs
-        B[M:, j] = zj.coeffs
+    B = np.concatenate(
+        [
+            _coeffs_from_grid(basis, w[:, None] * phi_values),
+            _coeffs_from_grid(basis, w[:, None] * psi_values),
+        ]
+    )
 
     quarter = 0.25 * (omega[1] - omega[0])
     return Actuator(
@@ -210,9 +206,9 @@ class NullControlPlan:
     xi0: np.ndarray
     lambdas: np.ndarray
     D_matrix: np.ndarray
-    eta: np.ndarray = field(repr=False, default=None)  # G^{-1}(-e^{-Lambda T0} xi0)
-    gramian_cond: float = np.nan
-    steering_error: float = np.nan
+    eta: np.ndarray = field(repr=False)  # G^{-1}(-e^{-Lambda T0} xi0)
+    gramian_cond: float
+    steering_error: float
 
     def evaluate_raw(self, t: float) -> np.ndarray:
         """The control formula without the horizon cutoff."""
@@ -290,27 +286,27 @@ def null_control(
     t_nodes = 0.5 * T0 * (nodes + 1.0)
     t_weights = 0.5 * T0 * weights
 
-    plan = NullControlPlan(
+    # W(t_q) = D^T e^{-Lambda (T0 - t_q)} eta, the formula of plan.evaluate, on
+    # all nodes at once
+    decay = np.exp(-lambdas[:, None] * (T0 - t_nodes[None, :]))
+    W_samples = (D.T @ (decay * eta[:, None])).T
+
+    # xi(T0) = e^{-Lambda T0} xi0 + int_0^T0 e^{-Lambda (T0 - t)} D W(t) dt on the
+    # Gauss nodes; the integrand is a sum of exponentials, so the rule is exact
+    xi_T = np.exp(-lambdas * T0) * xi0 + (decay * (D @ W_samples.T)) @ t_weights
+    return NullControlPlan(
         T0=T0,
         t_nodes=t_nodes,
         t_weights=t_weights,
-        W_samples=np.zeros((n_nodes, act.N)),
-        energy=0.0,
+        W_samples=W_samples,
+        energy=float(np.sum(t_weights * np.sum(W_samples**2, axis=1))),
         xi0=xi0,
         lambdas=lambdas,
         D_matrix=D,
         eta=eta,
+        gramian_cond=cond,
+        steering_error=float(np.linalg.norm(xi_T)),
     )
-    plan.W_samples = np.array([plan.evaluate(t) for t in t_nodes])
-    plan.energy = float(np.sum(t_weights * np.sum(plan.W_samples**2, axis=1)))
-    plan.gramian_cond = cond
-
-    # xi(T0) = e^{-Lambda T0} xi0 + int_0^T0 e^{-Lambda (T0 - t)} D W(t) dt on the
-    # Gauss nodes; the integrand is a sum of exponentials, so the rule is exact
-    decay = np.exp(-lambdas[:, None] * (T0 - t_nodes[None, :]))
-    xi_T = np.exp(-lambdas * T0) * xi0 + (decay * (D @ plan.W_samples.T)) @ t_weights
-    plan.steering_error = float(np.linalg.norm(xi_T))
-    return plan
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

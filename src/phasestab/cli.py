@@ -37,6 +37,7 @@ from .io import (
     write_field_collocation_csv,
     write_field_modal_csv,
     write_json,
+    write_table,
     write_trajectory_csv,
 )
 from .linearization import LinearizedPlant, PhysicalParams, assemble_plant
@@ -131,10 +132,8 @@ def stage_controllability(m: Materials, outdir: Path) -> dict:
         "steering_error": plan.steering_error,
         "control_energy": plan.energy,
     }
-    lines = ["t," + ",".join(f"w_{j + 1}" for j in range(m.act.N))]
-    for t, row in zip(plan.t_nodes, plan.W_samples):
-        lines.append(",".join(repr(float(v)) for v in (t, *row)))
-    (outdir / "control_samples.csv").write_text("\n".join(lines) + "\n")
+    header = "t," + ",".join(f"w_{j + 1}" for j in range(m.act.N))
+    write_table(outdir / "control_samples.csv", header, [plan.t_nodes, *plan.W_samples.T])
     write_json(outdir / "controllability.json", summary)
     return summary
 
@@ -302,8 +301,9 @@ def render_report(run_dir: Path) -> str:
         add("lambda_gap", spectrum["gap"])
         add("F_l", spectrum["F_l"])
         eigs = spectrum["eigenvalues"]
-        lines = ["# i lambda_i"] + [f"{i} {v!r}" for i, v in enumerate(eigs)]
-        (run_dir / "spectrum.dat").write_text("\n".join(lines) + "\n")
+        write_table(
+            run_dir / "spectrum.dat", "# i lambda_i", [np.arange(len(eigs)), eigs], sep=" "
+        )
 
     stationary = _maybe_json(run_dir / "stationary.json")
     if stationary:
@@ -331,11 +331,8 @@ def render_report(run_dir: Path) -> str:
     if traj_path.exists():
         data = read_trajectory_csv(traj_path)
         columns = ("t", "xi_norm", "h_norm", "physical_norm")
-        # tolist() gives Python floats, whose repr is the shortest exact form
-        # (a NumPy scalar's repr is "np.float64(...)", which gnuplot cannot read)
-        decay = np.column_stack([data[name] for name in columns]).tolist()
-        lines = ["# " + " ".join(columns)] + [" ".join(map(repr, row)) for row in decay]
-        (run_dir / "decay.dat").write_text("\n".join(lines) + "\n")
+        header = "# " + " ".join(columns)
+        write_table(run_dir / "decay.dat", header, [data[name] for name in columns], sep=" ")
 
     width = max(len(name) for name, _ in rows) if rows else 0
     table = "\n".join(f"{name:<{width}}  {val}" for name, val in rows)

@@ -1,7 +1,7 @@
-"""Fixed on-disk formats: field CSVs, trajectory CSV, JSON summaries.
+"""Fixed on-disk formats: numeric tables (CSV and gnuplot .dat) and JSON summaries.
 
-Floats are written with repr (shortest round-trip form), so identical runs
-produce byte-identical files.
+Every table goes through ``write_table``, which writes floats with repr
+(shortest round-trip form), so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from .spectral import ScalarField
 
 __all__ = [
+    "write_table",
     "write_field_modal_csv",
     "write_field_collocation_csv",
     "write_trajectory_csv",
@@ -23,49 +24,48 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def write_table(path: str | Path, header: str, columns, sep: str = ",") -> None:
+    """Header line, then one line per row of the equal-length columns.
+
+    ``tolist()`` turns each column into Python numbers, so floats print as
+    their shortest round-trip repr and int columns stay ints.
+    """
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [header] + [sep.join(map(repr, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_field_modal_csv(path: str | Path, f: ScalarField) -> None:
     """One row per mode: k,coeff."""
-    lines = ["k,coeff"]
-    lines += [f"{k},{_fmt(c)}" for k, c in enumerate(f.coeffs)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "k,coeff", [np.arange(f.basis.M), f.coeffs])
 
 
 def write_field_collocation_csv(path: str | Path, f: ScalarField) -> None:
     """One row per node: x,value."""
-    lines = ["x,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(f.basis.nodes, f.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "x,value", [f.basis.nodes, f.values])
 
 
 def write_trajectory_csv(path: str | Path, record) -> None:
     """Columns: t, xi_norm, h_norm, physical_norm, mean_y, mean_z, w_1..w_N."""
-    n_amp = record.control_amplitudes.shape[1] if record.control_amplitudes.size else 0
+    amps = record.control_amplitudes.T
     header = "t,xi_norm,h_norm,physical_norm,mean_y,mean_z"
-    header += "".join(f",w_{j + 1}" for j in range(n_amp))
-    lines = [header]
-    for i in range(len(record.times)):
-        row = [
-            _fmt(record.times[i]),
-            _fmt(record.xi_norms[i]),
-            _fmt(record.h_norms[i]),
-            _fmt(record.physical_norms[i]),
-            _fmt(record.mean_y[i]),
-            _fmt(record.mean_z[i]),
-        ]
-        if n_amp:
-            row += [_fmt(w) for w in record.control_amplitudes[i]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header += "".join(f",w_{j + 1}" for j in range(len(amps)))
+    columns = [
+        record.times,
+        record.xi_norms,
+        record.h_norms,
+        record.physical_norms,
+        record.mean_y,
+        record.mean_z,
+        *amps,
+    ]
+    write_table(path, header, columns)
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
-    text = Path(path).read_text().strip().splitlines()
-    names = text[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return {name: data[:, j] for j, name in enumerate(names)}
 
 

@@ -73,8 +73,7 @@ class LinearizedPlant:
 
     eigenvectors[:, i] holds the i-th eigenpair in stacked modal coordinates
     (y coefficients in rows 0..M-1, z coefficients in rows M..2M-1);
-    eigenvalues are ascending and mode_index[i] records the cosine mode the
-    pair lives on.
+    eigenvalues are ascending.
     """
 
     params: PhysicalParams
@@ -85,7 +84,6 @@ class LinearizedPlant:
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
     eigenvectors: np.ndarray  # (2M, 2M) orthonormal columns
-    mode_index: np.ndarray  # (2M,)
     N_unstable: int
     phi_inf: ScalarField
 
@@ -194,7 +192,6 @@ def assemble_plant(
 
     eigenvalues = np.empty(2 * M)
     vectors = np.zeros((2 * M, 2 * M))
-    mode_index = np.empty(2 * M, dtype=int)
 
     order = []  # (lambda, k, branch) for the deterministic global sort
     per_block = []
@@ -218,7 +215,6 @@ def assemble_plant(
             vec = -vec
         vectors[k, i] = vec[0]
         vectors[M + k, i] = vec[1]
-        mode_index[i] = k
 
     N_unstable = int(np.sum(eigenvalues <= ZERO_EIGENVALUE_TOL))
 
@@ -240,7 +236,6 @@ def assemble_plant(
         A_blocks=blocks,
         eigenvalues=eigenvalues,
         eigenvectors=vectors,
-        mode_index=mode_index,
         N_unstable=N_unstable,
         phi_inf=phi_inf,
     )

@@ -11,25 +11,29 @@ basis every operator we need is diagonal:
     A = -Laplacian + I   ->  mu_k    = 1 + kappa_k
     A^alpha              ->  mu_k^alpha   (any real alpha, since mu_k >= 1)
 
-The forward/inverse transforms are the orthonormal DCT-II pair on the midpoint
-grid, so round trips are exact to machine precision and the discrete Parseval
-identity  sum_k c_k^2 = (L/M) sum_j f_j^2  holds.
+There is one transform between coefficients and grid values: the cached
+P x M matrix C of the basis functions at the P midpoint nodes
+(``_cosine_matrix``).  Synthesis is C c; analysis is (L/P) C^T v, the
+midpoint rule, which is exact for the retained modes, so round trips at
+P = M are exact to round-off and the discrete Parseval identity
+sum_k c_k^2 = (L/M) sum_j f_j^2 holds.  Analysis first projects out the grid
+mean and sets c_0 from it: the k >= 1 columns sum to zero on the midpoint
+grid, and without the projection their round-off would give a constant field
+spurious higher coefficients of order 1e-16, which the Laplacian then
+amplifies by kappa_k.
 
 Pointwise (nonlinear) products are evaluated on a zero-padded grid of 2M
 points.  This exceeds the 3/2-rule padding and makes quadratic *and* cubic
-products of band-limited fields alias-free in the retained M modes.  Besides
-the FFT pair (``_values_on_grid`` / ``_coeffs_from_grid``), ``_cosine_matrix``
-caches the same padded transform as a dense P x M matrix for the time
-stepper, which applies it thousands of times per run.
+products of band-limited fields alias-free in the retained M modes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SpectralBasis",
@@ -69,9 +73,6 @@ class SpectralBasis:
         object.__setattr__(self, "mu", 1.0 + self.kappa)
         object.__setattr__(self, "nodes", (k + 0.5) * self.L / self.M)
 
-    def nodes_padded(self, P: int) -> np.ndarray:
-        return (np.arange(P) + 0.5) * self.L / P
-
     def basis_function(self, k: int, x: np.ndarray) -> np.ndarray:
         """Evaluate e_k at arbitrary points x."""
         x = np.asarray(x, dtype=float)
@@ -92,7 +93,7 @@ def transform_forward(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {basis.M} collocation values, got shape {values.shape}"
         )
-    return scipy.fft.dct(values, type=2, norm="ortho") * np.sqrt(basis.L / basis.M)
+    return _coeffs_from_grid(basis, values)
 
 
 def transform_inverse(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -100,21 +101,28 @@ def transform_inverse(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.M,):
         raise ValueError(f"expected {basis.M} coefficients, got shape {coeffs.shape}")
-    return scipy.fft.idct(coeffs / np.sqrt(basis.L / basis.M), type=2, norm="ortho")
+    return _values_on_grid(basis, coeffs, basis.M)
 
 
 def _values_on_grid(basis: SpectralBasis, coeffs: np.ndarray, P: int) -> np.ndarray:
-    """Evaluate the field with the given coefficients on a P-point midpoint grid."""
-    padded = np.zeros(P)
-    padded[: basis.M] = coeffs
-    return scipy.fft.idct(padded / np.sqrt(basis.L / P), type=2, norm="ortho")
+    """Values on the P-point midpoint grid of the M coefficients (or of each (M, n) column)."""
+    return _cosine_matrix(basis, P) @ coeffs
 
 
 def _coeffs_from_grid(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
-    """Transform values on a fine midpoint grid and truncate to the M modes."""
+    """The M coefficients of values on a P-point midpoint grid (or of each (P, n) column).
+
+    The mean is projected out before the k >= 1 columns are applied, twice so
+    that a constant grid vector leaves exactly zero (one pass leaves the
+    rounding error of the mean itself), and c_0 is set from it.
+    """
     P = len(values)
-    full = scipy.fft.dct(values, type=2, norm="ortho") * np.sqrt(basis.L / P)
-    return full[: basis.M].copy()
+    mean = values.mean(axis=0)
+    deviation = values - mean
+    deviation -= deviation.mean(axis=0)
+    coeffs = (basis.L / P) * (_cosine_matrix(basis, P).T @ deviation)
+    coeffs[0] = np.sqrt(basis.L) * mean
+    return coeffs
 
 
 @dataclass
@@ -136,10 +144,6 @@ class ScalarField:
     def from_values(cls, basis: SpectralBasis, values) -> "ScalarField":
         values = np.asarray(values, dtype=float)
         return cls(basis, transform_forward(basis, values), values.copy())
-
-    @classmethod
-    def from_function(cls, basis: SpectralBasis, fn) -> "ScalarField":
-        return cls.from_values(basis, fn(basis.nodes))
 
     @classmethod
     def zero(cls, basis: SpectralBasis) -> "ScalarField":
@@ -232,45 +236,35 @@ def pointwise_product(fs: list[ScalarField], dealias: bool = True) -> ScalarFiel
     return ScalarField.from_values(basis, prod)
 
 
-_SINE_MATRICES: dict[tuple[float, int, int], np.ndarray] = {}
+def _midpoint_angles(basis: SpectralBasis, P: int) -> np.ndarray:
+    """P x M angles k pi x_j / L on the P-point midpoint grid, reduced to [0, 2 pi).
+
+    k pi x_j / L = pi k (2j + 1) / (2P); reducing k (2j + 1) modulo 4P in
+    integers keeps every angle accurate to round-off.
+    """
+    turns = np.outer(2 * np.arange(P) + 1, np.arange(basis.M)) % (4 * P)
+    return turns * (np.pi / (2 * P))
 
 
+@functools.lru_cache(maxsize=16)
 def _sine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
-    """P x M matrix  sin(k pi x_j / L)  on the P-point midpoint grid (cached)."""
-    key = (basis.L, basis.M, P)
-    mat = _SINE_MATRICES.get(key)
-    if mat is None:
-        x = basis.nodes_padded(P)
-        k = np.arange(basis.M)
-        mat = np.sin(np.outer(x, k) * np.pi / basis.L)
-        _SINE_MATRICES[key] = mat
+    """P x M matrix  sin(k pi x_j / L)  on the P-point midpoint grid (cached, read-only)."""
+    mat = np.sin(_midpoint_angles(basis, P))
+    mat.flags.writeable = False
     return mat
 
 
-_COSINE_MATRICES: dict[tuple[float, int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _cosine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
     """P x M matrix  e_k(x_j)  on the P-point midpoint grid (cached, read-only).
 
-    ``C @ c`` equals ``_values_on_grid(basis, c, P)`` and ``(L/P) C.T @ v``
-    equals ``_coeffs_from_grid(basis, v)`` to round-off.  The time stepper
-    applies it twice per step.  With one BLAS thread, at M = 64 (P = 128) the
-    two products take about 6 us against about 27 us for the two FFT calls,
-    which are bound by call overhead; at M = 256 they take about 45 us
-    against about 29 us, which the stepper's Horner-form cubic more than
-    makes up.  The matrix holds P M doubles (1 MiB at M = 256).
+    ``C @ c`` gives values on the grid and ``(L/P) C.T @ v`` the coefficients
+    of grid values; the time stepper applies it twice per step.  The matrix
+    holds P M doubles (1 MiB at M = 256, P = 2M).
     """
-    key = (basis.L, basis.M, P)
-    mat = _COSINE_MATRICES.get(key)
-    if mat is None:
-        # k pi x_j / L = pi k (2j + 1) / (2P); reducing k (2j + 1) modulo 4P in
-        # integers keeps every angle in [0, 2 pi) and accurate to round-off
-        turns = np.outer(2 * np.arange(P) + 1, np.arange(basis.M)) % (4 * P)
-        mat = np.sqrt(2.0 / basis.L) * np.cos(turns * (np.pi / (2 * P)))
-        mat[:, 0] = np.sqrt(1.0 / basis.L)
-        mat.flags.writeable = False
-        _COSINE_MATRICES[key] = mat
+    mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P))
+    mat[:, 0] = np.sqrt(1.0 / basis.L)
+    mat.flags.writeable = False
     return mat
 
 

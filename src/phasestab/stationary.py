@@ -23,12 +23,11 @@ import numpy as np
 from .spectral import (
     ScalarField,
     SpectralBasis,
+    _cosine_matrix,
     _values_on_grid,
     gradient_values,
     laplacian,
     pointwise_product,
-    transform_forward,
-    transform_inverse,
 )
 
 __all__ = [
@@ -192,12 +191,10 @@ def _newton_polish(
     """Newton steps on nu*Lap(phi) - phi^3 + phi - C = 0 in modal coordinates.
 
     The Jacobian nu*Lap + I - 3*phi^2 mixes modes through the multiplication
-    operator, assembled densely via the transform matrix (M is small).
+    operator, assembled densely via the cached transform matrix (M is small).
     """
-    M = basis.M
-    eye = np.eye(M)
-    to_values = np.column_stack([transform_inverse(basis, eye[:, j]) for j in range(M)])
-    to_coeffs = np.column_stack([transform_forward(basis, eye[:, j]) for j in range(M)])
+    to_values = _cosine_matrix(basis, basis.M)
+    to_coeffs = basis.quad_weight * to_values.T
     sqrtL = np.sqrt(basis.L)
 
     best = coeffs.copy()
@@ -213,7 +210,7 @@ def _newton_polish(
     for _ in range(iters):
         if best_norm <= target:
             break
-        vals = transform_inverse(basis, current)
+        vals = to_values @ current
         mult = to_coeffs @ ((3.0 * vals**2)[:, None] * to_values)
         jac = np.diag(-nu * basis.kappa + 1.0) - mult
         try:

@@ -210,6 +210,14 @@ class TestNullControl:
         np.testing.assert_array_equal(nodes, ref_nodes)
         np.testing.assert_array_equal(weights, ref_weights)
 
+    def test_samples_match_evaluate(self, setup):
+        _, plant, act = setup
+        xi0 = np.random.default_rng(13).standard_normal(act.N)
+        plan = null_control(act, plant, xi0, T0=1.0)
+        expected = np.array([plan.evaluate(t) for t in plan.t_nodes])
+        assert plan.W_samples.shape == expected.shape
+        assert np.abs(plan.W_samples - expected).max() <= 1e-15 * np.abs(expected).max()
+
     def test_zero_initial_data(self, setup):
         _, plant, act = setup
         plan = null_control(act, plant, np.zeros(act.N), T0=1.0)

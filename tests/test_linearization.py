@@ -72,6 +72,14 @@ class TestLinearizationData:
         phi = ScalarField.constant(basis, 0.7)
         assert np.abs(g_field(phi).coeffs).max() < 1e-14
 
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_g_exactly_zero_for_constant_states(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        for which in (-1, 0, 1):
+            state = stationary_constant(which, basis=basis)
+            assert np.all(g_field(state.phi_inf).coeffs == 0.0)
+
     def test_g_cosine_identity(self, basis):
         phi = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
         g = g_field(phi)

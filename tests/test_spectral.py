@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,19 +284,62 @@ class TestCosineMatrix:
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_matches_fft_transforms(self, M, L):
+        # reference: the orthonormal DCT-II pair, zero-padded to P points
         basis = SpectralBasis(L=L, M=M)
         P = PAD_FACTOR * M
         C = _cosine_matrix(basis, P)
         assert C.shape == (P, M)
         rng = np.random.default_rng(M)
-        coeffs = rng.standard_normal(M)
-        values = rng.standard_normal(P)
-        synthesis = _values_on_grid(basis, coeffs, P)
-        analysis = _coeffs_from_grid(basis, values)
-        assert np.abs(C @ coeffs - synthesis).max() <= 1e-13 * np.abs(synthesis).max()
-        assert np.abs((L / P) * (C.T @ values) - analysis).max() <= 1e-13 * np.abs(
-            analysis
-        ).max()
+        for shape in ((), (3,)):
+            coeffs = rng.standard_normal((M, *shape))
+            values = rng.standard_normal((P, *shape))
+            padded = np.zeros((P, *shape))
+            padded[:M] = coeffs
+            synthesis = scipy.fft.idct(padded, type=2, norm="ortho", axis=0) / np.sqrt(L / P)
+            analysis = scipy.fft.dct(values, type=2, norm="ortho", axis=0)[:M] * np.sqrt(L / P)
+            out = _values_on_grid(basis, coeffs, P)
+            assert out.shape == synthesis.shape
+            assert np.abs(out - synthesis).max() <= 1e-13 * np.abs(synthesis).max()
+            out = _coeffs_from_grid(basis, values)
+            assert out.shape == analysis.shape
+            assert np.abs(out - analysis).max() <= 1e-13 * np.abs(analysis).max()
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_constant_grid_vector_has_zero_higher_coefficients(self, M, L, factor):
+        basis = SpectralBasis(L=L, M=M)
+        P = factor * M
+        rng = np.random.default_rng(P)
+        constants = np.concatenate([[0.1, 1.0 / 3.0, -0.7, 1.0], rng.standard_normal(3)])
+        # c_0 comes from a sum of P terms: recursive summation bound P eps
+        rtol = P * np.finfo(float).eps
+        for c in constants:
+            out = _coeffs_from_grid(basis, np.full(P, c))
+            assert np.all(out[1:] == 0.0)
+            assert out[0] == pytest.approx(np.sqrt(L) * c, rel=rtol)
+        columns = np.tile(constants[-3:], (P, 1))
+        out = _coeffs_from_grid(basis, columns)
+        assert out.shape == (M, 3)
+        assert np.all(out[1:] == 0.0)
+        np.testing.assert_allclose(out[0], np.sqrt(L) * constants[-3:], rtol=rtol)
+
+    def test_package_does_not_import_scipy_fft(self):
+        # one transform route: building the default materials never loads scipy.fft
+        code = (
+            "import sys, phasestab\n"
+            "from phasestab.cli import build_materials\n"
+            "from phasestab.config import SimConfig\n"
+            "build_materials(SimConfig())\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_cached_and_read_only(self, basis):
         C = _cosine_matrix(basis, 2 * basis.M)
