@@ -39,8 +39,8 @@ def main() -> None:
         try:
             rec = simulate(
                 m.plant, y0, z0, dt=cfg.sim.dt, t_end=args.t_end,
-                sol=sol, act=m.act, nonlinear=True, stat=m.stat,
-                record_every=10,
+                sol=sol, act=m.act, nonlinear=True, scheme=cfg.sim.scheme,
+                stat=m.stat, record_every=10,
             )
             rows.append(
                 {

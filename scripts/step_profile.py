@@ -5,13 +5,16 @@
 
 For each basis size M the default config is built at that M (stationary
 state, plant, actuator and the Newton-Kleinman gain), a short closed-loop run
-warms up every cache, and each phase of the default IMEX Euler step is then
-timed with ``time.perf_counter`` on the run's final state:
+warms up every cache, and each phase of one step of the config's scheme and
+dt is then timed with ``time.perf_counter`` on the run's final state:
 
     remainder   the dealiased nonlinear remainder G(y)
-    feedback    the feedback forcing B_matrix @ (-K x)
-    implicit    the 2x2 block inverse of (I + dt Op)
-    step        one whole stepper step (the three phases plus glue)
+    blocks      the 2x2 block solve v = J r of the scheme's steady step
+                (``_ClosedLoopSolve.blocks``)
+    feedback    the rank-N Woodbury correction of the implicit feedback,
+                x = v - JU (C^{-1} K v) (``_ClosedLoopSolve.feedback``)
+    step        one whole stepper step: the three phases plus forming the
+                right-hand side r from the current and previous states
     recording   one recorded row: simulate at record_every = 1 minus simulate
                 recording only the first and last rows, per step
     simulate    simulate at record_every = 1, per step
@@ -37,7 +40,7 @@ from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import solve_care  # noqa: E402
 from phasestab.sim import _remainder_coeffs, _Stepper, seeded_initial_state, simulate  # noqa: E402
 
-PHASES = ("remainder", "feedback", "implicit", "step", "recording", "simulate")
+PHASES = ("remainder", "blocks", "feedback", "step", "recording", "simulate")
 
 
 def _us_per_call(fn, calls: int, repeats: int) -> float:
@@ -67,17 +70,19 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
 
     final = run_simulate(1).final_state
     x = np.concatenate([final.y.coeffs, final.z.coeffs])
-    y = x[:M]
+    y, z = x[:M], x[M:]
     stepper = _Stepper(m.plant, run.dt, sol, m.act, True, run.scheme)
-    B, K = m.act.B_matrix, sol.K_gain
+    stepper.step(x)  # imex2 takes its steady form from the second step on
+    solve = stepper.bdf2 or stepper.euler
+    v = solve.blocks(y, z)
 
     out = {
         "remainder": _us_per_call(
             lambda: _remainder_coeffs(m.basis, y, stepper.phi_inf_padded, stepper.g_padded),
             steps, repeats,
         ),
-        "feedback": _us_per_call(lambda: B @ -(K @ x), steps, repeats),
-        "implicit": _us_per_call(lambda: stepper._implicit_solve(x), steps, repeats),
+        "blocks": _us_per_call(lambda: solve.blocks(y, z), steps, repeats),
+        "feedback": _us_per_call(lambda: solve.feedback(v), steps, repeats),
         "step": _us_per_call(lambda: stepper.step(x), steps, repeats),
     }
     every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps
@@ -94,6 +99,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
+    run = SimConfig().sim
+    print(f"scheme {run.scheme}, dt {run.dt:g}")
     print("us/step  " + "  ".join(f"{name:>9}" for name in PHASES))
     for M in args.M:
         row = profile(M, args.steps, args.repeats)

@@ -34,6 +34,7 @@ from .lqr import (
 )
 from .sim import (
     BlowUpError,
+    ImplicitSolveError,
     StateYZ,
     TrajectoryRecord,
     from_physical,

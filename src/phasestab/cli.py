@@ -42,7 +42,13 @@ from .io import (
 )
 from .linearization import LinearizedPlant, PhysicalParams, assemble_plant
 from .lqr import RiccatiError, RiccatiSolution, solve_care
-from .sim import BlowUpError, TrajectoryRecord, seeded_initial_state, simulate
+from .sim import (
+    BlowUpError,
+    ImplicitSolveError,
+    TrajectoryRecord,
+    seeded_initial_state,
+    simulate,
+)
 from .spectral import ScalarField, SpectralBasis
 from .stationary import (
     StationaryConvergenceError,
@@ -421,6 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         GramianConditionError,
         StationaryConvergenceError,
         BlowUpError,
+        ImplicitSolveError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

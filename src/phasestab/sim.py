@@ -13,11 +13,13 @@ Expanding the Laplacian by the product rule gives the equivalent seven-term
 form (3y^2 Lap y, 6y|grad y|^2, 12 y grad y . grad phi_inf, 3y^2 Lap phi_inf,
 6 phi_inf y Lap y, 6 phi_inf |grad y|^2, Lap(g y)); both routes are
 implemented, and the stepper runs the direct form that the expanded one
-cross-checks.  Time stepping (``simulate``) is IMEX Euler: the stiff operator
-is inverted exactly per 2x2 modal block, remainder and feedback are explicit,
-and the feedback enters through the actuator's modal input matrix
-``B_matrix``.  A Crank-Nicolson/AB2 variant is available behind the
-``scheme`` flag.
+cross-checks.  Time stepping (``simulate``) treats the operator and the
+feedback implicitly and only the remainder explicitly: IMEX Euler
+(``scheme="imex1"``) or the second-order semi-implicit BDF scheme SBDF2
+(``"imex2"``, the default, taken from ``RunConfig``).  The implicit solve is
+the exact 2x2 modal block inverse plus a rank-N Woodbury correction for the
+feedback, which enters through the actuator's modal input matrix
+``B_matrix``; the step size is therefore not limited by the gain.
 
 Each step evaluates the remainder with two matrix-vector products against
 one cached cosine matrix C (the basis functions on the P = 2M dealiasing
@@ -28,11 +30,11 @@ The same code serves ``remainder_G_direct``.
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
 the equivalent physical-variable norm, the conserved means, and the feedback
-amplitudes; the decay rate is a least-squares fit of the log norm over a
-configurable window.  The record arrays are sized up front (t = 0, every
-``record_every``-th step and the last step) and filled in place; the
-physical-variable norm goes through (phi, theta) on coefficient arrays, with
-the stationary offsets precomputed once per run.
+amplitudes w = -K x at the recorded states; the decay rate is a least-squares
+fit of the log norm over a configurable window.  The record arrays are sized
+up front (t = 0, every ``record_every``-th step and the last step) and filled
+in place; the physical-variable norm goes through (phi, theta) on coefficient
+arrays, with the stationary offsets precomputed once per run.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuator import Actuator
+from .config import RunConfig
 from .linearization import LinearizedPlant, PhysicalParams
 from .lqr import RiccatiSolution
 from .spectral import (
@@ -59,6 +62,7 @@ __all__ = [
     "StateYZ",
     "TrajectoryRecord",
     "BlowUpError",
+    "ImplicitSolveError",
     "remainder_G_direct",
     "remainder_G_expanded",
     "simulate",
@@ -88,6 +92,10 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.t = t
         self.norm = norm
+
+
+class ImplicitSolveError(ValueError):
+    """The implicit closed-loop solve of a step is singular or ill conditioned."""
 
 
 def _decay_norm(basis, x: np.ndarray) -> float:
@@ -232,8 +240,97 @@ def physical_deviation_norm(
 # -- time stepping -----------------------------------------------------------
 
 
+# largest condition number of the capacitance matrix C = I_N + K J theta B
+# that the Woodbury correction accepts: beyond it the correction loses more
+# than half of the digits of a step
+CAPACITANCE_COND_MAX = 1e8
+
+
+class _ClosedLoopSolve:
+    """x = (I + theta (Op + B K))^{-1} r for one theta.
+
+    J = (I + theta Op)^{-1} is the per-mode 2x2 block inverse; BK has rank N,
+    so the closed-loop inverse is J plus a Woodbury correction.  With
+    JU = J theta B (2M x N) and the capacitance matrix C = I_N + K JU, both
+    formed once, the solve is
+
+        v = J r                      (``blocks``)
+        s = C^{-1} K v,  x = v - JU s  (``feedback``)
+
+    at O(MN) cost.  s equals K x, so ``feedback`` also returns the feedback
+    amplitude w = -K x without a second product.  The caller checks that
+    every block is invertible at theta.
+    """
+
+    def __init__(
+        self,
+        blocks: np.ndarray,
+        theta: float,
+        dt: float,
+        sol: RiccatiSolution | None,
+        act: Actuator | None,
+    ):
+        a = 1.0 + theta * blocks[:, 0, 0]
+        b = theta * blocks[:, 0, 1]
+        c = theta * blocks[:, 1, 0]
+        d = 1.0 + theta * blocks[:, 1, 1]
+        det = a * d - b * c
+        # block inverse [[d, -b], [-c, a]] / det, split into the columns that
+        # multiply the y and z parts of its argument
+        self.inv_y = np.stack([d, -c]) / det
+        self.inv_z = np.stack([-b, a]) / det
+        self.JU = self.S = None
+        if sol is None:
+            return
+        M = len(blocks)
+        U = theta * act.B_matrix
+        JU = self.inv_y[..., None] * U[:M] + self.inv_z[..., None] * U[M:]
+        self.JU = JU.reshape(2 * M, -1)
+        KJU = sol.K_gain @ self.JU
+        cap = np.eye(act.N) + KJU
+        # condition relative to the terms that form C: forming it rounds at
+        # eps (1 + ||K JU||), and solving with it amplifies that by
+        # 1 / sigma_min(C); plain cond(C) misses cancellation in I + K JU
+        smin = np.linalg.svd(cap, compute_uv=False)[-1]
+        cond = (1.0 + np.linalg.norm(KJU, 2)) / smin if smin > 0 else np.inf
+        if not cond <= CAPACITANCE_COND_MAX:
+            raise ImplicitSolveError(
+                f"capacitance matrix I + K J theta B of the implicit feedback has "
+                f"condition number {cond:.3e} at dt = {dt:.3e}, above "
+                f"{CAPACITANCE_COND_MAX:.0e}; reduce dt"
+            )
+        self.S = np.linalg.solve(cap, sol.K_gain)
+
+    def blocks(self, r_y: np.ndarray, r_z: np.ndarray) -> np.ndarray:
+        """v = J r for r = (r_y, r_z)."""
+        return (self.inv_y * r_y + self.inv_z * r_z).ravel()
+
+    def feedback(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, -K x) with x = v - JU C^{-1} K v; x = v when open loop."""
+        if self.S is None:
+            return v, np.zeros(0)
+        s = self.S @ v
+        return v - self.JU @ s, -s
+
+
 class _Stepper:
-    """Precomputed IMEX machinery for a fixed (plant, gain, actuator, dt)."""
+    """One IMEX step of the closed loop, with operator and feedback implicit.
+
+    Both schemes solve (I + theta (Op + B K)) x_next = r once per step with a
+    ``_ClosedLoopSolve``, and only the remainder G is explicit:
+
+        imex1  theta = dt       r = x_n + dt G(x_n)
+        imex2  theta = 2 dt/3   r = (4 x_n - x_{n-1}) / 3
+                                    + (2 dt/3) (2 G(x_n) - G(x_{n-1}))
+
+    imex1 is IMEX Euler.  imex2 is the second-order semi-implicit BDF scheme
+    SBDF2 (Ascher, Ruuth & Wetton, SINUM 32, 1995), started with one imex1
+    step.  Its implicit part is L-stable: the factor of a stiff mode tends to
+    0, so a stiff explicit term (about phi_inf = +-1 the remainder holds
+    Lap(6 phi_inf ybar dy)) cannot tip it past -1, as it does Crank-Nicolson,
+    whose factor tends to -1.  Neither scheme applies Op outside the solve,
+    and G has no z part.
+    """
 
     def __init__(
         self,
@@ -242,7 +339,7 @@ class _Stepper:
         sol: RiccatiSolution | None,
         act: Actuator | None,
         nonlinear: bool,
-        scheme: str = "imex1",
+        scheme: str,
     ):
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
@@ -250,40 +347,34 @@ class _Stepper:
             raise ValueError(f"unknown scheme {scheme!r}; use 'imex1' or 'imex2'")
         if (sol is None) != (act is None):
             raise ValueError("feedback needs both the Riccati solution and the actuator")
-        self.plant = plant
         self.basis = plant.basis
         self.dt = dt
-        self.sol = sol
-        self.act = act
         self.nonlinear = nonlinear
-        self.scheme = scheme
 
+        # both schemes solve at theta = dt (imex2 on its first step), and
+        # det(I + theta A_k) > 0 at theta = dt keeps it positive for smaller
+        # theta, so the bound on dt is the same for both
         blocks = plant.A_blocks
-        self.dt_bound = self._dt_bound(blocks)
-        theta = 0.5 * dt if scheme == "imex2" else dt
-        a = 1.0 + theta * blocks[:, 0, 0]
-        b = theta * blocks[:, 0, 1]
-        c = theta * blocks[:, 1, 0]
-        d = 1.0 + theta * blocks[:, 1, 1]
-        det = a * d - b * c
-        if np.min(det) <= 0.0 or np.min(np.abs(det)) < 1e-12:
-            raise ValueError(
-                f"implicit blocks lose invertibility (min det {np.min(det):.3e}); "
-                f"keep dt below {self.dt_bound:.3e}"
+        det = np.linalg.det(np.eye(2) + dt * blocks)
+        if not np.min(det) >= 1e-12:
+            raise ImplicitSolveError(
+                f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
+                f"{np.min(det):.3e}); keep dt below {self._dt_bound(blocks):.3e} for {scheme}"
             )
-        # block inverse [[d, -b], [-c, a]] / det, split into the columns that
-        # multiply the y and z parts of the right-hand side
-        self.inv_y = np.stack([d, -c]) / det
-        self.inv_z = np.stack([-b, a]) / det
+        self.euler = _ClosedLoopSolve(blocks, dt, dt, sol, act)
+        self.bdf2 = (
+            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, dt, sol, act) if scheme == "imex2" else None
+        )
 
         P = 2 * self.basis.M
         self.phi_inf_padded = _values_on_grid(self.basis, plant.phi_inf.coeffs, P)
         self.g_padded = _values_on_grid(self.basis, plant.g.coeffs, P)
-        self._prev_explicit: np.ndarray | None = None
+        # (x, G) of the last step's input, which imex2 needs as x_{n-1}
+        self._prev: tuple[np.ndarray, np.ndarray | None] | None = None
 
     @staticmethod
     def _dt_bound(blocks: np.ndarray) -> float:
-        """Largest dt keeping every det(I + dt A_k) positive."""
+        """Largest theta keeping every det(I + theta A_k) positive."""
         # det(I + dt A) = 1 + q1 dt + q2 dt^2 has exactly one positive root
         # when q2 < 0, and none when q2 >= 0, since c = kappa_k >= 0 then
         # forces a >= 0 and q1 >= 0
@@ -295,36 +386,32 @@ class _Stepper:
         q2, q1 = q2[neg], q1[neg]
         return float(np.min((q1 + np.sqrt(q1 * q1 - 4.0 * q2)) / (-2.0 * q2)))
 
-    def explicit_coeffs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Explicit right-hand side (remainder plus feedback) and amplitudes."""
-        M = self.basis.M
-        if self.sol is None:
-            w = np.zeros(0)
-            rhs = np.zeros(2 * M)
-        else:
-            w = -(self.sol.K_gain @ x)
-            rhs = self.act.B_matrix @ w
-        if self.nonlinear:
-            rhs[:M] += _remainder_coeffs(
-                self.basis, x[:M], self.phi_inf_padded, self.g_padded
-            )
-        return rhs, w
-
-    def _implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
-        M = self.basis.M
-        return (self.inv_y * rhs[:M] + self.inv_z * rhs[M:]).ravel()
-
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the stacked modal state by one dt; returns (x_next, w)."""
-        dt = self.dt
-        explicit, w = self.explicit_coeffs(x)
-        if self.scheme == "imex1":
-            return self._implicit_solve(x + dt * explicit), w
-        # Crank-Nicolson on the operator, AB2 on the explicit part
-        prev = self._prev_explicit if self._prev_explicit is not None else explicit
-        rhs = x - 0.5 * dt * self.plant.apply_operator(x) + dt * (1.5 * explicit - 0.5 * prev)
-        self._prev_explicit = explicit
-        return self._implicit_solve(rhs), w
+        """Advance the stacked modal state by one dt.
+
+        Returns (x_next, w_next) with w_next = -K x_next, the feedback
+        amplitude at the new state (empty when open loop).
+        """
+        M = self.basis.M
+        y, z = x[:M], x[M:]
+        G = (
+            _remainder_coeffs(self.basis, y, self.phi_inf_padded, self.g_padded)
+            if self.nonlinear
+            else None
+        )
+        prev, self._prev = self._prev, (x, G)
+        if self.bdf2 is None or prev is None:
+            solve = self.euler
+            r_y = y if G is None else y + self.dt * G
+            r_z = z
+        else:
+            solve = self.bdf2
+            x_old, G_old = prev
+            r = (4.0 * x - x_old) * (1.0 / 3.0)
+            r_y, r_z = r[:M], r[M:]
+            if G is not None:
+                r_y += (2.0 * self.dt / 3.0) * (2.0 * G - G_old)
+        return solve.feedback(solve.blocks(r_y, r_z))
 
 
 # -- trajectories ------------------------------------------------------------
@@ -332,6 +419,13 @@ class _Stepper:
 
 @dataclass
 class TrajectoryRecord:
+    """Recorded rows of one run.
+
+    ``control_amplitudes[i]`` is w_i = -K x(t_i), the amplitude of the
+    implicit feedback at the recorded state (row 0 included); the forcing is
+    ``B_matrix @ w_i``.
+    """
+
     times: np.ndarray
     xi_norms: np.ndarray
     h_norms: np.ndarray
@@ -387,7 +481,7 @@ def simulate(
     sol: RiccatiSolution | None = None,
     act: Actuator | None = None,
     nonlinear: bool = True,
-    scheme: str = "imex1",
+    scheme: str = RunConfig.scheme,
     stat: StationaryState | None = None,
     record_every: int = 1,
     fit_window: tuple[float, float] | None = None,
@@ -408,12 +502,12 @@ def simulate(
 
     x = np.concatenate([y0.coeffs, z0.coeffs])
     n_steps = int(round(t_end / dt))
-    n_amp = act.N if (act is not None and sol is not None) else 0
+    w = -(sol.K_gain @ x) if sol is not None else np.zeros(0)
 
     # rows: t = 0, every record_every-th step, and the last step once
     n_rows = n_steps // record_every + 1 + (n_steps % record_every != 0)
     times, xi_s, h_s, phys_s, my_s, mz_s = np.empty((6, n_rows))
-    amps = np.zeros((n_rows, n_amp))
+    amps = np.empty((n_rows, len(w)))
     phys_map = _PhysicalMap(stat, params) if stat is not None else None
     sqrtL = np.sqrt(basis.L)
 
@@ -427,7 +521,7 @@ def simulate(
         mz_s[row] = z_c[0] / sqrtL
         amps[row] = w
 
-    record(0, 0.0, x, np.zeros(n_amp))
+    record(0, 0.0, x, w)
     xi0 = xi_s[0]
     row = 0
     for step_idx in range(1, n_steps + 1):

@@ -368,7 +368,7 @@ def test_c11_scheme_order(default_problem):
 
     def final(dt):
         rec = simulate(
-            plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state
+            plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state, scheme="imex1"
         )
         return np.concatenate([rec.final_state.y.coeffs, rec.final_state.z.coeffs])
 

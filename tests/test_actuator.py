@@ -272,12 +272,20 @@ class TestOpenLoopExtension:
         assert np.abs(control(1.0)).max() == 0.0
         assert np.abs(control(3.7)).max() == 0.0
 
-    def test_matches_plan_before_horizon_bit_exact(self, setup):
-        _, plant, act = setup
+    @pytest.mark.parametrize("nu, M", [(0.1, 64), (0.02, 256)])
+    def test_matches_plan_before_horizon(self, nu, M):
+        # evaluate is a matrix-vector product and W_samples one matrix
+        # product; the two kernels round alike only by coincidence (at
+        # nu = 0.02, M = 256 they differ in the last bit), so each sample
+        # must agree to 4 ulp of its largest entry
+        basis = SpectralBasis(L=1.0, M=M)
+        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis), basis)
+        act = build_actuator(plant, omega=(0.25, 0.75))
         plan = null_control(act, plant, np.ones(act.N), T0=1.0)
-        control = plan.evaluate
-        for i in (0, 100, 311, 511):
-            assert np.array_equal(control(plan.t_nodes[i]), plan.W_samples[i])
+        evaluated = np.array([plan.evaluate(t) for t in plan.t_nodes])
+        scale = np.abs(plan.W_samples).max(axis=1, keepdims=True)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(evaluated - plan.W_samples) <= 4 * eps * scale)
 
 
 def exact_state_after_steering(plant, act, plan, xi_start, T0):

@@ -217,6 +217,23 @@ class TestMainEntry:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_step_beyond_block_bound_exit_three(self, tmp_path, capsys, scheme):
+        # past the bound some I + dt A_k turns singular (imex2 solves with
+        # theta = dt on its first step); the run must fail with exit 3 and
+        # name the largest admissible dt
+        code = main(
+            [
+                "simulate",
+                "--set", f"sim.scheme={scheme}",
+                "--set", "sim.dt=16",
+                "--set", "sim.t_end=32",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        assert f"keep dt below 1.549e+01 for {scheme}" in capsys.readouterr().err
+
     def test_non_finite_run_exit_three(self, tmp_path):
         # rho = 10 overflows the closed loop to NaN; the run must fail loudly
         with np.errstate(all="ignore"):

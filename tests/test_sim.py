@@ -1,11 +1,18 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from phasestab.actuator import build_actuator
+from phasestab.cli import build_materials
+from phasestab.config import SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant, g_field
 from phasestab.lqr import solve_care
 from phasestab.sim import (
     BlowUpError,
+    ImplicitSolveError,
     StateYZ,
     _remainder_coeffs,
     _Stepper,
@@ -155,7 +162,7 @@ class TestStepImex:
         dt, n = 1e-3, 50
         s = final_state(
             plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
-            nonlinear=False,
+            nonlinear=False, scheme="imex1",
         )
         amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
         assert amp == pytest.approx((1.0 + dt * lam) ** (-n), rel=1e-10)
@@ -180,6 +187,28 @@ class TestStepImex:
         zero = ScalarField.zero(basis)
         with pytest.raises(ValueError, match="invertibility"):
             simulate(plant, zero, zero, dt=20.0, t_end=20.0)
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_invertibility_error_names_the_schemes_dt_bound(self, world, scheme):
+        # both schemes solve with theta = dt (imex2 on its first step)
+        basis, _, state, plant, _, _ = world
+        zero = ScalarField.zero(basis)
+        bound = _Stepper._dt_bound(plant.A_blocks)
+        message = re.escape(f"keep dt below {bound:.3e} for {scheme}")
+        with pytest.raises(ImplicitSolveError, match=message):
+            simulate(plant, zero, zero, dt=1.1 * bound, t_end=1.1 * bound, scheme=scheme)
+        simulate(plant, zero, zero, dt=0.9 * bound, t_end=0.9 * bound, scheme=scheme)
+
+    def test_singular_capacitance_rejected(self, world):
+        # a gain with K J theta B = -I makes I + theta (Op + B K) singular
+        # although every 2x2 block is invertible
+        basis, _, state, plant, act, sol = world
+        dt = 1e-2
+        JU = _Stepper(plant, dt, sol, act, True, "imex1").euler.JU
+        bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
+        zero = ScalarField.zero(basis)
+        with pytest.raises(ImplicitSolveError, match="capacitance"):
+            simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act)
 
     @pytest.mark.parametrize("nu, M", [(0.1, 64), (0.02, 256), (0.005, 32), (100.0, 16)])
     def test_dt_bound_matches_root_loop(self, nu, M):
@@ -247,7 +276,10 @@ class TestSimulate:
         y0, z0 = seeded_initial_state(basis, 0.1, seed=7)
 
         def final(dt):
-            rec = simulate(plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state)
+            rec = simulate(
+                plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state,
+                scheme="imex1",
+            )
             return np.concatenate(
                 [rec.final_state.y.coeffs, rec.final_state.z.coeffs]
             )
@@ -259,7 +291,8 @@ class TestSimulate:
 
     def test_imex2_second_order_and_linear_exactness(self, world):
         basis, _, state, plant, _, _ = world
-        # CN amplitude on a single eigenmode matches the scalar recursion
+        # SBDF2 amplitude on a single eigenmode matches the scalar recursion
+        # a_{n+1} = (4 a_n - a_{n-1}) / (3 + 2 dt lam), started by one Euler step
         lam = plant.eigenvalues[plant.N_unstable]
         v = plant.eigenvectors[:, plant.N_unstable]
         dt, n = 1e-3, 20
@@ -268,7 +301,9 @@ class TestSimulate:
             nonlinear=False, scheme="imex2",
         )
         amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
-        expected = ((1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)) ** n
+        prev, expected = 1.0, 1.0 / (1.0 + dt * lam)
+        for _ in range(n - 1):
+            prev, expected = expected, (4.0 * expected - prev) / (3.0 + 2.0 * dt * lam)
         assert amp == pytest.approx(expected, rel=1e-10)
 
         # ratio of trajectory errors approaches second order
@@ -287,6 +322,88 @@ class TestSimulate:
         e_coarse = np.linalg.norm(final(2e-3) - ref)
         e_fine = np.linalg.norm(final(1e-3) - ref)
         assert e_coarse / e_fine > 2.5
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_control_amplitudes_are_feedback_at_recorded_state(self, world, scheme):
+        # row i holds w_i = -K x(t_i), the implicit feedback's amplitude;
+        # later rows come from the Woodbury solve, equal to -K x to rounding
+        basis, _, state, plant, act, sol = world
+        y0, z0 = seeded_initial_state(basis, 1e-2, seed=3)
+        rec = simulate(
+            plant, y0, z0, dt=5e-3, t_end=0.5, sol=sol, act=act, stat=state,
+            scheme=scheme, record_every=7,
+        )
+        x0 = np.concatenate([y0.coeffs, z0.coeffs])
+        np.testing.assert_array_equal(rec.control_amplitudes[0], -(sol.K_gain @ x0))
+        final = rec.final_state
+        w_end = -(sol.K_gain @ np.concatenate([final.y.coeffs, final.z.coeffs]))
+        assert np.abs(rec.control_amplitudes[-1] - w_end).max() <= 1e-13 * np.abs(w_end).max()
+
+    def test_implicit_feedback_takes_large_steps_on_thin_interface(self):
+        # at nu = 0.02 max|eig(BK)| is about 100: explicit feedback blew up
+        # at dt = 2e-2, the implicit solve does not limit the step
+        basis = SpectralBasis(L=1.0, M=64)
+        state = stationary_constant(0, basis=basis)
+        plant = assemble_plant(PhysicalParams(nu=0.02), state, basis)
+        act = build_actuator(plant)
+        sol = solve_care(plant, act)
+        y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
+
+        def final_norm(dt):
+            rec = simulate(
+                plant, y0, z0, dt=dt, t_end=2.0, sol=sol, act=act, stat=state,
+                scheme="imex2",
+            )
+            return rec.xi_norms[-1]
+
+        coarse = final_norm(2e-2)
+        assert coarse < 1e-2
+        assert coarse == pytest.approx(final_norm(1e-3), rel=1e-5)
+
+    def test_sbdf2_stable_on_phi_inf_one(self):
+        # about phi_inf = +1 the remainder holds the stiff explicit term
+        # Lap(6 phi_inf ybar dy), here with ybar0 = 0.085; it tips a scheme
+        # whose factor tends to -1 on stiff modes (Crank-Nicolson/AB2) past
+        # -1 in modes k = 8-15, which put the decay norm at t = 5 and
+        # dt = 5e-3 2.5 % off dt = 1e-3
+        cfg = SimConfig()
+        cfg.stationary.mode = "minimize"
+        cfg.stationary.init_value = cfg.stationary.init_cos = 0.3
+        m = build_materials(cfg.validate())
+        assert np.allclose(m.stat.phi_inf.values, 1.0)
+        sol = solve_care(m.plant, m.act)
+        y0, z0 = seeded_initial_state(m.basis, 0.1, seed=103)
+
+        def final_norm(dt):
+            rec = simulate(
+                m.plant, y0, z0, dt=dt, t_end=5.0, sol=sol, act=m.act, stat=m.stat,
+                scheme="imex2", record_every=int(round(0.1 / dt)),
+            )
+            return rec.xi_norms[-1]
+
+        assert final_norm(5e-3) == pytest.approx(final_norm(1e-3), rel=1e-6)
+
+    def test_closed_loop_order_against_matrix_exponential(self):
+        # linear closed loop: x(1) = expm(-(Op + B K)) x0
+        basis = SpectralBasis(L=1.0, M=32)
+        state = stationary_constant(0, basis=basis)
+        plant = assemble_plant(PhysicalParams(nu=0.1), state, basis)
+        act = build_actuator(plant)
+        sol = solve_care(plant, act)
+        closed = plant.operator_matrix() + act.B_matrix @ sol.K_gain
+        y0, z0 = seeded_initial_state(basis, 1e-2, seed=0)
+        exact = scipy.linalg.expm(-closed) @ np.concatenate([y0.coeffs, z0.coeffs])
+
+        for scheme, ratio in (("imex1", 2.0), ("imex2", 4.0)):
+            errors = []
+            for dt in (2e-2, 1e-2, 5e-3):
+                s = final_state(
+                    plant, y0, z0, dt, int(round(1.0 / dt)), sol=sol, act=act,
+                    nonlinear=False, scheme=scheme,
+                )
+                errors.append(np.linalg.norm(np.concatenate([s.y.coeffs, s.z.coeffs]) - exact))
+            assert errors[0] / errors[1] == pytest.approx(ratio, rel=0.1)
+            assert errors[1] / errors[2] == pytest.approx(ratio, rel=0.1)
 
     def test_blowup_guard_triggers(self, world):
         basis, _, state, plant, _, _ = world
