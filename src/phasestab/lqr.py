@@ -18,10 +18,12 @@ M and is only reported as a diagnostic.)
 
 Two independent solution routes are provided:
 
-* ``newton``: Newton-Kleinman iteration with dense Bartels-Stewart Lyapunov
-  inner solves, initialized by a small Hamiltonian-eigenvector LQR solve on
-  the unstable block (stabilizing because the complement is open-loop
-  stable).
+* ``newton``: Newton-Kleinman iteration, initialized by a small
+  Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing
+  because the complement is open-loop stable).  Each iteration takes one real
+  Schur form of the closed loop; it serves both the stabilizing check and the
+  Lyapunov solve, which is a recursive blocked Bartels-Stewart solve
+  (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the leaves.
 * ``integrate``: marches the differential Riccati equation from P(0) = 0 to
   steady state with an exponential-Euler step in the operator eigenbasis.
   The linear part is handled exactly entrywise, so the fixed point of the
@@ -82,16 +84,13 @@ def _probe_residual(
     rng: np.random.Generator,
 ) -> float:
     """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x."""
-    worst = 0.0
-    dim = R.shape[0]
-    for _ in range(samples):
-        x = rng.standard_normal(dim)
-        x /= np.linalg.norm(x)
-        Rx = R @ x
-        quad = 2.0 * Rx @ (A_op @ x) + np.sum((B.T @ Rx) ** 2)
-        target = Q_diag @ (x * x)
-        worst = max(worst, abs(quad - target) / target)
-    return worst
+    # row i of one (samples, dim) draw is the i-th of `samples` draws of dim
+    X = rng.standard_normal((samples, R.shape[0]))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    RX = X @ R.T
+    quad = 2.0 * np.sum(RX * (X @ A_op.T), axis=1) + np.sum((RX @ B) ** 2, axis=1)
+    target = (X * X) @ Q_diag
+    return float(np.max(np.abs(quad - target) / target))
 
 
 def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -120,6 +119,71 @@ def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray
     return 0.5 * (P + P.T)
 
 
+_TRSYL = scipy.linalg.get_lapack_funcs("trsyl", dtype=np.float64)
+_LEAF = 48  # blocks up to this size go to LAPACK's unblocked trsyl
+
+
+def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with Y solving A Y + Y B^T = C (A, B upper quasi-triangular)."""
+    Y, scale, info = _TRSYL(A, B, C, tranb="T")
+    if info < 0:
+        raise RiccatiError(f"trsyl rejected its argument {-info}")
+    if info == 1:
+        raise RiccatiError(
+            "trsyl perturbed a near-zero eigenvalue sum lambda_i + lambda_j; "
+            "the Lyapunov operator is (nearly) singular"
+        )
+    if scale != 1.0:
+        # LAPACK solves for scale * C to avoid overflow
+        raise RiccatiError(f"trsyl scaled the right-hand side by {scale:.3e}")
+    C[...] = Y
+
+
+def _split(T: np.ndarray) -> int:
+    """Split index near n/2 of the quasi-triangular T that cuts no 2x2 block."""
+    h = T.shape[0] // 2
+    return h + 1 if T[h, h - 1] != 0.0 else h
+
+
+def _sylvester_schur(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with Y solving A Y + Y B^T = C, recursively blocked."""
+    m, n = C.shape
+    if max(m, n) <= _LEAF:
+        _trsyl(A, B, C)
+    elif m >= n:
+        h = _split(A)
+        _sylvester_schur(A[h:, h:], B, C[h:])
+        C[:h] -= A[:h, h:] @ C[h:]
+        _sylvester_schur(A[:h, :h], B, C[:h])
+    else:
+        h = _split(B)
+        _sylvester_schur(A, B[h:, h:], C[:, h:])
+        C[:, :h] -= C[:, h:] @ B[:h, h:].T
+        _sylvester_schur(A, B[:h, :h], C[:, :h])
+
+
+def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
+    """Overwrite symmetric F with Y solving T Y + Y T^T = F, T in real Schur form.
+
+    Recursive blocked Bartels-Stewart: with T split as [[T11, T12], [0, T22]],
+    solve the trailing Lyapunov block, then the Sylvester equation
+    T11 Y12 + Y12 T22^T = F12 - T12 Y22, set Y21 = Y12^T and recurse into
+    T11 Y11 + Y11 T11^T = F11 - T12 Y21 - (T12 Y21)^T.
+    """
+    if F.shape[0] <= _LEAF:
+        _trsyl(T, T, F)
+        return
+    h = _split(T)
+    T12 = T[:h, h:]
+    _lyapunov_schur(T[h:, h:], F[h:, h:])
+    F[:h, h:] -= T12 @ F[h:, h:]
+    _sylvester_schur(T[:h, :h], T[h:, h:], F[:h, h:])
+    F[h:, :h] = F[:h, h:].T
+    update = T12 @ F[h:, :h]
+    F[:h, :h] -= update + update.T
+    _lyapunov_schur(T[:h, :h], F[:h, :h])
+
+
 def _newton_kleinman(
     A: np.ndarray,
     B: np.ndarray,
@@ -130,24 +194,28 @@ def _newton_kleinman(
     probe_samples: int = 32,
 ) -> tuple[np.ndarray, list[dict]]:
     """Kleinman iteration: Lyapunov solve for the closed loop, then K = B^T X."""
-    n = A.shape[0]
     Q = np.diag(Q_diag)
     K = K0
     history: list[dict] = []
     X = None
     for it in range(max_iters):
         A_cl = A - B @ K
-        margin = -float(np.max(np.linalg.eigvals(A_cl).real))
+        # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real part
+        # on both diagonal entries
+        T, Z = scipy.linalg.schur(A_cl.T, output="real")
+        margin = -float(np.max(np.diag(T)))
         if margin <= 0.0:
             raise RiccatiError(
                 f"iterate {it} lost the stabilizing property (margin {margin:.3e})",
                 history,
             )
-        rhs = -(Q + K.T @ K)
+        # A_cl^T X + X A_cl = -(Q + K^T K) becomes T Y + Y T^T = Z^T rhs Z
+        Y = Z.T @ (-(Q + K.T @ K)) @ Z
         try:
-            X = scipy.linalg.solve_continuous_lyapunov(A_cl.T, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise RiccatiError(f"Lyapunov solve failed at iterate {it}: {exc}", history)
+            _lyapunov_schur(T, Y)
+        except RiccatiError as exc:
+            raise RiccatiError(f"Lyapunov solve failed at iterate {it}: {exc}", history) from exc
+        X = Z @ Y @ Z.T
         X = 0.5 * (X + X.T)
         K = B.T @ X
         # identical probe set every iteration so residuals are comparable

@@ -101,7 +101,7 @@ class ImplicitSolveError(ValueError):
 def _decay_norm(basis, x: np.ndarray) -> float:
     """Decay norm ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} of stacked (y, z) coefficients."""
     y, z = x[: basis.M], x[basis.M :]
-    return math.sqrt(y @ (basis.mu * y)) + math.sqrt(z @ (np.sqrt(basis.mu) * z))
+    return math.sqrt(y @ (basis.mu * y)) + math.sqrt(z @ (basis.sqrt_mu * z))
 
 
 # -- nonlinear remainder ----------------------------------------------------

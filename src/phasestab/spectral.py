@@ -61,6 +61,7 @@ class SpectralBasis:
     M: int = 64
     kappa: np.ndarray = field(init=False, repr=False, compare=False)
     mu: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_mu: np.ndarray = field(init=False, repr=False, compare=False)  # decay-norm weight of z
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,6 +72,7 @@ class SpectralBasis:
         k = np.arange(self.M)
         object.__setattr__(self, "kappa", (k * np.pi / self.L) ** 2)
         object.__setattr__(self, "mu", 1.0 + self.kappa)
+        object.__setattr__(self, "sqrt_mu", np.sqrt(self.mu))
         object.__setattr__(self, "nodes", (k + 0.5) * self.L / self.M)
 
     def basis_function(self, k: int, x: np.ndarray) -> np.ndarray:

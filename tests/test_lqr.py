@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phasestab import lqr
 from phasestab.actuator import apply_B, apply_B_star, build_actuator
+from phasestab.cli import build_materials
+from phasestab.config import SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant
 from phasestab.lqr import (
     RiccatiError,
@@ -124,6 +130,162 @@ class TestRiccatiSolution:
     def test_commutator_diagnostic_reported(self, solution):
         assert np.isfinite(solution.commutator_ratio)
         assert solution.commutator_ratio >= 0
+
+
+def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
+    """One probe vector at a time: the reference for the batched _probe_residual."""
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(R.shape[0])
+        x /= np.linalg.norm(x)
+        Rx = R @ x
+        quad = 2.0 * Rx @ (A_op @ x) + np.sum((B.T @ Rx) ** 2)
+        target = Q_diag @ (x * x)
+        worst = max(worst, abs(quad - target) / target)
+    return worst
+
+
+@pytest.mark.parametrize("samples, seed", [(32, 12345), (100, 202), (100, 0)])
+def test_probe_residual_matches_loop(problem, solution, samples, seed):
+    _, plant, act = problem
+    args = (solution.R_matrix, plant.operator_matrix(), act.B_matrix, solution.Q_diag)
+    batched = lqr._probe_residual(*args, samples, np.random.default_rng(seed))
+    looped = _loop_probe_residual(*args, samples, np.random.default_rng(seed))
+    # the residual is a difference of O(1) quadratic forms over their size:
+    # summation order moves it by a few eps
+    assert batched == pytest.approx(looped, rel=0, abs=64 * np.finfo(float).eps)
+
+
+def _split_points(lo: int, hi: int) -> list[int]:
+    """Midpoints the recursive solve splits [lo, hi) at, before any block move."""
+    if hi - lo <= lqr._LEAF:
+        return []
+    h = lo + (hi - lo) // 2
+    return [h, *_split_points(lo, h), *_split_points(h, hi)]
+
+
+@st.composite
+def stable_quasi_triangular(draw):
+    """A random stable real Schur form, with 2x2 complex-pair blocks."""
+    n = draw(st.one_of(st.integers(1, 130), st.sampled_from([47, 48, 49, 50, 96, 97, 98, 99])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = set(draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=n // 2)))
+    if draw(st.booleans()):
+        starts |= {h - 1 for h in _split_points(0, n)}  # pairs across every split
+    T = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    i = 0
+    while i < n:
+        if i in starts and i + 1 < n:
+            # standardized block: eigenvalues a +- i sqrt(b c)
+            a, (b, c) = -rng.uniform(0.1, 5.0), rng.uniform(0.2, 3.0, 2)
+            T[i : i + 2, i : i + 2] = [[a, b], [-c, a]]
+            i += 2
+        else:
+            T[i, i] = -rng.uniform(0.1, 5.0)
+            i += 1
+    return T, rng
+
+
+class TestLyapunovSchur:
+    @settings(max_examples=60, deadline=None)
+    @given(stable_quasi_triangular())
+    def test_matches_dense_oracle(self, case):
+        T, rng = case
+        F = rng.standard_normal(T.shape)
+        F = F + F.T
+        Y = F.copy()
+        lqr._lyapunov_schur(T, Y)
+        ref = scipy.linalg.solve_continuous_lyapunov(T, F)
+        assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(T @ Y + Y @ T.T - F) <= 1e-12 * np.linalg.norm(F)
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_zero_eigenvalue_sum_raises(self, n):
+        # lambda_0 + lambda_{n-1} = 0: a leaf solve (n = 2) or an off-diagonal
+        # Sylvester leaf (n = 100) meets a singular operator
+        T = np.diag(np.linspace(-2.0, -0.5, n))
+        T[0, 0], T[-1, -1] = 1.0, -1.0
+        with pytest.raises(RiccatiError, match="trsyl"):
+            lqr._lyapunov_schur(T, np.eye(n))
+
+
+def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters, probe_samples=32):
+    """Newton-Kleinman with an eigvals check and SciPy's dense Lyapunov solve: the oracle."""
+    Q = np.diag(Q_diag)
+    K = K0
+    history = []
+    for it in range(max_iters):
+        A_cl = A - B @ K
+        margin = -float(np.max(np.linalg.eigvals(A_cl).real))
+        assert margin > 0
+        X = scipy.linalg.solve_continuous_lyapunov(A_cl.T, -(Q + K.T @ K))
+        X = 0.5 * (X + X.T)
+        K = B.T @ X
+        res = lqr._probe_residual(X, -A, B, Q_diag, probe_samples, np.random.default_rng(12345))
+        history.append({"iteration": it, "margin": margin, "residual": res})
+        if res <= tol:
+            break
+    return X, history
+
+
+class TestNewtonSchur:
+    @pytest.mark.parametrize(
+        "nu, M", [(0.1, 64), (0.02, 256)], ids=["default", "thin_interface"]
+    )
+    def test_matches_dense_lyapunov_route(self, monkeypatch, nu, M):
+        cfg = SimConfig()
+        cfg.params.nu, cfg.basis.M = nu, M
+        m = build_materials(cfg.validate())
+        sol = solve_care(m.plant, m.act)
+        monkeypatch.setattr(lqr, "_newton_kleinman", _dense_newton_kleinman)
+        ref = solve_care(m.plant, m.act)
+        assert sol.iterations == ref.iterations
+        assert np.abs(sol.R_matrix - ref.R_matrix).max() <= 1e-14 * np.abs(ref.R_matrix).max()
+        assert sol.margin == pytest.approx(ref.margin, rel=1e-6)
+
+    def test_one_schur_form_and_no_eigvals_per_iteration(self, monkeypatch, problem):
+        _, plant, act = problem
+        calls = {"schur": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        _, iterations, _ = lqr._solve_care_core(
+            plant.operator_matrix(),
+            act.B_matrix,
+            plant.state_weight_diagonal(),
+            plant.eigenvalues,
+            plant.eigenvectors,
+            method="newton",
+            tol=0.0,
+            max_iters=3,
+        )
+        assert iterations == 3
+        assert calls == {"schur": 3, "eigvals": 0}
+
+    def test_destabilizing_gain_rejected(self, problem):
+        _, plant, act = problem
+        B = act.B_matrix
+        with pytest.raises(RiccatiError, match="lost the stabilizing property"):
+            lqr._newton_kleinman(
+                -plant.operator_matrix(), B, plant.state_weight_diagonal(),
+                K0=-10.0 * B.T, tol=1e-9, max_iters=5,
+            )
+
+    @pytest.mark.parametrize("re", [0.1, 0.0])
+    def test_unstable_complex_pair_rejected(self, re):
+        # the real part of a complex pair sits on its 2x2 block's diagonal
+        A = np.array([[re, 1.0, 0.0], [-1.0, re, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(RiccatiError, match="lost the stabilizing property"):
+            lqr._newton_kleinman(
+                A, np.zeros((3, 1)), np.ones(3), K0=np.zeros((1, 3)), tol=1e-9, max_iters=5
+            )
 
 
 class TestMethodAgreement:

@@ -14,6 +14,7 @@ SCRIPTS = {
     "rho_sweep.py": ["--points", "2", "--t-end", "0.05"],
     "actuator_study.py": ["--widths", "0.3"],
     "dt_front.py": ["--M", "16", "--t-end", "0.2", "--ref-dt", "1e-3"],
+    "care_profile.py": ["--M", "16"],
     "step_profile.py": ["--M", "16", "--steps", "20", "--repeats", "1"],
 }
 
