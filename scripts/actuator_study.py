@@ -33,7 +33,7 @@ def main() -> None:
         omega = (a, a + width)
         act = build_actuator(m.plant, omega=omega)
         cert = kalman_certificate(act)
-        plan = null_control(act, m.plant, np.ones(act.N) / np.sqrt(act.N), T0=1.0)
+        plan = null_control(act, np.ones(act.N) / np.sqrt(act.N), T0=1.0)
         sol = solve_care(m.plant, act)
         mass = float(np.sum(act.weight.values) * m.basis.quad_weight)
         rows.append(

@@ -17,8 +17,7 @@ equation:
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
     rest        total minus the phases above: the initial gain on the
-                unstable block, forming each closed loop and the commutator
-                diagnostic
+                unstable block and forming each closed loop
     total       one whole solve_care call
 
 The per-iteration phases are multiplied by the iteration count, so the
@@ -41,7 +40,13 @@ import scipy.linalg  # noqa: E402
 
 from phasestab.cli import build_materials  # noqa: E402
 from phasestab.config import SimConfig  # noqa: E402
-from phasestab.lqr import _lyapunov_schur, _probe_residual, solve_care  # noqa: E402
+from phasestab.lqr import (  # noqa: E402
+    _PROBE_SAMPLES,
+    _REPORT_SAMPLES,
+    _lyapunov_schur,
+    _probe_residual,
+    solve_care,
+)
 
 PHASES = ("schur", "sylvester", "transforms", "eigvals", "probe", "rest", "total")
 
@@ -81,11 +86,15 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         "transforms": iters * _ms_per_call(transforms, repeats),
         "eigvals": _ms_per_call(lambda: np.linalg.eigvals(A_cl), repeats),
         "probe": iters * _ms_per_call(
-            lambda: _probe_residual(sol.R_matrix, A_op, B, Q_diag, 32, np.random.default_rng(0)),
+            lambda: _probe_residual(
+                sol.R_matrix, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(0)
+            ),
             repeats,
         )
         + _ms_per_call(
-            lambda: _probe_residual(sol.R_matrix, A_op, B, Q_diag, 100, np.random.default_rng(0)),
+            lambda: _probe_residual(
+                sol.R_matrix, A_op, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(0)
+            ),
             repeats,
         ),
         "total": _ms_per_call(lambda: solve_care(m.plant, m.act), repeats),

@@ -39,7 +39,6 @@ from .sim import (
     TrajectoryRecord,
     from_physical,
     remainder_G_direct,
-    remainder_G_expanded,
     simulate,
     physical_deviation_norm,
     to_physical,

@@ -30,8 +30,7 @@ values.
 
 The null control's steering error is the quadrature residual of the
 variation-of-constants formula on the plan's own Gauss nodes, which does not
-go through the Gramian; ``rk4_propagate`` is kept as an independent oracle
-for tests.
+go through the Gramian.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "apply_B_star",
     "kalman_certificate",
     "null_control",
-    "rk4_propagate",
 ]
 
 GRAMIAN_CONDITION_LIMIT = 1e12
@@ -230,21 +228,6 @@ def _gramian_closed_form(lambdas: np.ndarray, D: np.ndarray, T0: float) -> np.nd
     return DDt * factor
 
 
-def rk4_propagate(f, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
-    """Classical RK4 with fixed step; independent oracle for the modal ODEs."""
-    x = np.array(x0, dtype=float)
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return x
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached per n_nodes and read-only."""
@@ -256,7 +239,6 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def null_control(
     act: Actuator,
-    plant: LinearizedPlant,
     xi0: np.ndarray,
     T0: float = 1.0,
     n_nodes: int = 512,
@@ -307,61 +289,3 @@ def null_control(
         gramian_cond=cond,
         steering_error=float(np.linalg.norm(xi_T)),
     )
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < 1e-5
-    safe = np.where(small, 1.0, z)
-    out = np.expm1(safe) / safe
-    return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, out)
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < 1e-5
-    safe = np.where(small, 1.0, z)
-    out = (np.expm1(safe) - safe) / safe**2
-    return np.where(small, 0.5 + z / 6.0 + z**2 / 24.0, out)
-
-
-def propagate_linear_with_control(
-    plant: LinearizedPlant,
-    act: Actuator,
-    control,
-    x0: np.ndarray,
-    t_end: float,
-    dt: float,
-    record_times: np.ndarray,
-) -> np.ndarray:
-    """Linear open-loop trajectory x' = -Op x + B W(t) in eigen-coordinates.
-
-    Exponential trapezoidal stepping handles the stiff stable branch exactly
-    when the control vanishes, so the post-steering tail decays at the true
-    modal rates.  Returns the stacked eigen-coordinate states at the
-    requested times (nearest step).
-    """
-    lam = plant.eigenvalues
-    V = plant.eigenvectors
-    B_e = V.T @ act.B_matrix
-    xi = V.T @ np.asarray(x0, dtype=float)
-
-    z = -lam * dt
-    decay = np.exp(z)
-    w1 = dt * (_phi1(z) - _phi2(z))
-    w2 = dt * _phi2(z)
-
-    n_steps = int(round(t_end / dt))
-    record_idx = np.clip(np.round(np.asarray(record_times) / dt).astype(int), 0, n_steps)
-    out = np.empty((len(record_times), len(xi)))
-    pending = {}
-    for j, idx in enumerate(record_idx):
-        pending.setdefault(int(idx), []).append(j)
-    for j in pending.get(0, []):
-        out[j] = xi
-    f_now = B_e @ control(0.0)
-    for n in range(1, n_steps + 1):
-        f_next = B_e @ control(n * dt)
-        xi = decay * xi + w1 * f_now + w2 * f_next
-        f_now = f_next
-        for j in pending.get(n, []):
-            out[j] = xi
-    return out

@@ -128,7 +128,7 @@ def stage_controllability(m: Materials, outdir: Path) -> dict:
     rng = np.random.default_rng(m.cfg.seed)
     xi0 = rng.standard_normal(m.act.N)
     xi0 /= np.linalg.norm(xi0)
-    plan = null_control(m.act, m.plant, xi0, T0=m.cfg.actuator.T0)
+    plan = null_control(m.act, xi0, T0=m.cfg.actuator.T0)
     summary = {
         "N": m.act.N,
         "det_D": cert.det,
@@ -157,7 +157,6 @@ def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
         },
         "iterations": sol.iterations,
         "method": sol.method,
-        "commutator_ratio": sol.commutator_ratio,
     }
     np.savez(
         outdir / "gain.npz",

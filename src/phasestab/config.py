@@ -61,7 +61,7 @@ class ActuatorConfig:
 
 @dataclass
 class RiccatiConfig:
-    method: str = "newton"  # "newton" | "integrate"
+    method: str = "newton"  # Newton-Kleinman, the only solver
     tol: float = 1e-9
     max_iters: int = 50
 
@@ -124,8 +124,11 @@ class SimConfig:
             )
         if a.T0 <= 0:
             raise ConfigError(f"actuator.T0 must be positive, got {a.T0}")
-        if r.method not in ("newton", "integrate"):
-            raise ConfigError(f"riccati.method must be 'newton' or 'integrate', got {r.method!r}")
+        if r.method != "newton":
+            raise ConfigError(
+                f"riccati.method must be 'newton', got {r.method!r}; the integrated "
+                "Riccati route is a test oracle in tests/oracles.py"
+            )
         if r.tol <= 0 or r.max_iters <= 0:
             raise ConfigError("riccati.tol and riccati.max_iters must be positive")
         if run.dt <= 0 or run.t_end <= 0 or run.rho <= 0:

@@ -12,22 +12,14 @@ standard CARE for A = -Op, and the quadratic-form identity
 
     2 x^T R Op x + ||B^T R x||^2 = x^T Ahat x
 
-is the residual we certify.  (The factor-2 form with a one-sided product
-coincides when R and Op commute; that commutation is not assumed at finite
-M and is only reported as a diagnostic.)
+is the residual we certify.
 
-Two independent solution routes are provided:
-
-* ``newton``: Newton-Kleinman iteration, initialized by a small
-  Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing
-  because the complement is open-loop stable).  Each iteration takes one real
-  Schur form of the closed loop; it serves both the stabilizing check and the
-  Lyapunov solve, which is a recursive blocked Bartels-Stewart solve
-  (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the leaves.
-* ``integrate``: marches the differential Riccati equation from P(0) = 0 to
-  steady state with an exponential-Euler step in the operator eigenbasis.
-  The linear part is handled exactly entrywise, so the fixed point of the
-  marching map is the exact algebraic solution independent of step size.
+The solve is Newton-Kleinman iteration, initialized by a small
+Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing because
+the complement is open-loop stable).  Each iteration takes one real Schur
+form of the closed loop; it serves both the stabilizing check and the
+Lyapunov solve, which is a recursive blocked Bartels-Stewart solve
+(Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the leaves.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ __all__ = [
     "RiccatiSolution",
     "RiccatiError",
     "solve_care",
-    "solve_care_dense",
     "riccati_residual",
 ]
 
@@ -68,11 +59,16 @@ class RiccatiSolution:
     method: str
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
-    commutator_ratio: float = np.nan  # ||Op R - R Op|| / ||R||, diagnostic only
 
     @property
     def dim(self) -> int:
         return self.R_matrix.shape[0]
+
+
+# Probe sets of the quadratic-form residual: the same draw at every Newton
+# iteration (its stop rule), and a separate draw for the reported residual
+_PROBE_SAMPLES, _PROBE_SEED = 32, 12345
+_REPORT_SAMPLES, _REPORT_SEED = 100, 202
 
 
 def _probe_residual(
@@ -191,7 +187,6 @@ def _newton_kleinman(
     K0: np.ndarray,
     tol: float,
     max_iters: int,
-    probe_samples: int = 32,
 ) -> tuple[np.ndarray, list[dict]]:
     """Kleinman iteration: Lyapunov solve for the closed loop, then K = B^T X."""
     Q = np.diag(Q_diag)
@@ -219,47 +214,13 @@ def _newton_kleinman(
         X = 0.5 * (X + X.T)
         K = B.T @ X
         # identical probe set every iteration so residuals are comparable
-        res = _probe_residual(X, -A, B, Q_diag, probe_samples, np.random.default_rng(12345))
+        res = _probe_residual(
+            X, -A, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+        )
         history.append({"iteration": it, "margin": margin, "residual": res})
         if res <= tol:
             return X, history
     return X, history
-
-
-def _care_integrate(
-    lam: np.ndarray,
-    S_e: np.ndarray,
-    Q_e: np.ndarray,
-    tol_steady: float = 1e-12,
-    h_max: float = 0.1,
-    max_steps: int = 5_000_000,
-) -> tuple[np.ndarray, int]:
-    """March dP/dt = -(lam_i+lam_j) P + Q_e - P S_e P to rest (eigenbasis coords).
-
-    Exponential Euler: the diagonal linear part is integrated exactly, the
-    rest explicitly with an adaptive step bounded by the local Lipschitz size
-    of the quadratic term.  The fixed point solves the algebraic equation
-    exactly for any step size, so only convergence speed depends on h.
-    """
-    n = len(lam)
-    s = lam[:, None] + lam[None, :]
-    zero = s == 0.0
-    safe = np.where(zero, 1.0, s)
-    P = np.zeros((n, n))
-    for step in range(1, max_steps + 1):
-        SP = S_e @ P
-        N = Q_e - P @ SP
-        lipschitz = 2.0 * np.linalg.norm(SP, "fro")
-        h = min(h_max, 1.0 / (lipschitz + 1e-12))
-        E = np.exp(-s * h)
-        phi = np.where(zero, h, (1.0 - E) / safe)
-        P_new = E * P + phi * N
-        P_new = 0.5 * (P_new + P_new.T)
-        delta = np.linalg.norm(P_new - P, "fro") / (h * max(np.linalg.norm(P, "fro"), 1.0))
-        P = P_new
-        if delta <= tol_steady:
-            return P, step
-    raise RiccatiError(f"differential Riccati marching did not settle in {max_steps} steps")
 
 
 def _solve_care_core(
@@ -268,60 +229,24 @@ def _solve_care_core(
     Q_diag: np.ndarray,
     lam: np.ndarray,
     V: np.ndarray,
-    method: str,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
-    """Shared solver body; (lam, V) is an orthonormal eigendecomposition of A_op."""
+    """Newton-Kleinman from a stabilizing start; (lam, V) is an orthonormal
+    eigendecomposition of A_op, ascending."""
     A = -A_op
     N_u = int(np.sum(lam <= ZERO_EIGENVALUE_TOL))
-
-    if method == "newton":
-        if N_u > 0:
-            V_u = V[:, :N_u]
-            A_u = -np.diag(lam[:N_u])
-            B_u = V_u.T @ B
-            Q_u = V_u.T @ np.diag(Q_diag) @ V_u
-            P_u = _care_hamiltonian(A_u, B_u, Q_u)
-            K0 = (B_u.T @ P_u) @ V_u.T
-        else:
-            K0 = np.zeros((B.shape[1], A.shape[0]))
-        X, history = _newton_kleinman(A, B, Q_diag, K0, tol, max_iters)
-        return 0.5 * (X + X.T), len(history), history
-
-    if method == "integrate":
-        B_e = V.T @ B
-        S_e = B_e @ B_e.T
-        Q_e = V.T @ np.diag(Q_diag) @ V
-        Q_e = 0.5 * (Q_e + Q_e.T)
-        P_e, steps = _care_integrate(lam, S_e, Q_e)
-        R = V @ P_e @ V.T
-        return 0.5 * (R + R.T), steps, []
-
-    raise ValueError(f"unknown Riccati method {method!r}; use 'newton' or 'integrate'")
-
-
-def solve_care_dense(
-    A_op: np.ndarray,
-    B: np.ndarray,
-    Q_diag: np.ndarray,
-    method: str = "newton",
-    tol: float = 1e-9,
-    max_iters: int = 50,
-) -> tuple[np.ndarray, int, list[dict]]:
-    """Solve Op R + R Op + R B B^T R = diag(Q_diag) for symmetric Op.
-
-    Returns (R, iterations, history).  ``A_op`` is the accretive operator of
-    the dynamics x' = -A_op x + B W.  The eigendecomposition is taken with a
-    dense symmetric solve; for the modal plant, prefer solve_care, which
-    reuses the exact per-block eigenpairs (the conserved zeros must not be
-    blurred by dense-solver noise).
-    """
-    A_op = np.asarray(A_op, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(A_op.shape[0], -1)
-    Q_diag = np.asarray(Q_diag, dtype=float)
-    lam, V = np.linalg.eigh(A_op)
-    return _solve_care_core(A_op, B, Q_diag, lam, V, method, tol, max_iters)
+    if N_u > 0:
+        V_u = V[:, :N_u]
+        A_u = -np.diag(lam[:N_u])
+        B_u = V_u.T @ B
+        Q_u = V_u.T @ np.diag(Q_diag) @ V_u
+        P_u = _care_hamiltonian(A_u, B_u, Q_u)
+        K0 = (B_u.T @ P_u) @ V_u.T
+    else:
+        K0 = np.zeros((B.shape[1], A.shape[0]))
+    X, history = _newton_kleinman(A, B, Q_diag, K0, tol, max_iters)
+    return 0.5 * (X + X.T), len(history), history
 
 
 def solve_care(
@@ -330,9 +255,17 @@ def solve_care(
     method: str = "newton",
     tol: float = 1e-9,
     max_iters: int = 50,
-    residual_samples: int = 100,
 ) -> RiccatiSolution:
-    """Synthesize the feedback for the assembled plant and actuator."""
+    """Synthesize the feedback for the assembled plant and actuator.
+
+    ``method`` accepts only ``"newton"``; it remains for callers that pass
+    the config's ``riccati.method`` through.
+    """
+    if method != "newton":
+        raise ValueError(
+            f"unknown Riccati method {method!r}: the package solves by 'newton' only; "
+            "the integrated Riccati route is a test oracle in tests/oracles.py"
+        )
     A_op = plant.operator_matrix()
     B = act.B_matrix
     Q_diag = plant.state_weight_diagonal()
@@ -343,7 +276,6 @@ def solve_care(
         Q_diag,
         plant.eigenvalues,
         plant.eigenvectors,
-        method=method,
         tol=tol,
         max_iters=max_iters,
     )
@@ -353,9 +285,8 @@ def solve_care(
     eigs = np.linalg.eigvals(A_cl)
     margin = -float(np.max(eigs.real))
     res = _probe_residual(
-        R, A_op, B, Q_diag, residual_samples, np.random.default_rng(202)
+        R, A_op, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
     )
-    commutator = np.linalg.norm(A_op @ R - R @ A_op, "fro") / np.linalg.norm(R, "fro")
 
     return RiccatiSolution(
         R_matrix=R,
@@ -367,7 +298,6 @@ def solve_care(
         method=method,
         iterations=iterations,
         residual_history=[h["residual"] for h in history],
-        commutator_ratio=float(commutator),
     )
 
 

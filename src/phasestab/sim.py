@@ -9,17 +9,13 @@ linearization:
 
     G(y) = Lap( F_r(y) + g(x) y ),      F_r(y) = y^3 + 3 phi_inf y^2.
 
-Expanding the Laplacian by the product rule gives the equivalent seven-term
-form (3y^2 Lap y, 6y|grad y|^2, 12 y grad y . grad phi_inf, 3y^2 Lap phi_inf,
-6 phi_inf y Lap y, 6 phi_inf |grad y|^2, Lap(g y)); both routes are
-implemented, and the stepper runs the direct form that the expanded one
-cross-checks.  Time stepping (``simulate``) treats the operator and the
-feedback implicitly and only the remainder explicitly: IMEX Euler
-(``scheme="imex1"``) or the second-order semi-implicit BDF scheme SBDF2
-(``"imex2"``, the default, taken from ``RunConfig``).  The implicit solve is
-the exact 2x2 modal block inverse plus a rank-N Woodbury correction for the
-feedback, which enters through the actuator's modal input matrix
-``B_matrix``; the step size is therefore not limited by the gain.
+Time stepping (``simulate``) treats the operator and the feedback implicitly
+and only the remainder explicitly: IMEX Euler (``scheme="imex1"``) or the
+second-order semi-implicit BDF scheme SBDF2 (``"imex2"``, the default, taken
+from ``RunConfig``).  The implicit solve is the exact 2x2 modal block inverse
+plus a rank-N Woodbury correction for the feedback, which enters through the
+actuator's modal input matrix ``B_matrix``; the step size is therefore not
+limited by the gain.
 
 Each step evaluates the remainder with two matrix-vector products against
 one cached cosine matrix C (the basis functions on the P = 2M dealiasing
@@ -50,11 +46,9 @@ from .linearization import LinearizedPlant, PhysicalParams
 from .lqr import RiccatiSolution
 from .spectral import (
     ScalarField,
-    _coeffs_from_grid,
     _cosine_matrix,
     _values_on_grid,
     _weighted_norm,
-    gradient_values,
 )
 from .stationary import StationaryState
 
@@ -64,7 +58,6 @@ __all__ = [
     "BlowUpError",
     "ImplicitSolveError",
     "remainder_G_direct",
-    "remainder_G_expanded",
     "simulate",
     "to_physical",
     "from_physical",
@@ -131,39 +124,6 @@ def remainder_G_direct(
     pv = _values_on_grid(basis, phi_inf.coeffs, P)
     gv = _values_on_grid(basis, g.coeffs, P)
     return ScalarField(basis, _remainder_coeffs(basis, y.coeffs, pv, gv))
-
-
-def remainder_G_expanded(
-    y: ScalarField, phi_inf: ScalarField, g: ScalarField
-) -> ScalarField:
-    """Sum of the seven product-rule terms of G(y), each pseudospectral."""
-    basis = y.basis
-    if phi_inf.basis.M != basis.M or g.basis.M != basis.M:
-        raise ValueError("fields live on different bases")
-    P = 2 * basis.M
-
-    yv = _values_on_grid(basis, y.coeffs, P)
-    dyv = gradient_values(y, P)
-    lapyv = _values_on_grid(basis, -basis.kappa * y.coeffs, P)
-
-    pv = _values_on_grid(basis, phi_inf.coeffs, P)
-    dpv = gradient_values(phi_inf, P)
-    lappv = _values_on_grid(basis, -basis.kappa * phi_inf.coeffs, P)
-
-    gv = _values_on_grid(basis, g.coeffs, P)
-    dgv = gradient_values(g, P)
-    lapgv = _values_on_grid(basis, -basis.kappa * g.coeffs, P)
-
-    total = (
-        3.0 * yv**2 * lapyv
-        + 6.0 * yv * dyv**2
-        + 12.0 * yv * dyv * dpv
-        + 3.0 * yv**2 * lappv
-        + 6.0 * pv * yv * lapyv
-        + 6.0 * pv * dyv**2
-        + (gv * lapyv + yv * lapgv + 2.0 * dyv * dgv)
-    )
-    return ScalarField(basis, _coeffs_from_grid(basis, total))
 
 
 # -- physical variables ------------------------------------------------------

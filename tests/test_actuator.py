@@ -10,13 +10,13 @@ from phasestab.actuator import (
     bump_weight,
     kalman_certificate,
     null_control,
-    propagate_linear_with_control,
-    rk4_propagate,
 )
 from phasestab.linearization import PhysicalParams, assemble_plant
 from phasestab.sim import fit_exponential_rate
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
+
+from oracles import propagate_linear_with_control, rk4_propagate
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +213,14 @@ class TestNullControl:
     def test_samples_match_evaluate(self, setup):
         _, plant, act = setup
         xi0 = np.random.default_rng(13).standard_normal(act.N)
-        plan = null_control(act, plant, xi0, T0=1.0)
+        plan = null_control(act, xi0, T0=1.0)
         expected = np.array([plan.evaluate(t) for t in plan.t_nodes])
         assert plan.W_samples.shape == expected.shape
         assert np.abs(plan.W_samples - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_zero_initial_data(self, setup):
         _, plant, act = setup
-        plan = null_control(act, plant, np.zeros(act.N), T0=1.0)
+        plan = null_control(act, np.zeros(act.N), T0=1.0)
         assert np.abs(plan.W_samples).max() == 0.0
         assert plan.energy == 0.0
 
@@ -228,8 +228,8 @@ class TestNullControl:
         _, plant, act = setup
         rng = np.random.default_rng(10)
         xi0 = rng.standard_normal(act.N)
-        plan1 = null_control(act, plant, xi0, T0=1.0)
-        plan2 = null_control(act, plant, 2.0 * xi0, T0=1.0)
+        plan1 = null_control(act, xi0, T0=1.0)
+        plan2 = null_control(act, 2.0 * xi0, T0=1.0)
         scale = np.abs(plan1.W_samples).max()
         assert np.abs(plan2.W_samples - 2.0 * plan1.W_samples).max() <= 1e-10 * scale
         assert plan2.energy == pytest.approx(4.0 * plan1.energy, rel=1e-10)
@@ -239,7 +239,7 @@ class TestNullControl:
         rng = np.random.default_rng(11)
         xi0 = rng.standard_normal(act.N)
         xi0 /= np.linalg.norm(xi0)
-        plan = null_control(act, plant, xi0, T0=1.0)
+        plan = null_control(act, xi0, T0=1.0)
 
         def ode(t, xi):
             return -act.lambdas * xi + act.D_matrix @ plan.evaluate(t)
@@ -250,24 +250,24 @@ class TestNullControl:
 
     def test_gramian_condition_reported_and_bounded(self, setup):
         _, plant, act = setup
-        plan = null_control(act, plant, np.ones(act.N), T0=1.0)
+        plan = null_control(act, np.ones(act.N), T0=1.0)
         assert plan.gramian_cond < 1e10
 
     def test_ill_conditioned_horizon_raises(self, setup):
         _, plant, act = setup
         with pytest.raises(GramianConditionError):
-            null_control(act, plant, np.ones(act.N), T0=400.0)
+            null_control(act, np.ones(act.N), T0=400.0)
 
     def test_bad_horizon_rejected(self, setup):
         _, plant, act = setup
         with pytest.raises(ValueError):
-            null_control(act, plant, np.ones(act.N), T0=0.0)
+            null_control(act, np.ones(act.N), T0=0.0)
 
 
 class TestOpenLoopExtension:
     def test_zero_after_horizon(self, setup):
         _, plant, act = setup
-        plan = null_control(act, plant, np.ones(act.N), T0=1.0)
+        plan = null_control(act, np.ones(act.N), T0=1.0)
         control = plan.evaluate
         assert np.abs(control(1.0)).max() == 0.0
         assert np.abs(control(3.7)).max() == 0.0
@@ -281,7 +281,7 @@ class TestOpenLoopExtension:
         basis = SpectralBasis(L=1.0, M=M)
         plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis), basis)
         act = build_actuator(plant, omega=(0.25, 0.75))
-        plan = null_control(act, plant, np.ones(act.N), T0=1.0)
+        plan = null_control(act, np.ones(act.N), T0=1.0)
         evaluated = np.array([plan.evaluate(t) for t in plan.t_nodes])
         scale = np.abs(plan.W_samples).max(axis=1, keepdims=True)
         eps = np.finfo(float).eps
@@ -317,7 +317,7 @@ class TestStableTailDecay:
         xi0 = rng.standard_normal(act.N)
         xi0 /= np.linalg.norm(xi0)
         T0 = 1.0
-        plan = null_control(act, plant, xi0, T0=T0)
+        plan = null_control(act, xi0, T0=T0)
         xi_start = plant.eigenvectors.T @ (act.modes @ xi0)
         xi_T0 = exact_state_after_steering(plant, act, plan, xi_start, T0)
         assert np.abs(xi_T0[: act.N]).max() <= 1e-12
@@ -342,7 +342,7 @@ class TestStableTailDecay:
         # a state placed on the first stable eigenvector decays at the gap;
         # fit on [0, 1] before the amplitude reaches the noise floor
         _, plant, act = setup
-        plan = null_control(act, plant, np.zeros(act.N), T0=1.0)
+        plan = null_control(act, np.zeros(act.N), T0=1.0)
         control = plan.evaluate
         x0 = plant.eigenvectors[:, act.N]
         ts = np.linspace(0.0, 1.0, 201)
@@ -360,7 +360,7 @@ class TestStableTailDecay:
         xi0 = rng.standard_normal(act.N)
         xi0 /= np.linalg.norm(xi0)
         T0 = 1.0
-        plan = null_control(act, plant, xi0, T0=T0)
+        plan = null_control(act, xi0, T0=T0)
         xi_start = plant.eigenvectors.T @ (act.modes @ xi0)
         exact_T0 = exact_state_after_steering(plant, act, plan, xi_start, T0)
 

@@ -9,14 +9,11 @@ from phasestab.actuator import apply_B, apply_B_star, build_actuator
 from phasestab.cli import build_materials
 from phasestab.config import SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant
-from phasestab.lqr import (
-    RiccatiError,
-    riccati_residual,
-    solve_care,
-    solve_care_dense,
-)
+from phasestab.lqr import RiccatiError, riccati_residual, solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
+
+from oracles import solve_care_dense, solve_care_integrated
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +59,6 @@ class TestScalarOracles:
     def test_uncontrollable_unstable_raises(self):
         with pytest.raises(RiccatiError):
             solve_care_dense(np.array([[-1.0]]), np.array([[0.0]]), np.array([1.0]))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            solve_care_dense(
-                np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), method="qr"
-            )
 
 
 class TestRiccatiSolution:
@@ -127,9 +118,10 @@ class TestRiccatiSolution:
         _, plant, act = problem
         assert riccati_residual(solution, plant, act, samples=100, seed=99) <= 1e-6
 
-    def test_commutator_diagnostic_reported(self, solution):
-        assert np.isfinite(solution.commutator_ratio)
-        assert solution.commutator_ratio >= 0
+    def test_integrated_route_not_in_package(self, problem):
+        _, plant, act = problem
+        with pytest.raises(ValueError, match="tests/oracles.py"):
+            solve_care(plant, act, method="integrate")
 
 
 def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
@@ -209,7 +201,7 @@ class TestLyapunovSchur:
             lqr._lyapunov_schur(T, np.eye(n))
 
 
-def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters, probe_samples=32):
+def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
     """Newton-Kleinman with an eigvals check and SciPy's dense Lyapunov solve: the oracle."""
     Q = np.diag(Q_diag)
     K = K0
@@ -221,7 +213,9 @@ def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters, probe_samples=32):
         X = scipy.linalg.solve_continuous_lyapunov(A_cl.T, -(Q + K.T @ K))
         X = 0.5 * (X + X.T)
         K = B.T @ X
-        res = lqr._probe_residual(X, -A, B, Q_diag, probe_samples, np.random.default_rng(12345))
+        res = lqr._probe_residual(
+            X, -A, B, Q_diag, lqr._PROBE_SAMPLES, np.random.default_rng(lqr._PROBE_SEED)
+        )
         history.append({"iteration": it, "margin": margin, "residual": res})
         if res <= tol:
             break
@@ -262,7 +256,6 @@ class TestNewtonSchur:
             plant.state_weight_diagonal(),
             plant.eigenvalues,
             plant.eigenvectors,
-            method="newton",
             tol=0.0,
             max_iters=3,
         )
@@ -295,10 +288,10 @@ class TestMethodAgreement:
         plant = assemble_plant(params, stationary_constant(0, basis=basis), basis)
         act = build_actuator(plant)
         sol_n = solve_care(plant, act, method="newton")
-        sol_i = solve_care(plant, act, method="integrate")
+        R_i = solve_care_integrated(plant, act)
         scale = np.abs(sol_n.R_matrix).max()
-        assert np.abs(sol_n.R_matrix - sol_i.R_matrix).max() <= 1e-6 * scale
-        fro = np.linalg.norm(sol_n.R_matrix - sol_i.R_matrix)
+        assert np.abs(sol_n.R_matrix - R_i).max() <= 1e-6 * scale
+        fro = np.linalg.norm(sol_n.R_matrix - R_i)
         assert fro <= 1e-6 * np.linalg.norm(sol_n.R_matrix)
 
 

@@ -19,7 +19,6 @@ from phasestab.sim import (
     fit_exponential_rate,
     from_physical,
     remainder_G_direct,
-    remainder_G_expanded,
     seeded_initial_state,
     simulate,
     physical_deviation_norm,
@@ -27,6 +26,8 @@ from phasestab.sim import (
 )
 from phasestab.spectral import ScalarField, SpectralBasis, norm_D_alpha
 from phasestab.stationary import stationary_constant
+
+from oracles import remainder_G_expanded
 
 
 @pytest.fixture(scope="module")
