@@ -22,11 +22,12 @@ controllability; the minimum-energy open-loop control that nulls xi(T0) is
 built from the finite-horizon Gramian of that small ODE system.
 
 All quadratures and products live on the M collocation nodes with the exact
-node values of w.  That one choice makes B and B* exact discrete adjoints and
-makes D exactly symmetric.  The nodal form ``apply_B`` is identically zero at
-every node outside omega; the closed-loop stepper applies the same map as the
-modal matrix ``B_matrix``, whose columns are the transforms of those node
-values.
+node values of w, which makes B and B* exact discrete adjoints.  The nodal
+form ``apply_B`` is identically zero at every node outside omega; the
+closed-loop stepper applies the same map as the modal matrix ``B_matrix``,
+whose columns are the transforms of those node values.  D is the unstable
+block ``modes.T @ B_matrix`` of that one map; the midpoint rule is exact on
+the retained modes, so it is the Gram matrix above, symmetric to rounding.
 
 The null control's steering error is the quadrature residual of the
 variation-of-constants formula on the plan's own Gauss nodes, which does not
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 GRAMIAN_CONDITION_LIMIT = 1e12
+# Gauss-Legendre nodes of the null control's samples and steering residual
+NULL_CONTROL_NODES = 512
 
 
 class GramianConditionError(RuntimeError):
@@ -87,7 +90,7 @@ class Actuator:
     modes: np.ndarray  # (2M, N) unstable eigenvectors, modal coordinates
     phi_values: np.ndarray  # (M, N) y components at the nodes
     psi_values: np.ndarray  # (M, N) z components at the nodes
-    D_matrix: np.ndarray  # (N, N)
+    D_matrix: np.ndarray  # (N, N) = modes.T @ B_matrix
     B_matrix: np.ndarray  # (2M, N)
     basis: SpectralBasis
 
@@ -112,12 +115,6 @@ def build_actuator(
     phi_values = _values_on_grid(basis, modes[:M], M)
     psi_values = _values_on_grid(basis, modes[M:], M)
 
-    # D as a weighted Gram matrix: exact symmetry and PSD by construction.
-    root = np.sqrt(w * basis.quad_weight)[:, None]
-    D = (root * phi_values).T @ (root * phi_values) + (root * psi_values).T @ (
-        root * psi_values
-    )
-
     B = np.concatenate(
         [
             _coeffs_from_grid(basis, w[:, None] * phi_values),
@@ -134,7 +131,7 @@ def build_actuator(
         modes=modes,
         phi_values=phi_values,
         psi_values=psi_values,
-        D_matrix=D,
+        D_matrix=modes.T @ B,
         B_matrix=B,
         basis=basis,
     )
@@ -173,9 +170,10 @@ class KalmanCertificate:
 def kalman_certificate(act: Actuator) -> KalmanCertificate:
     """Controllability check on the coupling matrix D.
 
-    Uses the smallest eigenvalue of the (symmetric PSD) Gram matrix rather
-    than the bare determinant, which is fragile under scaling and repeated
-    plant eigenvalues.
+    Uses the smallest eigenvalue of the Gram matrix D (symmetric positive
+    semidefinite up to rounding; ``eigvalsh`` reads its lower triangle)
+    rather than the bare determinant, which is fragile under scaling and
+    repeated plant eigenvalues.
     """
     eigs = np.linalg.eigvalsh(act.D_matrix)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
@@ -199,7 +197,7 @@ class NullControlPlan:
     T0: float
     t_nodes: np.ndarray  # Gauss-Legendre nodes on [0, T0]
     t_weights: np.ndarray
-    W_samples: np.ndarray  # (n_nodes, N)
+    W_samples: np.ndarray  # (NULL_CONTROL_NODES, N)
     energy: float
     xi0: np.ndarray
     lambdas: np.ndarray
@@ -241,7 +239,6 @@ def null_control(
     act: Actuator,
     xi0: np.ndarray,
     T0: float = 1.0,
-    n_nodes: int = 512,
 ) -> NullControlPlan:
     """Construct the minimum-energy null control on [0, T0] and its steering residual."""
     if T0 <= 0:
@@ -264,7 +261,7 @@ def null_control(
         )
     eta = np.linalg.solve(G, -np.exp(-lambdas * T0) * xi0)
 
-    nodes, weights = _gauss_legendre(n_nodes)
+    nodes, weights = _gauss_legendre(NULL_CONTROL_NODES)
     t_nodes = 0.5 * T0 * (nodes + 1.0)
     t_weights = 0.5 * T0 * weights
 

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -147,17 +148,6 @@ def stage_controllability(m: Materials, outdir: Path) -> dict:
 def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
     rc = m.cfg.riccati
     sol = solve_care(m.plant, m.act, method=rc.method, tol=rc.tol, max_iters=rc.max_iters)
-    summary = {
-        "N": m.act.N,
-        "residual_rel": sol.residual_rel,
-        "margin": sol.margin,
-        "eig_extremes": {
-            "max_real": float(np.max(sol.closed_loop_eigs.real)),
-            "min_real": float(np.min(sol.closed_loop_eigs.real)),
-        },
-        "iterations": sol.iterations,
-        "method": sol.method,
-    }
     np.savez(
         outdir / "gain.npz",
         R=sol.R_matrix,
@@ -169,8 +159,23 @@ def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
         iterations=sol.iterations,
         config_digest=_gain_digest(m.cfg),
     )
+    return sol, write_synth_summary(sol, outdir)
+
+
+def write_synth_summary(sol: RiccatiSolution, outdir: Path) -> dict:
+    """Write synth.json from the gain alone: a fresh and a reused gain write the same file."""
+    summary = {
+        "N": sol.K_gain.shape[0],
+        "residual_rel": sol.residual_rel,
+        "margin": sol.margin,
+        "eig_extremes": {
+            "max_real": float(np.max(sol.closed_loop_eigs.real)),
+            "min_real": float(np.min(sol.closed_loop_eigs.real)),
+        },
+        "iterations": sol.iterations,
+    }
     write_json(outdir / "synth.json", summary)
-    return sol, summary
+    return summary
 
 
 def _gain_digest(cfg: SimConfig) -> str:
@@ -183,22 +188,29 @@ def _gain_digest(cfg: SimConfig) -> str:
 
 
 def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
-    """Reuse a previously synthesized gain when it was made from the same config."""
+    """Reuse a previously synthesized gain when it was made from the same config.
+
+    None (synthesize afresh) when the file is missing, stale or unreadable.
+    """
     if not path.exists():
         return None
-    with np.load(path) as data:
-        if "config_digest" not in data or str(data["config_digest"]) != _gain_digest(m.cfg):
-            return None
-        return RiccatiSolution(
-            R_matrix=data["R"],
-            K_gain=data["K"],
-            residual_rel=float(data["residual_rel"]),
-            closed_loop_eigs=data["closed_loop_eigs"],
-            margin=float(data["margin"]),
-            Q_diag=data["Q_diag"],
-            method="loaded",
-            iterations=int(data["iterations"]),
-        )
+    try:
+        # np.load leaks a path it fails to read; an open file is closed here
+        with open(path, "rb") as fh, np.load(fh) as data:
+            if "config_digest" not in data or str(data["config_digest"]) != _gain_digest(m.cfg):
+                return None
+            return RiccatiSolution(
+                R_matrix=data["R"],
+                K_gain=data["K"],
+                residual_rel=float(data["residual_rel"]),
+                closed_loop_eigs=data["closed_loop_eigs"],
+                margin=float(data["margin"]),
+                Q_diag=data["Q_diag"],
+                iterations=int(data["iterations"]),
+            )
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # not an npz archive, empty, or truncated by an interrupted write
+        return None
 
 
 def stage_simulate(
@@ -227,8 +239,6 @@ def stage_simulate(
         "final_xi_norm": float(record.xi_norms[-1]),
         "final_h_norm": float(record.h_norms[-1]),
         "margin": sol.margin if (sol is not None and run.closed_loop) else None,
-        "chi_inf": chi_infinity(m.stat),
-        "gbar_inf": gbar_infinity(m.stat),
         "closed_loop": run.closed_loop,
         "nonlinear": run.nonlinear,
         "rho": run.rho,
@@ -253,10 +263,9 @@ def run_pipeline(cfg: SimConfig) -> dict:
 
     sol = load_gain(outdir / "gain.npz", m)
     if sol is None:
-        sol, synth_summary = stage_synth(m, outdir)
+        sol, summary["synth"] = stage_synth(m, outdir)
     else:
-        synth_summary = read_json(outdir / "synth.json")
-    summary["synth"] = synth_summary
+        summary["synth"] = write_synth_summary(sol, outdir)
 
     _, sim_summary = stage_simulate(m, sol, outdir)
     summary["simulate"] = sim_summary

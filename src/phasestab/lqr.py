@@ -16,10 +16,13 @@ is the residual we certify.
 
 The solve is Newton-Kleinman iteration, initialized by a small
 Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing because
-the complement is open-loop stable).  Each iteration takes one real Schur
-form of the closed loop; it serves both the stabilizing check and the
-Lyapunov solve, which is a recursive blocked Bartels-Stewart solve
-(Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the leaves.
+the complement is open-loop stable).  That block is the actuator's
+eigenpairs ``lambdas``/``modes`` with their input matrix ``D_matrix``, so
+which modes count as unstable is decided once, in ``linearization``.  Each
+iteration takes one real Schur form of the closed loop; it serves both the
+stabilizing check and the Lyapunov solve, which is a recursive blocked
+Bartels-Stewart solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK
+``trsyl`` at the leaves.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .actuator import Actuator
-from .linearization import ZERO_EIGENVALUE_TOL, LinearizedPlant
+from .linearization import LinearizedPlant
 
 __all__ = [
     "RiccatiSolution",
@@ -56,7 +59,6 @@ class RiccatiSolution:
     closed_loop_eigs: np.ndarray
     margin: float
     Q_diag: np.ndarray
-    method: str
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
 
@@ -227,22 +229,23 @@ def _solve_care_core(
     A_op: np.ndarray,
     B: np.ndarray,
     Q_diag: np.ndarray,
-    lam: np.ndarray,
-    V: np.ndarray,
+    lam_u: np.ndarray,
+    V_u: np.ndarray,
+    D: np.ndarray,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
-    """Newton-Kleinman from a stabilizing start; (lam, V) is an orthonormal
-    eigendecomposition of A_op, ascending."""
+    """Newton-Kleinman from a stabilizing start.
+
+    (lam_u, V_u) are the orthonormal eigenpairs of A_op that the feedback must
+    stabilize and D = V_u^T B is their input matrix; the rest of the spectrum
+    must be positive.  The start is the Hamiltonian LQR gain of that block.
+    """
     A = -A_op
-    N_u = int(np.sum(lam <= ZERO_EIGENVALUE_TOL))
-    if N_u > 0:
-        V_u = V[:, :N_u]
-        A_u = -np.diag(lam[:N_u])
-        B_u = V_u.T @ B
+    if len(lam_u) > 0:
         Q_u = V_u.T @ np.diag(Q_diag) @ V_u
-        P_u = _care_hamiltonian(A_u, B_u, Q_u)
-        K0 = (B_u.T @ P_u) @ V_u.T
+        P_u = _care_hamiltonian(-np.diag(lam_u), D, Q_u)
+        K0 = (D.T @ P_u) @ V_u.T
     else:
         K0 = np.zeros((B.shape[1], A.shape[0]))
     X, history = _newton_kleinman(A, B, Q_diag, K0, tol, max_iters)
@@ -271,13 +274,7 @@ def solve_care(
     Q_diag = plant.state_weight_diagonal()
 
     R, iterations, history = _solve_care_core(
-        A_op,
-        B,
-        Q_diag,
-        plant.eigenvalues,
-        plant.eigenvectors,
-        tol=tol,
-        max_iters=max_iters,
+        A_op, B, Q_diag, act.lambdas, act.modes, act.D_matrix, tol=tol, max_iters=max_iters
     )
 
     K = B.T @ R
@@ -295,7 +292,6 @@ def solve_care(
         closed_loop_eigs=eigs,
         margin=margin,
         Q_diag=Q_diag,
-        method=method,
         iterations=iterations,
         residual_history=[h["residual"] for h in history],
     )

@@ -27,10 +27,10 @@ Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
 the equivalent physical-variable norm, the conserved means, and the feedback
 amplitudes w = -K x at the recorded states; the decay rate is a least-squares
-fit of the log norm over a configurable window.  The record arrays are sized
-up front (t = 0, every ``record_every``-th step and the last step) and filled
-in place; the physical-variable norm goes through (phi, theta) on coefficient
-arrays, with the stationary offsets precomputed once per run.
+fit of the log norm over the second half of the run.  The record arrays are
+sized up front (t = 0, every ``record_every``-th step and the last step) and
+filled in place; the physical-variable norm goes through (phi, theta) on
+coefficient arrays, with the stationary offsets precomputed once per run.
 """
 
 from __future__ import annotations
@@ -66,7 +66,9 @@ __all__ = [
     "seeded_initial_state",
 ]
 
-NORM_FLOOR = 1e-14
+NORM_FLOOR = 1e-14  # a decay norm below this is machine noise: no rate is fitted
+FIT_MIN_SAMPLES = 20  # fewest recorded rows in the fit window that give a rate
+INITIAL_MU_DECAY = 2.0  # seeded initial coefficients are damped by mu_k^-2
 
 
 @dataclass
@@ -93,8 +95,7 @@ class ImplicitSolveError(ValueError):
 
 def _decay_norm(basis, x: np.ndarray) -> float:
     """Decay norm ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} of stacked (y, z) coefficients."""
-    y, z = x[: basis.M], x[basis.M :]
-    return math.sqrt(y @ (basis.mu * y)) + math.sqrt(z @ (basis.sqrt_mu * z))
+    return _weighted_norm(basis.mu, x[: basis.M]) + _weighted_norm(basis.sqrt_mu, x[basis.M :])
 
 
 # -- nonlinear remainder ----------------------------------------------------
@@ -137,15 +138,13 @@ class _PhysicalMap:
     """
 
     def __init__(self, stat: StationaryState, params: PhysicalParams):
-        basis = stat.basis
+        basis = self.basis = stat.basis
         self.params = params
         self.phi_inf = stat.phi_inf.coeffs
         self.theta_inf = ScalarField.constant(basis, stat.theta_inf).coeffs
         self.sigma_inf = ScalarField.constant(
             basis, params.alpha0 * stat.theta_inf
         ).coeffs + self.phi_inf * (params.alpha0 * params.l0)
-        # norm_D_alpha weights for alpha = 1/2 and 1/4
-        self.weights = (basis.mu ** (2.0 * 0.5), basis.mu ** (2.0 * 0.25))
 
     def to_physical(self, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = y + self.phi_inf
@@ -158,7 +157,7 @@ class _PhysicalMap:
         phi, theta = self.to_physical(y, z)
         dphi = phi - self.phi_inf
         combo = (theta - self.theta_inf) * alpha0 + dphi * (alpha0 * l0)
-        return _weighted_norm(self.weights[0], dphi) + _weighted_norm(self.weights[1], combo)
+        return _weighted_norm(self.basis.mu, dphi) + _weighted_norm(self.basis.sqrt_mu, combo)
 
 
 def to_physical(
@@ -403,21 +402,19 @@ def fit_exponential_rate(
     times: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float],
-    min_samples: int = 20,
     r2_threshold: float = 0.99,
-    floor: float = NORM_FLOOR,
 ) -> tuple[float | None, float | None]:
     """OLS fit of log(values) ~ a - rate * t on the window.
 
-    Returns (rate, r2); rate is None when the window has too few samples,
-    any sample sits at the machine-noise floor, or the fit quality is below
-    the R^2 threshold.
+    Returns (rate, r2); rate is None when the window has fewer than
+    FIT_MIN_SAMPLES samples, any sample sits below NORM_FLOOR, or the fit
+    quality is below the R^2 threshold.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = (times >= window[0]) & (times <= window[1])
     t, v = times[mask], values[mask]
-    if len(t) < min_samples or np.any(v < floor):
+    if len(t) < FIT_MIN_SAMPLES or np.any(v < NORM_FLOOR):
         return None, None
     logv = np.log(v)
     design = np.column_stack([np.ones_like(t), t])
@@ -444,21 +441,19 @@ def simulate(
     scheme: str = RunConfig.scheme,
     stat: StationaryState | None = None,
     record_every: int = 1,
-    fit_window: tuple[float, float] | None = None,
     blowup_factor: float = 1e6,
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording norms, means and feedback amplitudes.
 
-    The decay rate is fitted on log(xi norm) over ``fit_window`` (default
-    the second half of the run).  Raises BlowUpError when the decay norm
+    The decay rate is fitted on log(xi norm) over the second half of the
+    run, [t_end / 2, t_end].  Raises BlowUpError when the decay norm
     exceeds ``blowup_factor`` times its initial value or stops being finite.
     """
     stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
     basis = plant.basis
     M = basis.M
     params = plant.params
-    if fit_window is None:
-        fit_window = (0.5 * t_end, t_end)
+    fit_window = (0.5 * t_end, t_end)
 
     x = np.concatenate([y0.coeffs, z0.coeffs])
     n_steps = int(round(t_end / dt))
@@ -520,16 +515,15 @@ def simulate(
     )
 
 
-def seeded_initial_state(
-    basis, rho: float, seed: int, mu_decay: float = 2.0
-) -> tuple[ScalarField, ScalarField]:
+def seeded_initial_state(basis, rho: float, seed: int) -> tuple[ScalarField, ScalarField]:
     """Random smooth initial data with decay norm exactly rho.
 
-    Gaussian modal coefficients damped by mu_k^{-mu_decay} (smooth enough for
-    the decay norm), rescaled so ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} = rho.
+    Gaussian modal coefficients damped by mu_k^{-INITIAL_MU_DECAY} (smooth
+    enough for the decay norm), rescaled so
+    ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} = rho.
     """
     rng = np.random.default_rng(seed)
-    cy = rng.standard_normal(basis.M) * basis.mu ** (-mu_decay)
-    cz = rng.standard_normal(basis.M) * basis.mu ** (-mu_decay)
+    cy = rng.standard_normal(basis.M) * basis.mu ** (-INITIAL_MU_DECAY)
+    cz = rng.standard_normal(basis.M) * basis.mu ** (-INITIAL_MU_DECAY)
     scale = rho / _decay_norm(basis, np.concatenate([cy, cz]))
     return ScalarField(basis, scale * cy), ScalarField(basis, scale * cz)

@@ -204,9 +204,12 @@ def norm_D_alpha(f: ScalarField, alpha: float) -> float:
 
 
 def _weighted_norm(weights: np.ndarray, coeffs: np.ndarray) -> float:
-    """sqrt(sum w_k c_k^2) of raw coefficients; weights mu_k^{2 alpha} give norm_D_alpha."""
-    # np.add.reduce is np.sum without its Python wrapper: same pairwise sum
-    return math.sqrt(np.add.reduce(weights * coeffs**2))
+    """sqrt(sum w_k c_k^2) of raw coefficients; weights mu_k^{2 alpha} give norm_D_alpha.
+
+    The decay norm, ``norm_D_alpha`` and the physical-variable norm all go
+    through this one function, so they agree bit for bit on equal weights.
+    """
+    return math.sqrt(coeffs @ (weights * coeffs))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -214,28 +217,21 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.basis, -f.basis.kappa * f.coeffs)
 
 
-def pointwise_product(fs: list[ScalarField], dealias: bool = True) -> ScalarField:
+def pointwise_product(fs: list[ScalarField]) -> ScalarField:
     """Pointwise product of 2 or 3 fields, dealiased by zero padding.
 
-    With dealias on, the factors are evaluated on a 2M-point grid (>= the
-    ceil(3M/2) padding required by the 3/2 rule), multiplied pointwise and
-    truncated back to M modes; products of band-limited factors are then
-    exact projections.  With dealias off the product is formed on the native
-    M-point grid.
+    The factors are evaluated on a 2M-point grid (>= the ceil(3M/2) padding
+    required by the 3/2 rule), multiplied pointwise and truncated back to M
+    modes; products of band-limited factors are then exact projections.
     """
     if len(fs) not in (2, 3):
         raise ValueError(f"pointwise_product takes 2 or 3 fields, got {len(fs)}")
     basis = _check_same_basis(*fs)
-    if dealias:
-        P = PAD_FACTOR * basis.M
-        prod = np.ones(P)
-        for f in fs:
-            prod *= _values_on_grid(basis, f.coeffs, P)
-        return ScalarField(basis, _coeffs_from_grid(basis, prod))
-    prod = np.ones(basis.M)
+    P = PAD_FACTOR * basis.M
+    prod = np.ones(P)
     for f in fs:
-        prod *= f.values
-    return ScalarField.from_values(basis, prod)
+        prod *= _values_on_grid(basis, f.coeffs, P)
+    return ScalarField(basis, _coeffs_from_grid(basis, prod))
 
 
 def _midpoint_angles(basis: SpectralBasis, P: int) -> np.ndarray:

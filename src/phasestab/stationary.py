@@ -10,7 +10,7 @@ arbitrary constant theta_inf.  Solutions are critical points of the energy
     Upsilon(phi) = int ( nu/2 |phi'|^2 + (phi^2 - 1)^2 / 4 + C phi ) dx,
 
 which we minimize by a semi-implicit gradient flow (linear part nu*Lap - I
-implicit, cubic explicit) with an optional Newton polish.  Constant states
+implicit, cubic explicit) followed by a short Newton polish.  Constant states
 phi = root of phi^3 - phi + C are always available in closed form.
 """
 
@@ -40,6 +40,9 @@ __all__ = [
     "chi_infinity",
     "gbar_infinity",
 ]
+
+
+FLOW_DT0 = 0.25  # first gradient-flow step; accepted steps grow to 4 FLOW_DT0
 
 
 class StationaryConvergenceError(RuntimeError):
@@ -115,16 +118,14 @@ def stationary_minimize(
     tol: float = 1e-8,
     max_iters: int = 20000,
     theta: float = 0.0,
-    dt0: float = 0.25,
-    newton_polish: bool = True,
 ) -> StationaryState:
     """Drive the gradient flow phi_t = nu*Lap(phi) - phi^3 + phi - C to rest.
 
     The linear part (nu*Lap - I) is treated implicitly, the remaining
     2*phi - phi^3 - C explicitly.  Steps that increase Upsilon are rejected
     and the step size halved, so the accepted energy sequence is
-    non-increasing.  A short Newton polish brings the residual to ~1e-12
-    when it converges; the flow result is kept otherwise.
+    non-increasing.  A short Newton polish then brings the residual to
+    ~1e-12 when it converges; the flow result is kept otherwise.
 
     Raises StationaryConvergenceError if the residual tolerance is not met.
     """
@@ -138,7 +139,7 @@ def stationary_minimize(
     def upsilon_of(coeffs: np.ndarray) -> float:
         return upsilon(ScalarField(basis, coeffs), nu, C)
 
-    dt = dt0
+    dt = FLOW_DT0
     ups = upsilon_of(phi)
     history = [ups]
     res = residual_of(phi)
@@ -154,7 +155,7 @@ def stationary_minimize(
             phi = cand
             ups = ups_cand
             history.append(ups)
-            dt = min(dt * 1.1, 4.0 * dt0)
+            dt = min(dt * 1.1, 4.0 * FLOW_DT0)
         else:
             dt *= 0.5
             if dt < 1e-12:
@@ -170,9 +171,8 @@ def stationary_minimize(
             iterations=it,
         )
 
-    if newton_polish:
-        phi = _newton_polish(basis, phi, nu, C, target=1e-12, iters=3)
-        res = residual_of(phi)
+    phi = _newton_polish(basis, phi, nu, C, target=1e-12, iters=3)
+    res = residual_of(phi)
 
     field_phi = ScalarField(basis, phi)
     return StationaryState(

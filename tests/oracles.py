@@ -29,8 +29,9 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 
 ``solve_care_dense``
     The CARE for a dense symmetric operator, diagonalized by ``eigh``.  With
-    ``method="newton"`` it runs the package's own solver body
-    ``lqr._solve_care_core`` on that eigendecomposition, so the scalar
+    ``method="newton"`` it splits off the eigenpairs at or below 1e-10 (the
+    plant's unstable split) and their input matrix itself, then runs the
+    package's own solver body ``lqr._solve_care_core`` on them, so the scalar
     closed-form checks exercise package code.  With ``method="integrate"`` it
     runs the integrated route below.  Used by
     ``test_acceptance.py::test_c04_riccati_certificate`` (scalar closed
@@ -238,7 +239,9 @@ def solve_care_dense(
     Q_diag = np.asarray(Q_diag, dtype=float)
     lam, V = np.linalg.eigh(A_op)
     if method == "newton":
-        return lqr._solve_care_core(A_op, B, Q_diag, lam, V, tol, max_iters)
+        n_u = int(np.sum(lam <= 1e-10))  # eigh sorts ascending
+        V_u = V[:, :n_u]
+        return lqr._solve_care_core(A_op, B, Q_diag, lam[:n_u], V_u, V_u.T @ B, tol, max_iters)
     if method == "integrate":
         R, steps = _integrated_R(B, Q_diag, lam, V)
         return R, steps, []

@@ -169,6 +169,11 @@ class TestKalmanCertificate:
         assert cert.lambda_min > 0
         assert cert.det > 0
 
+    def test_d_matrix_is_unstable_block_of_b(self, setup):
+        # one input map: D is read off B_matrix, not assembled a second way
+        _, _, act = setup
+        assert np.array_equal(act.D_matrix, act.modes.T @ act.B_matrix)
+
     def test_d_matrix_symmetry(self, setup):
         _, _, act = setup
         assert np.abs(act.D_matrix - act.D_matrix.T).max() <= 1e-12

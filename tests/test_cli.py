@@ -218,6 +218,28 @@ class TestMainEntry:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "emptied", "synth_json_deleted"])
+    def test_damaged_gain_cache_exit_zero(self, tmp_path, damage):
+        # an unreadable gain.npz is a cache miss like a stale one, and a
+        # reused gain rewrites synth.json instead of reading it back
+        run = tmp_path / "run"
+        argv = ["simulate", "--set", "basis.M=16", "--set", "sim.record_every=5",
+                "--set", "sim.t_end=1.0", "--output-dir", str(run)]
+        assert main(argv) == 0
+        gain = run / "gain.npz"
+        synth, K = (run / "synth.json").read_bytes(), np.load(gain)["K"]
+        if damage == "garbage":
+            gain.write_bytes(b"not a gain archive\n" * 8)  # np.load: ValueError
+        elif damage == "truncated":
+            gain.write_bytes(gain.read_bytes()[: gain.stat().st_size // 2])  # BadZipFile
+        elif damage == "emptied":
+            gain.write_bytes(b"")  # EOFError
+        else:
+            (run / "synth.json").unlink()
+        assert main(argv) == 0
+        assert (run / "synth.json").read_bytes() == synth
+        assert np.array_equal(np.load(gain)["K"], K)
+
     def test_validation_error_exit_two(self, tmp_path):
         code = main(
             [

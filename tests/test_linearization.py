@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasestab
 from phasestab.actuator import build_actuator
 from phasestab.linearization import (
     PhysicalParams,
@@ -204,3 +208,15 @@ class TestUnstableSubspace:
         for i in range(len(lam)):
             res = default_plant.apply_operator(vecs[:, i]) - lam[i] * vecs[:, i]
             assert np.abs(res).max() < 1e-10
+
+    def test_split_named_only_in_linearization(self):
+        # which modes count as unstable is decided once: every other module
+        # reads the actuator's lambdas/modes instead of recounting
+        for path in sorted(Path(phasestab.__file__).parent.glob("*.py")):
+            if path.name == "linearization.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                assert name != "ZERO_EIGENVALUE_TOL", path.name

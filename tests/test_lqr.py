@@ -254,8 +254,9 @@ class TestNewtonSchur:
             plant.operator_matrix(),
             act.B_matrix,
             plant.state_weight_diagonal(),
-            plant.eigenvalues,
-            plant.eigenvectors,
+            act.lambdas,
+            act.modes,
+            act.D_matrix,
             tol=0.0,
             max_iters=3,
         )

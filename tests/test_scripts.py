@@ -10,7 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPTS = {
-    "run_default_pipeline.py": ["--set", "sim.t_end=0.05"],
     "rho_sweep.py": ["--points", "2", "--t-end", "0.05"],
     "actuator_study.py": ["--widths", "0.3"],
     "dt_front.py": ["--M", "16", "--t-end", "0.2", "--ref-dt", "1e-3"],

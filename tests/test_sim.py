@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasestab.actuator import build_actuator
 from phasestab.cli import build_materials
@@ -14,6 +16,7 @@ from phasestab.sim import (
     BlowUpError,
     ImplicitSolveError,
     StateYZ,
+    _decay_norm,
     _remainder_coeffs,
     _Stepper,
     fit_exponential_rate,
@@ -526,6 +529,21 @@ class TestPhysicalMap:
         assert physical_deviation_norm(s0, state, params) == pytest.approx(
             norm_D_alpha(s0.y, 0.5) + norm_D_alpha(s0.z, 0.25), abs=1e-12
         )
+
+    @given(
+        M=st.sampled_from([8, 16, 64, 256]),
+        L=st.floats(0.5, 4.0),
+        smoothness=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decay_norm_is_sum_of_graph_norms_bit_for_bit(self, M, L, smoothness, seed):
+        # one weighted norm: the stepper's decay norm and norm_D_alpha agree exactly
+        basis = SpectralBasis(L=L, M=M)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2 * M) * np.tile(basis.mu, 2) ** -smoothness
+        y, z = ScalarField(basis, x[:M]), ScalarField(basis, x[M:])
+        assert norm_D_alpha(y, 0.5) + norm_D_alpha(z, 0.25) == _decay_norm(basis, x)
 
     def test_zero_deviation_norm(self, nontrivial):
         basis, params, state = nontrivial

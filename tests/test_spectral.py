@@ -223,7 +223,7 @@ class TestPointwiseProduct:
         ca[:half] = rng.standard_normal(half)
         cb[:half] = rng.standard_normal(half)
         fa, fb = ScalarField(basis, ca), ScalarField(basis, cb)
-        out = pointwise_product([fa, fb], dealias=True)
+        out = pointwise_product([fa, fb])
         amps = convolve_cosine(cosine_amplitudes(fa), cosine_amplitudes(fb), basis.M)
         expected = amps * np.sqrt(basis.L / 2.0)
         expected[0] = amps[0] * np.sqrt(basis.L)
