@@ -205,6 +205,7 @@ class NullControlPlan:
     eta: np.ndarray = field(repr=False)  # G^{-1}(-e^{-Lambda T0} xi0)
     gramian_cond: float
     steering_error: float
+    certificate: KalmanCertificate  # the controllability check the plan passed
 
     def evaluate_raw(self, t: float) -> np.ndarray:
         """The control formula without the horizon cutoff."""
@@ -285,4 +286,5 @@ def null_control(
         eta=eta,
         gramian_cond=cond,
         steering_error=float(np.linalg.norm(xi_T)),
+        certificate=cert,
     )

@@ -28,7 +28,6 @@ from .actuator import (
     Actuator,
     GramianConditionError,
     build_actuator,
-    kalman_certificate,
     null_control,
 )
 from .config import ConfigError, SimConfig, apply_override, load_config, save_config
@@ -87,7 +86,7 @@ def build_materials(cfg: SimConfig) -> Materials:
         stat = stationary_minimize(
             sc.C, init, nu=params.nu, tol=sc.tol, max_iters=sc.max_iters, theta=sc.theta
         )
-    plant = assemble_plant(params, stat, basis)
+    plant = assemble_plant(params, stat)
     act = build_actuator(plant, omega=(cfg.actuator.a, cfg.actuator.b))
     return Materials(cfg=cfg, basis=basis, params=params, stat=stat, plant=plant, act=act)
 
@@ -125,15 +124,14 @@ def stage_spectrum(m: Materials, outdir: Path) -> dict:
 
 
 def stage_controllability(m: Materials, outdir: Path) -> dict:
-    cert = kalman_certificate(m.act)
     rng = np.random.default_rng(m.cfg.seed)
     xi0 = rng.standard_normal(m.act.N)
     xi0 /= np.linalg.norm(xi0)
     plan = null_control(m.act, xi0, T0=m.cfg.actuator.T0)
     summary = {
         "N": m.act.N,
-        "det_D": cert.det,
-        "lambda_min_D": cert.lambda_min,
+        "det_D": plan.certificate.det,
+        "lambda_min_D": plan.certificate.lambda_min,
         "gramian_cond": plan.gramian_cond,
         "T0": plan.T0,
         "steering_error": plan.steering_error,
@@ -190,13 +188,15 @@ def _gain_digest(cfg: SimConfig) -> str:
 def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
     """Reuse a previously synthesized gain when it was made from the same config.
 
-    None (synthesize afresh) when the file is missing, stale or unreadable.
+    None (synthesize afresh) when the file is missing, stale or unreadable,
+    or holds a plain .npy array rather than an npz archive.
     """
     if not path.exists():
         return None
     try:
-        # np.load leaks a path it fails to read; an open file is closed here
-        with open(path, "rb") as fh, np.load(fh) as data:
+        # opened as an npz archive whatever it holds (np.load would hand back a
+        # plain .npy array, and it leaks a path it fails to read)
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
             if "config_digest" not in data or str(data["config_digest"]) != _gain_digest(m.cfg):
                 return None
             return RiccatiSolution(
@@ -209,7 +209,8 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
                 iterations=int(data["iterations"]),
             )
     except (ValueError, EOFError, zipfile.BadZipFile):
-        # not an npz archive, empty, or truncated by an interrupted write
+        # not an npz archive (garbage, empty, truncated by an interrupted
+        # write, a plain .npy array) or a damaged member
         return None
 
 

@@ -14,12 +14,14 @@ eigenvalue -kappa_k) the 2x2 block is
 
 with F_l = mean of F''(phi_inf) + l.  The k = 0 block is identically zero:
 those are the conserved mean modes and always contribute a double zero
-eigenvalue.  Every eigenpair is obtained in closed form per block; the number
-N of eigenvalues <= 0 is finite and the feedback will act only through them.
+eigenvalue, on the axes with the y mode first.  Every other eigenpair is
+obtained in closed form, vectorized over the blocks, and one sort on
+(lambda, k, branch) orders them all; the number N of eigenvalues <= 0 is
+finite and the feedback will act only through them.
 
 The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 (it is handled with the nonlinear remainder), which is what keeps the blocks
-exactly decoupled.
+exactly decoupled.  F_l and g come from one dealiased square of phi_inf.
 """
 
 from __future__ import annotations
@@ -106,18 +108,6 @@ class LinearizedPlant:
         out[M + np.arange(M), M + np.arange(M)] = blocks[:, 1, 1]
         return out
 
-    def apply_operator(self, x: np.ndarray) -> np.ndarray:
-        """Apply the block-diagonal operator to stacked modal coordinates."""
-        M = self.M
-        y, z = x[:M], x[M:]
-        blocks = self.A_blocks
-        return np.concatenate(
-            [
-                blocks[:, 0, 0] * y + blocks[:, 0, 1] * z,
-                blocks[:, 1, 0] * y + blocks[:, 1, 1] * z,
-            ]
-        )
-
     @property
     def lambda_gap(self) -> float:
         """First stable eigenvalue lambda_{N+1}."""
@@ -129,58 +119,32 @@ class LinearizedPlant:
         return np.concatenate([mu**3, mu**1.5])
 
 
+def _F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
+    """(mean_F_second, g_field) of phi_inf from one dealiased square."""
+    sq = pointwise_product([phi_inf, phi_inf]).coeffs
+    L = phi_inf.basis.L
+    F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)
+    g = 3.0 * sq
+    g[0] = 0.0  # subtracting the mean zeroes the k=0 coefficient exactly
+    return F_bar, ScalarField(phi_inf.basis, g)
+
+
 def mean_F_second(phi_inf: ScalarField) -> float:
     """Domain average of F''(phi_inf) = 3 phi_inf^2 - 1, i.e. (3/L) int phi^2 - 1."""
-    sq = pointwise_product([phi_inf, phi_inf])
-    integral = sq.coeffs[0] * np.sqrt(phi_inf.basis.L)
-    return float(3.0 * integral / phi_inf.basis.L - 1.0)
+    return _F_second_parts(phi_inf)[0]
 
 
 def g_field(phi_inf: ScalarField) -> ScalarField:
     """Mean-free part of F''(phi_inf): g = 3 phi_inf^2 - (3/L) int phi_inf^2."""
-    sq = pointwise_product([phi_inf, phi_inf])
-    coeffs = 3.0 * sq.coeffs
-    coeffs[0] = 0.0  # subtracting the mean zeroes the k=0 coefficient exactly
-    return ScalarField(phi_inf.basis, coeffs)
+    return _F_second_parts(phi_inf)[1]
 
 
-def _eig_2x2_symmetric(a: float, b: float, c: float):
-    """Closed-form eigendecomposition of [[a, b], [b, c]].
-
-    Returns (lam_minus, lam_plus, v_minus, v_plus) with orthonormal vectors.
-    The formulas avoid cancellation by building the rotation from atan2.
-    """
-    if b == 0.0:
-        if a <= c:
-            return a, c, np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        return c, a, np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    half_tr = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    # the root of larger magnitude is cancellation-free; recover the other
-    # from the determinant (roots of lam^2 - 2 half_tr lam + det)
-    lam_big = half_tr + rad if half_tr >= 0 else half_tr - rad
-    lam_other = (a * c - b * b) / lam_big
-    lam_minus, lam_plus = min(lam_big, lam_other), max(lam_big, lam_other)
-    theta = 0.5 * np.arctan2(2.0 * b, a - c)
-    ct, st = np.cos(theta), np.sin(theta)
-    v_plus = np.array([ct, st])  # eigenvector of lam_plus
-    v_minus = np.array([-st, ct])
-    return lam_minus, lam_plus, v_minus, v_plus
-
-
-def assemble_plant(
-    params: PhysicalParams, state: StationaryState, basis: SpectralBasis | None = None
-) -> LinearizedPlant:
+def assemble_plant(params: PhysicalParams, state: StationaryState) -> LinearizedPlant:
     """Build the modal blocks and the globally sorted eigendecomposition."""
-    if basis is None:
-        basis = state.basis
+    basis = state.basis
     phi_inf = state.phi_inf
-    if phi_inf.basis.M != basis.M or phi_inf.basis.L != basis.L:
-        raise ValueError("stationary state and basis disagree")
-
-    F_bar = mean_F_second(phi_inf)
+    F_bar, g = _F_second_parts(phi_inf)
     F_l = F_bar + params.l
-    g = g_field(phi_inf)
 
     M = basis.M
     kap = basis.kappa
@@ -190,31 +154,29 @@ def assemble_plant(
     blocks[:, 1, 0] = -params.gamma * kap
     blocks[:, 1, 1] = kap
 
-    eigenvalues = np.empty(2 * M)
+    # closed-form eigenpairs of all blocks k >= 1, [[a, b], [b, c]] with
+    # b = -gamma kappa_k != 0: the root of larger magnitude is cancellation-
+    # free, the other comes from the determinant, the rotation from atan2
+    a, b, c = blocks[1:, 0, 0], blocks[1:, 0, 1], blocks[1:, 1, 1]
+    half_tr = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    big = np.where(half_tr >= 0, half_tr + rad, half_tr - rad)
+    other = (a * c - b * b) / big
+    theta = 0.5 * np.arctan2(2.0 * b, a - c)
+    ct, st = np.cos(theta), np.sin(theta)
+    # entry branch * M + k is root `branch` (0 the smaller) of block k with
+    # eigenvector (vy, vz); the zero k = 0 block keeps the axes, y first
+    lam = np.concatenate([[0.0], np.minimum(big, other), [0.0], np.maximum(big, other)])
+    vy = np.concatenate([[1.0], -st, [0.0], ct])
+    vz = np.concatenate([[0.0], ct, [1.0], st])
+    branch, k = np.divmod(np.arange(2 * M), M)
+    order = np.lexsort((branch, k, lam))  # by lambda, then k, then branch
+    eigenvalues, k, vy, vz = lam[order], k[order], vy[order], vz[order]
+    # deterministic sign: dominant component positive, y component first
+    flip = np.where(np.abs(vy) >= np.abs(vz), vy < 0, vz < 0)
     vectors = np.zeros((2 * M, 2 * M))
-
-    order = []  # (lambda, k, branch) for the deterministic global sort
-    per_block = []
-    for k in range(M):
-        lam_m, lam_p, v_m, v_p = _eig_2x2_symmetric(
-            blocks[k, 0, 0], blocks[k, 0, 1], blocks[k, 1, 1]
-        )
-        per_block.append(((lam_m, v_m), (lam_p, v_p)))
-        order.append((lam_m, k, 0))
-        order.append((lam_p, k, 1))
-    order.sort()
-
-    for i, (lam, k, branch) in enumerate(order):
-        eigenvalues[i] = lam
-        vec = per_block[k][branch][1]
-        # deterministic sign: dominant component positive, y component first
-        if abs(vec[0]) >= abs(vec[1]):
-            if vec[0] < 0:
-                vec = -vec
-        elif vec[1] < 0:
-            vec = -vec
-        vectors[k, i] = vec[0]
-        vectors[M + k, i] = vec[1]
+    vectors[k, np.arange(2 * M)] = np.where(flip, -vy, vy)
+    vectors[M + k, np.arange(2 * M)] = np.where(flip, -vz, vz)
 
     N_unstable = int(np.sum(eigenvalues <= ZERO_EIGENVALUE_TOL))
 

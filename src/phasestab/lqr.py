@@ -249,7 +249,7 @@ def _solve_care_core(
     else:
         K0 = np.zeros((B.shape[1], A.shape[0]))
     X, history = _newton_kleinman(A, B, Q_diag, K0, tol, max_iters)
-    return 0.5 * (X + X.T), len(history), history
+    return X, len(history), history
 
 
 def solve_care(

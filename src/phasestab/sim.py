@@ -45,6 +45,7 @@ from .config import RunConfig
 from .linearization import LinearizedPlant, PhysicalParams
 from .lqr import RiccatiSolution
 from .spectral import (
+    PAD_FACTOR,
     ScalarField,
     _cosine_matrix,
     _values_on_grid,
@@ -68,6 +69,7 @@ __all__ = [
 
 NORM_FLOOR = 1e-14  # a decay norm below this is machine noise: no rate is fitted
 FIT_MIN_SAMPLES = 20  # fewest recorded rows in the fit window that give a rate
+FIT_MIN_R2 = 0.99  # a log-linear fit below this R^2 gives no rate
 INITIAL_MU_DECAY = 2.0  # seeded initial coefficients are damped by mu_k^-2
 
 
@@ -121,7 +123,7 @@ def remainder_G_direct(
     basis = y.basis
     if phi_inf.basis.M != basis.M or g.basis.M != basis.M:
         raise ValueError("fields live on different bases")
-    P = 2 * basis.M
+    P = PAD_FACTOR * basis.M
     pv = _values_on_grid(basis, phi_inf.coeffs, P)
     gv = _values_on_grid(basis, g.coeffs, P)
     return ScalarField(basis, _remainder_coeffs(basis, y.coeffs, pv, gv))
@@ -325,7 +327,7 @@ class _Stepper:
             _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, dt, sol, act) if scheme == "imex2" else None
         )
 
-        P = 2 * self.basis.M
+        P = PAD_FACTOR * self.basis.M
         self.phi_inf_padded = _values_on_grid(self.basis, plant.phi_inf.coeffs, P)
         self.g_padded = _values_on_grid(self.basis, plant.g.coeffs, P)
         # (x, G) of the last step's input, which imex2 needs as x_{n-1}
@@ -402,13 +404,12 @@ def fit_exponential_rate(
     times: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float],
-    r2_threshold: float = 0.99,
 ) -> tuple[float | None, float | None]:
     """OLS fit of log(values) ~ a - rate * t on the window.
 
     Returns (rate, r2); rate is None when the window has fewer than
     FIT_MIN_SAMPLES samples, any sample sits below NORM_FLOOR, or the fit
-    quality is below the R^2 threshold.
+    quality is below FIT_MIN_R2.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -424,7 +425,7 @@ def fit_exponential_rate(
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     rate = -float(coef[1])
-    if r2 < r2_threshold:
+    if r2 < FIT_MIN_R2:
         return None, r2
     return rate, r2
 

@@ -10,8 +10,11 @@ arbitrary constant theta_inf.  Solutions are critical points of the energy
     Upsilon(phi) = int ( nu/2 |phi'|^2 + (phi^2 - 1)^2 / 4 + C phi ) dx,
 
 which we minimize by a semi-implicit gradient flow (linear part nu*Lap - I
-implicit, cubic explicit) followed by a short Newton polish.  Constant states
-phi = root of phi^3 - phi + C are always available in closed form.
+implicit, cubic explicit) followed by a short Newton polish.  The
+Euler-Lagrange residual is formed in one place, ``_euler_lagrange``, which
+also hands back the cubic, so the flow's explicit step reuses the cubic of
+the accepted iterate.  Constant states phi = root of phi^3 - phi + C are
+always available in closed form.
 """
 
 from __future__ import annotations
@@ -70,12 +73,20 @@ class StationaryState:
         return self.phi_inf.basis
 
 
+def _euler_lagrange(
+    basis: SpectralBasis, coeffs: np.ndarray, nu: float, C: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of nu*Lap(phi) - phi^3 + phi - C, and of phi^3 (dealiased)."""
+    f = ScalarField(basis, coeffs)
+    cubic = pointwise_product([f, f, f]).coeffs
+    res = nu * laplacian(f).coeffs - cubic + coeffs
+    res[0] -= C * np.sqrt(basis.L)
+    return res, cubic
+
+
 def stationary_residual(phi: ScalarField, nu: float, C: float) -> float:
     """L2 norm of nu*Lap(phi) - phi^3 + phi - C."""
-    cubic = pointwise_product([phi, phi, phi])
-    res = nu * laplacian(phi).coeffs - cubic.coeffs + phi.coeffs
-    res[0] -= C * np.sqrt(phi.basis.L)
-    return float(np.linalg.norm(res))
+    return float(np.linalg.norm(_euler_lagrange(phi.basis, phi.coeffs, nu, C)[0]))
 
 
 def upsilon(phi: ScalarField, nu: float, C: float) -> float:
@@ -93,13 +104,11 @@ def upsilon(phi: ScalarField, nu: float, C: float) -> float:
 
 
 def stationary_constant(
-    which: int, theta: float = 0.0, basis: SpectralBasis | None = None
+    which: int, theta: float = 0.0, *, basis: SpectralBasis
 ) -> StationaryState:
     """Constant stationary state phi_inf = which in {-1, 0, +1}, with C = 0."""
     if which not in (-1, 0, 1):
         raise ValueError(f"constant stationary states are -1, 0, +1; got {which}")
-    if basis is None:
-        basis = SpectralBasis()
     phi = ScalarField.constant(basis, float(which))
     state = StationaryState(
         phi_inf=phi,
@@ -133,34 +142,29 @@ def stationary_minimize(
     phi = np.array(init.coeffs, dtype=float)
     sqrtL = np.sqrt(basis.L)
 
-    def residual_of(coeffs: np.ndarray) -> float:
-        return stationary_residual(ScalarField(basis, coeffs), nu, C)
-
-    def upsilon_of(coeffs: np.ndarray) -> float:
-        return upsilon(ScalarField(basis, coeffs), nu, C)
-
     dt = FLOW_DT0
-    ups = upsilon_of(phi)
+    ups = upsilon(ScalarField(basis, phi), nu, C)
     history = [ups]
-    res = residual_of(phi)
+    res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
+    res = float(np.linalg.norm(res_vec))
     it = 0
     while res > tol and it < max_iters:
-        f = ScalarField(basis, phi)
-        cubic = pointwise_product([f, f, f]).coeffs
         explicit = 2.0 * phi - cubic
         explicit[0] -= C * sqrtL
         cand = (phi + dt * explicit) / (1.0 + dt * (nu * basis.kappa + 1.0))
-        ups_cand = upsilon_of(cand)
+        ups_cand = upsilon(ScalarField(basis, cand), nu, C)
         if ups_cand <= ups + 1e-15 * max(1.0, abs(ups)):
             phi = cand
             ups = ups_cand
             history.append(ups)
             dt = min(dt * 1.1, 4.0 * FLOW_DT0)
+            res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
+            res = float(np.linalg.norm(res_vec))
         else:
+            # phi is unchanged, and with it the residual and the cubic
             dt *= 0.5
             if dt < 1e-12:
                 break
-        res = residual_of(phi)
         it += 1
 
     if res > tol:
@@ -171,42 +175,33 @@ def stationary_minimize(
             iterations=it,
         )
 
-    phi = _newton_polish(basis, phi, nu, C, target=1e-12, iters=3)
-    res = residual_of(phi)
-
+    phi, res = _newton_polish(basis, phi, nu, C, target=1e-12, iters=3)
     field_phi = ScalarField(basis, phi)
     return StationaryState(
         phi_inf=field_phi,
         theta_inf=float(theta),
         C_lagrange=float(C),
         residual=res,
-        upsilon=upsilon_of(phi),
+        upsilon=upsilon(field_phi, nu, C),
         upsilon_history=history,
     )
 
 
 def _newton_polish(
     basis: SpectralBasis, coeffs: np.ndarray, nu: float, C: float, target: float, iters: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Newton steps on nu*Lap(phi) - phi^3 + phi - C = 0 in modal coordinates.
 
     The Jacobian nu*Lap + I - 3*phi^2 mixes modes through the multiplication
     operator, assembled densely via the cached transform matrix (M is small).
+    Returns the iterate of smallest residual and that residual's L2 norm.
     """
     to_values = _cosine_matrix(basis, basis.M)
     to_coeffs = basis.quad_weight * to_values.T
-    sqrtL = np.sqrt(basis.L)
 
-    best = coeffs.copy()
-
-    def residual_vec(c: np.ndarray) -> np.ndarray:
-        f = ScalarField(basis, c)
-        r = nu * laplacian(f).coeffs - pointwise_product([f, f, f]).coeffs + c
-        r[0] -= C * sqrtL
-        return r
-
-    best_norm = np.linalg.norm(residual_vec(best))
-    current = coeffs.copy()
+    current = coeffs
+    res_vec = _euler_lagrange(basis, current, nu, C)[0]
+    best, best_norm = current, np.linalg.norm(res_vec)
     for _ in range(iters):
         if best_norm <= target:
             break
@@ -214,14 +209,15 @@ def _newton_polish(
         mult = to_coeffs @ ((3.0 * vals**2)[:, None] * to_values)
         jac = np.diag(-nu * basis.kappa + 1.0) - mult
         try:
-            step = np.linalg.solve(jac, residual_vec(current))
+            step = np.linalg.solve(jac, res_vec)
         except np.linalg.LinAlgError:
             break
         current = current - step
-        norm = np.linalg.norm(residual_vec(current))
+        res_vec = _euler_lagrange(basis, current, nu, C)[0]
+        norm = np.linalg.norm(res_vec)
         if norm < best_norm:
-            best, best_norm = current.copy(), norm
-    return best
+            best, best_norm = current, norm
+    return best, float(best_norm)
 
 
 def chi_infinity(state: StationaryState) -> float:

@@ -59,7 +59,7 @@ def default_problem():
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
-    plant = assemble_plant(params, state, basis)
+    plant = assemble_plant(params, state)
     act = build_actuator(plant, omega=(0.25, 0.75))
     return basis, params, state, plant, act
 
@@ -87,7 +87,7 @@ def test_c01_spectral_oracle():
     start = time.perf_counter()
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
-    plant = assemble_plant(params, stationary_constant(0, basis=basis), basis)
+    plant = assemble_plant(params, stationary_constant(0, basis=basis))
 
     # dense symmetric eigensolve of the assembled matrix, interleaved layout
     M = basis.M
@@ -195,7 +195,6 @@ def test_c04_riccati_certificate(default_problem, gain):
     plant8 = assemble_plant(
         PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0),
         stationary_constant(0, basis=basis8),
-        basis8,
     )
     act8 = build_actuator(plant8)
     sol_n = solve_care(plant8, act8, method="newton")

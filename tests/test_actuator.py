@@ -24,7 +24,7 @@ def setup():
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
-    plant = assemble_plant(params, state, basis)
+    plant = assemble_plant(params, state)
     act = build_actuator(plant, omega=(0.25, 0.75))
     return basis, plant, act
 
@@ -284,7 +284,7 @@ class TestOpenLoopExtension:
         # nu = 0.02, M = 256 they differ in the last bit), so each sample
         # must agree to 4 ulp of its largest entry
         basis = SpectralBasis(L=1.0, M=M)
-        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis), basis)
+        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis))
         act = build_actuator(plant, omega=(0.25, 0.75))
         plan = null_control(act, np.ones(act.N), T0=1.0)
         evaluated = np.array([plan.evaluate(t) for t in plan.t_nodes])
@@ -339,7 +339,7 @@ class TestStableTailDecay:
         stable = np.abs(xi_T0) > 1e-8 * np.linalg.norm(xi_T0)
         stable[: act.N] = False
         slowest_excited = lam[stable].min()
-        rate, r2 = fit_exponential_rate(ts, hnorms, (T0, 2 * T0), r2_threshold=0.0)
+        rate, r2 = fit_exponential_rate(ts, hnorms, (T0, 2 * T0))
         assert r2 > 0.99
         assert abs(rate - slowest_excited) <= 0.05 * slowest_excited
 
@@ -355,7 +355,7 @@ class TestStableTailDecay:
             plant, act, control, x0, t_end=1.0, dt=1e-4, record_times=ts
         )
         hnorms = np.linalg.norm(states, axis=1)
-        rate, _ = fit_exponential_rate(ts, hnorms, (0.0, 1.0), r2_threshold=0.0)
+        rate, _ = fit_exponential_rate(ts, hnorms, (0.0, 1.0))
         assert abs(rate - plant.lambda_gap) <= 0.05 * plant.lambda_gap
 
     def test_etd_propagator_matches_exact_tail(self, setup):

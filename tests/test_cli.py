@@ -218,7 +218,9 @@ class TestMainEntry:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("damage", ["garbage", "truncated", "emptied", "synth_json_deleted"])
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "truncated", "emptied", "plain_npy", "synth_json_deleted"]
+    )
     def test_damaged_gain_cache_exit_zero(self, tmp_path, damage):
         # an unreadable gain.npz is a cache miss like a stale one, and a
         # reused gain rewrites synth.json instead of reading it back
@@ -234,6 +236,9 @@ class TestMainEntry:
             gain.write_bytes(gain.read_bytes()[: gain.stat().st_size // 2])  # BadZipFile
         elif damage == "emptied":
             gain.write_bytes(b"")  # EOFError
+        elif damage == "plain_npy":
+            with open(gain, "wb") as fh:
+                np.save(fh, K)  # np.load returns an ndarray, not an archive
         else:
             (run / "synth.json").unlink()
         assert main(argv) == 0

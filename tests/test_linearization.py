@@ -27,7 +27,7 @@ def basis():
 def default_plant(basis):
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
-    return assemble_plant(params, state, basis)
+    return assemble_plant(params, state)
 
 
 def interleaved(matrix, M):
@@ -137,7 +137,7 @@ class TestAssembledPlant:
     def test_dense_oracle_various_params(self, basis, nu, l0, gamma0, phi_branch):
         params = PhysicalParams(nu=nu, l0=l0, gamma0=gamma0)
         state = stationary_constant(phi_branch, basis=basis)
-        plant = assemble_plant(params, state, basis)
+        plant = assemble_plant(params, state)
         dense = np.sort(np.linalg.eigvalsh(interleaved(plant.operator_matrix(), basis.M)))
         scaled = np.abs(dense - plant.eigenvalues) / np.maximum(
             1.0, np.abs(plant.eigenvalues)
@@ -160,8 +160,8 @@ class TestAssembledPlant:
         for _ in range(100):
             u = rng.standard_normal(default_plant.dim)
             v = rng.standard_normal(default_plant.dim)
-            left = default_plant.apply_operator(u) @ v
-            right = u @ default_plant.apply_operator(v)
+            left = default_plant.operator_matrix() @ u @ v
+            right = u @ default_plant.operator_matrix() @ v
             scale = max(1.0, abs(left))
             assert abs(left - right) <= 1e-10 * scale
 
@@ -184,7 +184,7 @@ class TestAssembledPlant:
     def test_huge_nu_only_mean_modes(self, basis):
         params = PhysicalParams(nu=100.0, l0=1.0, gamma0=1.0)
         state = stationary_constant(0, basis=basis)
-        plant = assemble_plant(params, state, basis)
+        plant = assemble_plant(params, state)
         assert plant.N_unstable == 2
         # positive-definiteness of every k >= 1 block via the determinant test
         blocks = plant.A_blocks[1:]
@@ -206,7 +206,7 @@ class TestUnstableSubspace:
         act = build_actuator(default_plant)
         lam, vecs = act.lambdas, act.modes
         for i in range(len(lam)):
-            res = default_plant.apply_operator(vecs[:, i]) - lam[i] * vecs[:, i]
+            res = default_plant.operator_matrix() @ vecs[:, i] - lam[i] * vecs[:, i]
             assert np.abs(res).max() < 1e-10
 
     def test_split_named_only_in_linearization(self):
@@ -220,3 +220,54 @@ class TestUnstableSubspace:
                 if isinstance(node, ast.alias):
                     name = node.name
                 assert name != "ZERO_EIGENVALUE_TOL", path.name
+
+
+class TestClosedFormConventions:
+    @given(
+        nu=st.floats(0.005, 2.0),
+        l0=st.floats(0.1, 10.0),
+        gamma0=st.floats(0.1, 10.0),
+        M=st.integers(2, 128),
+        which=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:expected exactly the two conserved-mean zeros")
+    def test_eigenpairs_match_eigh_with_fixed_signs_and_order(self, nu, l0, gamma0, M, which):
+        # the sign convention and the order of the mean modes decide the
+        # actuator's modes, and with them the columns of D and K
+        basis = SpectralBasis(L=1.0, M=M)
+        params = PhysicalParams(nu=nu, l0=l0, gamma0=gamma0)
+        plant = assemble_plant(params, stationary_constant(which, basis=basis))
+        lam, V = plant.eigenvalues, plant.eigenvectors
+        cols = np.arange(2 * M)
+
+        # every column lives on one block k, and every block has two columns;
+        # the first of them is the block's smaller root (branch 0)
+        support = np.abs(V[:M]) + np.abs(V[M:])
+        assert np.all(np.count_nonzero(support, axis=0) == 1)
+        k = np.argmax(support, axis=0)
+        assert np.array_equal(np.bincount(k, minlength=M), np.full(M, 2))
+        branch = np.ones(2 * M, dtype=int)
+        branch[np.unique(k, return_index=True)[1]] = 0
+        assert np.array_equal(np.lexsort((branch, k, lam)), cols)
+
+        # against LAPACK per block, up to the sign of each eigenvector
+        ref_lam, ref_vec = np.linalg.eigh(plant.A_blocks)
+        scale = np.maximum(1.0, np.abs(plant.A_blocks).max(axis=(1, 2)))[k]
+        assert np.all(np.abs(lam - ref_lam[k, branch]) <= 1e-12 * scale)
+        v = np.stack([V[k, cols], V[M + k, cols]], axis=1)
+        u = ref_vec[k, :, branch]
+        off = np.minimum(np.linalg.norm(v - u, axis=1), np.linalg.norm(v + u, axis=1))
+        assert off.max() <= 1e-8
+
+        # dominant component positive, y on a tie
+        dominant = np.where(np.abs(v[:, 0]) >= np.abs(v[:, 1]), v[:, 0], v[:, 1])
+        assert np.all(dominant > 0)
+
+        # the two k = 0 mean modes lie on the axes, y directly before z
+        y_mode = cols[(k == 0) & (branch == 0)][0]
+        z_mode = cols[(k == 0) & (branch == 1)][0]
+        assert lam[y_mode] == lam[z_mode] == 0.0
+        assert (V[0, y_mode], V[M, y_mode]) == (1.0, 0.0)
+        assert (V[0, z_mode], V[M, z_mode]) == (0.0, 1.0)
+        assert z_mode == y_mode + 1

@@ -21,7 +21,7 @@ def problem():
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
-    plant = assemble_plant(params, state, basis)
+    plant = assemble_plant(params, state)
     act = build_actuator(plant, omega=(0.25, 0.75))
     return basis, plant, act
 
@@ -286,7 +286,7 @@ class TestMethodAgreement:
     def test_newton_vs_integrate_m8(self):
         basis = SpectralBasis(L=1.0, M=8)
         params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
-        plant = assemble_plant(params, stationary_constant(0, basis=basis), basis)
+        plant = assemble_plant(params, stationary_constant(0, basis=basis))
         act = build_actuator(plant)
         sol_n = solve_care(plant, act, method="newton")
         R_i = solve_care_integrated(plant, act)
@@ -362,7 +362,7 @@ class TestClosedLoopSpectrum:
     def test_stable_only_plant_margin_positive(self):
         basis = SpectralBasis(L=1.0, M=64)
         params = PhysicalParams(nu=100.0, l0=1.0, gamma0=1.0)
-        plant = assemble_plant(params, stationary_constant(0, basis=basis), basis)
+        plant = assemble_plant(params, stationary_constant(0, basis=basis))
         act = build_actuator(plant)
         assert plant.N_unstable == 2
         sol = solve_care(plant, act, method="newton")

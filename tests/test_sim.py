@@ -38,7 +38,7 @@ def world():
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
-    plant = assemble_plant(params, state, basis)
+    plant = assemble_plant(params, state)
     act = build_actuator(plant)
     sol = solve_care(plant, act)
     return basis, params, state, plant, act, sol
@@ -218,7 +218,7 @@ class TestStepImex:
     def test_dt_bound_matches_root_loop(self, nu, M):
         # reference: smallest positive real root of det(I + dt A_k), per block
         basis = SpectralBasis(L=1.0, M=M)
-        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis), basis)
+        plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis))
         expected = np.inf
         for (a, b), (_, c) in plant.A_blocks:
             roots = np.roots([a * c - b * b, a + c, 1.0])
@@ -348,7 +348,7 @@ class TestSimulate:
         # at dt = 2e-2, the implicit solve does not limit the step
         basis = SpectralBasis(L=1.0, M=64)
         state = stationary_constant(0, basis=basis)
-        plant = assemble_plant(PhysicalParams(nu=0.02), state, basis)
+        plant = assemble_plant(PhysicalParams(nu=0.02), state)
         act = build_actuator(plant)
         sol = solve_care(plant, act)
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
@@ -391,7 +391,7 @@ class TestSimulate:
         # linear closed loop: x(1) = expm(-(Op + B K)) x0
         basis = SpectralBasis(L=1.0, M=32)
         state = stationary_constant(0, basis=basis)
-        plant = assemble_plant(PhysicalParams(nu=0.1), state, basis)
+        plant = assemble_plant(PhysicalParams(nu=0.1), state)
         act = build_actuator(plant)
         sol = solve_care(plant, act)
         closed = plant.operator_matrix() + act.B_matrix @ sol.K_gain
