@@ -5,22 +5,25 @@
 
 For each basis size M the default config is built at that M (stationary
 state, plant and actuator) and one whole ``solve_care`` call is timed.  Each
-phase of the solve is then timed alone on the converged closed loop
-A_cl = -(Op + B K) and the right-hand side -(Q + K^T K) of its Lyapunov
-equation:
+phase of the solve is then timed alone:
 
-    schur       the real Schur form A_cl^T = Z T Z^T (once per iteration)
-    sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z
+    first       the start gain on the unstable block and the closed-form
+                real Schur pair (T, Z) of its closed loop (once per solve)
+    schur       the dense real Schur form A_cl^T = Z T Z^T of a later closed
+                loop, timed on the converged one A_cl = -(Op + B K)
+                (iterations - 1 times; none when Newton stops after one step)
+    sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z, timed
+                on the first step's (T, Z) and rhs -(Q + K0^T K0)
                 (once per iteration)
     transforms  the basis changes Z^T rhs Z and Z Y Z^T (once per iteration)
     eigvals     the closed-loop eigenvalues that give the margin (once per solve)
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
-    rest        total minus the phases above: the initial gain on the
-                unstable block and forming each closed loop
+    rest        total minus the phases above: assembling the dense operator,
+                each right-hand side and closed loop, and the gain K = B^T R
     total       one whole solve_care call
 
-The per-iteration phases are multiplied by the iteration count, so the
+The per-iteration phases are multiplied by their call counts, so the
 phases add up to the total.  Every time is in milliseconds, the median of
 --repeats timed calls.  BLAS is pinned to one thread, as in the benchmark,
 unless the thread variables are already set.
@@ -45,10 +48,11 @@ from phasestab.lqr import (  # noqa: E402
     _REPORT_SAMPLES,
     _lyapunov_schur,
     _probe_residual,
+    _start,
     solve_care,
 )
 
-PHASES = ("schur", "sylvester", "transforms", "eigvals", "probe", "rest", "total")
+PHASES = ("first", "schur", "sylvester", "transforms", "eigvals", "probe", "rest", "total")
 
 
 def _ms_per_call(fn, repeats: int) -> float:
@@ -67,10 +71,15 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     m = build_materials(cfg)
     sol = solve_care(m.plant, m.act)  # warm-up, and the closed loop to profile
 
-    A_op, B, Q_diag, K = m.plant.operator_matrix(), m.act.B_matrix, sol.Q_diag, sol.K_gain
+    plant, act = m.plant, m.act
+    A_op, B, Q_diag, K = plant.operator_matrix(), act.B_matrix, sol.Q_diag, sol.K_gain
     A_cl = -(A_op + B @ K)
-    rhs = -(np.diag(Q_diag) + K.T @ K)
-    T, Z = scipy.linalg.schur(A_cl.T, output="real")
+
+    def first():
+        return _start(plant.eigenvalues, plant.eigenvectors, B, act.D_matrix, Q_diag)
+
+    K0, (T, Z) = first()
+    rhs = -(np.diag(Q_diag) + K0.T @ K0)
     F = Z.T @ rhs @ Z
     Y = F.copy()
     _lyapunov_schur(T, Y)
@@ -81,7 +90,11 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
 
     iters = sol.iterations
     row = {
-        "schur": iters * _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats),
+        "first": _ms_per_call(first, repeats),
+        "schur": (iters - 1)
+        * _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats)
+        if iters > 1
+        else 0.0,
         "sylvester": iters * _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
         "transforms": iters * _ms_per_call(transforms, repeats),
         "eigvals": _ms_per_call(lambda: np.linalg.eigvals(A_cl), repeats),
@@ -97,7 +110,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
             ),
             repeats,
         ),
-        "total": _ms_per_call(lambda: solve_care(m.plant, m.act), repeats),
+        "total": _ms_per_call(lambda: solve_care(plant, act), repeats),
     }
     row["rest"] = row["total"] - sum(row[name] for name in PHASES[:-2])
     return row, iters, sol.margin

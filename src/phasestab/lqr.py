@@ -22,7 +22,10 @@ which modes count as unstable is decided once, in ``linearization``.  Each
 iteration takes one real Schur form of the closed loop; it serves both the
 stabilizing check and the Lyapunov solve, which is a recursive blocked
 Bartels-Stewart solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK
-``trsyl`` at the leaves.
+``trsyl`` at the leaves.  The start gain acts only through the unstable
+eigenvectors, so the first closed loop is block triangular in the plant's
+closed-form eigenbasis and its Schur form comes from one N x N Schur form
+(``_start``); only later iterations factor the dense 2M x 2M closed loop.
 """
 
 from __future__ import annotations
@@ -182,6 +185,36 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
+def _start(
+    lam: np.ndarray, V: np.ndarray, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Start gain K0 and the real Schur pair (T, Z) of its closed loop, in closed form.
+
+    K0 = D^T P_u V_U^T is the Hamiltonian LQR gain of the leading N = len(D)
+    eigenpairs (Lam_U, V_U) of Op = V diag(lam) V^T.  It acts only through
+    V_U, so the transposed closed loop is block upper triangular in the
+    eigenbasis:
+
+        V^T (A - B K0)^T V = [[-(Lam_U + P_u D D^T), -P_u D b_S^T], [0, -Lam_S]],
+
+    with b_S = V_S^T B.  One N x N Schur form z t z^T of the leading block
+    completes it: Z is V with V_U replaced by V_U z, and T carries t, the
+    rotated coupling -z^T P_u D b_S^T and the diagonal -Lam_S.
+    """
+    N = len(D)
+    T = np.diag(-lam)
+    Z = V.copy()
+    if N == 0:
+        return np.zeros((B.shape[1], len(lam))), (T, Z)
+    V_u = V[:, :N]
+    P_u = _care_hamiltonian(-np.diag(lam[:N]), D, V_u.T @ np.diag(Q_diag) @ V_u)
+    t, z = scipy.linalg.schur(-(np.diag(lam[:N]) + P_u @ D @ D.T), output="real")
+    T[:N, :N] = t
+    T[:N, N:] = -(z.T @ P_u @ D) @ (B.T @ V[:, N:])
+    Z[:, :N] = V_u @ z
+    return (D.T @ P_u) @ V_u.T, (T, Z)
+
+
 def _newton_kleinman(
     A: np.ndarray,
     B: np.ndarray,
@@ -189,17 +222,24 @@ def _newton_kleinman(
     K0: np.ndarray,
     tol: float,
     max_iters: int,
+    first: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
-    """Kleinman iteration: Lyapunov solve for the closed loop, then K = B^T X."""
+    """Kleinman iteration: Lyapunov solve for the closed loop, then K = B^T X.
+
+    ``first`` is the real Schur pair (T, Z) of (A - B K0)^T when the caller
+    has it in closed form; every other closed loop is factored densely.
+    """
     Q = np.diag(Q_diag)
     K = K0
     history: list[dict] = []
     X = None
     for it in range(max_iters):
-        A_cl = A - B @ K
-        # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real part
-        # on both diagonal entries
-        T, Z = scipy.linalg.schur(A_cl.T, output="real")
+        if it == 0 and first is not None:
+            T, Z = first
+        else:
+            # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real
+            # part on both diagonal entries
+            T, Z = scipy.linalg.schur((A - B @ K).T, output="real")
         margin = -float(np.max(np.diag(T)))
         if margin <= 0.0:
             raise RiccatiError(
@@ -229,26 +269,21 @@ def _solve_care_core(
     A_op: np.ndarray,
     B: np.ndarray,
     Q_diag: np.ndarray,
-    lam_u: np.ndarray,
-    V_u: np.ndarray,
+    lam: np.ndarray,
+    V: np.ndarray,
     D: np.ndarray,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start.
 
-    (lam_u, V_u) are the orthonormal eigenpairs of A_op that the feedback must
-    stabilize and D = V_u^T B is their input matrix; the rest of the spectrum
-    must be positive.  The start is the Hamiltonian LQR gain of that block.
+    (lam, V) are the orthonormal eigenpairs of A_op, ascending; the leading
+    N = len(D) must be stabilized, D = V_U^T B is their input matrix, and the
+    rest of the spectrum must be positive.  The start is the Hamiltonian LQR
+    gain of that block, with its closed loop's Schur pair in closed form.
     """
-    A = -A_op
-    if len(lam_u) > 0:
-        Q_u = V_u.T @ np.diag(Q_diag) @ V_u
-        P_u = _care_hamiltonian(-np.diag(lam_u), D, Q_u)
-        K0 = (D.T @ P_u) @ V_u.T
-    else:
-        K0 = np.zeros((B.shape[1], A.shape[0]))
-    X, history = _newton_kleinman(A, B, Q_diag, K0, tol, max_iters)
+    K0, first = _start(lam, V, B, D, Q_diag)
+    X, history = _newton_kleinman(-A_op, B, Q_diag, K0, tol, max_iters, first)
     return X, len(history), history
 
 
@@ -274,7 +309,14 @@ def solve_care(
     Q_diag = plant.state_weight_diagonal()
 
     R, iterations, history = _solve_care_core(
-        A_op, B, Q_diag, act.lambdas, act.modes, act.D_matrix, tol=tol, max_iters=max_iters
+        A_op,
+        B,
+        Q_diag,
+        plant.eigenvalues,
+        plant.eigenvectors,
+        act.D_matrix,
+        tol=tol,
+        max_iters=max_iters,
     )
 
     K = B.T @ R

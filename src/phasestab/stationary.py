@@ -13,7 +13,8 @@ which we minimize by a semi-implicit gradient flow (linear part nu*Lap - I
 implicit, cubic explicit) followed by a short Newton polish.  The
 Euler-Lagrange residual is formed in one place, ``_euler_lagrange``, which
 also hands back the cubic, so the flow's explicit step reuses the cubic of
-the accepted iterate.  Constant states phi = root of phi^3 - phi + C are
+the accepted iterate and the polish starts from the residual the flow
+stopped on.  Constant states phi = root of phi^3 - phi + C are
 always available in closed form.
 """
 
@@ -175,7 +176,7 @@ def stationary_minimize(
             iterations=it,
         )
 
-    phi, res = _newton_polish(basis, phi, nu, C, target=1e-12, iters=3)
+    phi, res = _newton_polish(basis, phi, res_vec, nu, C, target=1e-12, iters=3)
     field_phi = ScalarField(basis, phi)
     return StationaryState(
         phi_inf=field_phi,
@@ -188,19 +189,26 @@ def stationary_minimize(
 
 
 def _newton_polish(
-    basis: SpectralBasis, coeffs: np.ndarray, nu: float, C: float, target: float, iters: int
+    basis: SpectralBasis,
+    coeffs: np.ndarray,
+    res_vec: np.ndarray,
+    nu: float,
+    C: float,
+    target: float,
+    iters: int,
 ) -> tuple[np.ndarray, float]:
     """Newton steps on nu*Lap(phi) - phi^3 + phi - C = 0 in modal coordinates.
 
     The Jacobian nu*Lap + I - 3*phi^2 mixes modes through the multiplication
     operator, assembled densely via the cached transform matrix (M is small).
-    Returns the iterate of smallest residual and that residual's L2 norm.
+    ``res_vec`` is the Euler-Lagrange residual of ``coeffs``, which the caller
+    has already formed.  Returns the iterate of smallest residual and that
+    residual's L2 norm.
     """
     to_values = _cosine_matrix(basis, basis.M)
     to_coeffs = basis.quad_weight * to_values.T
 
     current = coeffs
-    res_vec = _euler_lagrange(basis, current, nu, C)[0]
     best, best_norm = current, np.linalg.norm(res_vec)
     for _ in range(iters):
         if best_norm <= target:

@@ -29,10 +29,10 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 
 ``solve_care_dense``
     The CARE for a dense symmetric operator, diagonalized by ``eigh``.  With
-    ``method="newton"`` it splits off the eigenpairs at or below 1e-10 (the
-    plant's unstable split) and their input matrix itself, then runs the
-    package's own solver body ``lqr._solve_care_core`` on them, so the scalar
-    closed-form checks exercise package code.  With ``method="integrate"`` it
+    ``method="newton"`` it counts the eigenpairs at or below 1e-10 (the
+    plant's unstable split) and forms their input matrix itself, then runs
+    the package's own solver body ``lqr._solve_care_core`` on the eigenpairs,
+    so the scalar closed-form checks exercise package code.  With ``method="integrate"`` it
     runs the integrated route below.  Used by
     ``test_acceptance.py::test_c04_riccati_certificate`` (scalar closed
     forms) and ``test_lqr.py::TestScalarOracles``.
@@ -240,8 +240,7 @@ def solve_care_dense(
     lam, V = np.linalg.eigh(A_op)
     if method == "newton":
         n_u = int(np.sum(lam <= 1e-10))  # eigh sorts ascending
-        V_u = V[:, :n_u]
-        return lqr._solve_care_core(A_op, B, Q_diag, lam[:n_u], V_u, V_u.T @ B, tol, max_iters)
+        return lqr._solve_care_core(A_op, B, Q_diag, lam, V, V[:, :n_u].T @ B, tol, max_iters)
     if method == "integrate":
         R, steps = _integrated_R(B, Q_diag, lam, V)
         return R, steps, []
