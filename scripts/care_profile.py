@@ -7,26 +7,29 @@ For each basis size M the default config is built at that M (stationary
 state, plant and actuator) and one whole ``solve_care`` call is timed.  Each
 phase of the solve is then timed alone:
 
-    first       the start gain on the unstable block and the closed-form
-                real Schur pair (T, Z) of its closed loop (once per solve)
-    schur       the dense real Schur form A_cl^T = Z T Z^T of a later closed
-                loop, timed on the converged one A_cl = -(Op + B K)
-                (iterations - 1 times; none when Newton stops after one step)
-    sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z, timed
-                on the first step's (T, Z) and rhs -(Q + K0^T K0)
-                (once per iteration)
-    transforms  the basis changes Z^T rhs Z and Z Y Z^T (once per iteration)
-    eigvals     the closed-loop eigenvalues that give the margin (once per solve)
+    first       the first Newton step, formed in the plant's eigenbasis: the
+                start gain, its closed loop's N x N Schur form, the blocked
+                Lyapunov solve and the gathers through the eigenvectors
+    margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
     rest        total minus the phases above: assembling the dense operator,
-                each right-hand side and closed loop, and the gain K = B^T R
+                the gain K = B^T R, and any Newton step after the first
     total       one whole solve_care call
 
-The per-iteration phases are multiplied by their call counts, so the
-phases add up to the total.  Every time is in milliseconds, the median of
---repeats timed calls.  BLAS is pinned to one thread, as in the benchmark,
-unless the thread variables are already set.
+Newton steps after the first factor the dense closed loop; rest holds
+them (iters - 1 of them).  So that their cost shows also where Newton stops
+after one step, one such dense step is timed apart, outside the total, on
+the converged closed loop A_cl = -(Op + B K):
+
+    schur       the real Schur form A_cl^T = Z T Z^T
+    sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z,
+                rhs = -(Q + K^T K)
+    transforms  the basis changes Z^T rhs Z and Z Y Z^T
+
+Every time is in milliseconds, the median of --repeats timed calls.  BLAS is
+pinned to one thread, as in the benchmark, unless the thread variables are
+already set.
 """
 
 import os
@@ -46,13 +49,15 @@ from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import (  # noqa: E402
     _PROBE_SAMPLES,
     _REPORT_SAMPLES,
+    _first_step,
     _lyapunov_schur,
+    _margin,
     _probe_residual,
-    _start,
     solve_care,
 )
 
-PHASES = ("first", "schur", "sylvester", "transforms", "eigvals", "probe", "rest", "total")
+PHASES = ("first", "margin", "probe", "rest", "total")
+DENSE_STEP = ("schur", "sylvester", "transforms")
 
 
 def _ms_per_call(fn, repeats: int) -> float:
@@ -69,17 +74,27 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     cfg.basis.M = M
     cfg.validate()
     m = build_materials(cfg)
-    sol = solve_care(m.plant, m.act)  # warm-up, and the closed loop to profile
-
     plant, act = m.plant, m.act
-    A_op, B, Q_diag, K = plant.operator_matrix(), act.B_matrix, sol.Q_diag, sol.K_gain
+    rc = cfg.riccati
+
+    def solve():
+        return solve_care(plant, act, tol=rc.tol, max_iters=rc.max_iters)
+
+    sol = solve()  # warm-up, and the converged closed loop to profile
+    lam, V = plant.eigenvalues, plant.eigenvectors
+    A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, sol.Q_diag
+    R, K = sol.R_matrix, sol.K_gain
+    b, k = V.T @ B, V.T @ K.T
+
+    def probe(samples):
+        return _ms_per_call(
+            lambda: _probe_residual(R, A_op, B, Q_diag, samples, np.random.default_rng(0)),
+            repeats,
+        )
+
     A_cl = -(A_op + B @ K)
-
-    def first():
-        return _start(plant.eigenvalues, plant.eigenvectors, B, act.D_matrix, Q_diag)
-
-    K0, (T, Z) = first()
-    rhs = -(np.diag(Q_diag) + K0.T @ K0)
+    T, Z = scipy.linalg.schur(A_cl.T, output="real")
+    rhs = -(np.diag(Q_diag) + K.T @ K)
     F = Z.T @ rhs @ Z
     Y = F.copy()
     _lyapunov_schur(T, Y)
@@ -88,32 +103,17 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         Z.T @ rhs @ Z
         Z @ Y @ Z.T
 
-    iters = sol.iterations
     row = {
-        "first": _ms_per_call(first, repeats),
-        "schur": (iters - 1)
-        * _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats)
-        if iters > 1
-        else 0.0,
-        "sylvester": iters * _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
-        "transforms": iters * _ms_per_call(transforms, repeats),
-        "eigvals": _ms_per_call(lambda: np.linalg.eigvals(A_cl), repeats),
-        "probe": iters * _ms_per_call(
-            lambda: _probe_residual(
-                sol.R_matrix, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(0)
-            ),
-            repeats,
-        )
-        + _ms_per_call(
-            lambda: _probe_residual(
-                sol.R_matrix, A_op, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(0)
-            ),
-            repeats,
-        ),
-        "total": _ms_per_call(lambda: solve_care(plant, act), repeats),
+        "first": _ms_per_call(lambda: _first_step(lam, V, B, act.D_matrix, Q_diag), repeats),
+        "margin": _ms_per_call(lambda: _margin(lam, b, k), repeats),
+        "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
+        "total": _ms_per_call(solve, repeats),
+        "schur": _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats),
+        "sylvester": _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
+        "transforms": _ms_per_call(transforms, repeats),
     }
-    row["rest"] = row["total"] - sum(row[name] for name in PHASES[:-2])
-    return row, iters, sol.margin
+    row["rest"] = row["total"] - row["first"] - row["margin"] - row["probe"]
+    return row, sol.iterations, sol.margin
 
 
 def main() -> None:
@@ -122,12 +122,13 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    print("ms       " + "  ".join(f"{name:>10}" for name in PHASES) + "  iters      margin")
+    columns = PHASES + DENSE_STEP
+    print("ms       " + "  ".join(f"{name:>10}" for name in columns) + "  iters      margin")
     for M in args.M:
         row, iters, margin = profile(M, args.repeats)
         print(
             f"M={M:<5}  "
-            + "  ".join(f"{row[name]:10.2f}" for name in PHASES)
+            + "  ".join(f"{row[name]:10.2f}" for name in columns)
             + f"  {iters:5d}  {margin:10.6f}"
         )
 

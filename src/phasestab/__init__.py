@@ -29,7 +29,6 @@ from .linearization import (
 from .lqr import (
     RiccatiError,
     RiccatiSolution,
-    riccati_residual,
     solve_care,
 )
 from .sim import (

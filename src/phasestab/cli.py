@@ -153,7 +153,7 @@ def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
         margin=sol.margin,
         residual_rel=sol.residual_rel,
         Q_diag=sol.Q_diag,
-        closed_loop_eigs=sol.closed_loop_eigs,
+        min_real=sol.min_real,
         iterations=sol.iterations,
         config_digest=_gain_digest(m.cfg),
     )
@@ -167,8 +167,8 @@ def write_synth_summary(sol: RiccatiSolution, outdir: Path) -> dict:
         "residual_rel": sol.residual_rel,
         "margin": sol.margin,
         "eig_extremes": {
-            "max_real": float(np.max(sol.closed_loop_eigs.real)),
-            "min_real": float(np.min(sol.closed_loop_eigs.real)),
+            "max_real": -sol.margin,
+            "min_real": sol.min_real,
         },
         "iterations": sol.iterations,
     }
@@ -189,7 +189,8 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
     """Reuse a previously synthesized gain when it was made from the same config.
 
     None (synthesize afresh) when the file is missing, stale or unreadable,
-    or holds a plain .npy array rather than an npz archive.
+    holds a plain .npy array rather than an npz archive, or lacks a member
+    read here (a file written by older code).
     """
     if not path.exists():
         return None
@@ -203,14 +204,14 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
                 R_matrix=data["R"],
                 K_gain=data["K"],
                 residual_rel=float(data["residual_rel"]),
-                closed_loop_eigs=data["closed_loop_eigs"],
                 margin=float(data["margin"]),
+                min_real=float(data["min_real"]),
                 Q_diag=data["Q_diag"],
                 iterations=int(data["iterations"]),
             )
-    except (ValueError, EOFError, zipfile.BadZipFile):
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile):
         # not an npz archive (garbage, empty, truncated by an interrupted
-        # write, a plain .npy array) or a damaged member
+        # write, a plain .npy array), a damaged member or a missing one
         return None
 
 

@@ -18,14 +18,33 @@ The solve is Newton-Kleinman iteration, initialized by a small
 Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing because
 the complement is open-loop stable).  That block is the actuator's
 eigenpairs ``lambdas``/``modes`` with their input matrix ``D_matrix``, so
-which modes count as unstable is decided once, in ``linearization``.  Each
-iteration takes one real Schur form of the closed loop; it serves both the
-stabilizing check and the Lyapunov solve, which is a recursive blocked
-Bartels-Stewart solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK
-``trsyl`` at the leaves.  The start gain acts only through the unstable
-eigenvectors, so the first closed loop is block triangular in the plant's
-closed-form eigenbasis and its Schur form comes from one N x N Schur form
-(``_start``); only later iterations factor the dense 2M x 2M closed loop.
+which modes count as unstable is decided once, in ``linearization``.
+
+Newton stops after its first step on the default config and on every
+benchmark workload.  That step (``_first_step``) and the closed-loop margin
+(``_margin``) are formed in the plant's closed-form orthonormal eigenbasis
+Op = V Lambda V^T, whose columns each have at most two nonzeros, in
+O(M^2 N) with no dense 2M x 2M factorization: the start gain's closed loop
+is block triangular there with a diagonal stable block, and any gain's
+closed loop is diagonal plus rank N, as in the rank-k modified eigenproblem
+(Golub, SIAM Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31,
+1978).  The margin agrees with a 40-digit root of the secular determinant
+det(I + k^T (Lambda - z)^{-1} b) to 1e-12 relative or better, where an
+eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
+(1e-8 to 4e-7 on the workloads).  The most negative closed-loop real part,
+``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
+to first order (to 3e-15 relative on the workloads).
+
+Newton steps after the first (when the probe residual has not met the
+tolerance) take one dense real Schur form of the closed loop each; it serves
+both the stabilizing check and the Lyapunov solve, which is a recursive
+blocked Bartels-Stewart solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with
+LAPACK ``trsyl`` at the leaves.
+
+Both eigenbasis routes assume that Op is self-adjoint with the closed-form
+eigenpairs, which holds because ``linearization`` keeps only the
+constant-coefficient part of the linearization; a variable-coefficient
+operator would need both revisited.
 """
 
 from __future__ import annotations
@@ -42,7 +61,6 @@ __all__ = [
     "RiccatiSolution",
     "RiccatiError",
     "solve_care",
-    "riccati_residual",
 ]
 
 
@@ -59,8 +77,8 @@ class RiccatiSolution:
     R_matrix: np.ndarray  # (2M, 2M) symmetric positive definite
     K_gain: np.ndarray  # (N, 2M) = B^T R
     residual_rel: float
-    closed_loop_eigs: np.ndarray
-    margin: float
+    margin: float  # -max Re of the closed-loop spectrum
+    min_real: float  # min Re of the closed-loop spectrum, to first order
     Q_diag: np.ndarray
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
@@ -126,6 +144,8 @@ _LEAF = 48  # blocks up to this size go to LAPACK's unblocked trsyl
 
 def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
     """Overwrite C with Y solving A Y + Y B^T = C (A, B upper quasi-triangular)."""
+    if not C.size:
+        return  # LAPACK's wrapper rejects an empty block
     Y, scale, info = _TRSYL(A, B, C, tranb="T")
     if info < 0:
         raise RiccatiError(f"trsyl rejected its argument {-info}")
@@ -185,34 +205,109 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
-def _start(
-    lam: np.ndarray, V: np.ndarray, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Start gain K0 and the real Schur pair (T, Z) of its closed loop, in closed form.
+def _row_nonzeros(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, vals), each (rows, w): row r of U is sum_a vals[r, a] e_{cols[r, a]}^T.
 
-    K0 = D^T P_u V_U^T is the Hamiltonian LQR gain of the leading N = len(D)
-    eigenpairs (Lam_U, V_U) of Op = V diag(lam) V^T.  It acts only through
-    V_U, so the transposed closed loop is block upper triangular in the
-    eigenbasis:
+    w is the most nonzeros in any row, and shorter rows are padded with zero
+    values.  The plant's eigenvector matrix has w = 2.
+    """
+    r, c = np.nonzero(U)
+    counts = np.bincount(r, minlength=U.shape[0])
+    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.zeros((U.shape[0], counts.max(initial=1)), dtype=np.intp)
+    vals = np.zeros(cols.shape)
+    cols[r, slot], vals[r, slot] = c, U[r, c]
+    return cols, vals
+
+
+def _congruence(rows: tuple[np.ndarray, np.ndarray], Y: np.ndarray) -> np.ndarray:
+    """U Y U^T for U given by ``_row_nonzeros``: w row gathers, then w column gathers."""
+    cols, vals = rows
+    W, X, buf = np.zeros_like(Y), np.zeros_like(Y), np.empty_like(Y)
+    # mode="clip" keeps np.take from buffering its output; every index is in range
+    for a in range(cols.shape[1]):
+        np.take(Y, cols[:, a], axis=0, out=buf, mode="clip")
+        buf *= vals[:, a : a + 1]
+        W += buf
+    for a in range(cols.shape[1]):
+        np.take(W, cols[:, a], axis=1, out=buf, mode="clip")
+        buf *= vals[:, a]
+        X += buf
+    return X
+
+
+def _start(
+    lam_u: np.ndarray, D: np.ndarray, Q_u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_u D and the real Schur form z t z^T = -(Lam_U + P_u D D^T) of the start's loop.
+
+    P_u is the Hamiltonian LQR solution of the unstable block: eigenvalues
+    ``lam_u``, input matrix D and state weight Q_u = V_U^T Q V_U.  The start
+    gain is K0 = (P_u D)^T V_U^T.
+    """
+    P_u = _care_hamiltonian(-np.diag(lam_u), D, Q_u)
+    PD = P_u @ D
+    t, z = scipy.linalg.schur(-(np.diag(lam_u) + PD @ D.T), output="real")
+    return PD, t, z
+
+
+def _first_step(
+    lam: np.ndarray, V: np.ndarray, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
+
+    (lam, V) are the orthonormal eigenpairs of Op, ascending, and the leading
+    N = len(D) are the unstable block.  K0 = (P_u D)^T V_U^T acts only through
+    V_U, so with b_S = V_S^T B the transposed closed loop is block upper
+    triangular in the eigenbasis,
 
         V^T (A - B K0)^T V = [[-(Lam_U + P_u D D^T), -P_u D b_S^T], [0, -Lam_S]],
 
-    with b_S = V_S^T B.  One N x N Schur form z t z^T of the leading block
-    completes it: Z is V with V_U replaced by V_U z, and T carries t, the
-    rotated coupling -z^T P_u D b_S^T and the diagonal -Lam_S.
+    and Z = V diag(z, I) brings it to the real Schur form
+    T = [[t, C], [0, -Lam_S]], C = -z^T P_u D b_S^T (``_start``).  The
+    Lyapunov equation T Y + Y T^T = F, F = -Z^T (Q + K0^T K0) Z, is then
+    solved by blocks: Y_SS = -F_SS / (lam_i + lam_j) elementwise, one
+    N x (2M - N) ``trsyl`` for Y_US against the diagonal -Lam_S, and one
+    N x N ``trsyl`` for Y_UU.  V^T Q V couples only the two eigenvectors of
+    one cosine mode, and K0^T K0 only the unstable ones, so F and the
+    back-transform X1 = V diag(z, I) Y diag(z, I)^T V^T are gathered through
+    the nonzeros of V, with no dense basis change.
     """
-    N = len(D)
-    T = np.diag(-lam)
-    Z = V.copy()
-    if N == 0:
-        return np.zeros((B.shape[1], len(lam))), (T, Z)
-    V_u = V[:, :N]
-    P_u = _care_hamiltonian(-np.diag(lam[:N]), D, V_u.T @ np.diag(Q_diag) @ V_u)
-    t, z = scipy.linalg.schur(-(np.diag(lam[:N]) + P_u @ D @ D.T), output="real")
-    T[:N, :N] = t
-    T[:N, N:] = -(z.T @ P_u @ D) @ (B.T @ V[:, N:])
-    Z[:, :N] = V_u @ z
-    return (D.T @ P_u) @ V_u.T, (T, Z)
+    n, N = len(lam), len(D)
+    lam_s = lam[N:]
+    rows = _row_nonzeros(V)
+    cols, vals = rows
+    # Y starts as F and is overwritten by the solution; first -V^T Q V,
+    # scattered from the outer product of each row's nonzeros
+    Y = np.zeros((n, n))
+    np.add.at(
+        Y,
+        (cols[:, :, None], cols[:, None, :]),
+        -Q_diag[:, None, None] * vals[:, :, None] * vals[:, None, :],
+    )
+    # with no unstable block the empty D, t and z make every block step below a no-op
+    PD, t, z = _start(lam[:N], D, -Y[:N, :N]) if N else (D, np.zeros((0, 0)), np.zeros((0, 0)))
+    margin = -float(np.max(np.concatenate([np.diag(t), -lam_s])))
+    if margin <= 0.0:
+        raise RiccatiError(f"iterate 0 lost the stabilizing property (margin {margin:.3e})")
+    C = -(z.T @ PD) @ (V[:, N:].T @ B).T
+    Y[:N, :N] -= PD @ PD.T  # K0^T K0 in the eigenbasis
+    Y[:N] = z.T @ Y[:N]
+    Y[:, :N] = Y[:, :N] @ z
+    Y[N:, N:] /= -(lam_s[:, None] + lam_s)
+    Y[:N, N:] -= C @ Y[N:, N:]
+    # a diagonal is its own transpose: the F-ordered view spares LAPACK a copy
+    _trsyl(t, np.diag(-lam_s).T, Y[:N, N:])
+    Y[N:, :N] = Y[:N, N:].T
+    update = C @ Y[N:, :N]
+    Y[:N, :N] -= update + update.T
+    _trsyl(t, t, Y[:N, :N])
+    Y[:N] = z @ Y[:N]
+    Y[:, :N] = Y[:, :N] @ z.T
+    X = _congruence(rows, Y)
+    X += X.T
+    X *= 0.5
+    return X, margin
 
 
 def _newton_kleinman(
@@ -222,24 +317,20 @@ def _newton_kleinman(
     K0: np.ndarray,
     tol: float,
     max_iters: int,
-    first: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
-    """Kleinman iteration: Lyapunov solve for the closed loop, then K = B^T X.
+    """Kleinman iteration from the stabilizing gain K0, each closed loop factored densely.
 
-    ``first`` is the real Schur pair (T, Z) of (A - B K0)^T when the caller
-    has it in closed form; every other closed loop is factored densely.
+    Each iteration takes one real Schur form of the closed loop, then solves
+    its Lyapunov equation and sets K = B^T X.
     """
     Q = np.diag(Q_diag)
     K = K0
     history: list[dict] = []
     X = None
     for it in range(max_iters):
-        if it == 0 and first is not None:
-            T, Z = first
-        else:
-            # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real
-            # part on both diagonal entries
-            T, Z = scipy.linalg.schur((A - B @ K).T, output="real")
+        # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real
+        # part on both diagonal entries
+        T, Z = scipy.linalg.schur((A - B @ K).T, output="real")
         margin = -float(np.max(np.diag(T)))
         if margin <= 0.0:
             raise RiccatiError(
@@ -259,7 +350,7 @@ def _newton_kleinman(
         res = _probe_residual(
             X, -A, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
         )
-        history.append({"iteration": it, "margin": margin, "residual": res})
+        history.append({"margin": margin, "residual": res})
         if res <= tol:
             return X, history
     return X, history
@@ -280,11 +371,88 @@ def _solve_care_core(
     (lam, V) are the orthonormal eigenpairs of A_op, ascending; the leading
     N = len(D) must be stabilized, D = V_U^T B is their input matrix, and the
     rest of the spectrum must be positive.  The start is the Hamiltonian LQR
-    gain of that block, with its closed loop's Schur pair in closed form.
+    gain of that block; its step is formed in the eigenbasis, and later
+    steps, if the probe residual asks for them, factor the dense closed loop.
     """
-    K0, first = _start(lam, V, B, D, Q_diag)
-    X, history = _newton_kleinman(-A_op, B, Q_diag, K0, tol, max_iters, first)
+    X, margin = _first_step(lam, V, B, D, Q_diag)
+    res = _probe_residual(
+        X, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+    )
+    history = [{"margin": margin, "residual": res}]
+    if res > tol and max_iters > 1:
+        try:
+            X, later = _newton_kleinman(-A_op, B, Q_diag, B.T @ X, tol, max_iters - 1)
+        except RiccatiError as exc:
+            # the dense iteration counts its iterates from the first step's gain
+            raise RiccatiError(f"after the first step: {exc}", history + exc.history) from exc
+        history += later
     return X, len(history), history
+
+
+_HEAD = 16  # leading eigenpairs the margin's eigenproblem starts with
+_FIXED_POINT_STEPS = 50
+
+
+def _margin(lam: np.ndarray, b: np.ndarray, k: np.ndarray) -> float:
+    """min Re spec(Lambda + b k^T): the closed loop Op + B K's margin, in the eigenbasis.
+
+    With b = V^T B and k = V^T K^T, split the ascending spectrum into a head
+    of m eigenpairs (Lambda_1, b_1, k_1) and the tail (Lambda_2, b_2, k_2).
+    Eliminating the tail coordinates of (Lambda + b k^T - z) x = 0 (a Schur
+    complement; Golub 1973) gives: z is an eigenvalue with z outside
+    spec(Lambda_2 + b_2 k_2^T) if and only if z in spec S(z), where
+
+        S(z) = Lambda_1 + b_1 (I + G(z))^{-1} k_1^T,
+        G(z) = k_2^T (Lambda_2 - z)^{-1} b_2   (N x N).
+
+    Lambda_2 is diagonal, so by Bauer-Fike every eigenvalue of
+    Lambda_2 + b_2 k_2^T has real part at least
+    c = lambda_m - ||b_2||_2 ||k_2||_2.  So the closed-loop eigenvalues left
+    of c are exactly the fixed points z in spec S(z) there, and every other
+    eigenvalue lies right of c.
+
+    From z = 0, z <- the leftmost eigenvalue of S(z), then the eigenvalue of
+    S(z) nearest z (at most _FIXED_POINT_STEPS times), until z settles to
+    rounding.  Tracking that branch keeps a complex pair from alternating
+    between its two members, whose real parts S(z) separates slightly.
+
+    The fixed point z is a closed-loop eigenvalue; it is returned as the
+    spectral abscissa only if it lies left of c, so that every eigenvalue
+    right of c is right of it, and if it is still the leftmost eigenvalue of
+    S(z).  A closed-loop eigenvalue w left of z is an eigenvalue of S(w),
+    and S(w) - S(z) = b_1 [(I + G(w))^{-1} - (I + G(z))^{-1}] k_1^T is
+    small when G varies little between w and z, so S(z) then has an
+    eigenvalue near w, left of z, and the check rejects z.  The slack of the
+    check is rounding plus, for a complex z, 2 ||Im S(z)||_2: its partner
+    conj z is exact in S(conj z) = conj S(z), and S(z) differs from that by
+    this much.  The check is a consistency test, not a proof: a w whose
+    S(w) differs from S(z) by more than w's distance from z escapes it.  On
+    any failure (no fixed point left of c, a fixed point that is not the
+    leftmost, or no settling) m doubles.  At m = 2M the tail is empty,
+    c = inf, G = 0 and S is the whole closed loop, whose leftmost eigenvalue
+    is taken at the first step and passes the check, so the loop always ends.
+    """
+    n, eye = len(lam), np.eye(b.shape[1])
+    m = min(_HEAD, n)
+    while True:
+        c = np.inf if m == n else lam[m] - np.linalg.norm(b[m:], 2) * np.linalg.norm(k[m:], 2)
+        z = 0.0
+        for it in range(_FIXED_POINT_STEPS):
+            if z.real >= c:
+                break
+            G = k[m:].T @ (b[m:] / (lam[m:] - z)[:, None])
+            S = np.diag(lam[:m]) + b[:m] @ np.linalg.solve(eye + G, k[:m].T)
+            mu = np.linalg.eigvals(S)
+            z, previous = mu[np.argmin(np.abs(mu - z) if it else mu.real)], z
+            rounding = 16 * np.finfo(float).eps * np.abs(mu).max()
+            if it and abs(z - previous) <= rounding:
+                slack = rounding + (2.0 * np.linalg.norm(S.imag, 2) if z.imag else 0.0)
+                if z.real < c and z.real <= mu.real.min() + slack:
+                    return float(z.real)
+                break
+        if m == n:
+            raise RiccatiError("the closed-loop margin iteration did not settle")
+        m = min(2 * m, n)
 
 
 def solve_care(
@@ -307,22 +475,14 @@ def solve_care(
     A_op = plant.operator_matrix()
     B = act.B_matrix
     Q_diag = plant.state_weight_diagonal()
+    lam, V = plant.eigenvalues, plant.eigenvectors
 
     R, iterations, history = _solve_care_core(
-        A_op,
-        B,
-        Q_diag,
-        plant.eigenvalues,
-        plant.eigenvectors,
-        act.D_matrix,
-        tol=tol,
-        max_iters=max_iters,
+        A_op, B, Q_diag, lam, V, act.D_matrix, tol=tol, max_iters=max_iters
     )
 
     K = B.T @ R
-    A_cl = -(A_op + B @ K)
-    eigs = np.linalg.eigvals(A_cl)
-    margin = -float(np.max(eigs.real))
+    b, k = V.T @ B, V.T @ K.T
     res = _probe_residual(
         R, A_op, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
     )
@@ -331,27 +491,11 @@ def solve_care(
         R_matrix=R,
         K_gain=K,
         residual_rel=res,
-        closed_loop_eigs=eigs,
-        margin=margin,
+        margin=_margin(lam, b, k),
+        # the largest eigenvalues are the tail's, where the diagonal of
+        # Lambda + b k^T is their first-order value
+        min_real=-float(np.max(lam + np.sum(b * k, axis=1))),
         Q_diag=Q_diag,
         iterations=iterations,
         residual_history=[h["residual"] for h in history],
-    )
-
-
-def riccati_residual(
-    sol: RiccatiSolution,
-    plant: LinearizedPlant,
-    act: Actuator,
-    samples: int = 100,
-    seed: int = 0,
-) -> float:
-    """Re-certify the quadratic-form identity on fresh random probes."""
-    return _probe_residual(
-        sol.R_matrix,
-        plant.operator_matrix(),
-        act.B_matrix,
-        sol.Q_diag,
-        samples,
-        np.random.default_rng(seed),
     )

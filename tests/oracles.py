@@ -48,6 +48,12 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     ``test_lqr.py::TestMethodAgreement::test_newton_vs_integrate_m8`` and
     ``test_lqr.py::TestScalarOracles::test_both_methods_on_scalar``.  It is
     slow: 51 s at M = 256.
+
+``riccati_residual``
+    Re-certifies a gain's quadratic-form identity on a fresh random probe
+    draw through ``lqr._probe_residual``.  Used by
+    ``test_lqr.py::TestRiccatiSolution::test_perturbation_inflates_residual``
+    and ``::test_fresh_probe_residual``.
 """
 
 from __future__ import annotations
@@ -245,3 +251,15 @@ def solve_care_dense(
         R, steps = _integrated_R(B, Q_diag, lam, V)
         return R, steps, []
     raise ValueError(f"unknown Riccati method {method!r}; use 'newton' or 'integrate'")
+
+
+def riccati_residual(sol, plant, act, samples: int = 100, seed: int = 0) -> float:
+    """The probe residual of ``sol.R_matrix`` on ``samples`` fresh unit vectors."""
+    return lqr._probe_residual(
+        sol.R_matrix,
+        plant.operator_matrix(),
+        act.B_matrix,
+        sol.Q_diag,
+        samples,
+        np.random.default_rng(seed),
+    )

@@ -219,7 +219,8 @@ class TestMainEntry:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "damage", ["garbage", "truncated", "emptied", "plain_npy", "synth_json_deleted"]
+        "damage",
+        ["garbage", "truncated", "emptied", "plain_npy", "member_missing", "synth_json_deleted"],
     )
     def test_damaged_gain_cache_exit_zero(self, tmp_path, damage):
         # an unreadable gain.npz is a cache miss like a stale one, and a
@@ -239,6 +240,12 @@ class TestMainEntry:
         elif damage == "plain_npy":
             with open(gain, "wb") as fh:
                 np.save(fh, K)  # np.load returns an ndarray, not an archive
+        elif damage == "member_missing":
+            # the digest matches, but a member load_gain reads is absent (a
+            # file written by older code): KeyError
+            with np.load(gain) as data:
+                kept = {name: data[name] for name in data.files if name != "R"}
+            np.savez(gain, **kept)
         else:
             (run / "synth.json").unlink()
         assert main(argv) == 0

@@ -1,5 +1,6 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from phasestab import lqr
 from phasestab.actuator import apply_B, apply_B_star, build_actuator
 from phasestab.cli import build_materials
-from phasestab.config import SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant
-from phasestab.lqr import RiccatiError, riccati_residual, solve_care
+from phasestab.lqr import RiccatiError, solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
 
-from oracles import solve_care_dense, solve_care_integrated
+from oracles import riccati_residual, solve_care_dense, solve_care_integrated
+from phasebench.workloads import config_for
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +204,8 @@ class TestLyapunovSchur:
             lqr._lyapunov_schur(T, np.eye(n))
 
 
-def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters, first=None):
-    """Newton-Kleinman with an eigvals check and SciPy's dense Lyapunov solve: the oracle.
-
-    It ignores the closed-form Schur pair ``first`` of the start gain's loop.
-    """
+def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
+    """Newton-Kleinman with an eigvals check and SciPy's dense Lyapunov solve: the oracle."""
     Q = np.diag(Q_diag)
     K = K0
     history = []
@@ -241,25 +239,29 @@ def schur_shapes(monkeypatch):
 
 
 @functools.cache
-def _materials(nu, M):
-    cfg = SimConfig()
-    cfg.params.nu, cfg.basis.M = nu, M
-    return build_materials(cfg.validate())
+def _materials(workload):
+    """The plant and actuator of a benchmark workload's first instance."""
+    return build_materials(config_for(workload, 0))
 
 
-def _first_step(monkeypatch, plant, act, newton):
-    """(K0, first, X1): the start gain and Schur pair that ``solve_care``
-    hands to Newton, and the first iterate of ``newton`` on them."""
-    seen = {}
+def _start_gain(plant, act):
+    """(K0, (PD, t, z)): the start gain (P_u D)^T V_U^T and ``lqr._start``'s output."""
+    N, V = act.N, plant.eigenvectors
+    Q_u = V[:, :N].T @ np.diag(plant.state_weight_diagonal()) @ V[:, :N]
+    PD, t, z = lqr._start(plant.eigenvalues[:N], act.D_matrix, Q_u)
+    return PD.T @ V[:, :N].T, (PD, t, z)
 
-    def recorded(A, B, Q_diag, K0, tol, max_iters, first):
-        seen.update(K0=K0, first=first)
-        return newton(A, B, Q_diag, K0, tol, max_iters, first)
 
-    with monkeypatch.context() as mp:
-        mp.setattr(lqr, "_newton_kleinman", recorded)
-        X1 = solve_care(plant, act, max_iters=1).R_matrix
-    return seen["K0"], seen["first"], X1
+def _package_first_step(plant, act):
+    """X1 as ``solve_care`` forms it, in the eigenbasis."""
+    X1, _ = lqr._first_step(
+        plant.eigenvalues,
+        plant.eigenvectors,
+        act.B_matrix,
+        act.D_matrix,
+        plant.state_weight_diagonal(),
+    )
+    return X1
 
 
 def _scaled_lyapunov_residual(plant, act, K0, X):
@@ -279,23 +281,24 @@ def _scaled_lyapunov_residual(plant, act, K0, X):
 
 
 class TestNewtonSchur:
-    @pytest.mark.parametrize(
-        "nu, M", [(0.1, 64), (0.02, 256)], ids=["default", "thin_interface"]
-    )
-    def test_matches_dense_lyapunov_route(self, monkeypatch, nu, M):
-        # the oracle factors the dense first closed loop, with backward error
-        # eps ||Op||; the package's closed-form first step is the more accurate
-        # side, so R agrees to that error, not to rounding
-        m = _materials(nu, M)
+    @pytest.mark.parametrize("workload", ["default", "thin_interface"])
+    def test_matches_dense_lyapunov_route(self, workload):
+        # the oracle runs Newton from the same start gain, factoring the dense
+        # first closed loop with backward error eps ||Op||; the package's
+        # eigenbasis first step is the more accurate side, so R agrees to that
+        # error, not to rounding
+        m = _materials(workload)
+        A, B = -m.plant.operator_matrix(), m.act.B_matrix
+        Q_diag = m.plant.state_weight_diagonal()
         sol = solve_care(m.plant, m.act)
-        with monkeypatch.context() as mp:
-            mp.setattr(lqr, "_newton_kleinman", _dense_newton_kleinman)
-            ref = solve_care(m.plant, m.act)
-        assert sol.iterations == ref.iterations
-        assert np.abs(sol.R_matrix - ref.R_matrix).max() <= 1e-9 * np.abs(ref.R_matrix).max()
-        assert sol.margin == pytest.approx(ref.margin, rel=1e-6)
-        K0, _, X1 = _first_step(monkeypatch, m.plant, m.act, lqr._newton_kleinman)
-        _, _, X1_ref = _first_step(monkeypatch, m.plant, m.act, _dense_newton_kleinman)
+        K0, _ = _start_gain(m.plant, m.act)
+        R_ref, history = _dense_newton_kleinman(A, B, Q_diag, K0, 1e-9, 50)
+        assert sol.iterations == len(history)
+        assert np.abs(sol.R_matrix - R_ref).max() <= 1e-9 * np.abs(R_ref).max()
+        ref_margin = -float(np.max(np.linalg.eigvals(A - B @ B.T @ R_ref).real))
+        assert sol.margin == pytest.approx(ref_margin, rel=1e-6)
+        X1 = _package_first_step(m.plant, m.act)
+        X1_ref, _ = _dense_newton_kleinman(A, B, Q_diag, K0, 0.0, 1)
         assert _scaled_lyapunov_residual(m.plant, m.act, K0, X1) < _scaled_lyapunov_residual(
             m.plant, m.act, K0, X1_ref
         )
@@ -349,25 +352,30 @@ class TestNewtonSchur:
 
 
 class TestFirstStep:
-    @pytest.mark.parametrize(
-        "nu, M", [(0.1, 64), (0.02, 256)], ids=["default", "thin_interface"]
-    )
-    def test_scaled_lyapunov_residual(self, monkeypatch, nu, M):
+    @pytest.mark.parametrize("workload", ["default", "thin_interface"])
+    def test_scaled_lyapunov_residual(self, workload):
         # a dense Schur of the first loop leaves 1.5e-7 (M = 64) and 9.9e-6
-        # (M = 256) here; the closed form about 2e-14 and 2e-12
-        m = _materials(nu, M)
-        K0, _, X1 = _first_step(monkeypatch, m.plant, m.act, lqr._newton_kleinman)
+        # (M = 256) here; the eigenbasis step about 2e-14 and 2e-12
+        m = _materials(workload)
+        K0, _ = _start_gain(m.plant, m.act)
+        X1 = _package_first_step(m.plant, m.act)
         assert _scaled_lyapunov_residual(m.plant, m.act, K0, X1) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "nu, M", [(0.1, 64), (0.02, 256)], ids=["default", "thin_interface"]
-    )
-    def test_schur_pair_structure(self, monkeypatch, nu, M):
-        m = _materials(nu, M)
-        K0, (T, Z), _ = _first_step(monkeypatch, m.plant, m.act, lqr._newton_kleinman)
-        n, eps = m.plant.dim, np.finfo(float).eps
+    @pytest.mark.parametrize("workload", ["default", "thin_interface"])
+    def test_schur_pair_structure(self, workload):
+        # the Schur pair the first step solves with, T = [[t, C], [0, -Lam_S]]
+        # and Z = V diag(z, I), assembled densely from lqr._start's output
+        m = _materials(workload)
+        lam, V, B = m.plant.eigenvalues, m.plant.eigenvectors, m.act.B_matrix
+        N, n, eps = m.act.N, m.plant.dim, np.finfo(float).eps
+        K0, (PD, t, z) = _start_gain(m.plant, m.act)
+        T = np.diag(-lam)
+        T[:N, :N] = t
+        T[:N, N:] = -(z.T @ PD) @ (V[:, N:].T @ B).T
+        Z = V.copy()
+        Z[:, :N] = V[:, :N] @ z
         assert np.abs(Z.T @ Z - np.eye(n)).max() <= 64 * eps
-        A_cl = -(m.plant.operator_matrix() + m.act.B_matrix @ K0)
+        A_cl = -(m.plant.operator_matrix() + B @ K0)
         assert np.linalg.norm(Z @ T @ Z.T - A_cl.T) <= 64 * eps * np.linalg.norm(A_cl)
         # quasi-upper-triangular: nothing below the subdiagonal, no two
         # adjacent subdiagonal entries, and each 2x2 block a complex pair
@@ -400,6 +408,118 @@ class TestFirstStep:
         assert schur_shapes == []
         R_ref = scipy.linalg.solve_continuous_lyapunov(A_op, np.diag(q))
         assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+
+
+def _secular_root(lam, b, k, z0):
+    """Real root of det(I + k^T (Lambda - z)^{-1} b) near z0, at 40 digits.
+
+    By the matrix determinant lemma its roots are the eigenvalues of
+    Lambda + b k^T for the given float entries, free of their rounding.
+    """
+    N = b.shape[1]
+    with mpmath.workdps(40):
+        lam_mp, b_mp, k_mp = (
+            [[mpmath.mpf(float(x)) for x in np.atleast_1d(row)] for row in a] for a in (lam, b, k)
+        )
+
+        def det(z):
+            S = mpmath.eye(N)
+            for (li,), bi, ki in zip(lam_mp, b_mp, k_mp):
+                w = 1 / (li - z)
+                for p in range(N):
+                    for q in range(N):
+                        S[p, q] += w * ki[p] * bi[q]
+            return mpmath.det(S)
+
+        return float(mpmath.findroot(det, mpmath.mpf(z0)))
+
+
+@pytest.fixture
+def factored_shapes(monkeypatch):
+    """Shapes of the matrices handed to a Schur form or an eigen-solve, in call order."""
+    shapes = []
+    for module, name in [(scipy.linalg, "schur"), (np.linalg, "eigvals"), (np.linalg, "eig")]:
+        original = getattr(module, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    return shapes
+
+
+def _dense_margin(lam, b, k):
+    return float(np.min(np.linalg.eigvals(np.diag(lam) + b @ k.T).real))
+
+
+class TestMargin:
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_matches_secular_root(self, workload):
+        # the dense eigen-solve of the 2M x 2M loop is off by 1e-8 to 4e-7
+        # here; the head's eigenproblem agrees with the exact root to ~1e-13
+        m = _materials(workload)
+        sol = solve_care(m.plant, m.act)
+        V = m.plant.eigenvectors
+        b, k = V.T @ m.act.B_matrix, V.T @ sol.K_gain.T
+        root = _secular_root(m.plant.eigenvalues, b, k, sol.margin)
+        assert sol.margin == pytest.approx(root, rel=1e-11)
+
+    @pytest.mark.parametrize("workload", ["default", "thin_interface"])
+    def test_nothing_larger_than_the_head_factored(self, factored_shapes, workload):
+        m = _materials(workload)
+        sol = solve_care(m.plant, m.act)
+        assert sol.iterations == 1
+        assert factored_shapes
+        assert max(max(shape) for shape in factored_shapes) <= lqr._HEAD
+
+    def test_complex_pair_with_a_strongly_coupled_tail(self, factored_shapes):
+        # the leftmost eigenvalues are a complex pair of the head block, and
+        # the tail shifts them by 0.1: the head alone is far off, S(z) is not
+        rng = np.random.default_rng(5)
+        n, m = 48, lqr._HEAD
+        lam = np.concatenate([[-0.5, 0.0], 2.0 + 3.0 * np.arange(n - 2)])
+        b, k = np.zeros((n, 2)), np.zeros((n, 2))
+        b[:2], k[:2] = np.eye(2), [[1.0, -2.0], [2.0, 1.0]]
+        b[m:], k[m:] = rng.standard_normal((2, n - m, 2))
+        dense = np.linalg.eigvals(np.diag(lam) + b @ k.T)
+        head = np.linalg.eigvals(np.diag(lam[:m]) + b[:m] @ k[:m].T)
+        assert np.iscomplex(dense[np.argmin(dense.real)])
+        assert abs(np.min(head.real) - np.min(dense.real)) > 1e-3
+        factored_shapes.clear()
+        margin = lqr._margin(lam, b, k)
+        assert margin == pytest.approx(np.min(dense.real), rel=1e-12)
+        assert set(factored_shapes) == {(m, m)}
+
+    def test_settled_branch_not_the_leftmost(self, factored_shapes):
+        # head mode 0 couples to tail mode 16 (c = 3 - 2 = 1): their 2 x 2
+        # loop has eigenvalues -0.2 and 0.5, and its branch of S(z) starts at
+        # -0.1, right of the uncoupled head mode at -0.15.  The iteration
+        # settles on -0.15 at once, a fixed point left of c that is not the
+        # leftmost one; S(-0.15) shows -0.178 left of it, so m doubles
+        n = 40
+        lam = np.concatenate(
+            [[-1.0, -0.15], 1.5 + 0.1 * np.arange(14), [3.0], 3.5 + np.arange(n - 17)]
+        )
+        b, k = np.zeros((n, 1)), np.zeros((n, 1))
+        b[0], k[0] = 1.0, 0.3
+        b[16], k[16] = 1.0, -2.0
+        margin = lqr._margin(lam, b, k)
+        assert [shape[0] for shape in factored_shapes] == [16, 16, 32, 32]
+        assert margin == pytest.approx(-0.2, rel=1e-12)
+        assert margin == pytest.approx(_dense_margin(lam, b, k), rel=1e-12)
+
+    def test_head_grows_to_the_whole_spectrum(self, factored_shapes):
+        # one strongly coupled last mode keeps the Bauer-Fike bound c right
+        # of 0 but left of the head's fixed point until the tail is empty
+        rng = np.random.default_rng(7)
+        n = 40
+        lam = np.concatenate([[0.5], 1.0 + 0.01 * np.arange(n - 1)])
+        b, k = 0.05 * rng.standard_normal((2, n, 2))
+        b[-1] = k[-1] = [1.0, 0.0]
+        margin = lqr._margin(lam, b, k)
+        assert [shape[0] for shape in factored_shapes] == [16, 32, n, n]
+        assert margin == pytest.approx(_dense_margin(lam, b, k), rel=1e-12)
 
 
 class TestMethodAgreement:
@@ -477,7 +597,8 @@ class TestClosedLoopSpectrum:
         _, plant, act = problem
         margin = closed_loop_margin(solution, plant, act)
         assert margin > 0
-        assert margin == pytest.approx(solution.margin, rel=1e-9)
+        # the dense eigen-solve is off by eps ||Op|| / margin, about 1e-8 here
+        assert margin == pytest.approx(solution.margin, rel=1e-6)
 
     def test_stable_only_plant_margin_positive(self):
         basis = SpectralBasis(L=1.0, M=64)
