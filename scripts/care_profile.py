@@ -8,8 +8,8 @@ state, plant and actuator) and one whole ``solve_care`` call is timed.  Each
 phase of the solve is then timed alone:
 
     first       the first Newton step, formed in the plant's eigenbasis: the
-                start gain, its closed loop's N x N Schur form, the blocked
-                Lyapunov solve and the gathers through the eigenvectors
+                start gain, the block solves of its closed loop's Lyapunov
+                equation and the gathers through the eigenvectors
     margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
@@ -81,7 +81,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         return solve_care(plant, act, tol=rc.tol, max_iters=rc.max_iters)
 
     sol = solve()  # warm-up, and the converged closed loop to profile
-    lam, V = plant.eigenvalues, plant.eigenvectors
+    lam, V, cols = plant.eigenvalues, plant.eigenvectors, plant.eigvec_cols
     A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, sol.Q_diag
     R, K = sol.R_matrix, sol.K_gain
     b, k = V.T @ B, V.T @ K.T
@@ -104,7 +104,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         Z @ Y @ Z.T
 
     row = {
-        "first": _ms_per_call(lambda: _first_step(lam, V, B, act.D_matrix, Q_diag), repeats),
+        "first": _ms_per_call(lambda: _first_step(lam, V, cols, B, act.D_matrix, Q_diag), repeats),
         "margin": _ms_per_call(lambda: _margin(lam, b, k), repeats),
         "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
         "total": _ms_per_call(solve, repeats),

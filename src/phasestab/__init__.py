@@ -20,11 +20,10 @@ from .actuator import (
 )
 from .config import ConfigError, SimConfig, load_config, save_config
 from .linearization import (
+    F_second_parts,
     LinearizedPlant,
     PhysicalParams,
     assemble_plant,
-    g_field,
-    mean_F_second,
 )
 from .lqr import (
     RiccatiError,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -97,14 +98,14 @@ class SimConfig:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported (expected {SCHEMA_VERSION})"
             )
-        p, b, s, a, r, run = (
-            self.params,
-            self.basis,
-            self.stationary,
-            self.actuator,
-            self.riccati,
-            self.sim,
-        )
+        sections = [getattr(self, name) for name in _SECTIONS]
+        # a NaN passes every "x <= 0" test below, and an infinity some of them
+        for name, section in zip(_SECTIONS, sections):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
+        p, b, s, a, r, run = sections
         for name, value in (("nu", p.nu), ("l0", p.l0), ("gamma0", p.gamma0)):
             if value <= 0:
                 raise ConfigError(f"params.{name} must be positive, got {value}")
@@ -196,6 +197,8 @@ def apply_override(cfg: SimConfig, dotted: str, raw_value: str) -> SimConfig:
     if not hasattr(target, leaf):
         raise ConfigError(f"unknown config field {dotted!r}")
     current = getattr(target, leaf)
+    if is_dataclass(current):
+        raise ConfigError(f"{dotted!r} is a config section; set one of its fields")
     try:
         if isinstance(current, bool):
             value = {"true": True, "false": False}[raw_value.lower()]

@@ -6,8 +6,8 @@ is d/dt (y, z) + Op (y, z) = forcing, where the self-adjoint operator
     Op = [[ nu Lap^2 - F_l Lap ,  gamma Lap ],
           [ gamma Lap          ,  -Lap      ]]
 
-is exactly block-diagonal over cosine modes.  On mode k (Laplacian
-eigenvalue -kappa_k) the 2x2 block is
+is block-diagonal over cosine modes.  On mode k (Laplacian eigenvalue
+-kappa_k) the 2x2 block is
 
     [[ nu kappa^2 + F_l kappa ,  -gamma kappa ],
      [ -gamma kappa           ,   kappa       ]]
@@ -21,7 +21,10 @@ finite and the feedback will act only through them.
 
 The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 (it is handled with the nonlinear remainder), which is what keeps the blocks
-exactly decoupled.  F_l and g come from one dealiased square of phi_inf.
+decoupled.  So Op is the whole linearization only on a constant state, where
+g = 0; on a nonconstant state the linear term Lap(g y) sits in the remainder,
+which is then not superlinear.  F_l and g come from one dealiased square of
+phi_inf.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from .stationary import StationaryState
 __all__ = [
     "PhysicalParams",
     "LinearizedPlant",
-    "mean_F_second",
-    "g_field",
+    "F_second_parts",
     "assemble_plant",
 ]
 
@@ -75,7 +77,9 @@ class LinearizedPlant:
 
     eigenvectors[:, i] holds the i-th eigenpair in stacked modal coordinates
     (y coefficients in rows 0..M-1, z coefficients in rows M..2M-1);
-    eigenvalues are ascending.
+    eigenvalues are ascending.  Rows k and M + k belong to cosine mode k and
+    are nonzero only in eigvec_cols[k] = eigvec_cols[M + k], the columns of
+    that mode's two eigenpairs.
     """
 
     params: PhysicalParams
@@ -86,6 +90,7 @@ class LinearizedPlant:
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
     eigenvectors: np.ndarray  # (2M, 2M) orthonormal columns
+    eigvec_cols: np.ndarray  # (2M, 2) the only columns where each row of eigenvectors is nonzero
     N_unstable: int
     phi_inf: ScalarField
 
@@ -119,8 +124,11 @@ class LinearizedPlant:
         return np.concatenate([mu**3, mu**1.5])
 
 
-def _F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
-    """(mean_F_second, g_field) of phi_inf from one dealiased square."""
+def F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
+    """(F_bar, g): the mean of F''(phi_inf) = 3 phi_inf^2 - 1 and its mean-free part.
+
+    Both come from one dealiased square of phi_inf.
+    """
     sq = pointwise_product([phi_inf, phi_inf]).coeffs
     L = phi_inf.basis.L
     F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)
@@ -129,21 +137,11 @@ def _F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
     return F_bar, ScalarField(phi_inf.basis, g)
 
 
-def mean_F_second(phi_inf: ScalarField) -> float:
-    """Domain average of F''(phi_inf) = 3 phi_inf^2 - 1, i.e. (3/L) int phi^2 - 1."""
-    return _F_second_parts(phi_inf)[0]
-
-
-def g_field(phi_inf: ScalarField) -> ScalarField:
-    """Mean-free part of F''(phi_inf): g = 3 phi_inf^2 - (3/L) int phi_inf^2."""
-    return _F_second_parts(phi_inf)[1]
-
-
 def assemble_plant(params: PhysicalParams, state: StationaryState) -> LinearizedPlant:
     """Build the modal blocks and the globally sorted eigendecomposition."""
     basis = state.basis
     phi_inf = state.phi_inf
-    F_bar, g = _F_second_parts(phi_inf)
+    F_bar, g = F_second_parts(phi_inf)
     F_l = F_bar + params.l
 
     M = basis.M
@@ -171,6 +169,8 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
     vz = np.concatenate([[0.0], ct, [1.0], st])
     branch, k = np.divmod(np.arange(2 * M), M)
     order = np.lexsort((branch, k, lam))  # by lambda, then k, then branch
+    # argsort inverts the sort: mode k's pair lands in columns argsort(order)[[k, M + k]]
+    eigvec_cols = np.tile(np.argsort(order).reshape(2, M).T, (2, 1))
     eigenvalues, k, vy, vz = lam[order], k[order], vy[order], vz[order]
     # deterministic sign: dominant component positive, y component first
     flip = np.where(np.abs(vy) >= np.abs(vz), vy < 0, vz < 0)
@@ -198,6 +198,7 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
         A_blocks=blocks,
         eigenvalues=eigenvalues,
         eigenvectors=vectors,
+        eigvec_cols=eigvec_cols,
         N_unstable=N_unstable,
         phi_inf=phi_inf,
     )

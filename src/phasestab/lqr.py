@@ -23,10 +23,12 @@ which modes count as unstable is decided once, in ``linearization``.
 Newton stops after its first step on the default config and on every
 benchmark workload.  That step (``_first_step``) and the closed-loop margin
 (``_margin``) are formed in the plant's closed-form orthonormal eigenbasis
-Op = V Lambda V^T, whose columns each have at most two nonzeros, in
-O(M^2 N) with no dense 2M x 2M factorization: the start gain's closed loop
-is block triangular there with a diagonal stable block, and any gain's
-closed loop is diagonal plus rank N, as in the rank-k modified eigenproblem
+Op = V Lambda V^T, each of whose rows is nonzero only in the two columns
+``linearization`` records for it, in O(M^2 N) with no dense 2M x 2M
+factorization and no Schur form: the start gain's closed loop is block
+triangular there, an N x N block over a diagonal stable block, so the step
+takes only N x N and N^2 x N^2 solves; and any gain's closed loop is
+diagonal plus rank N, as in the rank-k modified eigenproblem
 (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31,
 1978).  The margin agrees with a 40-digit root of the secular determinant
 det(I + k^T (Lambda - z)^{-1} b) to 1e-12 relative or better, where an
@@ -82,10 +84,6 @@ class RiccatiSolution:
     Q_diag: np.ndarray
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.R_matrix.shape[0]
 
 
 # Probe sets of the quadratic-form residual: the same draw at every Newton
@@ -144,8 +142,6 @@ _LEAF = 48  # blocks up to this size go to LAPACK's unblocked trsyl
 
 def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
     """Overwrite C with Y solving A Y + Y B^T = C (A, B upper quasi-triangular)."""
-    if not C.size:
-        return  # LAPACK's wrapper rejects an empty block
     Y, scale, info = _TRSYL(A, B, C, tranb="T")
     if info < 0:
         raise RiccatiError(f"trsyl rejected its argument {-info}")
@@ -205,24 +201,8 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
-def _row_nonzeros(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, vals), each (rows, w): row r of U is sum_a vals[r, a] e_{cols[r, a]}^T.
-
-    w is the most nonzeros in any row, and shorter rows are padded with zero
-    values.  The plant's eigenvector matrix has w = 2.
-    """
-    r, c = np.nonzero(U)
-    counts = np.bincount(r, minlength=U.shape[0])
-    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.zeros((U.shape[0], counts.max(initial=1)), dtype=np.intp)
-    vals = np.zeros(cols.shape)
-    cols[r, slot], vals[r, slot] = c, U[r, c]
-    return cols, vals
-
-
-def _congruence(rows: tuple[np.ndarray, np.ndarray], Y: np.ndarray) -> np.ndarray:
-    """U Y U^T for U given by ``_row_nonzeros``: w row gathers, then w column gathers."""
-    cols, vals = rows
+def _congruence(cols: np.ndarray, vals: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """U Y U^T for U whose row r is sum_a vals[r, a] e_{cols[r, a]}^T: row, then column gathers."""
     W, X, buf = np.zeros_like(Y), np.zeros_like(Y), np.empty_like(Y)
     # mode="clip" keeps np.take from buffering its output; every index is in range
     for a in range(cols.shape[1]):
@@ -236,75 +216,59 @@ def _congruence(rows: tuple[np.ndarray, np.ndarray], Y: np.ndarray) -> np.ndarra
     return X
 
 
-def _start(
-    lam_u: np.ndarray, D: np.ndarray, Q_u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_u D and the real Schur form z t z^T = -(Lam_U + P_u D D^T) of the start's loop.
-
-    P_u is the Hamiltonian LQR solution of the unstable block: eigenvalues
-    ``lam_u``, input matrix D and state weight Q_u = V_U^T Q V_U.  The start
-    gain is K0 = (P_u D)^T V_U^T.
-    """
-    P_u = _care_hamiltonian(-np.diag(lam_u), D, Q_u)
-    PD = P_u @ D
-    t, z = scipy.linalg.schur(-(np.diag(lam_u) + PD @ D.T), output="real")
-    return PD, t, z
-
-
 def _first_step(
-    lam: np.ndarray, V: np.ndarray, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
+    lam: np.ndarray,
+    V: np.ndarray,
+    cols: np.ndarray,
+    B: np.ndarray,
+    D: np.ndarray,
+    Q_diag: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
 
-    (lam, V) are the orthonormal eigenpairs of Op, ascending, and the leading
-    N = len(D) are the unstable block.  K0 = (P_u D)^T V_U^T acts only through
-    V_U, so with b_S = V_S^T B the transposed closed loop is block upper
-    triangular in the eigenbasis,
+    (lam, V) are the orthonormal eigenpairs of Op, ascending, the leading
+    N = len(D) the unstable block, and row r of V is nonzero only in the
+    columns cols[r].  The start gain K0 = (P_u D)^T V_U^T, P_u the
+    Hamiltonian LQR solution of the unstable block, acts only through V_U, so
+    with b_S = V_S^T B the transposed closed loop is block upper triangular
+    in the eigenbasis:
 
-        V^T (A - B K0)^T V = [[-(Lam_U + P_u D D^T), -P_u D b_S^T], [0, -Lam_S]],
+        T = V^T (A - B K0)^T V = [[A_u, C], [0, -Lam_S]],
+        A_u = -(Lam_U + P_u D D^T),   C = -P_u D b_S^T.
 
-    and Z = V diag(z, I) brings it to the real Schur form
-    T = [[t, C], [0, -Lam_S]], C = -z^T P_u D b_S^T (``_start``).  The
-    Lyapunov equation T Y + Y T^T = F, F = -Z^T (Q + K0^T K0) Z, is then
-    solved by blocks: Y_SS = -F_SS / (lam_i + lam_j) elementwise, one
-    N x (2M - N) ``trsyl`` for Y_US against the diagonal -Lam_S, and one
-    N x N ``trsyl`` for Y_UU.  V^T Q V couples only the two eigenvectors of
-    one cosine mode, and K0^T K0 only the unstable ones, so F and the
-    back-transform X1 = V diag(z, I) Y diag(z, I)^T V^T are gathered through
-    the nonzeros of V, with no dense basis change.
+    T Y + Y T^T = F, F = -V^T (Q + K0^T K0) V, is solved by blocks:
+    Y_SS = -F_SS / (lam_i + lam_j) elementwise, column j of Y_US from
+    (A_u - lam_j I) y = (F_US - C Y_SS)_j, and Y_UU from the N^2 x N^2 system
+    (A_u (x) I + I (x) A_u) vec Y_UU = vec(F_UU - C Y_SU - Y_US C^T).
+    V^T Q V couples only the two eigenvectors of one cosine mode, and
+    K0^T K0 only the unstable ones, so F and X1 = V Y V^T are gathered
+    through cols.  The loop's margin is min(-max Re spec(A_u), lam_{N+1}).
     """
     n, N = len(lam), len(D)
     lam_s = lam[N:]
-    rows = _row_nonzeros(V)
-    cols, vals = rows
+    vals = np.take_along_axis(V, cols, axis=1)
     # Y starts as F and is overwritten by the solution; first -V^T Q V,
     # scattered from the outer product of each row's nonzeros
-    Y = np.zeros((n, n))
-    np.add.at(
-        Y,
-        (cols[:, :, None], cols[:, None, :]),
-        -Q_diag[:, None, None] * vals[:, :, None] * vals[:, None, :],
-    )
-    # with no unstable block the empty D, t and z make every block step below a no-op
-    PD, t, z = _start(lam[:N], D, -Y[:N, :N]) if N else (D, np.zeros((0, 0)), np.zeros((0, 0)))
-    margin = -float(np.max(np.concatenate([np.diag(t), -lam_s])))
+    Y, outer = np.zeros((n, n)), vals[:, :, None] * vals[:, None, :]
+    np.add.at(Y, (cols[:, :, None], cols[:, None, :]), -Q_diag[:, None, None] * outer)
+    PD = _care_hamiltonian(-np.diag(lam[:N]), D, -Y[:N, :N]) @ D
+    A_u = -(np.diag(lam[:N]) + PD @ D.T)
+    margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
         raise RiccatiError(f"iterate 0 lost the stabilizing property (margin {margin:.3e})")
-    C = -(z.T @ PD) @ (V[:, N:].T @ B).T
+    C = -PD @ (V[:, N:].T @ B).T
     Y[:N, :N] -= PD @ PD.T  # K0^T K0 in the eigenbasis
-    Y[:N] = z.T @ Y[:N]
-    Y[:, :N] = Y[:, :N] @ z
     Y[N:, N:] /= -(lam_s[:, None] + lam_s)
     Y[:N, N:] -= C @ Y[N:, N:]
-    # a diagonal is its own transpose: the F-ordered view spares LAPACK a copy
-    _trsyl(t, np.diag(-lam_s).T, Y[:N, N:])
+    eye = np.eye(N)
+    shifted = A_u - lam_s[:, None, None] * eye  # one N x N system per stable column
+    Y[:N, N:] = np.linalg.solve(shifted, Y[:N, N:].T[..., None])[..., 0].T
     Y[N:, :N] = Y[:N, N:].T
     update = C @ Y[N:, :N]
     Y[:N, :N] -= update + update.T
-    _trsyl(t, t, Y[:N, :N])
-    Y[:N] = z @ Y[:N]
-    Y[:, :N] = Y[:, :N] @ z.T
-    X = _congruence(rows, Y)
+    kron = np.kron(A_u, eye) + np.kron(eye, A_u)
+    Y[:N, :N] = np.linalg.solve(kron, Y[:N, :N].ravel()).reshape(N, N)
+    X = _congruence(cols, vals, Y)
     X += X.T
     X *= 0.5
     return X, margin
@@ -362,19 +326,21 @@ def _solve_care_core(
     Q_diag: np.ndarray,
     lam: np.ndarray,
     V: np.ndarray,
+    cols: np.ndarray,
     D: np.ndarray,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start.
 
-    (lam, V) are the orthonormal eigenpairs of A_op, ascending; the leading
-    N = len(D) must be stabilized, D = V_U^T B is their input matrix, and the
-    rest of the spectrum must be positive.  The start is the Hamiltonian LQR
+    (lam, V) are the orthonormal eigenpairs of A_op, ascending, and row r of
+    V is nonzero only in the columns cols[r].  The leading N = len(D) must be
+    stabilized, D = V_U^T B is their input matrix, and the rest of the
+    spectrum must be positive.  The start is the Hamiltonian LQR
     gain of that block; its step is formed in the eigenbasis, and later
     steps, if the probe residual asks for them, factor the dense closed loop.
     """
-    X, margin = _first_step(lam, V, B, D, Q_diag)
+    X, margin = _first_step(lam, V, cols, B, D, Q_diag)
     res = _probe_residual(
         X, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
     )
@@ -478,7 +444,7 @@ def solve_care(
     lam, V = plant.eigenvalues, plant.eigenvectors
 
     R, iterations, history = _solve_care_core(
-        A_op, B, Q_diag, lam, V, act.D_matrix, tol=tol, max_iters=max_iters
+        A_op, B, Q_diag, lam, V, plant.eigvec_cols, act.D_matrix, tol=tol, max_iters=max_iters
     )
 
     K = B.T @ R

@@ -246,7 +246,11 @@ def solve_care_dense(
     lam, V = np.linalg.eigh(A_op)
     if method == "newton":
         n_u = int(np.sum(lam <= 1e-10))  # eigh sorts ascending
-        return lqr._solve_care_core(A_op, B, Q_diag, lam, V, V[:, :n_u].T @ B, tol, max_iters)
+        # eigh's basis is dense: every row may be nonzero in every column
+        cols = np.tile(np.arange(len(lam)), (len(lam), 1))
+        return lqr._solve_care_core(
+            A_op, B, Q_diag, lam, V, cols, V[:, :n_u].T @ B, tol, max_iters
+        )
     if method == "integrate":
         R, steps = _integrated_R(B, Q_diag, lam, V)
         return R, steps, []

@@ -30,7 +30,7 @@ import pytest
 from phasestab.actuator import build_actuator, kalman_certificate, null_control
 from phasestab.cli import run_pipeline
 from phasestab.config import SimConfig, apply_override
-from phasestab.linearization import PhysicalParams, assemble_plant, g_field
+from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import (
     fit_exponential_rate,
@@ -302,7 +302,7 @@ def test_c08_remainder_equivalence(default_problem):
         if sup > 1.0:
             y = (1.0 / sup) * y
         phi = backgrounds[i % 2]
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         direct = remainder_G_direct(y, phi, g)
         expanded = remainder_G_expanded(y, phi, g)
         err = np.abs(direct.coeffs - expanded.coeffs).max() / (

@@ -262,6 +262,15 @@ class TestMainEntry:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "override", ["sim.t_end=nan", "sim.t_end=inf", "riccati.tol=nan", "params=3"]
+    )
+    def test_unusable_override_exit_two(self, tmp_path, override):
+        # a NaN passes every "x <= 0" test, an infinite t_end overflows the
+        # step count, and a string in place of a section breaks its readers
+        code = main(["simulate", "--set", override, "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+
     @pytest.mark.parametrize("source", ["config", "set"])
     def test_integrated_riccati_route_exit_two(self, tmp_path, capsys, source):
         if source == "config":

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 import phasestab
 from phasestab.actuator import build_actuator
-from phasestab.linearization import (
-    PhysicalParams,
-    assemble_plant,
-    g_field,
-    mean_F_second,
-)
+from phasestab.cli import build_materials
+from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
+
+from phasebench.workloads import config_for
 
 
 @pytest.fixture
@@ -62,19 +60,19 @@ class TestPhysicalParams:
 class TestLinearizationData:
     def test_mean_F_second_at_zero(self, basis):
         phi = ScalarField.constant(basis, 0.0)
-        assert mean_F_second(phi) == pytest.approx(-1.0, abs=1e-14)
+        assert F_second_parts(phi)[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_mean_F_second_at_one(self, basis):
         phi = ScalarField.constant(basis, 1.0)
-        assert mean_F_second(phi) == pytest.approx(2.0, rel=1e-14)
+        assert F_second_parts(phi)[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_mean_F_second_cosine(self, basis):
         phi = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
-        assert mean_F_second(phi) == pytest.approx(0.5, rel=1e-10)
+        assert F_second_parts(phi)[0] == pytest.approx(0.5, rel=1e-10)
 
     def test_g_vanishes_for_constant(self, basis):
         phi = ScalarField.constant(basis, 0.7)
-        assert np.abs(g_field(phi).coeffs).max() < 1e-14
+        assert np.abs(F_second_parts(phi)[1].coeffs).max() < 1e-14
 
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
@@ -82,18 +80,18 @@ class TestLinearizationData:
         basis = SpectralBasis(L=L, M=M)
         for which in (-1, 0, 1):
             state = stationary_constant(which, basis=basis)
-            assert np.all(g_field(state.phi_inf).coeffs == 0.0)
+            assert np.all(F_second_parts(state.phi_inf)[1].coeffs == 0.0)
 
     def test_g_cosine_identity(self, basis):
         phi = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         expected = 1.5 * np.cos(2 * np.pi * basis.nodes)
         assert np.abs(g.values - expected).max() < 1e-10
 
     def test_g_is_mean_free(self, basis):
         rng = np.random.default_rng(0)
         phi = ScalarField(basis, rng.standard_normal(basis.M) * np.exp(-0.3 * np.arange(basis.M)))
-        assert abs(g_field(phi).mean) < 1e-12
+        assert abs(F_second_parts(phi)[1].mean) < 1e-12
 
 
 class TestAssembledPlant:
@@ -271,3 +269,27 @@ class TestClosedFormConventions:
         assert (V[0, y_mode], V[M, y_mode]) == (1.0, 0.0)
         assert (V[0, z_mode], V[M, z_mode]) == (0.0, 1.0)
         assert z_mode == y_mode + 1
+
+
+def _assert_pattern_holds(plant):
+    """Every nonzero of the eigenvectors lies in its row's recorded columns, exactly."""
+    V, cols = plant.eigenvectors, plant.eigvec_cols
+    assert cols.shape == (plant.dim, 2)
+    rebuilt = np.zeros_like(V)
+    rows = np.arange(plant.dim)[:, None]
+    rebuilt[rows, cols] = np.take_along_axis(V, cols, axis=1)
+    assert np.array_equal(rebuilt, V)
+
+
+class TestEigenvectorPattern:
+    @pytest.mark.parametrize("M", [4, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    @pytest.mark.parametrize("which", [-1, 0, 1])
+    def test_constant_states(self, M, L, which):
+        basis = SpectralBasis(L=L, M=M)
+        plant = assemble_plant(PhysicalParams(), stationary_constant(which, basis=basis))
+        _assert_pattern_holds(plant)
+
+    def test_minimize_state(self):
+        # the rho_ensemble workload's state, from stationary.mode = minimize
+        _assert_pattern_holds(build_materials(config_for("rho_ensemble", 0)).plant)

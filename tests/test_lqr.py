@@ -245,11 +245,11 @@ def _materials(workload):
 
 
 def _start_gain(plant, act):
-    """(K0, (PD, t, z)): the start gain (P_u D)^T V_U^T and ``lqr._start``'s output."""
+    """(K0, P_u D): the start gain (P_u D)^T V_U^T from the unstable block's LQR solution."""
     N, V = act.N, plant.eigenvectors
     Q_u = V[:, :N].T @ np.diag(plant.state_weight_diagonal()) @ V[:, :N]
-    PD, t, z = lqr._start(plant.eigenvalues[:N], act.D_matrix, Q_u)
-    return PD.T @ V[:, :N].T, (PD, t, z)
+    PD = lqr._care_hamiltonian(-np.diag(plant.eigenvalues[:N]), act.D_matrix, Q_u) @ act.D_matrix
+    return PD.T @ V[:, :N].T, PD
 
 
 def _package_first_step(plant, act):
@@ -257,6 +257,7 @@ def _package_first_step(plant, act):
     X1, _ = lqr._first_step(
         plant.eigenvalues,
         plant.eigenvectors,
+        plant.eigvec_cols,
         act.B_matrix,
         act.D_matrix,
         plant.state_weight_diagonal(),
@@ -307,30 +308,31 @@ class TestNewtonSchur:
         self, monkeypatch, schur_shapes, problem
     ):
         _, plant, act = problem
-        calls = {"eigvals": 0}
-        eigvals = np.linalg.eigvals
+        eigvals_shapes, eigvals = [], np.linalg.eigvals
 
-        def counted_eigvals(*args, **kwargs):
-            calls["eigvals"] += 1
-            return eigvals(*args, **kwargs)
+        def recorded_eigvals(a, *args, **kwargs):
+            eigvals_shapes.append(np.shape(a))
+            return eigvals(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
         _, iterations, _ = lqr._solve_care_core(
             plant.operator_matrix(),
             act.B_matrix,
             plant.state_weight_diagonal(),
             plant.eigenvalues,
             plant.eigenvectors,
+            plant.eigvec_cols,
             act.D_matrix,
             tol=0.0,
             max_iters=3,
         )
         assert iterations == 3
-        # the first closed loop's Schur form is the N x N one of the unstable
-        # block; the later ones are dense
+        # the first step takes no Schur form, only the eigenvalues of its
+        # N x N unstable block for the margin; each later step takes one
+        # dense Schur form and no eigen-solve
         N, n = act.N, plant.dim
-        assert schur_shapes == [(N, N), (n, n), (n, n)]
-        assert calls == {"eigvals": 0}
+        assert schur_shapes == [(n, n), (n, n)]
+        assert eigvals_shapes == [(N, N)]
 
     def test_destabilizing_gain_rejected(self, problem):
         _, plant, act = problem
@@ -363,27 +365,18 @@ class TestFirstStep:
 
     @pytest.mark.parametrize("workload", ["default", "thin_interface"])
     def test_schur_pair_structure(self, workload):
-        # the Schur pair the first step solves with, T = [[t, C], [0, -Lam_S]]
-        # and Z = V diag(z, I), assembled densely from lqr._start's output
+        # the block triangular loop the first step solves with,
+        # T = [[A_u, C], [0, -Lam_S]], A_u = -(Lam_U + P_u D D^T) and
+        # C = -P_u D b_S^T, is the start gain's transposed loop in the eigenbasis
         m = _materials(workload)
         lam, V, B = m.plant.eigenvalues, m.plant.eigenvectors, m.act.B_matrix
-        N, n, eps = m.act.N, m.plant.dim, np.finfo(float).eps
-        K0, (PD, t, z) = _start_gain(m.plant, m.act)
+        N, eps = m.act.N, np.finfo(float).eps
+        K0, PD = _start_gain(m.plant, m.act)
         T = np.diag(-lam)
-        T[:N, :N] = t
-        T[:N, N:] = -(z.T @ PD) @ (V[:, N:].T @ B).T
-        Z = V.copy()
-        Z[:, :N] = V[:, :N] @ z
-        assert np.abs(Z.T @ Z - np.eye(n)).max() <= 64 * eps
+        T[:N, :N] = -(np.diag(lam[:N]) + PD @ m.act.D_matrix.T)
+        T[:N, N:] = -PD @ (V[:, N:].T @ B).T
         A_cl = -(m.plant.operator_matrix() + B @ K0)
-        assert np.linalg.norm(Z @ T @ Z.T - A_cl.T) <= 64 * eps * np.linalg.norm(A_cl)
-        # quasi-upper-triangular: nothing below the subdiagonal, no two
-        # adjacent subdiagonal entries, and each 2x2 block a complex pair
-        assert not np.tril(T, -2).any()
-        sub = np.flatnonzero(np.diag(T, -1))
-        assert np.all(np.diff(sub) > 1)
-        for i in sub:
-            assert np.iscomplex(np.linalg.eigvals(T[i : i + 2, i : i + 2])).all()
+        assert np.linalg.norm(V.T @ A_cl.T @ V - T) <= 64 * eps * np.linalg.norm(A_cl)
 
     def test_stable_only_plant_takes_no_dense_schur(self, schur_shapes):
         # the set-up of test_stable_only_plant_margin_positive: only the two
@@ -393,7 +386,13 @@ class TestFirstStep:
         plant = assemble_plant(params, stationary_constant(0, basis=basis))
         sol = solve_care(plant, build_actuator(plant))
         assert sol.iterations == 1
-        assert schur_shapes == [(2, 2)]
+        assert schur_shapes == []
+
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_workloads_take_no_schur(self, schur_shapes, workload):
+        m = _materials(workload)
+        assert solve_care(m.plant, m.act).iterations == 1
+        assert schur_shapes == []
 
     def test_no_unstable_modes_takes_no_schur(self, schur_shapes):
         # a stable operator and no actuation: the zero start gain is optimal,

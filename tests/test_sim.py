@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from phasestab.actuator import build_actuator
 from phasestab.cli import build_materials
 from phasestab.config import SimConfig
-from phasestab.linearization import PhysicalParams, assemble_plant, g_field
+from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import (
     BlowUpError,
@@ -61,7 +61,7 @@ class TestRemainderTerm:
     def test_constant_input_constant_background(self, world):
         basis, *_ = world
         phi = ScalarField.constant(basis, 1.0)
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         y = ScalarField.constant(basis, 0.25)
         out = remainder_G_direct(y, phi, g)
         assert np.abs(out.coeffs).max() < 1e-12
@@ -69,7 +69,7 @@ class TestRemainderTerm:
     def test_direct_vs_expanded_constant_background(self, world):
         basis, *_ = world
         phi = ScalarField.constant(basis, 1.0)
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         for seed in range(50):
             y = smooth_random_field(basis, seed)
             d = remainder_G_direct(y, phi, g)
@@ -83,7 +83,7 @@ class TestRemainderTerm:
         phi = ScalarField.from_values(
             basis, 0.4 * np.cos(np.pi * basis.nodes) + 0.2
         )
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         for seed in range(50):
             y = smooth_random_field(basis, seed + 100)
             d = remainder_G_direct(y, phi, g)
@@ -96,7 +96,7 @@ class TestRemainderTerm:
         # with constant phi_inf the g-dependent pieces drop out exactly
         basis, *_ = world
         phi = ScalarField.constant(basis, 0.8)
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         assert np.abs(g.coeffs).max() < 1e-14
         y = smooth_random_field(basis, 3)
         zero_g = remainder_G_direct(y, phi, ScalarField.zero(basis))
@@ -107,7 +107,7 @@ class TestRemainderTerm:
         # around phi_inf = 1 the 3 phi_inf y^2 term dominates: quadratic order
         basis, *_ = world
         phi = ScalarField.constant(basis, 1.0)
-        g = g_field(phi)
+        g = F_second_parts(phi)[1]
         e1 = ScalarField.from_values(basis, basis.basis_function(1, basis.nodes))
         norms = []
         for eps in (1e-2, 1e-3):
