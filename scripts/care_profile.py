@@ -22,6 +22,7 @@ them (iters - 1 of them).  So that their cost shows also where Newton stops
 after one step, one such dense step is timed apart, outside the total, on
 the converged closed loop A_cl = -(Op + B K):
 
+    dense       the package's dense step ``_dense_step`` on the gain K, whole
     schur       the real Schur form A_cl^T = Z T Z^T
     sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z,
                 rhs = -(Q + K^T K)
@@ -49,6 +50,7 @@ from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import (  # noqa: E402
     _PROBE_SAMPLES,
     _REPORT_SAMPLES,
+    _dense_step,
     _first_step,
     _lyapunov_schur,
     _margin,
@@ -57,7 +59,7 @@ from phasestab.lqr import (  # noqa: E402
 )
 
 PHASES = ("first", "margin", "probe", "rest", "total")
-DENSE_STEP = ("schur", "sylvester", "transforms")
+DENSE_STEP = ("dense", "schur", "sylvester", "transforms")
 
 
 def _ms_per_call(fn, repeats: int) -> float:
@@ -108,6 +110,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         "margin": _ms_per_call(lambda: _margin(lam, b, k), repeats),
         "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
         "total": _ms_per_call(solve, repeats),
+        "dense": _ms_per_call(lambda: _dense_step(A_op, B, Q_diag, K), repeats),
         "schur": _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats),
         "sylvester": _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
         "transforms": _ms_per_call(transforms, repeats),

@@ -410,7 +410,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            print(render_report(Path(args.run_dir)))
+            run_dir = Path(args.run_dir)
+            if not run_dir.is_dir():
+                print(f"error: no run directory {run_dir}", file=sys.stderr)
+                return 2
+            print(render_report(run_dir))
             return 0
         cfg = _load(args)
         if args.command == "stationary":

@@ -151,22 +151,30 @@ _SECTIONS = {
 }
 
 
-def _from_dict(data: dict) -> SimConfig:
-    kwargs = {}
-    known = {f.name for f in fields(SimConfig)}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+def _check(where: str, cls: type, items) -> None:
+    """Raise ConfigError unless items is a dict of cls's fields, each of its default's type.
+
+    A float field accepts an int; a bool is not an int.
+    """
+    if not isinstance(items, dict):
+        raise ConfigError(f"{where} must be an object, got {items!r}")
+    known = {f.name: f for f in fields(cls)}
+    bad = set(items) - set(known)
+    if bad:
+        raise ConfigError(f"unknown keys in {where}: {sorted(bad)}")
+    for key, value in items.items():
         if key in _SECTIONS:
-            section_cls = _SECTIONS[key]
-            section_known = {f.name for f in fields(section_cls)}
-            bad = set(value) - section_known
-            if bad:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
-            kwargs[key] = section_cls(**value)
-        else:
-            kwargs[key] = value
-    return SimConfig(**kwargs)
+            _check(key, _SECTIONS[key], value)
+            continue
+        expected = type(known[key].default)
+        allowed = (int, float) if expected is float else expected
+        if isinstance(value, bool) != (expected is bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{where}.{key} must be {expected.__name__}, got {value!r}")
+
+
+def _from_dict(data: dict) -> SimConfig:
+    _check("config", SimConfig, data)
+    return SimConfig(**{k: _SECTIONS[k](**v) if k in _SECTIONS else v for k, v in data.items()})
 
 
 def load_config(path: str | Path | None = None, data: dict | None = None) -> SimConfig:

@@ -14,11 +14,12 @@ standard CARE for A = -Op, and the quadratic-form identity
 
 is the residual we certify.
 
-The solve is Newton-Kleinman iteration, initialized by a small
-Hamiltonian-eigenvector LQR solve on the unstable block (stabilizing because
-the complement is open-loop stable).  That block is the actuator's
-eigenpairs ``lambdas``/``modes`` with their input matrix ``D_matrix``, so
-which modes count as unstable is decided once, in ``linearization``.
+The solve is Newton-Kleinman iteration (Kleinman, IEEE TAC 13, 1968),
+initialized by a small Hamiltonian-eigenvector LQR solve on the unstable
+block (stabilizing because the complement is open-loop stable).  That block
+is the actuator's eigenpairs ``lambdas``/``modes`` with their input matrix
+``D_matrix``, so which modes count as unstable is decided once, in
+``linearization``.
 
 Newton stops after its first step on the default config and on every
 benchmark workload.  That step (``_first_step``) and the closed-loop margin
@@ -37,11 +38,12 @@ eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
 ``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
 to first order (to 3e-15 relative on the workloads).
 
-Newton steps after the first (when the probe residual has not met the
-tolerance) take one dense real Schur form of the closed loop each; it serves
-both the stabilizing check and the Lyapunov solve, which is a recursive
-blocked Bartels-Stewart solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with
-LAPACK ``trsyl`` at the leaves.
+Each later step (``_dense_step``, when the probe residual has not met the
+tolerance) takes one dense real Schur form of the closed loop; it serves
+both the stabilizing check and a recursive blocked Bartels-Stewart Lyapunov
+solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the
+leaves.  It is the package's only SciPy user and imports ``scipy.linalg``
+when it runs.
 
 Both eigenbasis routes assume that Op is self-adjoint with the closed-form
 eigenpairs, which holds because ``linearization`` keeps only the
@@ -54,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .actuator import Actuator
 from .linearization import LinearizedPlant
@@ -136,13 +137,14 @@ def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray
     return 0.5 * (P + P.T)
 
 
-_TRSYL = scipy.linalg.get_lapack_funcs("trsyl", dtype=np.float64)
 _LEAF = 48  # blocks up to this size go to LAPACK's unblocked trsyl
 
 
 def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
     """Overwrite C with Y solving A Y + Y B^T = C (A, B upper quasi-triangular)."""
-    Y, scale, info = _TRSYL(A, B, C, tranb="T")
+    import scipy.linalg
+
+    Y, scale, info = scipy.linalg.lapack.dtrsyl(A, B, C, tranb="T")
     if info < 0:
         raise RiccatiError(f"trsyl rejected its argument {-info}")
     if info == 1:
@@ -255,7 +257,7 @@ def _first_step(
     A_u = -(np.diag(lam[:N]) + PD @ D.T)
     margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
-        raise RiccatiError(f"iterate 0 lost the stabilizing property (margin {margin:.3e})")
+        raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
     C = -PD @ (V[:, N:].T @ B).T
     Y[:N, :N] -= PD @ PD.T  # K0^T K0 in the eigenbasis
     Y[N:, N:] /= -(lam_s[:, None] + lam_s)
@@ -274,50 +276,27 @@ def _first_step(
     return X, margin
 
 
-def _newton_kleinman(
-    A: np.ndarray,
-    B: np.ndarray,
-    Q_diag: np.ndarray,
-    K0: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, list[dict]]:
-    """Kleinman iteration from the stabilizing gain K0, each closed loop factored densely.
+def _dense_step(
+    A_op: np.ndarray, B: np.ndarray, Q_diag: np.ndarray, K: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The Newton-Kleinman iterate X from the gain K, and the margin of K's loop.
 
-    Each iteration takes one real Schur form of the closed loop, then solves
-    its Lyapunov equation and sets K = B^T X.
+    One real Schur form of the dense closed loop A_cl = -(Op + B K) serves
+    both the stabilizing check and the Lyapunov solve
+    A_cl^T X + X A_cl = -(Q + K^T K).
     """
-    Q = np.diag(Q_diag)
-    K = K0
-    history: list[dict] = []
-    X = None
-    for it in range(max_iters):
-        # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real
-        # part on both diagonal entries
-        T, Z = scipy.linalg.schur((A - B @ K).T, output="real")
-        margin = -float(np.max(np.diag(T)))
-        if margin <= 0.0:
-            raise RiccatiError(
-                f"iterate {it} lost the stabilizing property (margin {margin:.3e})",
-                history,
-            )
-        # A_cl^T X + X A_cl = -(Q + K^T K) becomes T Y + Y T^T = Z^T rhs Z
-        Y = Z.T @ (-(Q + K.T @ K)) @ Z
-        try:
-            _lyapunov_schur(T, Y)
-        except RiccatiError as exc:
-            raise RiccatiError(f"Lyapunov solve failed at iterate {it}: {exc}", history) from exc
-        X = Z @ Y @ Z.T
-        X = 0.5 * (X + X.T)
-        K = B.T @ X
-        # identical probe set every iteration so residuals are comparable
-        res = _probe_residual(
-            X, -A, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
-        )
-        history.append({"margin": margin, "residual": res})
-        if res <= tol:
-            return X, history
-    return X, history
+    import scipy.linalg  # loaded only by runs that need a step after the first
+
+    # A_cl^T = Z T Z^T; a complex pair's 2x2 block carries its real part on
+    # both diagonal entries
+    T, Z = scipy.linalg.schur((-A_op - B @ K).T, output="real")
+    margin = -float(np.max(np.diag(T)))
+    if margin <= 0.0:
+        raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
+    Y = Z.T @ (-(np.diag(Q_diag) + K.T @ K)) @ Z
+    _lyapunov_schur(T, Y)
+    X = Z @ Y @ Z.T
+    return 0.5 * (X + X.T), margin
 
 
 def _solve_care_core(
@@ -331,27 +310,32 @@ def _solve_care_core(
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
-    """Newton-Kleinman from a stabilizing start.
+    """Newton-Kleinman from a stabilizing start, until the probe residual meets tol.
 
     (lam, V) are the orthonormal eigenpairs of A_op, ascending, and row r of
     V is nonzero only in the columns cols[r].  The leading N = len(D) must be
     stabilized, D = V_U^T B is their input matrix, and the rest of the
-    spectrum must be positive.  The start is the Hamiltonian LQR
-    gain of that block; its step is formed in the eigenbasis, and later
-    steps, if the probe residual asks for them, factor the dense closed loop.
+    spectrum must be positive.  Iterate 0 starts from the Hamiltonian LQR
+    gain of that block and is formed in the eigenbasis (``_first_step``);
+    each later iterate factors the dense closed loop of the previous one's
+    gain (``_dense_step``), for at most max(max_iters, 1) iterates.
     """
-    X, margin = _first_step(lam, V, cols, B, D, Q_diag)
-    res = _probe_residual(
-        X, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
-    )
-    history = [{"margin": margin, "residual": res}]
-    if res > tol and max_iters > 1:
+    history: list[dict] = []
+    for it in range(max(max_iters, 1)):
         try:
-            X, later = _newton_kleinman(-A_op, B, Q_diag, B.T @ X, tol, max_iters - 1)
+            if it == 0:
+                X, margin = _first_step(lam, V, cols, B, D, Q_diag)
+            else:
+                X, margin = _dense_step(A_op, B, Q_diag, B.T @ X)
         except RiccatiError as exc:
-            # the dense iteration counts its iterates from the first step's gain
-            raise RiccatiError(f"after the first step: {exc}", history + exc.history) from exc
-        history += later
+            raise RiccatiError(f"iterate {it}: {exc}", history) from exc
+        # identical probe set every iteration so residuals are comparable
+        res = _probe_residual(
+            X, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+        )
+        history.append({"margin": margin, "residual": res})
+        if res <= tol:
+            break
     return X, len(history), history
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
+    PAD_FACTOR,
     ScalarField,
     SpectralBasis,
     _cosine_matrix,
@@ -91,17 +92,19 @@ def stationary_residual(phi: ScalarField, nu: float, C: float) -> float:
 
 
 def upsilon(phi: ScalarField, nu: float, C: float) -> float:
-    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx by exact quadrature.
+    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx, exactly.
 
-    The integrand is evaluated on the padded grid, where midpoint quadrature
-    integrates the quartic of a band-limited field exactly.
+    The gradient term is nu/2 sum kappa_k c_k^2 by Parseval, since the
+    derivatives e_k' are orthogonal with squared norms kappa_k.  The rest is
+    the midpoint rule on the P = 2M dealiasing grid, which integrates
+    cos(k pi x / L) exactly for k < 2P, so also the quartic of a band-limited
+    field, whose wavenumbers stay below 4M.
     """
     basis = phi.basis
-    P = 4 * basis.M
+    P = PAD_FACTOR * basis.M
     v = _values_on_grid(basis, phi.coeffs, P)
-    g = gradient_values(phi, P)
-    integrand = 0.5 * nu * g * g + 0.25 * (v * v - 1.0) ** 2 + C * v
-    return float(integrand.sum() * basis.L / P)
+    well = 0.25 * (v * v - 1.0) ** 2 + C * v
+    return float(0.5 * nu * (basis.kappa @ phi.coeffs**2) + well.sum() * basis.L / P)
 
 
 def stationary_constant(

@@ -271,6 +271,28 @@ class TestMainEntry:
         code = main(["simulate", "--set", override, "--output-dir", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("stationary", {"params": 3}),
+            ("stationary", {"basis": {"M": 64.0}}),
+            ("stationary", {"sim": {"record_every": True}}),
+            ("stationary", {"sim": {"t_end": "x"}}),
+            ("stationary", {"sim": {"closed_loop": 1}}),
+            ("simulate", {"seed": "abc"}),
+        ],
+    )
+    def test_mistyped_config_file_exit_two(self, tmp_path, capsys, command, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 1, **data}))
+        code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_int_in_float_field_loads(self):
+        cfg = load_config(data={"params": {"nu": 1}, "sim": {"t_end": 5}})
+        assert cfg.params.nu == 1 and cfg.sim.t_end == 5
+
     @pytest.mark.parametrize("source", ["config", "set"])
     def test_integrated_riccati_route_exit_two(self, tmp_path, capsys, source):
         if source == "config":
@@ -368,6 +390,16 @@ class TestReport:
         table = render_report(out)
         riccati_row = [l for l in table.splitlines() if l.startswith("riccati_residual")]
         assert riccati_row and "absent" in riccati_row[0]
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_report_on_no_run_dir_exit_two(self, tmp_path, capsys, kind):
+        target = tmp_path / "run"
+        if kind == "file":
+            target.write_text("")
+        assert main(["report", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(target) in captured.err
 
     def test_decay_dat_holds_trajectory_columns_as_plain_numbers(self, tmp_path):
         cfg = fast_config(tmp_path / "run")

@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from phasestab import lqr
 from phasestab.actuator import apply_B, apply_B_star, build_actuator
 from phasestab.cli import build_materials
+from phasestab.config import SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant
 from phasestab.lqr import RiccatiError, solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
@@ -225,6 +230,31 @@ def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
     return X, history
 
 
+def _schur_newton_kleinman(A_op, B, Q_diag, K, iterations):
+    """Kleinman steps from the gain K, each closed loop factored by one real Schur form."""
+    Q = np.diag(Q_diag)
+    for _ in range(iterations):
+        T, Z = scipy.linalg.schur((-A_op - B @ K).T, output="real")
+        assert np.max(np.diag(T)) < 0
+        Y = Z.T @ (-(Q + K.T @ K)) @ Z
+        lqr._lyapunov_schur(T, Y)
+        X = Z @ Y @ Z.T
+        X = 0.5 * (X + X.T)
+        K = B.T @ X
+    return X
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Stripped stdout of code run by a new interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.strip()
+
+
 @pytest.fixture
 def schur_shapes(monkeypatch):
     """Shapes of the matrices handed to scipy.linalg.schur, in call order."""
@@ -338,9 +368,8 @@ class TestNewtonSchur:
         _, plant, act = problem
         B = act.B_matrix
         with pytest.raises(RiccatiError, match="lost the stabilizing property"):
-            lqr._newton_kleinman(
-                -plant.operator_matrix(), B, plant.state_weight_diagonal(),
-                K0=-10.0 * B.T, tol=1e-9, max_iters=5,
+            lqr._dense_step(
+                plant.operator_matrix(), B, plant.state_weight_diagonal(), -10.0 * B.T
             )
 
     @pytest.mark.parametrize("re", [0.1, 0.0])
@@ -348,9 +377,69 @@ class TestNewtonSchur:
         # the real part of a complex pair sits on its 2x2 block's diagonal
         A = np.array([[re, 1.0, 0.0], [-1.0, re, 0.0], [0.0, 0.0, -1.0]])
         with pytest.raises(RiccatiError, match="lost the stabilizing property"):
-            lqr._newton_kleinman(
-                A, np.zeros((3, 1)), np.ones(3), K0=np.zeros((1, 3)), tol=1e-9, max_iters=5
+            lqr._dense_step(-A, np.zeros((3, 1)), np.ones(3), np.zeros((1, 3)))
+
+    def test_step_failure_names_iterate_and_carries_history(self, monkeypatch, problem):
+        _, plant, act = problem
+
+        def failing_step(*args):
+            raise RiccatiError("the closed loop lost the stabilizing property")
+
+        monkeypatch.setattr(lqr, "_dense_step", failing_step)
+        with pytest.raises(RiccatiError, match="^iterate 1: the closed loop") as info:
+            lqr._solve_care_core(
+                plant.operator_matrix(),
+                act.B_matrix,
+                plant.state_weight_diagonal(),
+                plant.eigenvalues,
+                plant.eigenvectors,
+                plant.eigvec_cols,
+                act.D_matrix,
+                tol=0.0,
+                max_iters=3,
             )
+        # the first step's probe entry, and nothing of the failed iterate
+        assert len(info.value.history) == 1
+
+    def test_later_steps_match_schur_newton_kleinman(self):
+        # at M = 16 the probe asks for two dense steps; the one loop gives the
+        # R of a separate Kleinman loop from the first step's gain, bit for bit
+        cfg = SimConfig()
+        cfg.basis.M = 16
+        m = build_materials(cfg.validate())
+        A_op, B = m.plant.operator_matrix(), m.act.B_matrix
+        Q_diag = m.plant.state_weight_diagonal()
+        sol = solve_care(m.plant, m.act)
+        assert sol.iterations == 3
+        X1 = _package_first_step(m.plant, m.act)
+        R_ref = _schur_newton_kleinman(A_op, B, Q_diag, B.T @ X1, iterations=2)
+        assert np.array_equal(sol.R_matrix, R_ref)
+
+    def test_default_run_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # Newton stops after its eigenbasis first step, so a whole default run
+        # (materials, synthesis, a short simulation) never imports SciPy's linalg
+        code = (
+            "import sys, phasestab\n"
+            "from phasestab.cli import main\n"
+            f"assert main(['simulate', '--set', 'sim.t_end=0.5', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        # main prints the fitted rate first
+        assert _fresh_interpreter(code).splitlines()[-1] == "False"
+
+    def test_later_step_loads_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "from phasestab.cli import build_materials\n"
+            "from phasestab.config import SimConfig\n"
+            "from phasestab.lqr import solve_care\n"
+            "cfg = SimConfig()\n"
+            "cfg.basis.M = 16\n"
+            "m = build_materials(cfg.validate())\n"
+            "loaded = 'scipy.linalg' in sys.modules\n"
+            "print(loaded, solve_care(m.plant, m.act).iterations, 'scipy.linalg' in sys.modules)\n"
+        )
+        assert _fresh_interpreter(code) == "False 3 True"
 
 
 class TestFirstStep:

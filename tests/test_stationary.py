@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasestab.spectral import ScalarField, SpectralBasis, gradient_values
+from phasestab import stationary
+from phasestab.cli import build_materials
+from phasestab.lqr import solve_care
+from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid, gradient_values
 from phasestab.stationary import (
     StationaryConvergenceError,
     StationaryState,
@@ -14,6 +17,8 @@ from phasestab.stationary import (
     stationary_residual,
     upsilon,
 )
+
+from phasebench.workloads import config_for
 
 
 @pytest.fixture
@@ -88,6 +93,16 @@ class TestMinimize:
         assert info.value.last_residual > 0
 
 
+def _upsilon_on_4m_grid(phi, nu, C):
+    """The energy's whole integrand, gradient included, by the midpoint rule on 4M points."""
+    basis = phi.basis
+    P = 4 * basis.M
+    v = _values_on_grid(basis, phi.coeffs, P)
+    g = gradient_values(phi, P)
+    integrand = 0.5 * nu * g * g + 0.25 * (v * v - 1.0) ** 2 + C * v
+    return float(integrand.sum() * basis.L / P)
+
+
 class TestUpsilon:
     def test_constant_one_has_zero_potential(self, basis):
         phi = ScalarField.constant(basis, 1.0)
@@ -104,6 +119,28 @@ class TestUpsilon:
         phi = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
         val = upsilon(phi, nu=2.0, C=0.0) - upsilon(phi, nu=0.0, C=0.0)
         assert val == pytest.approx(np.pi**2 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_matches_4m_grid(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        rng = np.random.default_rng(M)
+        coeffs = rng.standard_normal(M) / (1.0 + np.arange(M))
+        phi = ScalarField(basis, coeffs)
+        for nu, C in [(0.1, 0.0), (0.02, 0.3)]:
+            assert upsilon(phi, nu, C) == pytest.approx(_upsilon_on_4m_grid(phi, nu, C), rel=1e-13)
+
+    def test_rho_ensemble_state_and_margin(self, monkeypatch):
+        # the gradient flow accepts steps by the energy; its minimizer and the
+        # gain's margin stay where the 4M-grid energy puts them
+        cfg = config_for("rho_ensemble", 0)
+        m = build_materials(cfg)
+        monkeypatch.setattr(stationary, "upsilon", _upsilon_on_4m_grid)
+        ref = build_materials(cfg)
+        phi, phi_ref = m.stat.phi_inf.coeffs, ref.stat.phi_inf.coeffs
+        assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        margin, margin_ref = (solve_care(x.plant, x.act).margin for x in (m, ref))
+        assert margin == pytest.approx(margin_ref, rel=1e-12)
 
 
 def synthetic_state(basis, values, theta=0.0):
