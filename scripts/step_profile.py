@@ -16,7 +16,10 @@ dt is then timed with ``time.perf_counter`` on the run's final state:
     step        one whole stepper step: the three phases plus forming the
                 right-hand side r from the current and previous states
     recording   one recorded row: simulate at record_every = 1 minus simulate
-                recording only the first and last rows, per step
+                recording only the first and last rows, per step.  simulate
+                fills its norms in passes over blocks of 256 rows, so this
+                figure spans whole blocks: the default 2000 steps give 2001
+                rows, 8 blocks
     simulate    simulate at record_every = 1, per step
 
 Every figure is in microseconds per step, the median of --repeats timed

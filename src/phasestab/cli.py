@@ -31,9 +31,12 @@ from .actuator import (
     null_control,
 )
 from .config import ConfigError, SimConfig, apply_override, load_config, save_config
-from .io import (
+# read_trajectory_csv is unused here, but phasebench's tracer wraps it by
+# name in this module's namespace
+from .io import (  # noqa: F401
     read_json,
     read_trajectory_csv,
+    write_columns_dat,
     write_field_collocation_csv,
     write_field_modal_csv,
     write_json,
@@ -345,10 +348,9 @@ def render_report(run_dir: Path) -> str:
 
     traj_path = run_dir / "trajectory.csv"
     if traj_path.exists():
-        data = read_trajectory_csv(traj_path)
-        columns = ("t", "xi_norm", "h_norm", "physical_norm")
-        header = "# " + " ".join(columns)
-        write_table(run_dir / "decay.dat", header, [data[name] for name in columns], sep=" ")
+        write_columns_dat(
+            traj_path, run_dir / "decay.dat", ("t", "xi_norm", "h_norm", "physical_norm")
+        )
 
     width = max(len(name) for name, _ in rows) if rows else 0
     table = "\n".join(f"{name:<{width}}  {val}" for name, val in rows)

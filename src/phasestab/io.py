@@ -2,6 +2,8 @@
 
 Every table goes through ``write_table``, which writes floats with repr
 (shortest round-trip form), so identical runs produce byte-identical files.
+``write_columns_dat`` copies columns of such a table as text, which gives
+the bytes that parsing and rewriting them would.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "write_field_collocation_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
+    "write_columns_dat",
     "write_json",
     "read_json",
 ]
@@ -67,6 +70,20 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return {name: data[:, j] for j, name in enumerate(names)}
+
+
+def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None:
+    """Gnuplot .dat of the named columns of a CSV table, header ``# name ...``.
+
+    The fields are copied as text: ``write_table`` already wrote them as
+    shortest round-trip reprs, so parsing them would give them back unchanged.
+    """
+    lines = Path(csv_path).read_text().splitlines()
+    header = lines[0].split(",")
+    picks = [header.index(name) for name in names]
+    rows = (line.split(",") for line in lines[1:])
+    body = [" ".join(fields[j] for j in picks) for fields in rows]
+    Path(dat_path).write_text("\n".join(["# " + " ".join(names), *body]) + "\n")
 
 
 def _jsonable(value):

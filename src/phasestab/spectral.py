@@ -30,7 +30,6 @@ products of band-limited fields alias-free in the retained M modes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,16 +199,21 @@ def apply_A_power(f: ScalarField, alpha: float) -> ScalarField:
 
 def norm_D_alpha(f: ScalarField, alpha: float) -> float:
     """Graph norm ||A^alpha f||_{L^2} = sqrt(sum mu_k^{2 alpha} c_k^2)."""
-    return _weighted_norm(f.basis.mu ** (2.0 * alpha), f.coeffs)
+    return float(_weighted_norm(f.basis.mu ** (2.0 * alpha), f.coeffs))
 
 
-def _weighted_norm(weights: np.ndarray, coeffs: np.ndarray) -> float:
-    """sqrt(sum w_k c_k^2) of raw coefficients; weights mu_k^{2 alpha} give norm_D_alpha.
+def _weighted_norm(weights, coeffs: np.ndarray):
+    """sqrt(sum_k w_k c_k^2) over the last axis of coeffs, one value per row.
 
+    Weights mu_k^{2 alpha} give norm_D_alpha; a 1-D coeffs gives a scalar.
     The decay norm, ``norm_D_alpha`` and the physical-variable norm all go
     through this one function, so they agree bit for bit on equal weights.
+    A stack of (1 x M) @ (M x 1) products is one dot product per row, so a
+    row's value does not depend on how many rows are stacked with it and
+    equals the 1-D ``c @ (w * c)``; ``simulate`` relies on that to record
+    its norms in blocks.
     """
-    return math.sqrt(coeffs @ (weights * coeffs))
+    return np.sqrt((coeffs[..., None, :] @ (weights * coeffs)[..., None])[..., 0, 0])
 
 
 def laplacian(f: ScalarField) -> ScalarField:

@@ -16,7 +16,7 @@ from phasestab.config import (
     load_config,
     save_config,
 )
-from phasestab.io import read_json, read_trajectory_csv
+from phasestab.io import read_json, read_trajectory_csv, write_table
 
 import oracles
 
@@ -413,6 +413,19 @@ class TestReport:
         )
         assert decay.shape == expected.shape
         assert np.array_equal(decay, expected)
+
+    def test_decay_dat_bytes_match_numeric_route(self, tmp_path):
+        # decay.dat copies the CSV fields as text; parsing them and writing
+        # the floats back must give the same bytes
+        cfg = fast_config(tmp_path / "run")
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        render_report(out)
+        data = read_trajectory_csv(out / "trajectory.csv")
+        columns = ("t", "xi_norm", "h_norm", "physical_norm")
+        numeric = tmp_path / "numeric.dat"
+        write_table(numeric, "# " + " ".join(columns), [data[name] for name in columns], sep=" ")
+        assert (out / "decay.dat").read_bytes() == numeric.read_bytes()
 
     def test_decay_data_monotone_after_transient(self, tmp_path):
         cfg = fast_config(tmp_path / "run", **{"sim.t_end": "8.0"})

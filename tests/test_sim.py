@@ -13,10 +13,13 @@ from phasestab.config import SimConfig
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import (
+    _RECORD_BLOCK,
+    NORM_FLOOR,
     BlowUpError,
     ImplicitSolveError,
     StateYZ,
     _decay_norm,
+    _PhysicalMap,
     _remainder_coeffs,
     _Stepper,
     fit_exponential_rate,
@@ -42,6 +45,33 @@ def world():
     act = build_actuator(plant)
     sol = solve_care(plant, act)
     return basis, params, state, plant, act, sol
+
+
+def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_every, factor):
+    """(t, decay norm) of the first recorded step past simulate's blow-up bound.
+
+    Steps the stepper one step at a time and takes each recorded state's norm
+    as the sum of its two graph norms; None when no step crosses.
+    """
+    basis = plant.basis
+    M = basis.M
+
+    def norm(x):
+        return norm_D_alpha(ScalarField(basis, x[:M]), 0.5) + norm_D_alpha(
+            ScalarField(basis, x[M:]), 0.25
+        )
+
+    stepper = _Stepper(plant, dt, sol, act, nonlinear, "imex2")
+    x = np.concatenate([y0.coeffs, z0.coeffs])
+    bound = factor * max(norm(x), NORM_FLOOR)
+    n_steps = int(round(t_end / dt))
+    for step_idx in range(1, n_steps + 1):
+        x, _ = stepper.step(x)
+        if step_idx % record_every == 0 or step_idx == n_steps:
+            xi = norm(x)
+            if not np.isfinite(xi) or xi > bound:
+                return step_idx * dt, xi
+    return None
 
 
 def smooth_random_field(basis, seed, amplitude=1.0):
@@ -434,20 +464,58 @@ class TestSimulate:
                 stat=state, record_every=record_every,
             )
         assert not np.isfinite(info.value.norm)
+        with np.errstate(all="ignore"):
+            t, norm = first_guard_crossing(
+                plant, y0, z0, 1e-3, 2.0, sol, act, True, record_every, 1e6
+            )
+        assert info.value.t == t
+        np.testing.assert_equal(info.value.norm, norm)
 
-    @pytest.mark.parametrize("every", [1, 3, 7])
-    def test_sparse_recording_matches_every_step(self, world, every):
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_blowup_guard_reports_first_row_past_bound_inside_a_block(self, world, record_every):
+        # the guard runs once per block of recorded rows; it must still name
+        # the first row past the bound, here a finite overshoot mid-block
+        basis, _, state, plant, _, _ = world
+        v1 = plant.eigenvectors[:, 0]
+        y0 = ScalarField(basis, 1e-3 * v1[:64])
+        z0 = ScalarField(basis, 1e-3 * v1[64:])
+        dt, t_end, factor = 0.05, 50.0, 10.0
+        with pytest.raises(BlowUpError) as info:
+            simulate(
+                plant, y0, z0, dt=dt, t_end=t_end, nonlinear=False, stat=state,
+                record_every=record_every, blowup_factor=factor,
+            )
+        t, norm = first_guard_crossing(
+            plant, y0, z0, dt, t_end, None, None, False, record_every, factor
+        )
+        assert info.value.t == t
+        assert info.value.norm == norm
+        row = round(t / dt) // record_every
+        assert row % _RECORD_BLOCK not in (0, _RECORD_BLOCK - 1)
+
+    # 700 steps give the full run 701 rows, three blocks of recorded rows, so
+    # a row must get the same values at any place in a block
+    @pytest.mark.parametrize(
+        "every, n_steps",
+        [
+            pytest.param(1, 50, id="1"),
+            pytest.param(3, 50, id="3"),
+            pytest.param(7, 50, id="7"),
+            pytest.param(2, 700, id="2-700"),
+            pytest.param(3, 700, id="3-700"),
+        ],
+    )
+    def test_sparse_recording_matches_every_step(self, world, every, n_steps):
         basis, params, state, plant, act, sol = world
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
 
         def run(record_every):
             return simulate(
-                plant, y0, z0, dt=1e-3, t_end=0.05, sol=sol, act=act,
+                plant, y0, z0, dt=1e-3, t_end=n_steps * 1e-3, sol=sol, act=act,
                 stat=state, record_every=record_every,
             )
 
         full, sparse = run(1), run(every)
-        n_steps = 50
         rows = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
         assert len(sparse.times) == n_steps // every + 1 + (n_steps % every != 0)
         assert len(sparse.times) == len(rows)
@@ -544,6 +612,23 @@ class TestPhysicalMap:
         x = rng.standard_normal(2 * M) * np.tile(basis.mu, 2) ** -smoothness
         y, z = ScalarField(basis, x[:M]), ScalarField(basis, x[M:])
         assert norm_D_alpha(y, 0.5) + norm_D_alpha(z, 0.25) == _decay_norm(basis, x)
+
+    @pytest.mark.parametrize("M", [32, 256])
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
+    def test_row_norms_independent_of_stack_height(self, M, k):
+        # simulate evaluates its recorded norms on blocks of rows: each row of
+        # a k-row stack must get the bits of the one-row call
+        basis = SpectralBasis(L=1.0, M=M)
+        params = PhysicalParams(nu=0.2, l0=2.0, gamma0=0.5)
+        phys = _PhysicalMap(stationary_constant(+1, theta=0.3, basis=basis), params)
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((k, 2 * M)) * np.tile(basis.mu, 2) ** -1.0
+        y, z = x[:, :M], x[:, M:]
+        xi, dev = _decay_norm(basis, x), phys.deviation_norm(y, z)
+        assert xi.shape == dev.shape == (k,)
+        for i in range(k):
+            assert xi[i] == _decay_norm(basis, x[i])
+            assert dev[i] == phys.deviation_norm(y[i], z[i])
 
     def test_zero_deviation_norm(self, nontrivial):
         basis, params, state = nontrivial
