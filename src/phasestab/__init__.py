@@ -11,8 +11,6 @@ from .actuator import (
     Actuator,
     GramianConditionError,
     NullControlPlan,
-    apply_B,
-    apply_B_star,
     build_actuator,
     bump_weight,
     kalman_certificate,
@@ -35,22 +33,13 @@ from .sim import (
     ImplicitSolveError,
     StateYZ,
     TrajectoryRecord,
-    from_physical,
-    remainder_G_direct,
     simulate,
-    physical_deviation_norm,
-    to_physical,
 )
 from .spectral import (
     ScalarField,
     SpectralBasis,
-    apply_A_power,
-    gradient_squared,
     laplacian,
-    norm_D_alpha,
     pointwise_product,
-    transform_forward,
-    transform_inverse,
 )
 from .stationary import (
     StationaryState,

@@ -21,13 +21,12 @@ xi_i' + lambda_i xi_i = sum_j d_ij W_j.  Its smallest eigenvalue certifies
 controllability; the minimum-energy open-loop control that nulls xi(T0) is
 built from the finite-horizon Gramian of that small ODE system.
 
-All quadratures and products live on the M collocation nodes with the exact
-node values of w, which makes B and B* exact discrete adjoints.  The nodal
-form ``apply_B`` is identically zero at every node outside omega; the
-closed-loop stepper applies the same map as the modal matrix ``B_matrix``,
-whose columns are the transforms of those node values.  D is the unstable
-block ``modes.T @ B_matrix`` of that one map; the midpoint rule is exact on
-the retained modes, so it is the Gram matrix above, symmetric to rounding.
+The input map has one representation, the modal matrix ``B_matrix``: its
+columns are the transforms of the node values w phi_i and w psi_i, formed
+with the exact node values of w, so B W vanishes at every node outside
+omega and B* is ``B_matrix.T``.  D is the unstable block
+``modes.T @ B_matrix`` of that one map; the midpoint rule is exact on the
+retained modes, so it is the Gram matrix above, symmetric to rounding.
 
 The null control's steering error is the quadrature residual of the
 variation-of-constants formula on the plan's own Gauss nodes, which does not
@@ -51,8 +50,6 @@ __all__ = [
     "GramianConditionError",
     "bump_weight",
     "build_actuator",
-    "apply_B",
-    "apply_B_star",
     "kalman_certificate",
     "null_control",
 ]
@@ -84,12 +81,9 @@ class Actuator:
     """Bump weight, unstable eigenpairs and the realized B / B* / D matrices."""
 
     omega: tuple[float, float]
-    omega0: tuple[float, float]
     weight: ScalarField
     lambdas: np.ndarray  # (N,) unstable eigenvalues, ascending
     modes: np.ndarray  # (2M, N) unstable eigenvectors, modal coordinates
-    phi_values: np.ndarray  # (M, N) y components at the nodes
-    psi_values: np.ndarray  # (M, N) z components at the nodes
     D_matrix: np.ndarray  # (N, N) = modes.T @ B_matrix
     B_matrix: np.ndarray  # (2M, N)
     basis: SpectralBasis
@@ -112,51 +106,24 @@ def build_actuator(
     modes = plant.eigenvectors[:, :N].copy()
     lambdas = plant.eigenvalues[:N].copy()
 
-    phi_values = _values_on_grid(basis, modes[:M], M)
-    psi_values = _values_on_grid(basis, modes[M:], M)
-
+    # the y and z components phi_i, psi_i of the eigenpairs at the nodes,
+    # weighted by w and transformed back
     B = np.concatenate(
         [
-            _coeffs_from_grid(basis, w[:, None] * phi_values),
-            _coeffs_from_grid(basis, w[:, None] * psi_values),
+            _coeffs_from_grid(basis, w[:, None] * _values_on_grid(basis, part, M))
+            for part in (modes[:M], modes[M:])
         ]
     )
 
-    quarter = 0.25 * (omega[1] - omega[0])
     return Actuator(
         omega=omega,
-        omega0=(omega[0] + quarter, omega[1] - quarter),
         weight=weight,
         lambdas=lambdas,
         modes=modes,
-        phi_values=phi_values,
-        psi_values=psi_values,
         D_matrix=modes.T @ B,
         B_matrix=B,
         basis=basis,
     )
-
-
-def apply_B(act: Actuator, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
-    """Forcing pair (sum_i w phi_i W_i, sum_i w psi_i W_i).
-
-    Formed pointwise at the nodes so the result vanishes identically outside
-    the support of the weight.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.shape != (act.N,):
-        raise ValueError(f"expected {act.N} control amplitudes, got shape {W.shape}")
-    w = act.weight.values
-    fy = ScalarField.from_values(act.basis, w * (act.phi_values @ W))
-    fz = ScalarField.from_values(act.basis, w * (act.psi_values @ W))
-    return fy, fz
-
-
-def apply_B_star(act: Actuator, q: tuple[ScalarField, ScalarField]) -> np.ndarray:
-    """Adjoint map: (B* q)_i = int w (phi_i q_1 + psi_i q_2) dx."""
-    q1, q2 = q
-    stacked = np.concatenate([q1.coeffs, q2.coeffs])
-    return act.B_matrix.T @ stacked
 
 
 @dataclass(frozen=True)
@@ -207,15 +174,11 @@ class NullControlPlan:
     steering_error: float
     certificate: KalmanCertificate  # the controllability check the plan passed
 
-    def evaluate_raw(self, t: float) -> np.ndarray:
-        """The control formula without the horizon cutoff."""
-        return self.D_matrix.T @ (np.exp(-self.lambdas * (self.T0 - t)) * self.eta)
-
     def evaluate(self, t: float) -> np.ndarray:
         """W(t); zero for t outside [0, T0)."""
         if t < 0.0 or t >= self.T0:
             return np.zeros_like(self.xi0)
-        return self.evaluate_raw(t)
+        return self.D_matrix.T @ (np.exp(-self.lambdas * (self.T0 - t)) * self.eta)
 
 
 def _gramian_closed_form(lambdas: np.ndarray, D: np.ndarray, T0: float) -> np.ndarray:

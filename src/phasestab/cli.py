@@ -9,7 +9,8 @@ trajectory CSV, JSON summaries) into the configured output directory, and a
 fixed seed makes repeated runs byte-identical.  ``sweep`` repeats the
 pipeline over a list of values for one config field.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration or input path, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ def stage_simulate(
 
 def run_pipeline(cfg: SimConfig) -> dict:
     """Run every stage into cfg.output_dir and write the aggregate summary."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg)
     save_config(cfg, outdir / "config.json")
 
     m = build_materials(cfg)
@@ -298,8 +298,7 @@ def run_sweep(cfg: SimConfig, param: str, values: list[str]) -> dict:
             }
         )
     index = {"param": param, "runs": entries}
-    base_dir.mkdir(parents=True, exist_ok=True)
-    write_json(base_dir / "sweep.json", index)
+    write_json(_outdir(cfg) / "sweep.json", index)
     return index
 
 
@@ -358,7 +357,16 @@ def render_report(run_dir: Path) -> str:
 
 
 def _maybe_json(path: Path) -> dict | None:
-    return read_json(path) if path.exists() else None
+    """The JSON object in path, None when the file is absent."""
+    if not path.exists():
+        return None
+    try:
+        data = read_json(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"run file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"run file {path} does not hold a JSON object")
+    return data
 
 
 # -- entry point -------------------------------------------------------------
@@ -389,8 +397,12 @@ def _load(args) -> SimConfig:
 
 
 def _outdir(cfg: SimConfig) -> Path:
+    """cfg.output_dir, created if missing; ConfigError when it cannot be a directory."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc.strerror}")
     return out
 
 

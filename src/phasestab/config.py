@@ -184,6 +184,8 @@ def load_config(path: str | Path | None = None, data: dict | None = None) -> Sim
             return SimConfig().validate()
         try:
             data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return _from_dict(data).validate()

@@ -98,10 +98,6 @@ class LinearizedPlant:
     def M(self) -> int:
         return self.basis.M
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.basis.M
-
     def operator_matrix(self) -> np.ndarray:
         """Dense 2M x 2M matrix of the operator in stacked modal coordinates."""
         M = self.M

@@ -21,7 +21,6 @@ Each step evaluates the remainder with two matrix-vector products against
 one cached cosine matrix C (the basis functions on the P = 2M dealiasing
 grid, built on the first call): values v = C y, then coefficients
 -kappa (L/P) C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.
-The same code serves ``remainder_G_direct``.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -34,10 +33,9 @@ filled in place.  The loop copies each recorded state into a buffer of
 pass of whole-array operations fills that block's norms and means and runs
 the blow-up guard on it.  The norms are row-wise (they reduce over the last
 axis, one dot product per row), so a row's value does not depend on its
-place in a block, and the single-state ``physical_deviation_norm`` and
-``norm_D_alpha`` are the same functions on one row.  The physical-variable
-norm goes through (phi, theta) on coefficient arrays, with the stationary
-offsets precomputed once per run.
+place in a block and a single state is the same call on one row.  The
+physical-variable norm goes through (phi, theta) on coefficient arrays, with
+the stationary offsets precomputed once per run.
 """
 
 from __future__ import annotations
@@ -64,11 +62,7 @@ __all__ = [
     "TrajectoryRecord",
     "BlowUpError",
     "ImplicitSolveError",
-    "remainder_G_direct",
     "simulate",
-    "to_physical",
-    "from_physical",
-    "physical_deviation_norm",
     "fit_exponential_rate",
     "seeded_initial_state",
 ]
@@ -130,19 +124,6 @@ def _remainder_coeffs(
     return -basis.kappa * (basis.L / P) * (C.T @ inner)
 
 
-def remainder_G_direct(
-    y: ScalarField, phi_inf: ScalarField, g: ScalarField
-) -> ScalarField:
-    """G(y) = Lap( y^3 + 3 phi_inf y^2 + g y ), products dealiased."""
-    basis = y.basis
-    if phi_inf.basis.M != basis.M or g.basis.M != basis.M:
-        raise ValueError("fields live on different bases")
-    P = PAD_FACTOR * basis.M
-    pv = _values_on_grid(basis, phi_inf.coeffs, P)
-    gv = _values_on_grid(basis, g.coeffs, P)
-    return ScalarField(basis, _remainder_coeffs(basis, y.coeffs, pv, gv))
-
-
 # -- physical variables ------------------------------------------------------
 
 
@@ -168,48 +149,19 @@ class _PhysicalMap:
         return phi, theta
 
     def deviation_norm(self, y: np.ndarray, z: np.ndarray):
-        """See ``physical_deviation_norm``; one norm per row of y and z."""
+        """Composite physical-variable norm, one per row of y and z:
+
+            ||phi - phi_inf||_{D(A^{1/2})}
+                + ||alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf)||_{D(A^{1/4})},
+
+        recomputed through (phi, theta); identically equal to the (y, z)
+        decay norm since the second argument is exactly z.
+        """
         alpha0, l0 = self.params.alpha0, self.params.l0
         phi, theta = self.to_physical(y, z)
         dphi = phi - self.phi_inf
         combo = (theta - self.theta_inf) * alpha0 + dphi * (alpha0 * l0)
         return _weighted_norm(self.basis.mu, dphi) + _weighted_norm(self.basis.sqrt_mu, combo)
-
-
-def to_physical(
-    state: StateYZ, stat: StationaryState, params: PhysicalParams
-) -> tuple[ScalarField, ScalarField]:
-    """Map (y, z) back to (phi, theta): phi = y + phi_inf, theta = sigma/alpha0 - l0 phi."""
-    phi, theta = _PhysicalMap(stat, params).to_physical(state.y.coeffs, state.z.coeffs)
-    return ScalarField(stat.basis, phi), ScalarField(stat.basis, theta)
-
-
-def from_physical(
-    phi: ScalarField,
-    theta: ScalarField,
-    stat: StationaryState,
-    params: PhysicalParams,
-    t: float = 0.0,
-) -> StateYZ:
-    """Inverse map: y = phi - phi_inf, z = alpha0 (theta + l0 phi) - sigma_inf."""
-    y = phi - stat.phi_inf
-    sigma = params.alpha0 * (theta + params.l0 * phi)
-    z = ScalarField(stat.basis, sigma.coeffs - _PhysicalMap(stat, params).sigma_inf)
-    return StateYZ(y=y, z=z, t=t)
-
-
-def physical_deviation_norm(
-    state: StateYZ, stat: StationaryState, params: PhysicalParams
-) -> float:
-    """Composite physical-variable norm
-
-    ||phi - phi_inf||_{D(A^{1/2})}
-        + ||alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf)||_{D(A^{1/4})},
-
-    recomputed through (phi, theta); identically equal to the (y, z) decay
-    norm since the second argument is exactly z.
-    """
-    return float(_PhysicalMap(stat, params).deviation_norm(state.y.coeffs, state.z.coeffs))
 
 
 # -- time stepping -----------------------------------------------------------

@@ -37,14 +37,9 @@ import numpy as np
 __all__ = [
     "SpectralBasis",
     "ScalarField",
-    "transform_forward",
-    "transform_inverse",
-    "apply_A_power",
-    "norm_D_alpha",
     "laplacian",
     "pointwise_product",
     "gradient_values",
-    "gradient_squared",
 ]
 
 # Padding multiplier for dealiased products; 2M >= ceil(3M/2) and is exact for
@@ -74,35 +69,10 @@ class SpectralBasis:
         object.__setattr__(self, "sqrt_mu", np.sqrt(self.mu))
         object.__setattr__(self, "nodes", (k + 0.5) * self.L / self.M)
 
-    def basis_function(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Evaluate e_k at arbitrary points x."""
-        x = np.asarray(x, dtype=float)
-        if k == 0:
-            return np.full_like(x, np.sqrt(1.0 / self.L))
-        return np.sqrt(2.0 / self.L) * np.cos(k * np.pi * x / self.L)
-
     @property
     def quad_weight(self) -> float:
         """Midpoint quadrature weight L/M for the collocation nodes."""
         return self.L / self.M
-
-
-def transform_forward(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
-    """Collocation values -> coefficients of the orthonormal cosine basis."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (basis.M,):
-        raise ValueError(
-            f"expected {basis.M} collocation values, got shape {values.shape}"
-        )
-    return _coeffs_from_grid(basis, values)
-
-
-def transform_inverse(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients -> values at the M midpoint collocation nodes."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.M,):
-        raise ValueError(f"expected {basis.M} coefficients, got shape {coeffs.shape}")
-    return _values_on_grid(basis, coeffs, basis.M)
 
 
 def _values_on_grid(basis: SpectralBasis, coeffs: np.ndarray, P: int) -> np.ndarray:
@@ -135,20 +105,12 @@ class ScalarField:
     _values: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_coeffs(cls, basis: SpectralBasis, coeffs) -> "ScalarField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (basis.M,):
-            raise ValueError(f"expected {basis.M} coefficients, got {coeffs.shape}")
-        return cls(basis, coeffs)
-
-    @classmethod
     def from_values(cls, basis: SpectralBasis, values) -> "ScalarField":
+        """The field with the given values at the M collocation nodes."""
         values = np.asarray(values, dtype=float)
-        return cls(basis, transform_forward(basis, values), values.copy())
-
-    @classmethod
-    def zero(cls, basis: SpectralBasis) -> "ScalarField":
-        return cls(basis, np.zeros(basis.M))
+        if values.shape != (basis.M,):
+            raise ValueError(f"expected {basis.M} collocation values, got shape {values.shape}")
+        return cls(basis, _coeffs_from_grid(basis, values), values.copy())
 
     @classmethod
     def constant(cls, basis: SpectralBasis, value: float) -> "ScalarField":
@@ -159,16 +121,13 @@ class ScalarField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = transform_inverse(self.basis, self.coeffs)
+            self._values = _values_on_grid(self.basis, self.coeffs, self.basis.M)
         return self._values
 
     @property
     def mean(self) -> float:
         """Spatial mean (1/L) int f dx, carried exactly by the k=0 coefficient."""
         return float(self.coeffs[0]) / np.sqrt(self.basis.L)
-
-    def norm_L2(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_basis(self, other)
@@ -192,22 +151,13 @@ def _check_same_basis(*fields: ScalarField) -> SpectralBasis:
     return basis
 
 
-def apply_A_power(f: ScalarField, alpha: float) -> ScalarField:
-    """Apply A^alpha = (-Laplacian + I)^alpha, diagonal with weights mu_k^alpha."""
-    return ScalarField(f.basis, f.coeffs * f.basis.mu**alpha)
-
-
-def norm_D_alpha(f: ScalarField, alpha: float) -> float:
-    """Graph norm ||A^alpha f||_{L^2} = sqrt(sum mu_k^{2 alpha} c_k^2)."""
-    return float(_weighted_norm(f.basis.mu ** (2.0 * alpha), f.coeffs))
-
-
 def _weighted_norm(weights, coeffs: np.ndarray):
     """sqrt(sum_k w_k c_k^2) over the last axis of coeffs, one value per row.
 
-    Weights mu_k^{2 alpha} give norm_D_alpha; a 1-D coeffs gives a scalar.
-    The decay norm, ``norm_D_alpha`` and the physical-variable norm all go
-    through this one function, so they agree bit for bit on equal weights.
+    Weights mu_k^{2 alpha} give the graph norm ||A^alpha f||_{L^2}; a 1-D
+    coeffs gives a scalar.  The decay norm and the physical-variable norm
+    both go through this one function, so they agree bit for bit on equal
+    weights.
     A stack of (1 x M) @ (M x 1) products is one dot product per row, so a
     row's value does not depend on how many rows are stacked with it and
     equals the 1-D ``c @ (w * c)``; ``simulate`` relies on that to record
@@ -281,11 +231,3 @@ def gradient_values(f: ScalarField, P: int | None = None) -> np.ndarray:
     k = np.arange(basis.M)
     sine_coeffs = -f.coeffs * np.sqrt(2.0 / basis.L) * (k * np.pi / basis.L)
     return _sine_matrix(basis, P) @ sine_coeffs
-
-
-def gradient_squared(f: ScalarField) -> ScalarField:
-    """|f'|^2 as a field: differentiate spectrally, square on the padded grid."""
-    basis = f.basis
-    P = PAD_FACTOR * basis.M
-    grad = gradient_values(f, P)
-    return ScalarField(basis, _coeffs_from_grid(basis, grad * grad))

@@ -5,6 +5,19 @@ this file (``test_cli.py::TestPipeline::test_oracles_stay_off_the_pipeline_path`
 asserts both).  The file has no ``test_`` prefix, so pytest does not collect
 it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 
+``basis_function``
+    e_k at any points by its cosine formula, not the cached cosine matrix.
+    Used across ``test_spectral.py`` and by ``test_sim.py::TestRemainderTerm``.
+
+``apply_B``
+    The nodal input map, formed at the nodes so it vanishes outside omega; it
+    checks ``Actuator.B_matrix``.  Used by ``test_actuator.py::TestBMaps``,
+    ``test_lqr.py::TestFeedback`` and ``test_sim.py::TestSimulate``.
+
+``from_physical``
+    The inverse of ``sim._PhysicalMap.to_physical``, from (phi, theta)
+    coefficients back to (y, z).  Used by ``test_sim.py::TestPhysicalMap``.
+
 ``rk4_propagate``
     Classical fixed-step RK4.  It re-integrates the unstable modal ODEs
     xi' = -Lambda xi + D W(t) under a null-control plan, which checks the
@@ -22,7 +35,7 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 ``remainder_G_expanded``
     The remainder G(y) = Lap(y^3 + 3 phi_inf y^2 + g y) expanded by the
     product rule into seven pseudospectral terms.  It checks the stepper's
-    direct form ``sim.remainder_G_direct``.  Used by
+    kernel ``sim._remainder_coeffs``.  Used by
     ``test_acceptance.py::test_c08_remainder_equivalence`` and by
     ``test_sim.py::TestRemainderTerm`` (``test_direct_vs_expanded_*``,
     ``test_quadratic_scaling``, ``test_cubic_scaling_around_zero``).
@@ -62,6 +75,33 @@ import numpy as np
 
 from phasestab import lqr
 from phasestab.spectral import ScalarField, _coeffs_from_grid, _values_on_grid, gradient_values
+
+
+def basis_function(basis, k: int, x: np.ndarray) -> np.ndarray:
+    """e_k(x) = sqrt(1/L) for k = 0, else sqrt(2/L) cos(k pi x / L)."""
+    if k == 0:
+        return np.full_like(x, np.sqrt(1.0 / basis.L))
+    return np.sqrt(2.0 / basis.L) * np.cos(k * np.pi * x / basis.L)
+
+
+def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
+    """Forcing pair (sum_i w phi_i W_i, sum_i w psi_i W_i) from node values."""
+    W = np.asarray(W, dtype=float)
+    if W.shape != (act.N,):
+        raise ValueError(f"expected {act.N} control amplitudes, got shape {W.shape}")
+    basis, M = act.basis, act.basis.M
+    fy, fz = (
+        ScalarField.from_values(basis, act.weight.values * (_values_on_grid(basis, part, M) @ W))
+        for part in (act.modes[:M], act.modes[M:])
+    )
+    return fy, fz
+
+
+def from_physical(phi: np.ndarray, theta: np.ndarray, stat, params):
+    """(y, z) coefficients: y = phi - phi_inf, z = alpha0 (theta - theta_inf + l0 y)."""
+    y = phi - stat.phi_inf.coeffs
+    dtheta = theta - ScalarField.constant(stat.basis, stat.theta_inf).coeffs
+    return y, params.alpha0 * (dtheta + params.l0 * y)
 
 
 def rk4_propagate(f, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:

@@ -4,8 +4,6 @@ import pytest
 from phasestab.actuator import (
     GramianConditionError,
     _gauss_legendre,
-    apply_B,
-    apply_B_star,
     build_actuator,
     bump_weight,
     kalman_certificate,
@@ -13,10 +11,15 @@ from phasestab.actuator import (
 )
 from phasestab.linearization import PhysicalParams, assemble_plant
 from phasestab.sim import fit_exponential_rate
-from phasestab.spectral import ScalarField, SpectralBasis
+from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid
 from phasestab.stationary import stationary_constant
 
-from oracles import propagate_linear_with_control, rk4_propagate
+from oracles import apply_B, propagate_linear_with_control, rk4_propagate
+
+
+def b_star(act, q):
+    """(B* q)_i = int w (phi_i q_1 + psi_i q_2) dx: the transpose of B_matrix."""
+    return act.B_matrix.T @ np.concatenate([q[0].coeffs, q[1].coeffs])
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,9 @@ class TestBumpWeight:
     def test_positive_on_inner_interval(self, setup):
         basis, _, act = setup
         w = act.weight
-        a0, b0 = act.omega0
+        # omega_0, the middle half of omega
+        a, b = act.omega
+        a0, b0 = a + 0.25 * (b - a), b - 0.25 * (b - a)
         inner = (basis.nodes > a0) & (basis.nodes < b0)
         assert np.all(w.values[inner] > 0)
 
@@ -81,12 +86,15 @@ class TestBMaps:
 
     def test_unit_vector_reproduces_column(self, setup):
         basis, _, act = setup
+        M = basis.M
+        phi_values = _values_on_grid(basis, act.modes[:M], M)
+        psi_values = _values_on_grid(basis, act.modes[M:], M)
         for j in range(act.N):
             e = np.zeros(act.N)
             e[j] = 1.0
             fy, fz = apply_B(act, e)
-            assert np.array_equal(fy.values, act.weight.values * act.phi_values[:, j])
-            assert np.array_equal(fz.values, act.weight.values * act.psi_values[:, j])
+            assert np.array_equal(fy.values, act.weight.values * phi_values[:, j])
+            assert np.array_equal(fz.values, act.weight.values * psi_values[:, j])
 
     def test_dimension_mismatch(self, setup):
         _, _, act = setup
@@ -114,7 +122,7 @@ class TestBMaps:
             )
             fy, fz = apply_B(act, W)
             lhs = fy.coeffs @ q[0].coeffs + fz.coeffs @ q[1].coeffs
-            rhs = W @ apply_B_star(act, q)
+            rhs = W @ b_star(act, q)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_adjointness_by_direct_quadrature(self, setup):
@@ -129,13 +137,13 @@ class TestBMaps:
         )
         fy, fz = apply_B(act, W)
         lhs = basis.quad_weight * np.sum(fy.values * q_vals[0] + fz.values * q_vals[1])
-        rhs = W @ apply_B_star(act, q)
+        rhs = W @ b_star(act, q)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_b_star_of_zero(self, setup):
         basis, _, act = setup
-        zero = (ScalarField.zero(basis), ScalarField.zero(basis))
-        assert np.abs(apply_B_star(act, zero)).max() == 0.0
+        zero = (ScalarField.constant(basis, 0.0), ScalarField.constant(basis, 0.0))
+        assert np.abs(b_star(act, zero)).max() == 0.0
 
     def test_b_star_on_eigenpairs_gives_coupling_columns(self, setup):
         basis, _, act = setup
@@ -145,7 +153,7 @@ class TestBMaps:
                 ScalarField(basis, act.modes[:M, j]),
                 ScalarField(basis, act.modes[M:, j]),
             )
-            col = apply_B_star(act, q)
+            col = b_star(act, q)
             assert np.abs(col - act.D_matrix[:, j]).max() <= 1e-12
             assert col[j] == pytest.approx(act.D_matrix[j, j], rel=1e-12)
 
@@ -195,8 +203,6 @@ class TestKalmanCertificate:
             act,
             lambdas=act.lambdas[:1],
             modes=act.modes[:, :1],
-            phi_values=profile[:, None],
-            psi_values=np.zeros((basis.M, 1)),
             D_matrix=d,
             B_matrix=act.B_matrix[:, :1],
         )
@@ -372,7 +378,8 @@ class TestStableTailDecay:
         states = propagate_linear_with_control(
             plant,
             act,
-            plan.evaluate_raw,
+            # the control formula without evaluate's cutoff at T0
+            lambda t: plan.D_matrix.T @ (np.exp(-plan.lambdas * (T0 - t)) * plan.eta),
             act.modes @ xi0,
             t_end=T0,
             dt=2e-5,

@@ -166,6 +166,9 @@ class TestPipeline:
         # the independent oracles live in tests/oracles.py: no package module
         # defines them, and no source file imports that module
         names = {
+            "apply_B",
+            "basis_function",
+            "from_physical",
             "rk4_propagate",
             "propagate_linear_with_control",
             "remainder_G_expanded",
@@ -289,6 +292,29 @@ class TestMainEntry:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_missing_config_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.json"
+        code = main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["spectrum"], ["simulate"], ["sweep", "--param", "sim.rho", "--values", "0.01"]],
+        ids=["spectrum", "simulate", "sweep"],
+    )
+    @pytest.mark.parametrize("where", ["file", "below_file"])
+    def test_unusable_output_dir_exit_two(self, tmp_path, capsys, command, where):
+        # an existing file, or a path whose parent is a file, cannot be a directory
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "run"
+        code = main([*command, "--set", "basis.M=16", "--output-dir", str(out)])
+        assert code == 2
+        assert "cannot use output directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
     def test_int_in_float_field_loads(self):
         cfg = load_config(data={"params": {"nu": 1}, "sim": {"t_end": 5}})
         assert cfg.params.nu == 1 and cfg.sim.t_end == 5
@@ -400,6 +426,19 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(target) in captured.err
+
+    @pytest.mark.parametrize(
+        "content", ['{"F_bar": 1.0, "eigenval', "", "\xff", "[1, 2]"],
+        ids=["truncated", "empty", "not-utf8", "not-an-object"],
+    )
+    def test_damaged_json_summary_exit_two(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "spectrum.json").write_bytes(content.encode("latin-1"))
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / "spectrum.json") in captured.err
 
     def test_decay_dat_holds_trajectory_columns_as_plain_numbers(self, tmp_path):
         cfg = fast_config(tmp_path / "run")

@@ -1,6 +1,9 @@
+import ast
 import importlib
 import pkgutil
 import types
+from collections import Counter
+from pathlib import Path
 
 import phasestab
 
@@ -28,3 +31,45 @@ def test_package_names_are_module_exports():
     ]
     assert public
     assert [name for name in public if name not in exported] == []
+
+
+def _references(path: Path) -> Counter:
+    """Names a file uses: loaded names, attributes and string constants.
+
+    Definitions, imports and the strings of an ``__all__`` list are not uses.
+    """
+    tree = ast.parse(path.read_text())
+    listed = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in listed:
+                used[node.value] += 1
+    return used
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only tests call belongs in the tests (oracles.py);
+    # the package's re-exports in __init__.py are not callers
+    root = Path(__file__).resolve().parents[1]
+    package = Path(phasestab.__file__).parent
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += [*root.glob("scripts/*.py"), *root.glob("phasebench/*.py")]
+    used = sum((_references(path) for path in files), Counter())
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name in module.__all__
+        if not used[name]
+    ]
+    assert unused == []

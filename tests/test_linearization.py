@@ -156,8 +156,8 @@ class TestAssembledPlant:
     def test_self_adjointness_random_pairs(self, default_plant):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            u = rng.standard_normal(default_plant.dim)
-            v = rng.standard_normal(default_plant.dim)
+            u = rng.standard_normal(2 * default_plant.M)
+            v = rng.standard_normal(2 * default_plant.M)
             left = default_plant.operator_matrix() @ u @ v
             right = u @ default_plant.operator_matrix() @ v
             scale = max(1.0, abs(left))
@@ -173,7 +173,7 @@ class TestAssembledPlant:
         )
         assert default_plant.eigenvalues[0] >= bound - 1e-12
         assert np.isfinite(default_plant.eigenvalues[0])
-        assert default_plant.N_unstable < default_plant.dim
+        assert default_plant.N_unstable < 2 * default_plant.M
 
     def test_zero_eigenvalue_multiplicity_two(self, default_plant):
         zeros = np.sum(np.abs(default_plant.eigenvalues) <= 1e-10)
@@ -274,9 +274,9 @@ class TestClosedFormConventions:
 def _assert_pattern_holds(plant):
     """Every nonzero of the eigenvectors lies in its row's recorded columns, exactly."""
     V, cols = plant.eigenvectors, plant.eigvec_cols
-    assert cols.shape == (plant.dim, 2)
+    assert cols.shape == (2 * plant.M, 2)
     rebuilt = np.zeros_like(V)
-    rows = np.arange(plant.dim)[:, None]
+    rows = np.arange(2 * plant.M)[:, None]
     rebuilt[rows, cols] = np.take_along_axis(V, cols, axis=1)
     assert np.array_equal(rebuilt, V)
 

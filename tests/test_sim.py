@@ -17,23 +17,18 @@ from phasestab.sim import (
     NORM_FLOOR,
     BlowUpError,
     ImplicitSolveError,
-    StateYZ,
     _decay_norm,
     _PhysicalMap,
     _remainder_coeffs,
     _Stepper,
     fit_exponential_rate,
-    from_physical,
-    remainder_G_direct,
     seeded_initial_state,
     simulate,
-    physical_deviation_norm,
-    to_physical,
 )
-from phasestab.spectral import ScalarField, SpectralBasis, norm_D_alpha
+from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid, _weighted_norm
 from phasestab.stationary import stationary_constant
 
-from oracles import remainder_G_expanded
+from oracles import apply_B, basis_function, from_physical, remainder_G_expanded
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +42,18 @@ def world():
     return basis, params, state, plant, act, sol
 
 
+def graph_norm(basis, coeffs, alpha):
+    """||A^alpha f||_{L^2} = sqrt(sum mu_k^{2 alpha} c_k^2) of coefficients."""
+    return float(_weighted_norm(basis.mu ** (2.0 * alpha), coeffs))
+
+
+def remainder_direct(y, phi, g):
+    """G(y) by the stepper's kernel, with phi_inf and g on the padded grid."""
+    basis, P = y.basis, 2 * y.basis.M
+    pv, gv = (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
+    return ScalarField(basis, _remainder_coeffs(basis, y.coeffs, pv, gv))
+
+
 def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_every, factor):
     """(t, decay norm) of the first recorded step past simulate's blow-up bound.
 
@@ -57,9 +64,7 @@ def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_e
     M = basis.M
 
     def norm(x):
-        return norm_D_alpha(ScalarField(basis, x[:M]), 0.5) + norm_D_alpha(
-            ScalarField(basis, x[M:]), 0.25
-        )
+        return graph_norm(basis, x[:M], 0.5) + graph_norm(basis, x[M:], 0.25)
 
     stepper = _Stepper(plant, dt, sol, act, nonlinear, "imex2")
     x = np.concatenate([y0.coeffs, z0.coeffs])
@@ -85,7 +90,7 @@ def smooth_random_field(basis, seed, amplitude=1.0):
 class TestRemainderTerm:
     def test_zero_input(self, world):
         basis, _, state, plant, _, _ = world
-        out = remainder_G_direct(ScalarField.zero(basis), state.phi_inf, plant.g)
+        out = remainder_direct(ScalarField.constant(basis, 0.0), state.phi_inf, plant.g)
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_constant_input_constant_background(self, world):
@@ -93,7 +98,7 @@ class TestRemainderTerm:
         phi = ScalarField.constant(basis, 1.0)
         g = F_second_parts(phi)[1]
         y = ScalarField.constant(basis, 0.25)
-        out = remainder_G_direct(y, phi, g)
+        out = remainder_direct(y, phi, g)
         assert np.abs(out.coeffs).max() < 1e-12
 
     def test_direct_vs_expanded_constant_background(self, world):
@@ -102,7 +107,7 @@ class TestRemainderTerm:
         g = F_second_parts(phi)[1]
         for seed in range(50):
             y = smooth_random_field(basis, seed)
-            d = remainder_G_direct(y, phi, g)
+            d = remainder_direct(y, phi, g)
             e = remainder_G_expanded(y, phi, g)
             assert np.abs(d.coeffs - e.coeffs).max() <= 1e-8 * (
                 1.0 + np.abs(d.coeffs).max()
@@ -116,7 +121,7 @@ class TestRemainderTerm:
         g = F_second_parts(phi)[1]
         for seed in range(50):
             y = smooth_random_field(basis, seed + 100)
-            d = remainder_G_direct(y, phi, g)
+            d = remainder_direct(y, phi, g)
             e = remainder_G_expanded(y, phi, g)
             assert np.abs(d.coeffs - e.coeffs).max() <= 1e-8 * (
                 1.0 + np.abs(d.coeffs).max()
@@ -129,8 +134,8 @@ class TestRemainderTerm:
         g = F_second_parts(phi)[1]
         assert np.abs(g.coeffs).max() < 1e-14
         y = smooth_random_field(basis, 3)
-        zero_g = remainder_G_direct(y, phi, ScalarField.zero(basis))
-        with_g = remainder_G_direct(y, phi, g)
+        zero_g = remainder_direct(y, phi, ScalarField.constant(basis, 0.0))
+        with_g = remainder_direct(y, phi, g)
         assert np.abs(zero_g.coeffs - with_g.coeffs).max() < 1e-12
 
     def test_quadratic_scaling(self, world):
@@ -138,29 +143,29 @@ class TestRemainderTerm:
         basis, *_ = world
         phi = ScalarField.constant(basis, 1.0)
         g = F_second_parts(phi)[1]
-        e1 = ScalarField.from_values(basis, basis.basis_function(1, basis.nodes))
+        e1 = ScalarField.from_values(basis, basis_function(basis, 1, basis.nodes))
         norms = []
         for eps in (1e-2, 1e-3):
             out = remainder_G_expanded(eps * e1, phi, g)
-            norms.append(out.norm_L2())
+            norms.append(np.linalg.norm(out.coeffs))
         ratio = norms[0] / norms[1]
         assert abs(ratio - 100.0) <= 5.0
 
     def test_cubic_scaling_around_zero(self, world):
         # around phi_inf = 0 the remainder is purely cubic
         basis, _, state, plant, _, _ = world
-        e1 = ScalarField.from_values(basis, basis.basis_function(1, basis.nodes))
+        e1 = ScalarField.from_values(basis, basis_function(basis, 1, basis.nodes))
         norms = []
         for eps in (1e-2, 1e-3):
             out = remainder_G_expanded(eps * e1, state.phi_inf, plant.g)
-            norms.append(out.norm_L2())
+            norms.append(np.linalg.norm(out.coeffs))
         ratio = norms[0] / norms[1]
         assert abs(ratio - 1000.0) <= 50.0
 
     def test_mean_annihilated(self, world):
         basis, _, state, plant, _, _ = world
         y = smooth_random_field(basis, 4)
-        out = remainder_G_direct(y, state.phi_inf, plant.g)
+        out = remainder_direct(y, state.phi_inf, plant.g)
         assert out.coeffs[0] == 0.0
 
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
@@ -184,7 +189,7 @@ def final_state(plant, y0, z0, dt, n_steps, **kwargs):
 class TestStepImex:
     def test_zero_state_is_fixed_point(self, world):
         basis, _, state, plant, _, _ = world
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         s1 = final_state(plant, zero, zero, 1e-3, 1)
         assert np.abs(s1.y.coeffs).max() == 0.0
         assert np.abs(s1.z.coeffs).max() == 0.0
@@ -210,7 +215,7 @@ class TestStepImex:
 
     def test_dt_validation(self, world):
         basis, _, state, plant, _, _ = world
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ValueError):
             simulate(plant, zero, zero, dt=-1e-3, t_end=1e-3)
 
@@ -218,7 +223,7 @@ class TestStepImex:
         # the k=1 block has negative determinant, so huge steps lose
         # invertibility of I + dt * block
         basis, _, state, plant, _, _ = world
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ValueError, match="invertibility"):
             simulate(plant, zero, zero, dt=20.0, t_end=20.0)
 
@@ -226,7 +231,7 @@ class TestStepImex:
     def test_invertibility_error_names_the_schemes_dt_bound(self, world, scheme):
         # both schemes solve with theta = dt (imex2 on its first step)
         basis, _, state, plant, _, _ = world
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         bound = _Stepper._dt_bound(plant.A_blocks)
         message = re.escape(f"keep dt below {bound:.3e} for {scheme}")
         with pytest.raises(ImplicitSolveError, match=message):
@@ -240,7 +245,7 @@ class TestStepImex:
         dt = 1e-2
         JU = _Stepper(plant, dt, sol, act, True, "imex1").euler.JU
         bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ImplicitSolveError, match="capacitance"):
             simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act)
 
@@ -263,7 +268,7 @@ class TestStepImex:
 
     def test_gain_without_actuator_rejected(self, world):
         basis, _, state, plant, _, sol = world
-        zero = ScalarField.zero(basis)
+        zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ValueError):
             simulate(plant, zero, zero, dt=1e-3, t_end=1e-3, sol=sol, act=None)
 
@@ -527,16 +532,15 @@ class TestSimulate:
         # the last step is recorded once, also when it is not a multiple of every
         assert np.count_nonzero(sparse.times == full.times[-1]) == 1
         assert np.all(np.diff(sparse.times) > 0)
-        assert sparse.physical_norms[-1] == physical_deviation_norm(
-            sparse.final_state, state, params
+        final = sparse.final_state
+        assert sparse.physical_norms[-1] == _PhysicalMap(state, params).deviation_norm(
+            final.y.coeffs, final.z.coeffs
         )
 
     def test_control_forcing_localized_along_run(self, world):
         # replay the recorded amplitudes through the actuator: node values
         # outside omega stay at exact zero
         basis, _, state, plant, act, sol = world
-        from phasestab.actuator import apply_B
-
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=9)
         rec = simulate(
             plant, y0, z0, dt=1e-3, t_end=0.2, sol=sol, act=act,
@@ -559,22 +563,19 @@ class TestPhysicalMap:
 
     def test_zero_state_maps_to_target(self, nontrivial):
         basis, params, state = nontrivial
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
-        phi, theta = to_physical(s0, state, params)
-        assert np.abs(phi.values - 1.0).max() < 1e-12
-        assert np.abs(theta.values - 0.3).max() < 1e-12
+        zero = np.zeros(basis.M)
+        phi, theta = _PhysicalMap(state, params).to_physical(zero, zero)
+        assert np.abs(ScalarField(basis, phi).values - 1.0).max() < 1e-12
+        assert np.abs(ScalarField(basis, theta).values - 0.3).max() < 1e-12
 
     def test_round_trip(self, nontrivial):
         basis, params, state = nontrivial
         rng = np.random.default_rng(10)
-        s0 = StateYZ(
-            ScalarField(basis, rng.standard_normal(basis.M)),
-            ScalarField(basis, rng.standard_normal(basis.M)),
-        )
-        phi, theta = to_physical(s0, state, params)
-        back = from_physical(phi, theta, state, params)
-        assert np.abs(back.y.coeffs - s0.y.coeffs).max() < 1e-12
-        assert np.abs(back.z.coeffs - s0.z.coeffs).max() < 1e-12
+        y, z = rng.standard_normal((2, basis.M))
+        phi, theta = _PhysicalMap(state, params).to_physical(y, z)
+        y_back, z_back = from_physical(phi, theta, state, params)
+        assert np.abs(y_back - y).max() < 1e-12
+        assert np.abs(z_back - z).max() < 1e-12
 
     def test_unit_parameters_give_sigma_theta_plus_phi(self):
         basis = SpectralBasis(L=1.0, M=32)
@@ -582,20 +583,16 @@ class TestPhysicalMap:
         assert params.alpha0 == 1.0
         state = stationary_constant(0, basis=basis)
         rng = np.random.default_rng(11)
-        phi = ScalarField(basis, rng.standard_normal(basis.M))
-        theta = ScalarField(basis, rng.standard_normal(basis.M))
-        st = from_physical(phi, theta, state, params)
-        assert np.abs(st.z.coeffs - (theta.coeffs + phi.coeffs)).max() < 1e-12
+        phi, theta = rng.standard_normal((2, basis.M))
+        _, z = from_physical(phi, theta, state, params)
+        assert np.abs(z - (theta + phi)).max() < 1e-12
 
     def test_theorem_norm_identity(self, nontrivial):
         basis, params, state = nontrivial
         rng = np.random.default_rng(12)
-        s0 = StateYZ(
-            ScalarField(basis, 0.01 * rng.standard_normal(basis.M)),
-            ScalarField(basis, 0.01 * rng.standard_normal(basis.M)),
-        )
-        assert physical_deviation_norm(s0, state, params) == pytest.approx(
-            norm_D_alpha(s0.y, 0.5) + norm_D_alpha(s0.z, 0.25), abs=1e-12
+        y, z = 0.01 * rng.standard_normal((2, basis.M))
+        assert _PhysicalMap(state, params).deviation_norm(y, z) == pytest.approx(
+            graph_norm(basis, y, 0.5) + graph_norm(basis, z, 0.25), abs=1e-12
         )
 
     @given(
@@ -606,12 +603,12 @@ class TestPhysicalMap:
     )
     @settings(max_examples=60, deadline=None)
     def test_decay_norm_is_sum_of_graph_norms_bit_for_bit(self, M, L, smoothness, seed):
-        # one weighted norm: the stepper's decay norm and norm_D_alpha agree exactly
+        # one weighted norm: the stepper's decay norm and the graph norms agree exactly
         basis = SpectralBasis(L=L, M=M)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(2 * M) * np.tile(basis.mu, 2) ** -smoothness
-        y, z = ScalarField(basis, x[:M]), ScalarField(basis, x[M:])
-        assert norm_D_alpha(y, 0.5) + norm_D_alpha(z, 0.25) == _decay_norm(basis, x)
+        graph = graph_norm(basis, x[:M], 0.5) + graph_norm(basis, x[M:], 0.25)
+        assert graph == _decay_norm(basis, x)
 
     @pytest.mark.parametrize("M", [32, 256])
     @pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
@@ -632,8 +629,10 @@ class TestPhysicalMap:
 
     def test_zero_deviation_norm(self, nontrivial):
         basis, params, state = nontrivial
-        s0 = StateYZ(ScalarField.zero(basis), ScalarField.zero(basis))
-        assert physical_deviation_norm(s0, state, params) == pytest.approx(0.0, abs=1e-14)
+        zero = np.zeros(basis.M)
+        assert _PhysicalMap(state, params).deviation_norm(zero, zero) == pytest.approx(
+            0.0, abs=1e-14
+        )
 
 
 class TestFitting:

@@ -16,15 +16,13 @@ from phasestab.spectral import (
     _coeffs_from_grid,
     _cosine_matrix,
     _values_on_grid,
-    apply_A_power,
-    gradient_squared,
+    _weighted_norm,
     gradient_values,
     laplacian,
-    norm_D_alpha,
     pointwise_product,
-    transform_forward,
-    transform_inverse,
 )
+
+from oracles import basis_function
 
 
 @pytest.fixture
@@ -47,7 +45,7 @@ class TestBasis:
     def test_gram_matrix_is_identity(self, basis):
         # discrete orthonormality of the sampled basis functions
         E = np.column_stack(
-            [basis.basis_function(k, basis.nodes) for k in range(basis.M)]
+            [basis_function(basis, k, basis.nodes) for k in range(basis.M)]
         )
         gram = E.T @ E * basis.quad_weight
         assert np.abs(gram - np.eye(basis.M)).max() < 1e-12
@@ -62,13 +60,13 @@ class TestBasis:
 class TestTransforms:
     def test_constant_field_is_mode_zero(self, basis):
         c = 2.7
-        coeffs = transform_forward(basis, np.full(basis.M, c))
+        coeffs = ScalarField.from_values(basis, np.full(basis.M, c)).coeffs
         assert coeffs[0] == pytest.approx(c * np.sqrt(basis.L), abs=1e-13)
         assert np.abs(coeffs[1:]).max() < 1e-13
 
     def test_single_mode_maps_to_unit_vector(self, basis):
-        values = basis.basis_function(1, basis.nodes)
-        coeffs = transform_forward(basis, values)
+        values = basis_function(basis, 1, basis.nodes)
+        coeffs = ScalarField.from_values(basis, values).coeffs
         assert coeffs[1] == pytest.approx(1.0, abs=1e-12)
         mask = np.ones(basis.M, dtype=bool)
         mask[1] = False
@@ -79,7 +77,8 @@ class TestTransforms:
         b = SpectralBasis(L=1.0, M=M)
         rng = np.random.default_rng(M)
         v = rng.standard_normal(M)
-        back = transform_inverse(b, transform_forward(b, v))
+        # a new field: from_values keeps v itself as the field's values
+        back = ScalarField(b, ScalarField.from_values(b, v).coeffs).values
         assert np.abs(back - v).max() < 1e-12 * max(1.0, np.abs(v).max())
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -87,7 +86,7 @@ class TestTransforms:
     def test_round_trip_property(self, seed):
         b = SpectralBasis(L=2.0, M=32)
         v = np.random.default_rng(seed).uniform(-10, 10, size=32)
-        back = transform_inverse(b, transform_forward(b, v))
+        back = ScalarField(b, ScalarField.from_values(b, v).coeffs).values
         assert np.abs(back - v).max() < 1e-12 * max(1.0, np.abs(v).max())
 
     def test_parseval(self, basis):
@@ -101,21 +100,26 @@ class TestTransforms:
         assert f.mean == pytest.approx(np.mean(f.values), rel=1e-12)
 
     def test_length_mismatch_raises(self, basis):
-        with pytest.raises(ValueError):
-            transform_forward(basis, np.zeros(basis.M + 1))
-        with pytest.raises(ValueError):
-            transform_inverse(basis, np.zeros(basis.M - 1))
+        for n in (basis.M - 1, basis.M + 1):
+            with pytest.raises(ValueError, match=f"expected {basis.M} collocation values"):
+                ScalarField.from_values(basis, np.zeros(n))
+
+
+def graph_norm(f, alpha):
+    """||A^alpha f||_{L^2} through the package's one weighted norm."""
+    return float(_weighted_norm(f.basis.mu ** (2.0 * alpha), f.coeffs))
 
 
 class TestAPowers:
+    # A^alpha = (-Laplacian + I)^alpha is diagonal with weights mu_k^alpha;
+    # the graph norm sqrt(sum mu_k^{2 alpha} c_k^2) must honour its algebra
     def test_alpha_zero_is_identity(self, basis):
         f = random_field(basis, seed=5)
-        assert np.array_equal(apply_A_power(f, 0.0).coeffs, f.coeffs)
+        assert graph_norm(f, 0.0) == pytest.approx(np.linalg.norm(f.coeffs), rel=1e-15)
 
     def test_eigenvalue_on_mode_one(self, basis):
-        f = ScalarField.from_values(basis, basis.basis_function(1, basis.nodes))
-        out = apply_A_power(f, 1.0)
-        assert out.coeffs[1] == pytest.approx(1.0 + np.pi**2, rel=1e-12)
+        f = ScalarField.from_values(basis, basis_function(basis, 1, basis.nodes))
+        assert f.coeffs[1] * basis.mu[1] == pytest.approx(1.0 + np.pi**2, rel=1e-12)
 
     @given(
         alpha=st.floats(-1.0, 1.5),
@@ -126,32 +130,29 @@ class TestAPowers:
     def test_semigroup_property(self, alpha, beta, seed):
         b = SpectralBasis(L=1.0, M=32)
         f = random_field(b, seed=seed)
-        once = apply_A_power(f, alpha + beta)
-        twice = apply_A_power(apply_A_power(f, alpha), beta)
-        scale = np.abs(once.coeffs).max()
-        assert np.abs(once.coeffs - twice.coeffs).max() < 1e-12 * max(1.0, scale)
+        # ||A^(alpha + beta) f|| = ||A^beta (A^alpha f)||
+        once = graph_norm(f, alpha + beta)
+        twice = graph_norm(ScalarField(b, f.coeffs * b.mu**alpha), beta)
+        assert twice == pytest.approx(once, rel=1e-12)
 
     def test_half_twice_equals_one(self, basis):
         f = random_field(basis, seed=6)
-        once = apply_A_power(f, 1.0)
-        twice = apply_A_power(apply_A_power(f, 0.5), 0.5)
-        assert np.abs(once.coeffs - twice.coeffs).max() < 1e-12 * np.abs(
-            once.coeffs
-        ).max()
+        half = ScalarField(basis, f.coeffs * basis.sqrt_mu)
+        assert graph_norm(half, 0.5) == pytest.approx(graph_norm(f, 1.0), rel=1e-12)
 
 
 class TestNorms:
     def test_zero_field(self, basis):
-        assert norm_D_alpha(ScalarField.zero(basis), 0.7) == 0.0
+        assert graph_norm(ScalarField(basis, np.zeros(basis.M)), 0.7) == 0.0
 
     def test_mode_one_half_power(self, basis):
-        f = ScalarField.from_values(basis, basis.basis_function(1, basis.nodes))
-        assert norm_D_alpha(f, 0.5) == pytest.approx(np.sqrt(1 + np.pi**2), rel=1e-12)
+        f = ScalarField.from_values(basis, basis_function(basis, 1, basis.nodes))
+        assert graph_norm(f, 0.5) == pytest.approx(np.sqrt(1 + np.pi**2), rel=1e-12)
 
     def test_matches_compose_and_norm_oracle(self, basis):
         f = random_field(basis, seed=7)
-        direct = norm_D_alpha(f, 1.5)
-        oracle = apply_A_power(f, 1.5).norm_L2()
+        direct = graph_norm(f, 1.5)
+        oracle = np.linalg.norm(f.coeffs * basis.mu**1.5)
         assert direct == pytest.approx(oracle, rel=1e-12)
 
 
@@ -161,14 +162,14 @@ class TestLaplacian:
         assert np.abs(laplacian(f).coeffs).max() == 0.0
 
     def test_mode_two_eigenvalue(self, basis):
-        f = ScalarField.from_values(basis, basis.basis_function(2, basis.nodes))
+        f = ScalarField.from_values(basis, basis_function(basis, 2, basis.nodes))
         out = laplacian(f)
         assert out.coeffs[2] == pytest.approx(-4 * np.pi**2, rel=1e-12)
 
     def test_identity_with_A(self, basis):
         f = random_field(basis, seed=8)
         lhs = laplacian(f).coeffs
-        rhs = f.coeffs - apply_A_power(f, 1.0).coeffs
+        rhs = f.coeffs - basis.mu * f.coeffs
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_mean_mode_annihilated_bit_exact(self, basis):
@@ -239,23 +240,24 @@ class TestPointwiseProduct:
     def test_basis_mismatch_raises(self, basis):
         other = SpectralBasis(L=1.0, M=32)
         with pytest.raises(ValueError):
-            pointwise_product([ScalarField.zero(basis), ScalarField.zero(other)])
+            pointwise_product([random_field(basis), random_field(other)])
 
     def test_wrong_arity_raises(self, basis):
         with pytest.raises(ValueError):
-            pointwise_product([ScalarField.zero(basis)])
+            pointwise_product([random_field(basis)])
 
 
 class TestGradientSquared:
+    # |f'|^2 on a grid, the form the remainder oracle squares gradients in
     def test_constant_gives_zero(self, basis):
-        out = gradient_squared(ScalarField.constant(basis, 4.0))
-        assert np.abs(out.coeffs).max() < 1e-14
+        grad = gradient_values(ScalarField.constant(basis, 4.0), PAD_FACTOR * basis.M)
+        assert np.abs(grad * grad).max() < 1e-14
 
     def test_cosine_identity(self, basis):
         f = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
-        out = gradient_squared(f)
+        grad = gradient_values(f)
         expected = np.pi**2 * (0.5 - 0.5 * np.cos(2 * np.pi * basis.nodes))
-        assert np.abs(out.values - expected).max() < 1e-10
+        assert np.abs(grad * grad - expected).max() < 1e-10
 
     def test_finite_difference_oracle(self, basis):
         # smooth random field; mirrored 4th-order central differences, 4096 nodes
@@ -270,14 +272,20 @@ class TestGradientSquared:
         grad_fd = (
             -padded[4:] + 8 * padded[3:-1] - 8 * padded[1:-3] + padded[:-4]
         ) / (12 * h)
-        gsq = _values_on_grid(basis, gradient_squared(f).coeffs, P)
+        gsq = gradient_values(f, P) ** 2
         assert np.abs(gsq - grad_fd**2).max() < 1e-6
 
     def test_matches_direct_gradient_values(self, basis):
+        # reference: the derivative of each e_k summed at the padded nodes
         f = random_field(basis, seed=13, decay=2.0)
-        g = gradient_values(f, 2 * basis.M)
-        expected = _coeffs_from_grid(basis, g * g)
-        assert np.abs(gradient_squared(f).coeffs - expected).max() < 1e-13
+        P = PAD_FACTOR * basis.M
+        x = (np.arange(P) + 0.5) * basis.L / P
+        k = np.arange(basis.M)[:, None]
+        de = -np.sqrt(2.0 / basis.L) * (k * np.pi / basis.L) * np.sin(k * np.pi * x / basis.L)
+        expected = f.coeffs @ de
+        grad = gradient_values(f, P)
+        assert np.abs(grad - expected).max() < 1e-13 * np.abs(expected).max()
+        assert np.abs(grad * grad - expected**2).max() < 1e-12 * (expected**2).max()
 
 
 class TestCosineMatrix:
