@@ -8,13 +8,16 @@ state, plant, actuator and the Newton-Kleinman gain), a short closed-loop run
 warms up every cache, and each phase of one step of the config's scheme and
 dt is then timed with ``time.perf_counter`` on the run's final state:
 
-    remainder   the dealiased nonlinear remainder G(y)
-    blocks      the 2x2 block solve v = J r of the scheme's steady step
-                (``_ClosedLoopSolve.blocks``)
-    feedback    the rank-N Woodbury correction of the implicit feedback,
-                x = v - JU (C^{-1} K v) (``_ClosedLoopSolve.feedback``)
-    step        one whole stepper step: the three phases plus forming the
-                right-hand side r from the current and previous states
+    remainder   the unscaled remainder analysis q = C^T f(C y) on the
+                dealiasing grid (``_remainder_analysis``)
+    solve       the implicit solve of the scheme's steady step: the folded
+                2x2 block inverse v = (J/3) r, then the rank-N Woodbury
+                correction x = v - JU (C^{-1} K v) of the implicit feedback
+                (``_ClosedLoopSolve``)
+    rhs         forming the right-hand side r = 4 x - x_old + [e (2 q - q_old); 0]
+                from the current and previous states: step minus remainder
+                minus solve, so it also holds the step's own Python overhead
+    step        one whole stepper step
     recording   one recorded row: simulate at record_every = 1 minus simulate
                 recording only the first and last rows, per step.  simulate
                 fills its norms in passes over blocks of 256 rows, so this
@@ -41,9 +44,14 @@ import numpy as np  # noqa: E402
 from phasestab.cli import build_materials  # noqa: E402
 from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import solve_care  # noqa: E402
-from phasestab.sim import _remainder_coeffs, _Stepper, seeded_initial_state, simulate  # noqa: E402
+from phasestab.sim import (  # noqa: E402
+    _remainder_analysis,
+    _Stepper,
+    seeded_initial_state,
+    simulate,
+)
 
-PHASES = ("remainder", "blocks", "feedback", "step", "recording", "simulate")
+PHASES = ("remainder", "solve", "rhs", "step", "recording", "simulate")
 
 
 def _us_per_call(fn, calls: int, repeats: int) -> float:
@@ -77,17 +85,16 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
     stepper = _Stepper(m.plant, run.dt, sol, m.act, True, run.scheme)
     stepper.step(x)  # imex2 takes its steady form from the second step on
     solve = stepper.bdf2 or stepper.euler
-    v = solve.blocks(y, z)
 
     out = {
         "remainder": _us_per_call(
-            lambda: _remainder_coeffs(m.basis, y, stepper.phi_inf_padded, stepper.g_padded),
+            lambda: _remainder_analysis(stepper.C, y, stepper.phi3_padded, stepper.g_padded),
             steps, repeats,
         ),
-        "blocks": _us_per_call(lambda: solve.blocks(y, z), steps, repeats),
-        "feedback": _us_per_call(lambda: solve.feedback(v), steps, repeats),
+        "solve": _us_per_call(lambda: solve(y, z), steps, repeats),
         "step": _us_per_call(lambda: stepper.step(x), steps, repeats),
     }
+    out["rhs"] = out["step"] - out["remainder"] - out["solve"]
     every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps
     ends_only = _us_per_call(lambda: run_simulate(steps), 1, repeats) / steps
     out["recording"] = every_step - ends_only

@@ -174,12 +174,6 @@ class NullControlPlan:
     steering_error: float
     certificate: KalmanCertificate  # the controllability check the plan passed
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """W(t); zero for t outside [0, T0)."""
-        if t < 0.0 or t >= self.T0:
-            return np.zeros_like(self.xi0)
-        return self.D_matrix.T @ (np.exp(-self.lambdas * (self.T0 - t)) * self.eta)
-
 
 def _gramian_closed_form(lambdas: np.ndarray, D: np.ndarray, T0: float) -> np.ndarray:
     """G_ij = (D D^T)_ij * int_0^T0 exp(-(lambda_i + lambda_j) s) ds."""
@@ -229,8 +223,8 @@ def null_control(
     t_nodes = 0.5 * T0 * (nodes + 1.0)
     t_weights = 0.5 * T0 * weights
 
-    # W(t_q) = D^T e^{-Lambda (T0 - t_q)} eta, the formula of plan.evaluate, on
-    # all nodes at once
+    # W(t_q) = D^T e^{-Lambda (T0 - t_q)} eta, the plan's formula, on all nodes
+    # at once
     decay = np.exp(-lambdas[:, None] * (T0 - t_nodes[None, :]))
     W_samples = (D.T @ (decay * eta[:, None])).T
 

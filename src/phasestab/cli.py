@@ -312,7 +312,7 @@ def render_report(run_dir: Path) -> str:
     def add(name, value, fmt="{:.6g}"):
         rows.append((name, "absent" if value is None else fmt.format(value)))
 
-    spectrum = _maybe_json(run_dir / "spectrum.json")
+    spectrum = _maybe_json(run_dir / "spectrum.json", "N_unstable", "eigenvalues", "gap", "F_l")
     if spectrum:
         add("N_unstable", spectrum["N_unstable"], "{:d}")
         add("lambda_min", spectrum["eigenvalues"][0])
@@ -323,13 +323,15 @@ def render_report(run_dir: Path) -> str:
             run_dir / "spectrum.dat", "# i lambda_i", [np.arange(len(eigs)), eigs], sep=" "
         )
 
-    stationary = _maybe_json(run_dir / "stationary.json")
+    stationary = _maybe_json(run_dir / "stationary.json", "residual", "chi_inf", "gbar_inf")
     if stationary:
         add("stationary_residual", stationary["residual"], "{:.3e}")
         add("chi_inf", stationary["chi_inf"])
         add("gbar_inf", stationary["gbar_inf"])
 
-    controllability = _maybe_json(run_dir / "controllability.json")
+    controllability = _maybe_json(
+        run_dir / "controllability.json", "lambda_min_D", "gramian_cond", "steering_error"
+    )
     if controllability:
         add("lambda_min_D", controllability["lambda_min_D"])
         add("gramian_cond", controllability["gramian_cond"])
@@ -339,7 +341,7 @@ def render_report(run_dir: Path) -> str:
     add("riccati_residual", synth.get("residual_rel") if synth else None, "{:.3e}")
     add("margin", synth.get("margin") if synth else None)
 
-    sim = _maybe_json(run_dir / "simulate.json")
+    sim = _maybe_json(run_dir / "simulate.json", "fitted_rate", "fit_r2", "final_xi_norm")
     if sim:
         add("fitted_rate", sim["fitted_rate"])
         add("fit_r2", sim["fit_r2"])
@@ -356,16 +358,25 @@ def render_report(run_dir: Path) -> str:
     return table
 
 
-def _maybe_json(path: Path) -> dict | None:
-    """The JSON object in path, None when the file is absent."""
+def _maybe_json(path: Path, *keys: str) -> dict | None:
+    """The JSON object in path, None when the file is absent.
+
+    ConfigError, naming the file, when it cannot be read, is not a JSON
+    object, or lacks one of ``keys``.
+    """
     if not path.exists():
         return None
     try:
         data = read_json(path)
+    except OSError as exc:  # a directory, or unreadable
+        raise ConfigError(f"cannot read run file {path}: {exc.strerror}")
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"run file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"run file {path} does not hold a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigError(f"run file {path} lacks {', '.join(missing)}")
     return data
 
 

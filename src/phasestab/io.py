@@ -90,7 +90,8 @@ def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        # a numeric array's tolist() already holds Python numbers, nested by axis
+        return value.tolist() if value.dtype != object else _jsonable(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -19,8 +19,13 @@ limited by the gain.
 
 Each step evaluates the remainder with two matrix-vector products against
 one cached cosine matrix C (the basis functions on the P = 2M dealiasing
-grid, built on the first call): values v = C y, then coefficients
--kappa (L/P) C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.
+grid, built on the first call): values v = C y, then the unscaled analysis
+q = C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.  The
+scheme's constants are folded once, when the stepper is built: 3 phi_inf on
+the padded grid, the per-mode factor -kappa L / P times dt (imex1) or 2 dt
+(imex2) into one vector, and SBDF2's 1/3 into a copy of the block inverse.
+A steady step is then q, one right-hand side, one block product and the
+rank-N feedback correction: about 20 NumPy calls.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -111,17 +116,19 @@ def _decay_norm(basis, x: np.ndarray):
 # -- nonlinear remainder ----------------------------------------------------
 
 
-def _remainder_coeffs(
-    basis, y_coeffs: np.ndarray, phi_inf_padded: np.ndarray, g_padded: np.ndarray
+def _remainder_analysis(
+    C: np.ndarray, y: np.ndarray, phi3_padded: np.ndarray, g_padded: np.ndarray
 ) -> np.ndarray:
-    """Modal coefficients of G(y); phi_inf and g are given on the dealiasing grid."""
-    P = len(phi_inf_padded)
-    C = _cosine_matrix(basis, P)
-    yv = C @ y_coeffs
-    # yv^3 + 3 phi_inf yv^2 + g yv in Horner form: a float power costs more
-    # than both matrix-vector products at P = 128
-    inner = yv * (yv * (yv + 3.0 * phi_inf_padded) + g_padded)
-    return -basis.kappa * (basis.L / P) * (C.T @ inner)
+    """Unscaled analysis q = C^T f(C y), f(v) = v^3 + 3 phi_inf v^2 + g v.
+
+    C is the P x M cosine matrix of the dealiasing grid, and ``phi3_padded``
+    and ``g_padded`` hold 3 phi_inf and g on that grid.  The modal
+    coefficients of G(y) are -kappa (L / P) q.
+    """
+    yv = C.dot(y)
+    # Horner form: a float power costs more than both matrix-vector products
+    # at P = 128
+    return C.T.dot(yv * (yv * (yv + phi3_padded) + g_padded))
 
 
 # -- physical variables ------------------------------------------------------
@@ -174,25 +181,27 @@ CAPACITANCE_COND_MAX = 1e8
 
 
 class _ClosedLoopSolve:
-    """x = (I + theta (Op + B K))^{-1} r for one theta.
+    """x = (I + theta (Op + B K))^{-1} (scale r) for one theta and one scale.
 
     J = (I + theta Op)^{-1} is the per-mode 2x2 block inverse; BK has rank N,
-    so the closed-loop inverse is J plus a Woodbury correction.  With
-    JU = J theta B (2M x N) and the capacitance matrix C = I_N + K JU, both
-    formed once, the solve is
+    so the closed-loop inverse is J plus a Woodbury correction.  The scheme's
+    factor on r is folded into a copy of the block inverse, and with
+    JU = J theta B (2M x N, unscaled) and the capacitance matrix
+    C = I_N + K JU, all formed once, the solve is
 
-        v = J r                      (``blocks``)
-        s = C^{-1} K v,  x = v - JU s  (``feedback``)
+        v = (scale J) r,  s = C^{-1} K v,  x = v - JU s
 
-    at O(MN) cost.  s equals K x, so ``feedback`` also returns the feedback
-    amplitude w = -K x without a second product.  The caller checks that
-    every block is invertible at theta.
+    at O(MN) cost.  s equals K x, so the call also returns the feedback
+    amplitude w = -K x without a second product; the sign is folded into the
+    stored -C^{-1} K, which leaves every bit of x and w as it is.  The caller
+    checks that every block is invertible at theta.
     """
 
     def __init__(
         self,
         blocks: np.ndarray,
         theta: float,
+        scale: float,
         dt: float,
         sol: RiccatiSolution | None,
         act: Actuator | None,
@@ -204,14 +213,15 @@ class _ClosedLoopSolve:
         det = a * d - b * c
         # block inverse [[d, -b], [-c, a]] / det, split into the columns that
         # multiply the y and z parts of its argument
-        self.inv_y = np.stack([d, -c]) / det
-        self.inv_z = np.stack([-b, a]) / det
-        self.JU = self.S = None
+        inv_y = np.stack([d, -c]) / det
+        inv_z = np.stack([-b, a]) / det
+        self.inv_y, self.inv_z = scale * inv_y, scale * inv_z
+        self.JU = self.minus_S = None
         if sol is None:
             return
         M = len(blocks)
         U = theta * act.B_matrix
-        JU = self.inv_y[..., None] * U[:M] + self.inv_z[..., None] * U[M:]
+        JU = inv_y[..., None] * U[:M] + inv_z[..., None] * U[M:]
         self.JU = JU.reshape(2 * M, -1)
         KJU = sol.K_gain @ self.JU
         cap = np.eye(act.N) + KJU
@@ -226,18 +236,15 @@ class _ClosedLoopSolve:
                 f"condition number {cond:.3e} at dt = {dt:.3e}, above "
                 f"{CAPACITANCE_COND_MAX:.0e}; reduce dt"
             )
-        self.S = np.linalg.solve(cap, sol.K_gain)
+        self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
-    def blocks(self, r_y: np.ndarray, r_z: np.ndarray) -> np.ndarray:
-        """v = J r for r = (r_y, r_z)."""
-        return (self.inv_y * r_y + self.inv_z * r_z).ravel()
-
-    def feedback(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, -K x) with x = v - JU C^{-1} K v; x = v when open loop."""
-        if self.S is None:
+    def __call__(self, r_y: np.ndarray, r_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, -K x) for r = (r_y, r_z); x = v when open loop."""
+        v = (self.inv_y * r_y + self.inv_z * r_z).ravel()
+        if self.minus_S is None:
             return v, np.zeros(0)
-        s = self.S @ v
-        return v - self.JU @ s, -s
+        w = self.minus_S.dot(v)
+        return v + self.JU.dot(w), w
 
 
 class _Stepper:
@@ -257,6 +264,17 @@ class _Stepper:
     Lap(6 phi_inf ybar dy)) cannot tip it past -1, as it does Crank-Nicolson,
     whose factor tends to -1.  Neither scheme applies Op outside the solve,
     and G has no z part.
+
+    The constants are folded when the stepper is built.  With the unscaled
+    remainder analysis q (``_remainder_analysis``), G = -kappa (L/P) q, and
+    with J the closed-loop inverse at the scheme's theta, the steps are
+
+        imex1  x_next = J (x_n + [e1 q_n; 0]),              e1 = -kappa (L/P) dt
+        imex2  x_next = (J/3) (4 x_n - x_{n-1} + [e2 (2 q_n - q_{n-1}); 0]),
+                                                            e2 = 2 e1
+
+    e1 and e2 have a zero mean entry (kappa_0 = 0), so the explicit term
+    leaves the means alone.
     """
 
     def __init__(
@@ -274,8 +292,8 @@ class _Stepper:
             raise ValueError(f"unknown scheme {scheme!r}; use 'imex1' or 'imex2'")
         if (sol is None) != (act is None):
             raise ValueError("feedback needs both the Riccati solution and the actuator")
-        self.basis = plant.basis
-        self.dt = dt
+        basis = plant.basis
+        self.M = basis.M
         self.nonlinear = nonlinear
 
         # both schemes solve at theta = dt (imex2 on its first step), and
@@ -288,15 +306,20 @@ class _Stepper:
                 f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
                 f"{np.min(det):.3e}); keep dt below {self._dt_bound(blocks):.3e} for {scheme}"
             )
-        self.euler = _ClosedLoopSolve(blocks, dt, dt, sol, act)
+        self.euler = _ClosedLoopSolve(blocks, dt, 1.0, dt, sol, act)
         self.bdf2 = (
-            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, dt, sol, act) if scheme == "imex2" else None
+            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, 1.0 / 3.0, dt, sol, act)
+            if scheme == "imex2"
+            else None
         )
 
-        P = PAD_FACTOR * self.basis.M
-        self.phi_inf_padded = _values_on_grid(self.basis, plant.phi_inf.coeffs, P)
-        self.g_padded = _values_on_grid(self.basis, plant.g.coeffs, P)
-        # (x, G) of the last step's input, which imex2 needs as x_{n-1}
+        P = PAD_FACTOR * basis.M
+        self.C = _cosine_matrix(basis, P)
+        self.phi3_padded = 3.0 * _values_on_grid(basis, plant.phi_inf.coeffs, P)
+        self.g_padded = _values_on_grid(basis, plant.g.coeffs, P)
+        self.e1 = -basis.kappa * (basis.L / P * dt)
+        self.e2 = 2.0 * self.e1
+        # (x, q) of the last step's input, which imex2 needs as x_{n-1}
         self._prev: tuple[np.ndarray, np.ndarray | None] | None = None
 
     @staticmethod
@@ -319,26 +342,20 @@ class _Stepper:
         Returns (x_next, w_next) with w_next = -K x_next, the feedback
         amplitude at the new state (empty when open loop).
         """
-        M = self.basis.M
-        y, z = x[:M], x[M:]
-        G = (
-            _remainder_coeffs(self.basis, y, self.phi_inf_padded, self.g_padded)
+        M = self.M
+        y = x[:M]
+        q = (
+            _remainder_analysis(self.C, y, self.phi3_padded, self.g_padded)
             if self.nonlinear
             else None
         )
-        prev, self._prev = self._prev, (x, G)
+        prev, self._prev = self._prev, (x, q)
         if self.bdf2 is None or prev is None:
-            solve = self.euler
-            r_y = y if G is None else y + self.dt * G
-            r_z = z
-        else:
-            solve = self.bdf2
-            x_old, G_old = prev
-            r = (4.0 * x - x_old) * (1.0 / 3.0)
-            r_y, r_z = r[:M], r[M:]
-            if G is not None:
-                r_y += (2.0 * self.dt / 3.0) * (2.0 * G - G_old)
-        return solve.feedback(solve.blocks(r_y, r_z))
+            return self.euler(y if q is None else y + self.e1 * q, x[M:])
+        x_old, q_old = prev
+        r = 4.0 * x - x_old
+        r_y = r[:M] if q is None else r[:M] + self.e2 * (2.0 * q - q_old)
+        return self.bdf2(r_y, r[M:])
 
 
 # -- trajectories ------------------------------------------------------------

@@ -18,6 +18,13 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     The inverse of ``sim._PhysicalMap.to_physical``, from (phi, theta)
     coefficients back to (y, z).  Used by ``test_sim.py::TestPhysicalMap``.
 
+``plan_control``
+    W(t) of a null-control plan by its closed-form formula at one time, zero
+    outside [0, T0).  It checks the plan's ``W_samples`` and drives the
+    steering checks.  Used by
+    ``test_acceptance.py::test_c03_controllability_and_steering``,
+    ``test_actuator.py::TestNullControl`` and ``::TestOpenLoopExtension``.
+
 ``rk4_propagate``
     Classical fixed-step RK4.  It re-integrates the unstable modal ODEs
     xi' = -Lambda xi + D W(t) under a null-control plan, which checks the
@@ -35,7 +42,7 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 ``remainder_G_expanded``
     The remainder G(y) = Lap(y^3 + 3 phi_inf y^2 + g y) expanded by the
     product rule into seven pseudospectral terms.  It checks the stepper's
-    kernel ``sim._remainder_coeffs``.  Used by
+    kernel ``sim._remainder_analysis``.  Used by
     ``test_acceptance.py::test_c08_remainder_equivalence`` and by
     ``test_sim.py::TestRemainderTerm`` (``test_direct_vs_expanded_*``,
     ``test_quadratic_scaling``, ``test_cubic_scaling_around_zero``).
@@ -102,6 +109,13 @@ def from_physical(phi: np.ndarray, theta: np.ndarray, stat, params):
     y = phi - stat.phi_inf.coeffs
     dtheta = theta - ScalarField.constant(stat.basis, stat.theta_inf).coeffs
     return y, params.alpha0 * (dtheta + params.l0 * y)
+
+
+def plan_control(plan, t: float) -> np.ndarray:
+    """W(t) = D^T exp(-Lambda (T0 - t)) eta of a null-control plan; zero outside [0, T0)."""
+    if t < 0.0 or t >= plan.T0:
+        return np.zeros_like(plan.xi0)
+    return plan.D_matrix.T @ (np.exp(-plan.lambdas * (plan.T0 - t)) * plan.eta)
 
 
 def rk4_propagate(f, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:

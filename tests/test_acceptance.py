@@ -32,11 +32,17 @@ from phasestab.cli import run_pipeline
 from phasestab.config import SimConfig, apply_override
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
-from phasestab.sim import _remainder_coeffs, fit_exponential_rate, seeded_initial_state, simulate
-from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid
+from phasestab.sim import _remainder_analysis, fit_exponential_rate, seeded_initial_state, simulate
+from phasestab.spectral import ScalarField, SpectralBasis, _cosine_matrix, _values_on_grid
 from phasestab.stationary import stationary_constant, stationary_minimize
 
-from oracles import remainder_G_expanded, rk4_propagate, solve_care_dense, solve_care_integrated
+from oracles import (
+    plan_control,
+    remainder_G_expanded,
+    rk4_propagate,
+    solve_care_dense,
+    solve_care_integrated,
+)
 
 
 # Criterion 6's initial decay norm and horizon, shared by its run and its bound.
@@ -144,7 +150,7 @@ def test_c03_controllability_and_steering(default_problem):
 
     # independent RK4 propagation of the unstable modal ODEs
     def ode(t, xi):
-        return -act.lambdas * xi + act.D_matrix @ plan.evaluate(t)
+        return -act.lambdas * xi + act.D_matrix @ plan_control(plan, t)
 
     xi_T = rk4_propagate(ode, xi0, 0.0, 1.0, 10_000)
     steering = np.linalg.norm(xi_T) / np.linalg.norm(xi0)
@@ -298,9 +304,12 @@ def test_c08_remainder_equivalence(default_problem):
             y = (1.0 / sup) * y
         phi = backgrounds[i % 2]
         g = F_second_parts(phi)[1]
-        # the stepper's kernel, given phi_inf and g on the padded grid
-        pv, gv = (_values_on_grid(basis, f.coeffs, 2 * basis.M) for f in (phi, g))
-        direct = _remainder_coeffs(basis, y.coeffs, pv, gv)
+        # the stepper's kernel q, given 3 phi_inf and g on the padded grid;
+        # G(y) = -kappa (L/P) q
+        P = 2 * basis.M
+        pv, gv = (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
+        q = _remainder_analysis(_cosine_matrix(basis, P), y.coeffs, 3.0 * pv, gv)
+        direct = -basis.kappa * (basis.L / P) * q
         expanded = remainder_G_expanded(y, phi, g)
         err = np.abs(direct - expanded.coeffs).max() / (1.0 + np.abs(direct).max())
         worst = max(worst, err)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from phasestab.sim import fit_exponential_rate
 from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid
 from phasestab.stationary import stationary_constant
 
-from oracles import apply_B, propagate_linear_with_control, rk4_propagate
+from oracles import apply_B, plan_control, propagate_linear_with_control, rk4_propagate
 
 
 def b_star(act, q):
@@ -225,7 +227,7 @@ class TestNullControl:
         _, plant, act = setup
         xi0 = np.random.default_rng(13).standard_normal(act.N)
         plan = null_control(act, xi0, T0=1.0)
-        expected = np.array([plan.evaluate(t) for t in plan.t_nodes])
+        expected = np.array([plan_control(plan, t) for t in plan.t_nodes])
         assert plan.W_samples.shape == expected.shape
         assert np.abs(plan.W_samples - expected).max() <= 1e-15 * np.abs(expected).max()
 
@@ -253,7 +255,7 @@ class TestNullControl:
         plan = null_control(act, xi0, T0=1.0)
 
         def ode(t, xi):
-            return -act.lambdas * xi + act.D_matrix @ plan.evaluate(t)
+            return -act.lambdas * xi + act.D_matrix @ plan_control(plan, t)
 
         xi_T = rk4_propagate(ode, xi0, 0.0, 1.0, 10_000)
         assert np.linalg.norm(xi_T) <= 1e-8 * np.linalg.norm(xi0)
@@ -279,13 +281,13 @@ class TestOpenLoopExtension:
     def test_zero_after_horizon(self, setup):
         _, plant, act = setup
         plan = null_control(act, np.ones(act.N), T0=1.0)
-        control = plan.evaluate
+        control = functools.partial(plan_control, plan)
         assert np.abs(control(1.0)).max() == 0.0
         assert np.abs(control(3.7)).max() == 0.0
 
     @pytest.mark.parametrize("nu, M", [(0.1, 64), (0.02, 256)])
     def test_matches_plan_before_horizon(self, nu, M):
-        # evaluate is a matrix-vector product and W_samples one matrix
+        # plan_control is a matrix-vector product and W_samples one matrix
         # product; the two kernels round alike only by coincidence (at
         # nu = 0.02, M = 256 they differ in the last bit), so each sample
         # must agree to 4 ulp of its largest entry
@@ -293,7 +295,7 @@ class TestOpenLoopExtension:
         plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis))
         act = build_actuator(plant, omega=(0.25, 0.75))
         plan = null_control(act, np.ones(act.N), T0=1.0)
-        evaluated = np.array([plan.evaluate(t) for t in plan.t_nodes])
+        evaluated = np.array([plan_control(plan, t) for t in plan.t_nodes])
         scale = np.abs(plan.W_samples).max(axis=1, keepdims=True)
         eps = np.finfo(float).eps
         assert np.all(np.abs(evaluated - plan.W_samples) <= 4 * eps * scale)
@@ -354,7 +356,7 @@ class TestStableTailDecay:
         # fit on [0, 1] before the amplitude reaches the noise floor
         _, plant, act = setup
         plan = null_control(act, np.zeros(act.N), T0=1.0)
-        control = plan.evaluate
+        control = functools.partial(plan_control, plan)
         x0 = plant.eigenvectors[:, act.N]
         ts = np.linspace(0.0, 1.0, 201)
         states = propagate_linear_with_control(
@@ -378,7 +380,7 @@ class TestStableTailDecay:
         states = propagate_linear_with_control(
             plant,
             act,
-            # the control formula without evaluate's cutoff at T0
+            # the control formula without plan_control's cutoff at T0
             lambda t: plan.D_matrix.T @ (np.exp(-plan.lambdas * (T0 - t)) * plan.eta),
             act.modes @ xi0,
             t_end=T0,

@@ -16,7 +16,7 @@ from phasestab.config import (
     load_config,
     save_config,
 )
-from phasestab.io import read_json, read_trajectory_csv, write_table
+from phasestab.io import _jsonable, read_json, read_trajectory_csv, write_json, write_table
 
 import oracles
 
@@ -169,6 +169,7 @@ class TestPipeline:
             "apply_B",
             "basis_function",
             "from_physical",
+            "plan_control",
             "rk4_propagate",
             "propagate_linear_with_control",
             "remainder_G_expanded",
@@ -394,6 +395,41 @@ class TestMainEntry:
             assert (out / artifact).exists()
 
 
+class TestJsonWriter:
+    @staticmethod
+    def recursive(value):
+        """The element-by-element conversion that ``io._jsonable`` shortcuts for arrays."""
+        if isinstance(value, (np.floating, np.integer)):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            return [TestJsonWriter.recursive(v) for v in value.tolist()]
+        if isinstance(value, dict):
+            return {k: TestJsonWriter.recursive(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [TestJsonWriter.recursive(v) for v in value]
+        return value
+
+    def test_arrays_give_the_bytes_of_the_recursive_route(self, tmp_path):
+        rng = np.random.default_rng(3)
+        payload = {
+            "eigenvalues": rng.standard_normal(512) * 10.0 ** rng.integers(-200, 200, 512),
+            "modes": rng.standard_normal((8, 256)),
+            "counts": np.arange(-5, 5, dtype=np.int64),
+            "small_ints": np.arange(4, dtype=np.int32),
+            "flags": np.array([True, False]),
+            "empty": np.zeros((0, 3)),
+            "specials": np.array([0.0, -0.0, 1e-320, 1.0 / 3.0]),
+            "mixed": np.array([np.float64(0.5), 2], dtype=object),
+            "nested": [np.float64(1.5), (np.int64(2), np.ones((2, 2)))],
+        }
+        for key, value in payload.items():
+            assert _jsonable(value) == self.recursive(value), key
+            assert json.dumps(_jsonable(value)) == json.dumps(self.recursive(value)), key
+        write_json(tmp_path / "fast.json", payload)
+        expected = json.dumps(self.recursive(payload), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "fast.json").read_text() == expected
+
+
 class TestReport:
     def test_closed_loop_report_has_rate(self, tmp_path):
         cfg = fast_config(tmp_path / "run")
@@ -435,6 +471,33 @@ class TestReport:
         run = tmp_path / "run"
         run.mkdir()
         (run / "spectrum.json").write_bytes(content.encode("latin-1"))
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / "spectrum.json") in captured.err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("spectrum.json", '{"F_bar": 1.0}'),
+            ("stationary.json", '{"residual": 1e-12}'),
+            ("controllability.json", "{}"),
+            ("simulate.json", '{"fitted_rate": 0.1, "fit_r2": 1.0}'),
+        ],
+    )
+    def test_summary_missing_key_exit_two(self, tmp_path, capsys, name, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / name).write_text(content)
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / name) in captured.err
+        assert "lacks" in captured.err
+
+    def test_summary_that_is_a_directory_exit_two(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        (run / "spectrum.json").mkdir(parents=True)
         assert main(["report", str(run)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

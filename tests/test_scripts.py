@@ -1,5 +1,6 @@
 """Smoke test: each study script runs to completion on a small problem."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,18 +19,33 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script, tmp_path):
+def run_script(script, args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script, tmp_path):
+    result = run_script(script, SCRIPTS[script], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_writes_its_file(tmp_path):
+    args = ["--label", "smoke", "--workloads", "rho_ensemble", "--seconds", "0.1", "--M", "16"]
+    result = run_script("bench.py", args, tmp_path)
+    assert result.returncode == 0, result.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    row = bench["workloads"]["rho_ensemble"]
+    assert row["correct"] and row["failed"] == 0
+    assert row["wall_s"]["q1"] <= row["wall_s"]["median"] <= row["wall_s"]["q3"]
+    assert set(bench["step_profile"]["M=16"]) >= {"remainder", "solve", "rhs", "step"}

@@ -19,13 +19,19 @@ from phasestab.sim import (
     ImplicitSolveError,
     _decay_norm,
     _PhysicalMap,
-    _remainder_coeffs,
+    _remainder_analysis,
     _Stepper,
     fit_exponential_rate,
     seeded_initial_state,
     simulate,
 )
-from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid, _weighted_norm
+from phasestab.spectral import (
+    ScalarField,
+    SpectralBasis,
+    _cosine_matrix,
+    _values_on_grid,
+    _weighted_norm,
+)
 from phasestab.stationary import stationary_constant
 
 from oracles import apply_B, basis_function, from_physical, remainder_G_expanded
@@ -48,10 +54,11 @@ def graph_norm(basis, coeffs, alpha):
 
 
 def remainder_direct(y, phi, g):
-    """G(y) by the stepper's kernel, with phi_inf and g on the padded grid."""
+    """G(y) = -kappa (L/P) q from the stepper's kernel q, phi_inf and g on the padded grid."""
     basis, P = y.basis, 2 * y.basis.M
     pv, gv = (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
-    return ScalarField(basis, _remainder_coeffs(basis, y.coeffs, pv, gv))
+    q = _remainder_analysis(_cosine_matrix(basis, P), y.coeffs, 3.0 * pv, gv)
+    return ScalarField(basis, -basis.kappa * (basis.L / P) * q)
 
 
 def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_every, factor):
@@ -171,14 +178,17 @@ class TestRemainderTerm:
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_mean_coefficient_exactly_zero(self, M, L):
-        # the k = 0 coefficient must vanish exactly for the means to be conserved
+        # the k = 0 coefficient of the explicit term must vanish exactly for
+        # the means to be conserved: the stepper's folded factors have a zero
+        # mean entry, and the mean block of J is the identity
         basis = SpectralBasis(L=L, M=M)
+        plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
+        stepper = _Stepper(plant, 1e-3, None, None, True, "imex2")
+        assert stepper.e1[0] == 0.0 and stepper.e2[0] == 0.0
         rng = np.random.default_rng(M)
-        P = 2 * M
-        out = _remainder_coeffs(
-            basis, rng.standard_normal(M), rng.standard_normal(P), rng.standard_normal(P)
-        )
-        assert out[0] == 0.0
+        x = rng.standard_normal(2 * M)
+        x_next, _ = stepper.step(x)
+        assert x_next[0] == x[0]
 
 
 def final_state(plant, y0, z0, dt, n_steps, **kwargs):
@@ -271,6 +281,114 @@ class TestStepImex:
         zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ValueError):
             simulate(plant, zero, zero, dt=1e-3, t_end=1e-3, sol=sol, act=None)
+
+
+class ReferenceStep:
+    """The stepper's schemes written out unfused, from the ``_Stepper`` formulas.
+
+        imex1  theta = dt       r = x_n + dt G(x_n)
+        imex2  theta = 2 dt/3   r = (4 x_n - x_{n-1}) / 3
+                                    + (2 dt/3) (2 G(x_n) - G(x_{n-1}))
+
+    then x_next = (I + theta (Op + B K))^{-1} r, by ``np.linalg.solve`` on
+    the dense matrix, with G from the expanded product-rule oracle.
+    """
+
+    def __init__(self, plant, dt, sol, act, nonlinear):
+        self.plant, self.dt, self.nonlinear = plant, dt, nonlinear
+        closed = plant.operator_matrix()
+        if sol is not None:
+            closed = closed + act.B_matrix @ sol.K_gain
+        self.closed = closed
+        self.K = sol.K_gain if sol is not None else None
+
+    def G(self, x):
+        M = self.plant.basis.M
+        out = np.zeros(2 * M)
+        if self.nonlinear:
+            y = ScalarField(self.plant.basis, x[:M])
+            out[:M] = remainder_G_expanded(y, self.plant.phi_inf, self.plant.g).coeffs
+        return out
+
+    def step(self, x, x_old=None):
+        """(x_next, -K x_next); an SBDF2 step when x_old is given, else IMEX Euler."""
+        dt = self.dt
+        if x_old is None:
+            theta, r = dt, x + dt * self.G(x)
+        else:
+            theta = 2.0 * dt / 3.0
+            r = (4.0 * x - x_old) / 3.0 + theta * (2.0 * self.G(x) - self.G(x_old))
+        x_next = np.linalg.solve(np.eye(len(x)) + theta * self.closed, r)
+        w = -(self.K @ x_next) if self.K is not None else np.zeros(0)
+        return x_next, w
+
+
+def rel_dev(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.fixture(scope="module")
+def kink():
+    """A nonconstant minimize state (nu = 0.05, L = 1, M = 16): g is not zero."""
+    cfg = SimConfig()
+    cfg.basis.M = 16
+    cfg.params.nu = 0.05
+    cfg.stationary.mode = "minimize"
+    cfg.stationary.init_value, cfg.stationary.init_cos = 0.0, 0.6
+    m = build_materials(cfg.validate())
+    assert np.abs(m.plant.g.values).max() > 0.5
+    return m.plant, m.act, solve_care(m.plant, m.act)
+
+
+@pytest.fixture(scope="module")
+def constant_plants():
+    out = {}
+    for M in (8, 16, 64):
+        basis = SpectralBasis(L=1.0, M=M)
+        plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
+        act = build_actuator(plant)
+        out[M] = plant, act, solve_care(plant, act)
+    return out
+
+
+class TestFoldedStep:
+    """The folded step against ``ReferenceStep``, per step and along 200 steps."""
+
+    STEPS = 200
+    TOL = 1e-12
+
+    def check(self, plant, act, sol, scheme, closed, nonlinear, rho=0.1, dt=5e-3):
+        sol, act = (sol, act) if closed else (None, None)
+        stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
+        ref = ReferenceStep(plant, dt, sol, act, nonlinear)
+        y0, z0 = seeded_initial_state(plant.basis, rho, seed=11)
+        x = x_ref = np.concatenate([y0.coeffs, z0.coeffs])
+        old = old_ref = None
+        for _ in range(self.STEPS):
+            x_next, w = stepper.step(x)
+            # one reference step from the stepper's own states
+            expected, w_expected = ref.step(x, old if scheme == "imex2" else None)
+            assert rel_dev(x_next, expected) <= self.TOL
+            if closed:
+                assert rel_dev(w, w_expected) <= self.TOL
+            # and the reference trajectory run on its own
+            x_ref, old_ref = ref.step(x_ref, old_ref if scheme == "imex2" else None)[0], x_ref
+            assert rel_dev(x_next, x_ref) <= self.TOL
+            x, old = x_next, x
+        assert np.abs(x).max() > 1e-6  # the run did not decay to nothing
+
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("M", [8, 16, 64])
+    def test_constant_state(self, constant_plants, M, scheme, closed, nonlinear):
+        self.check(*constant_plants[M], scheme, closed, nonlinear)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_nonconstant_state(self, kink, scheme, closed):
+        # the g y term of the remainder is live only on a nonconstant state
+        self.check(*kink, scheme, closed, nonlinear=True)
 
 
 class TestSimulate:
