@@ -2,7 +2,7 @@
 """Write ``BENCH_<label>.json`` from the benchmark and the step profile.
 
     python3 scripts/bench.py --label 17 [--seconds 25] [--workloads default rho_ensemble]
-                             [--M 64 256] [--root CHECKOUT] [--out FILE]
+                             [--M 64 256] [--root CHECKOUT]
 
 A thin driver with no timers of its own.  From the checkout ``--root``
 (default: the one this script sits in) it runs
@@ -10,13 +10,13 @@ A thin driver with no timers of its own.  From the checkout ``--root``
     phasebench/run.py --workload W --seed 0 --seconds S --trace 0
         once per workload, each in its own process.  It keeps the end-to-end
         metrics of the run's last line and the median and quartiles of its
-        per-iteration ``wall_s`` samples (at reference speed and as measured).
+        per-iteration ``wall_s`` samples.
     scripts/step_profile.py --M ...
         once.  It keeps the microseconds per step of each phase that the
         profile prints, whatever that checkout names them.
 
-and writes them, with the benchmark's environment line, to ``--out``
-(default: ``BENCH_<label>.json`` in the directory it is run from).  Running
+and writes them, with the benchmark's environment line, to
+``BENCH_<label>.json`` in the directory it is run from.  Running
 it with ``--root`` on a copy of an earlier commit gives that commit's file
 from the same driver.  It exits 1 when a run fails or reports a failed
 operation, after writing what it has.
@@ -70,7 +70,6 @@ def run_workload(root: Path, workload: str, seconds: float) -> tuple[dict, dict 
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "wall_s": _spread(_samples(lines, "wall samples")),
-        "wall_s_as_measured": _spread(_samples(lines, "as measured")),
     }
     return row, env
 
@@ -102,10 +101,9 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--M", type=int, nargs="+", default=[64, 256])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     root = args.root.resolve()
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
 
     bench = {"label": args.label, "seconds": args.seconds, "seed": 0, "environment": None,
              "workloads": {}, "step_profile": None}

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -312,40 +313,38 @@ def render_report(run_dir: Path) -> str:
     def add(name, value, fmt="{:.6g}"):
         rows.append((name, "absent" if value is None else fmt.format(value)))
 
-    spectrum = _maybe_json(run_dir / "spectrum.json", "N_unstable", "eigenvalues", "gap", "F_l")
-    if spectrum:
-        add("N_unstable", spectrum["N_unstable"], "{:d}")
-        add("lambda_min", spectrum["eigenvalues"][0])
-        add("lambda_gap", spectrum["gap"])
-        add("F_l", spectrum["F_l"])
-        eigs = spectrum["eigenvalues"]
-        write_table(
-            run_dir / "spectrum.dat", "# i lambda_i", [np.arange(len(eigs)), eigs], sep=" "
-        )
+    with _run_file(run_dir / "spectrum.json") as spectrum:
+        if spectrum is not None:
+            add("N_unstable", spectrum["N_unstable"], "{:d}")
+            add("lambda_min", spectrum["eigenvalues"][0])
+            add("lambda_gap", spectrum["gap"])
+            add("F_l", spectrum["F_l"])
+            eigs = spectrum["eigenvalues"]
+            write_table(
+                run_dir / "spectrum.dat", "# i lambda_i", [np.arange(len(eigs)), eigs], sep=" "
+            )
 
-    stationary = _maybe_json(run_dir / "stationary.json", "residual", "chi_inf", "gbar_inf")
-    if stationary:
-        add("stationary_residual", stationary["residual"], "{:.3e}")
-        add("chi_inf", stationary["chi_inf"])
-        add("gbar_inf", stationary["gbar_inf"])
+    with _run_file(run_dir / "stationary.json") as stationary:
+        if stationary is not None:
+            add("stationary_residual", stationary["residual"], "{:.3e}")
+            add("chi_inf", stationary["chi_inf"])
+            add("gbar_inf", stationary["gbar_inf"])
 
-    controllability = _maybe_json(
-        run_dir / "controllability.json", "lambda_min_D", "gramian_cond", "steering_error"
-    )
-    if controllability:
-        add("lambda_min_D", controllability["lambda_min_D"])
-        add("gramian_cond", controllability["gramian_cond"])
-        add("steering_error", controllability["steering_error"], "{:.3e}")
+    with _run_file(run_dir / "controllability.json") as controllability:
+        if controllability is not None:
+            add("lambda_min_D", controllability["lambda_min_D"])
+            add("gramian_cond", controllability["gramian_cond"])
+            add("steering_error", controllability["steering_error"], "{:.3e}")
 
-    synth = _maybe_json(run_dir / "synth.json")
-    add("riccati_residual", synth.get("residual_rel") if synth else None, "{:.3e}")
-    add("margin", synth.get("margin") if synth else None)
+    with _run_file(run_dir / "synth.json") as synth:
+        add("riccati_residual", synth.get("residual_rel") if synth else None, "{:.3e}")
+        add("margin", synth.get("margin") if synth else None)
 
-    sim = _maybe_json(run_dir / "simulate.json", "fitted_rate", "fit_r2", "final_xi_norm")
-    if sim:
-        add("fitted_rate", sim["fitted_rate"])
-        add("fit_r2", sim["fit_r2"])
-        add("final_xi_norm", sim["final_xi_norm"], "{:.3e}")
+    with _run_file(run_dir / "simulate.json") as sim:
+        if sim is not None:
+            add("fitted_rate", sim["fitted_rate"])
+            add("fit_r2", sim["fit_r2"])
+            add("final_xi_norm", sim["final_xi_norm"], "{:.3e}")
 
     traj_path = run_dir / "trajectory.csv"
     if traj_path.exists():
@@ -358,26 +357,31 @@ def render_report(run_dir: Path) -> str:
     return table
 
 
-def _maybe_json(path: Path, *keys: str) -> dict | None:
+@contextmanager
+def _run_file(path: Path):
     """The JSON object in path, None when the file is absent.
 
     ConfigError, naming the file, when it cannot be read, is not a JSON
-    object, or lacks one of ``keys``.
+    object, or when the block reading it finds a key missing, a value of
+    the wrong type or an empty array.
     """
     if not path.exists():
-        return None
+        data = None
+    else:
+        try:
+            data = read_json(path)
+        except OSError as exc:  # a directory, or unreadable
+            raise ConfigError(f"cannot read run file {path}: {exc.strerror}")
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"run file {path} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"run file {path} does not hold a JSON object")
     try:
-        data = read_json(path)
-    except OSError as exc:  # a directory, or unreadable
-        raise ConfigError(f"cannot read run file {path}: {exc.strerror}")
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"run file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"run file {path} does not hold a JSON object")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ConfigError(f"run file {path} lacks {', '.join(missing)}")
-    return data
+        yield data
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(
+            f"run file {path} lacks a usable value ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 # -- entry point -------------------------------------------------------------

@@ -495,6 +495,25 @@ class TestReport:
         assert str(run / name) in captured.err
         assert "lacks" in captured.err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"N_unstable": 2.5, "eigenvalues": [-1.0], "gap": 1.0, "F_l": 0.1}',
+            '{"N_unstable": 2, "eigenvalues": [], "gap": 1.0, "F_l": 0.1}',
+            '{"N_unstable": 2, "eigenvalues": [-1.0], "gap": "wide", "F_l": 0.1}',
+            '{"N_unstable": 2, "eigenvalues": -1.0, "gap": 1.0, "F_l": 0.1}',
+        ],
+        ids=["float-count", "no-eigenvalues", "string-gap", "scalar-eigenvalues"],
+    )
+    def test_summary_mistyped_value_exit_two(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "spectrum.json").write_text(content)
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / "spectrum.json") in captured.err
+
     def test_summary_that_is_a_directory_exit_two(self, tmp_path, capsys):
         run = tmp_path / "run"
         (run / "spectrum.json").mkdir(parents=True)
