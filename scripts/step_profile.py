@@ -9,15 +9,16 @@ warms up every cache, and each phase of one step of the config's scheme and
 dt is then timed with ``time.perf_counter`` on the run's final state:
 
     remainder   the unscaled remainder analysis q = C^T f(C y) on the
-                dealiasing grid (``_remainder_analysis``)
-    solve       the implicit solve of the scheme's steady step: the folded
-                2x2 block inverse v = (J/3) r, then the rank-N Woodbury
-                correction x = v - JU (C^{-1} K v) of the implicit feedback
-                (``_ClosedLoopSolve``)
-    rhs         forming the right-hand side r = 4 x - x_old + [e (2 q - q_old); 0]
-                from the current and previous states: step minus remainder
-                minus solve, so it also holds the step's own Python overhead
-    step        one whole stepper step
+                dealiasing grid, written into an output buffer
+                (``_remainder_analysis`` with ``out`` and ``grid``)
+    solve       the in-place implicit solve of the scheme's steady step: the
+                folded 2x2 block inverse v = (J/3) r on (2, M) views, then
+                the rank-N Woodbury feedback w = (-C^{-1} K) v and
+                x = v + JU w (``_ClosedLoopSolve``)
+    rhs         step minus remainder minus solve: the scaling h = e q, the
+                right-hand side [4 x - x_old; 2 h - h_old] with its h part
+                added into its y part, and the step's own Python overhead
+    step        one whole stepper step, advancing the stepper's own state
     recording   one recorded row: simulate at record_every = 1 minus simulate
                 recording only the first and last rows, per step.  simulate
                 fills its norms in passes over blocks of 256 rows, so this
@@ -81,18 +82,21 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
 
     final = run_simulate(1).final_state
     x = np.concatenate([final.y.coeffs, final.z.coeffs])
-    y, z = x[:M], x[M:]
     stepper = _Stepper(m.plant, run.dt, sol, m.act, True, run.scheme)
-    stepper.step(x)  # imex2 takes its steady form from the second step on
+    stepper.start(x)
+    stepper.step()  # imex2 takes its steady form from the second step on
     solve = stepper.bdf2 or stepper.euler
+    solve.r[: 2 * M] = x
+    q, x_out, w_out = np.empty(M), np.empty(2 * M), np.empty(m.act.N)
+    x_out2 = x_out.reshape(2, M)
+    C, phi3, g, grid = stepper.C, stepper.phi3_padded, stepper.g_padded, stepper.grid
 
     out = {
         "remainder": _us_per_call(
-            lambda: _remainder_analysis(stepper.C, y, stepper.phi3_padded, stepper.g_padded),
-            steps, repeats,
+            lambda: _remainder_analysis(C, x[:M], phi3, g, q, grid), steps, repeats
         ),
-        "solve": _us_per_call(lambda: solve(y, z), steps, repeats),
-        "step": _us_per_call(lambda: stepper.step(x), steps, repeats),
+        "solve": _us_per_call(lambda: solve(x_out2, x_out, w_out), steps, repeats),
+        "step": _us_per_call(stepper.step, steps, repeats),
     }
     out["rhs"] = out["step"] - out["remainder"] - out["solve"]
     every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps

@@ -23,9 +23,13 @@ grid, built on the first call): values v = C y, then the unscaled analysis
 q = C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.  The
 scheme's constants are folded once, when the stepper is built: 3 phi_inf on
 the padded grid, the per-mode factor -kappa L / P times dt (imex1) or 2 dt
-(imex2) into one vector, and SBDF2's 1/3 into a copy of the block inverse.
-A steady step is then q, one right-hand side, one block product and the
-rank-N feedback correction: about 20 NumPy calls.
+(imex2), and SBDF2's 1/3 into a copy of the block inverse.  The stepper
+owns its state: a ring of three history slots [x; q; w], and every
+intermediate is written in place into a buffer allocated once.  A steady
+step is q, one right-hand side, one block product and the rank-N feedback
+correction: 17 NumPy calls and no allocation.  ``step`` returns views into
+the ring, valid for two further steps; ``simulate`` copies the rows it
+records and the final state.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -117,18 +121,28 @@ def _decay_norm(basis, x: np.ndarray):
 
 
 def _remainder_analysis(
-    C: np.ndarray, y: np.ndarray, phi3_padded: np.ndarray, g_padded: np.ndarray
+    C: np.ndarray, y: np.ndarray, phi3_padded: np.ndarray, g_padded: np.ndarray,
+    out: np.ndarray | None = None, grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Unscaled analysis q = C^T f(C y), f(v) = v^3 + 3 phi_inf v^2 + g v.
 
     C is the P x M cosine matrix of the dealiasing grid, and ``phi3_padded``
     and ``g_padded`` hold 3 phi_inf and g on that grid.  The modal
-    coefficients of G(y) are -kappa (L / P) q.
+    coefficients of G(y) are -kappa (L / P) q.  Given ``out`` (M entries)
+    and ``grid`` (two buffers of P entries), q is written into ``out`` and
+    the call allocates nothing.
     """
-    yv = C.dot(y)
-    # Horner form: a float power costs more than both matrix-vector products
-    # at P = 128
-    return C.T.dot(yv * (yv * (yv + phi3_padded) + g_padded))
+    yv, t = np.empty((2, len(C))) if grid is None else grid
+    # methods and positional out arguments: np.dot and out= keywords cost a
+    # dispatch each, a tenth of a microsecond or more
+    C.dot(y, yv)
+    # Horner form, in place: a float power costs more than both
+    # matrix-vector products at P = 128
+    np.add(yv, phi3_padded, t)
+    t *= yv
+    t += g_padded
+    t *= yv
+    return C.T.dot(t, out)
 
 
 # -- physical variables ------------------------------------------------------
@@ -181,20 +195,31 @@ CAPACITANCE_COND_MAX = 1e8
 
 
 class _ClosedLoopSolve:
-    """x = (I + theta (Op + B K))^{-1} (scale r) for one theta and one scale.
+    """x = (I + theta (Op + B K))^{-1} (scale r) for one theta and one scale, in place.
 
-    J = (I + theta Op)^{-1} is the per-mode 2x2 block inverse; BK has rank N,
-    so the closed-loop inverse is J plus a Woodbury correction.  The scheme's
-    factor on r is folded into a copy of the block inverse, and with
-    JU = J theta B (2M x N, unscaled) and the capacitance matrix
+    J = (I + theta Op)^{-1} is the per-mode 2x2 block inverse
+    [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
+    right-hand side buffer ``r`` holds [r_y; r_z; r_y], so that both
+    R = [r_y; r_z] and its swap [r_z; r_y] are contiguous (2, M) views, and
+
+        scale J r = D R + O [r_z; r_y],   D = scale [d; a] / det,
+                                          O = scale [-b; -c] / det,
+
+    two products and one sum.  A row-reversed view R[::-1] would save the
+    copy of r_y, but NumPy runs it through its general iterator, which
+    allocates about 2 KB per call and costs about a microsecond more.  BK
+    has rank N, so the closed-loop inverse is J plus a Woodbury correction.
+    With JU = J theta B (2M x N, unscaled) and the capacitance matrix
     C = I_N + K JU, all formed once, the solve is
 
-        v = (scale J) r,  s = C^{-1} K v,  x = v - JU s
+        v = (scale J) r,  w = (-C^{-1} K) v,  x = v + JU w
 
-    at O(MN) cost.  s equals K x, so the call also returns the feedback
-    amplitude w = -K x without a second product; the sign is folded into the
-    stored -C^{-1} K, which leaves every bit of x and w as it is.  The caller
-    checks that every block is invertible at theta.
+    at O(MN) cost.  w equals -K x, the feedback amplitude at the new state,
+    so no second product forms it.  The caller writes r into the first 2M
+    entries of ``r``; the solve copies r_y into the last M, which until then
+    are the caller's to use.  Raises ImplicitSolveError, before any
+    division, when a block is not invertible at theta, and when C is ill
+    conditioned.
     """
 
     def __init__(
@@ -203,33 +228,47 @@ class _ClosedLoopSolve:
         theta: float,
         scale: float,
         dt: float,
+        scheme: str,
         sol: RiccatiSolution | None,
         act: Actuator | None,
     ):
+        M = len(blocks)
         a = 1.0 + theta * blocks[:, 0, 0]
         b = theta * blocks[:, 0, 1]
         c = theta * blocks[:, 1, 0]
         d = 1.0 + theta * blocks[:, 1, 1]
         det = a * d - b * c
-        # block inverse [[d, -b], [-c, a]] / det, split into the columns that
-        # multiply the y and z parts of its argument
-        inv_y = np.stack([d, -c]) / det
-        inv_z = np.stack([-b, a]) / det
-        self.inv_y, self.inv_z = scale * inv_y, scale * inv_z
+        # both schemes first solve at theta = dt (imex2 on its first step),
+        # and det(I + theta A_k) > 0 at theta = dt keeps it positive for
+        # smaller theta, so the bound on dt is the same for both
+        if not np.min(det) >= 1e-12:
+            raise ImplicitSolveError(
+                f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
+                f"{np.min(det):.3e}); keep dt below {_Stepper._dt_bound(blocks):.3e} "
+                f"for {scheme}"
+            )
+        diag = np.stack([d, a]) / det
+        off = np.stack([-b, -c]) / det
+        self.diag, self.off = scale * diag, scale * off
+        self.r = np.zeros(3 * M)
+        self.r_y, self.r_tail = self.r[:M], self.r[2 * M :]
+        self.r2 = self.r[: 2 * M].reshape(2, M)
+        self.r2_swap = self.r[M:].reshape(2, M)
+        self.t = np.empty(2 * M)
+        self.t2 = self.t.reshape(2, M)
         self.JU = self.minus_S = None
         if sol is None:
             return
-        M = len(blocks)
-        U = theta * act.B_matrix
-        JU = inv_y[..., None] * U[:M] + inv_z[..., None] * U[M:]
-        self.JU = JU.reshape(2 * M, -1)
+        U2 = (theta * act.B_matrix).reshape(2, M, -1)
+        self.JU = (diag[..., None] * U2 + off[..., None] * U2[::-1]).reshape(2 * M, -1)
         KJU = sol.K_gain @ self.JU
         cap = np.eye(act.N) + KJU
         # condition relative to the terms that form C: forming it rounds at
         # eps (1 + ||K JU||), and solving with it amplifies that by
         # 1 / sigma_min(C); plain cond(C) misses cancellation in I + K JU
-        smin = np.linalg.svd(cap, compute_uv=False)[-1]
-        cond = (1.0 + np.linalg.norm(KJU, 2)) / smin if smin > 0 else np.inf
+        sv = np.linalg.svd(np.stack([cap, KJU]), compute_uv=False)
+        smin, norm_KJU = sv[0, -1], sv[1, 0]
+        cond = (1.0 + norm_KJU) / smin if smin > 0 else np.inf
         if not cond <= CAPACITANCE_COND_MAX:
             raise ImplicitSolveError(
                 f"capacitance matrix I + K J theta B of the implicit feedback has "
@@ -238,13 +277,16 @@ class _ClosedLoopSolve:
             )
         self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
-    def __call__(self, r_y: np.ndarray, r_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, -K x) for r = (r_y, r_z); x = v when open loop."""
-        v = (self.inv_y * r_y + self.inv_z * r_z).ravel()
-        if self.minus_S is None:
-            return v, np.zeros(0)
-        w = self.minus_S.dot(v)
-        return v + self.JU.dot(w), w
+    def __call__(self, x2: np.ndarray, x: np.ndarray, w: np.ndarray) -> None:
+        """Write the solution into x (x2 its (2, M) view) and -K x into w (not open loop)."""
+        np.copyto(self.r_tail, self.r_y)
+        np.multiply(self.diag, self.r2, x2)
+        np.multiply(self.off, self.r2_swap, self.t2)
+        x2 += self.t2
+        if self.minus_S is not None:
+            self.minus_S.dot(x, w)
+            self.JU.dot(w, self.t)
+            x += self.t
 
 
 class _Stepper:
@@ -275,6 +317,17 @@ class _Stepper:
 
     e1 and e2 have a zero mean entry (kappa_0 = 0), so the explicit term
     leaves the means alone.
+
+    The stepper owns its state: a ring of three slots [x (2M); q (M); w (N)],
+    w = -K x the feedback amplitude.  ``start`` copies x_0 into a slot, and
+    each ``step`` writes q_n into x_n's slot and x_{n+1}, w_{n+1} into the
+    slot of x_{n-2}, every intermediate in a preallocated buffer: it
+    allocates no array.  The right-hand side is one product of [x_n; q_n]
+    with a coefficient vector (1 for imex1, [4; 2] for SBDF2), minus
+    [x_{n-1}; q_{n-1}] for SBDF2; its q part is scaled by e1 or e2 and added
+    into its y part.  A steady nonlinear closed-loop step makes 17 NumPy
+    calls.  ``step`` returns views into the ring, which keep their values
+    for two further steps.
     """
 
     def __init__(
@@ -293,34 +346,39 @@ class _Stepper:
         if (sol is None) != (act is None):
             raise ValueError("feedback needs both the Riccati solution and the actuator")
         basis = plant.basis
-        self.M = basis.M
+        M = basis.M
         self.nonlinear = nonlinear
-
-        # both schemes solve at theta = dt (imex2 on its first step), and
-        # det(I + theta A_k) > 0 at theta = dt keeps it positive for smaller
-        # theta, so the bound on dt is the same for both
         blocks = plant.A_blocks
-        det = np.linalg.det(np.eye(2) + dt * blocks)
-        if not np.min(det) >= 1e-12:
-            raise ImplicitSolveError(
-                f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
-                f"{np.min(det):.3e}); keep dt below {self._dt_bound(blocks):.3e} for {scheme}"
-            )
-        self.euler = _ClosedLoopSolve(blocks, dt, 1.0, dt, sol, act)
+        self.euler = _ClosedLoopSolve(blocks, dt, 1.0, dt, scheme, sol, act)
         self.bdf2 = (
-            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, 1.0 / 3.0, dt, sol, act)
+            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, 1.0 / 3.0, dt, scheme, sol, act)
             if scheme == "imex2"
             else None
         )
 
-        P = PAD_FACTOR * basis.M
+        P = PAD_FACTOR * M
         self.C = _cosine_matrix(basis, P)
         self.phi3_padded = 3.0 * _values_on_grid(basis, plant.phi_inf.coeffs, P)
         self.g_padded = _values_on_grid(basis, plant.g.coeffs, P)
+        self.grid = (np.empty(P), np.empty(P))
         self.e1 = -basis.kappa * (basis.L / P * dt)
         self.e2 = 2.0 * self.e1
-        # (x, q) of the last step's input, which imex2 needs as x_{n-1}
-        self._prev: tuple[np.ndarray, np.ndarray | None] | None = None
+        # (solve, coefficients on [x_n; q_n], factor on the q part)
+        self._first = (self.euler, np.ones(3 * M), self.e1)
+        self._steady = (
+            self._first
+            if self.bdf2 is None
+            else (self.bdf2, np.repeat([4.0, 2.0], [2 * M, M]), self.e2)
+        )
+        self._next = self._first
+
+        N = 0 if sol is None else act.N
+        # each slot: ([x; q], x, x as (2, M), y, q, w), all views of one row
+        self._ring = tuple(
+            (row[: 3 * M], row[: 2 * M], row[: 2 * M].reshape(2, M), row[:M],
+             row[2 * M : 3 * M], row[3 * M :])
+            for row in np.zeros((3, 3 * M + N))
+        )
 
     @staticmethod
     def _dt_bound(blocks: np.ndarray) -> float:
@@ -336,26 +394,36 @@ class _Stepper:
         q2, q1 = q2[neg], q1[neg]
         return float(np.min((q1 + np.sqrt(q1 * q1 - 4.0 * q2)) / (-2.0 * q2)))
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the stacked modal state by one dt.
+    def start(self, x0: np.ndarray) -> None:
+        """Take x0 as the state x_0; the next step is the scheme's first."""
+        np.copyto(self._ring[1][1], x0)
+        self._next = self._first
+
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the state by one dt.
 
         Returns (x_next, w_next) with w_next = -K x_next, the feedback
-        amplitude at the new state (empty when open loop).
+        amplitude at the new state (empty when open loop): views into the
+        ring that keep their values for two further steps.
         """
-        M = self.M
-        y = x[:M]
-        q = (
-            _remainder_analysis(self.C, y, self.phi3_padded, self.g_padded)
-            if self.nonlinear
-            else None
-        )
-        prev, self._prev = self._prev, (x, q)
-        if self.bdf2 is None or prev is None:
-            return self.euler(y if q is None else y + self.e1 * q, x[M:])
-        x_old, q_old = prev
-        r = 4.0 * x - x_old
-        r_y = r[:M] if q is None else r[:M] + self.e2 * (2.0 * q - q_old)
-        return self.bdf2(r_y, r[M:])
+        old, cur, new = self._ring
+        xq, _, _, y, q, _ = cur
+        if self.nonlinear:
+            _remainder_analysis(self.C, y, self.phi3_padded, self.g_padded, q, self.grid)
+        solve, coef, e = self._next
+        r = solve.r
+        np.multiply(coef, xq, r)
+        if solve is self.bdf2:
+            r -= old[0]
+        if self.nonlinear:
+            r_y, r_q = solve.r_y, solve.r_tail
+            r_q *= e
+            r_y += r_q
+        _, x, x2, _, _, w = new
+        solve(x2, x, w)
+        self._ring = cur, new, old
+        self._next = self._steady
+        return x, w
 
 
 # -- trajectories ------------------------------------------------------------
@@ -483,9 +551,10 @@ def simulate(
 
     block[0] = x
     amps[0] = w
+    stepper.start(x)
     row = 0
     for step_idx in range(1, n_steps + 1):
-        x, w = stepper.step(x)
+        x, w = stepper.step()
         if step_idx % record_every == 0 or step_idx == n_steps:
             row += 1
             block[row % _RECORD_BLOCK] = x

@@ -129,19 +129,6 @@ class ScalarField:
         """Spatial mean (1/L) int f dx, carried exactly by the k=0 coefficient."""
         return float(self.coeffs[0]) / np.sqrt(self.basis.L)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_basis(self, other)
-        return ScalarField(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_basis(self, other)
-        return ScalarField(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def _check_same_basis(*fields: ScalarField) -> SpectralBasis:
     basis = fields[0].basis

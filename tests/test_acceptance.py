@@ -301,7 +301,7 @@ def test_c08_remainder_equivalence(default_problem):
         y = ScalarField(basis, coeffs)
         sup = np.abs(y.values).max()
         if sup > 1.0:
-            y = (1.0 / sup) * y
+            y = ScalarField(basis, (1.0 / sup) * coeffs)
         phi = backgrounds[i % 2]
         g = F_second_parts(phi)[1]
         # the stepper's kernel q, given 3 phi_inf and g on the padded grid;
