@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Write ``BENCH_<label>.json`` from the benchmark and the step profile.
+"""Write ``BENCH_<label>.json`` from the benchmark and the step and CARE profiles.
 
     python3 scripts/bench.py --label 17 [--seconds 25] [--workloads default rho_ensemble]
-                             [--M 64 256] [--root CHECKOUT]
+                             [--M 32 64 128 256] [--root CHECKOUT]
 
 A thin driver with no timers of its own.  From the checkout ``--root``
 (default: the one this script sits in) it runs
@@ -14,6 +14,9 @@ A thin driver with no timers of its own.  From the checkout ``--root``
     scripts/step_profile.py --M ...
         once.  It keeps the microseconds per step of each phase that the
         profile prints, whatever that checkout names them.
+    scripts/care_profile.py --M ...
+        once, at the same sizes.  It keeps the Riccati synthesis's milliseconds per phase and,
+        where the checkout prints it, its ``peak`` memory in n^2 doubles.
 
 and writes them, with the benchmark's environment line, to
 ``BENCH_<label>.json`` in the directory it is run from.  Running
@@ -74,23 +77,29 @@ def run_workload(root: Path, workload: str, seconds: float) -> tuple[dict, dict 
     return row, env
 
 
-def run_step_profile(root: Path, sizes: list[int]) -> dict | None:
-    """{"M=..": {phase: us per step}} from the checkout's step profile table; None on failure."""
+def run_profile(root: Path, script: str, sizes: list[int], unit: str) -> dict | None:
+    """{"M=..": {column: value}} from a checkout's profile table; None on failure.
+
+    The column names are those of the header, the line above the first
+    ``M=`` row; any lines above the header are kept as ``run``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, str(root / "scripts" / "step_profile.py"), "--M", *map(str, sizes)]
+    cmd = [sys.executable, str(root / "scripts" / script), "--M", *map(str, sizes)]
     out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=1800)
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
         return None
     lines = out.stdout.splitlines()
-    header = next(line for line in lines if line.startswith("us/step"))
-    phases = header.split()[1:]
-    table = {"unit": "us per step", "run": lines[0]}
-    for line in lines:
+    first = next(i for i, line in enumerate(lines) if line.startswith("M="))
+    names = lines[first - 1].split()[1:]
+    table = {"unit": unit}
+    if first > 1:
+        table["run"] = " ".join(lines[: first - 1])
+    for line in lines[first:]:
         if line.startswith("M="):
             name, *values = line.split()
-            table[name] = dict(zip(phases, map(float, values)))
+            table[name] = dict(zip(names, map(float, values)))
     return table
 
 
@@ -99,14 +108,14 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--M", type=int, nargs="+", default=[64, 256])
+    parser.add_argument("--M", type=int, nargs="+", default=[32, 64, 128, 256])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     args = parser.parse_args()
     root = args.root.resolve()
     out = Path(f"BENCH_{args.label}.json")
 
     bench = {"label": args.label, "seconds": args.seconds, "seed": 0, "environment": None,
-             "workloads": {}, "step_profile": None}
+             "workloads": {}, "step_profile": None, "care_profile": None}
     status = 0
     for workload in args.workloads:
         row, env = run_workload(root, workload, args.seconds)
@@ -114,8 +123,11 @@ def main() -> int:
         bench["environment"] = bench["environment"] or env
         status |= int(not row.get("correct", False))
         print(f"{workload}: {json.dumps(row.get('wall_s', row))}", flush=True)
-    bench["step_profile"] = run_step_profile(root, args.M)
-    status |= int(bench["step_profile"] is None)
+    bench["step_profile"] = run_profile(root, "step_profile.py", args.M, "us per step")
+    bench["care_profile"] = run_profile(
+        root, "care_profile.py", args.M, "ms per call; peak in n^2 doubles"
+    )
+    status |= int(bench["step_profile"] is None or bench["care_profile"] is None)
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return status

@@ -9,13 +9,15 @@ phase of the solve is then timed alone:
 
     first       the first Newton step, formed in the plant's eigenbasis: the
                 start gain, the block solves of its closed loop's Lyapunov
-                equation and the gathers through the eigenvectors
+                equation and the gathers through the compact eigenvectors
     margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
-    rest        total minus the phases above: assembling the dense operator,
-                the gain K = B^T R, and any Newton step after the first
+    rest        total minus the phases above: the gain K = B^T R, its
+                eigen-coordinates, and any Newton step after the first
     total       one whole solve_care call
+    peak        not a time: the tracemalloc peak of one solve_care call above
+                its inputs, in n^2 doubles (n = 2M)
 
 Newton steps after the first factor the dense closed loop; rest holds
 them (iters - 1 of them).  So that their cost shows also where Newton stops
@@ -41,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
@@ -55,10 +58,11 @@ from phasestab.lqr import (  # noqa: E402
     _lyapunov_schur,
     _margin,
     _probe_residual,
+    _to_eigenbasis,
     solve_care,
 )
 
-PHASES = ("first", "margin", "probe", "rest", "total")
+PHASES = ("first", "margin", "probe", "rest", "total", "peak")
 DENSE_STEP = ("dense", "schur", "sylvester", "transforms")
 
 
@@ -83,14 +87,20 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         return solve_care(plant, act, tol=rc.tol, max_iters=rc.max_iters)
 
     sol = solve()  # warm-up, and the converged closed loop to profile
-    lam, V, cols = plant.eigenvalues, plant.eigenvectors, plant.eigvec_cols
+    tracemalloc.start()
+    solve()
+    peak = tracemalloc.get_traced_memory()[1] / (8.0 * (2 * M) ** 2)
+    tracemalloc.stop()
+    lam, cols, vals = plant.eigenvalues, plant.eigvec_cols, plant.eigvec_vals
     A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, sol.Q_diag
     R, K = sol.R_matrix, sol.K_gain
-    b, k = V.T @ B, V.T @ K.T
+    b, k = _to_eigenbasis(cols, vals, B), _to_eigenbasis(cols, vals, K.T)
 
     def probe(samples):
         return _ms_per_call(
-            lambda: _probe_residual(R, A_op, B, Q_diag, samples, np.random.default_rng(0)),
+            lambda: _probe_residual(
+                R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(0)
+            ),
             repeats,
         )
 
@@ -106,7 +116,9 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         Z @ Y @ Z.T
 
     row = {
-        "first": _ms_per_call(lambda: _first_step(lam, V, cols, B, act.D_matrix, Q_diag), repeats),
+        "first": _ms_per_call(
+            lambda: _first_step(lam, cols, vals, B, act.D_matrix, Q_diag), repeats
+        ),
         "margin": _ms_per_call(lambda: _margin(lam, b, k), repeats),
         "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
         "total": _ms_per_call(solve, repeats),
@@ -116,6 +128,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         "transforms": _ms_per_call(transforms, repeats),
     }
     row["rest"] = row["total"] - row["first"] - row["margin"] - row["probe"]
+    row["peak"] = peak
     return row, sol.iterations, sol.margin
 
 

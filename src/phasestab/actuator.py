@@ -103,7 +103,11 @@ def build_actuator(
     w = weight.values
 
     N = plant.N_unstable
-    modes = plant.eigenvectors[:, :N].copy()
+    # the first N columns of the eigenvector matrix, from its compact pair
+    cols, vals = plant.eigvec_cols, plant.eigvec_vals
+    rows, which = np.nonzero(cols < N)
+    modes = np.zeros((2 * M, N))
+    modes[rows, cols[rows, which]] = vals[rows, which]
     lambdas = plant.eigenvalues[:N].copy()
 
     # the y and z components phi_i, psi_i of the eigenpairs at the nodes,

@@ -3,7 +3,8 @@
 Every table goes through ``write_table``, which writes floats with repr
 (shortest round-trip form), so identical runs produce byte-identical files.
 ``write_columns_dat`` copies columns of such a table as text, which gives
-the bytes that parsing and rewriting them would.
+the bytes that parsing and rewriting them would.  Both stream: neither holds
+a whole table's text in memory.
 """
 
 from __future__ import annotations
@@ -27,15 +28,23 @@ __all__ = [
 ]
 
 
+_CHUNK_ROWS = 512  # table rows converted and written per write call
+
+
 def write_table(path: str | Path, header: str, columns, sep: str = ",") -> None:
     """Header line, then one line per row of the equal-length columns.
 
     ``tolist()`` turns each column into Python numbers, so floats print as
-    their shortest round-trip repr and int columns stay ints.
+    their shortest round-trip repr and int columns stay ints.  The rows go
+    to the file _CHUNK_ROWS at a time.
     """
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    lines = [header] + [sep.join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
+            fh.write("".join(sep.join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_field_modal_csv(path: str | Path, f: ScalarField) -> None:
@@ -78,12 +87,16 @@ def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None
     The fields are copied as text: ``write_table`` already wrote them as
     shortest round-trip reprs, so parsing them would give them back unchanged.
     """
-    lines = Path(csv_path).read_text().splitlines()
-    header = lines[0].split(",")
-    picks = [header.index(name) for name in names]
-    rows = (line.split(",") for line in lines[1:])
-    body = [" ".join(fields[j] for j in picks) for fields in rows]
-    Path(dat_path).write_text("\n".join(["# " + " ".join(names), *body]) + "\n")
+    with open(csv_path) as src, open(dat_path, "w") as dst:
+        header = src.readline().rstrip("\n").split(",")
+        picks = [header.index(name) for name in names]
+        # fields past the last picked column are never split apart
+        stop = max(picks, default=-1) + 1
+        dst.write("# " + " ".join(names) + "\n")
+        dst.writelines(
+            " ".join([fields[j] for j in picks]) + "\n"
+            for fields in (line.rstrip("\n").split(",", stop) for line in src)
+        )
 
 
 def _jsonable(value):

@@ -17,7 +17,10 @@ those are the conserved mean modes and always contribute a double zero
 eigenvalue, on the axes with the y mode first.  Every other eigenpair is
 obtained in closed form, vectorized over the blocks, and one sort on
 (lambda, k, branch) orders them all; the number N of eigenvalues <= 0 is
-finite and the feedback will act only through them.
+finite and the feedback will act only through them.  An eigenvector lives
+on one mode's two rows, so the 2M x 2M eigenvector matrix is kept
+compactly, as each row's two columns and values, and the operator is
+applied through its blocks; the plant holds no 2M x 2M array.
 
 The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 (it is handled with the nonlinear remainder), which is what keeps the blocks
@@ -73,13 +76,16 @@ class PhysicalParams:
 
 @dataclass
 class LinearizedPlant:
-    """Assembled modal operator with its full eigendecomposition.
+    """Assembled modal operator with its full eigendecomposition, held compactly.
 
-    eigenvectors[:, i] holds the i-th eigenpair in stacked modal coordinates
-    (y coefficients in rows 0..M-1, z coefficients in rows M..2M-1);
-    eigenvalues are ascending.  Rows k and M + k belong to cosine mode k and
-    are nonzero only in eigvec_cols[k] = eigvec_cols[M + k], the columns of
-    that mode's two eigenpairs.
+    The orthonormal eigenvector matrix V has the i-th eigenpair in column i,
+    in stacked modal coordinates (y coefficients in rows 0..M-1, z
+    coefficients in rows M..2M-1); eigenvalues are ascending.  Rows k and
+    M + k belong to cosine mode k and are nonzero only in
+    eigvec_cols[k] = eigvec_cols[M + k], the columns of that mode's two
+    eigenpairs, so V is kept as those columns and the values there:
+    V[r, eigvec_cols[r, a]] = eigvec_vals[r, a], every other entry zero.  No
+    field holds (2M)^2 entries.
     """
 
     params: PhysicalParams
@@ -89,8 +95,8 @@ class LinearizedPlant:
     g: ScalarField
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
-    eigenvectors: np.ndarray  # (2M, 2M) orthonormal columns
-    eigvec_cols: np.ndarray  # (2M, 2) the only columns where each row of eigenvectors is nonzero
+    eigvec_cols: np.ndarray  # (2M, 2) the only columns where each row of V is nonzero
+    eigvec_vals: np.ndarray  # (2M, 2) V's entries in those columns
     N_unstable: int
     phi_inf: ScalarField
 
@@ -98,16 +104,21 @@ class LinearizedPlant:
     def M(self) -> int:
         return self.basis.M
 
+    def apply_operator(self, X: np.ndarray) -> np.ndarray:
+        """X Op^T: the operator applied to each row of X (stacked modal coordinates).
+
+        Four multiplies on the (rows, M) halves, one per block entry.
+        """
+        M, blocks = self.M, self.A_blocks
+        y, z = X[:, :M], X[:, M:]
+        return np.concatenate(
+            [blocks[:, 0, 0] * y + blocks[:, 0, 1] * z, blocks[:, 1, 0] * y + blocks[:, 1, 1] * z],
+            axis=1,
+        )
+
     def operator_matrix(self) -> np.ndarray:
         """Dense 2M x 2M matrix of the operator in stacked modal coordinates."""
-        M = self.M
-        out = np.zeros((2 * M, 2 * M))
-        blocks = self.A_blocks
-        out[np.arange(M), np.arange(M)] = blocks[:, 0, 0]
-        out[np.arange(M), M + np.arange(M)] = blocks[:, 0, 1]
-        out[M + np.arange(M), np.arange(M)] = blocks[:, 1, 0]
-        out[M + np.arange(M), M + np.arange(M)] = blocks[:, 1, 1]
-        return out
+        return self.apply_operator(np.eye(2 * self.M)).T
 
     @property
     def lambda_gap(self) -> float:
@@ -167,12 +178,12 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
     order = np.lexsort((branch, k, lam))  # by lambda, then k, then branch
     # argsort inverts the sort: mode k's pair lands in columns argsort(order)[[k, M + k]]
     eigvec_cols = np.tile(np.argsort(order).reshape(2, M).T, (2, 1))
-    eigenvalues, k, vy, vz = lam[order], k[order], vy[order], vz[order]
-    # deterministic sign: dominant component positive, y component first
+    eigenvalues = lam[order]
+    # deterministic sign: dominant component positive, y component first;
+    # row k holds mode k's two y components, row M + k its z components
     flip = np.where(np.abs(vy) >= np.abs(vz), vy < 0, vz < 0)
-    vectors = np.zeros((2 * M, 2 * M))
-    vectors[k, np.arange(2 * M)] = np.where(flip, -vy, vy)
-    vectors[M + k, np.arange(2 * M)] = np.where(flip, -vz, vz)
+    signed = np.where(flip, -np.stack([vy, vz]), np.stack([vy, vz]))
+    eigvec_vals = signed.reshape(2, 2, M).transpose(0, 2, 1).reshape(2 * M, 2)
 
     N_unstable = int(np.sum(eigenvalues <= ZERO_EIGENVALUE_TOL))
 
@@ -193,8 +204,8 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
         g=g,
         A_blocks=blocks,
         eigenvalues=eigenvalues,
-        eigenvectors=vectors,
         eigvec_cols=eigvec_cols,
+        eigvec_vals=eigvec_vals,
         N_unstable=N_unstable,
         phi_inf=phi_inf,
     )

@@ -25,25 +25,31 @@ Newton stops after its first step on the default config and on every
 benchmark workload.  That step (``_first_step``) and the closed-loop margin
 (``_margin``) are formed in the plant's closed-form orthonormal eigenbasis
 Op = V Lambda V^T, each of whose rows is nonzero only in the two columns
-``linearization`` records for it, in O(M^2 N) with no dense 2M x 2M
-factorization and no Schur form: the start gain's closed loop is block
-triangular there, an N x N block over a diagonal stable block, so the step
-takes only N x N and N^2 x N^2 solves; and any gain's closed loop is
-diagonal plus rank N, as in the rank-k modified eigenproblem
-(Golub, SIAM Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31,
-1978).  The margin agrees with a 40-digit root of the secular determinant
+``linearization`` records for it, with their values (V itself is never
+formed), in O(M^2 N) with no dense 2M x 2M factorization and no Schur
+form: the start gain's closed loop is block triangular there, an N x N
+block over a diagonal stable block, so the step takes only N x N and
+N^2 x N^2 solves; and any gain's closed loop is diagonal plus rank N, as
+in the rank-k modified eigenproblem (Golub, SIAM Rev. 15, 1973; Bunch,
+Nielsen & Sorensen, Numer. Math. 31, 1978).  The margin agrees with a
+40-digit root of the secular determinant
 det(I + k^T (Lambda - z)^{-1} b) to 1e-12 relative or better, where an
 eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
 (1e-8 to 4e-7 on the workloads).  The most negative closed-loop real part,
 ``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
 to first order (to 3e-15 relative on the workloads).
 
+The probe residual applies Op through its 2 x 2 blocks, and the first
+step writes X1 = V Y V^T into Y's own buffer with one n x n scratch, so a
+synthesis that stops after it holds about two n x n arrays (n = 2M) besides
+its inputs.
+
 Each later step (``_dense_step``, when the probe residual has not met the
-tolerance) takes one dense real Schur form of the closed loop; it serves
-both the stabilizing check and a recursive blocked Bartels-Stewart Lyapunov
-solve (Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the
-leaves.  It is the package's only SciPy user and imports ``scipy.linalg``
-when it runs.
+tolerance) forms the dense Op and takes one dense real Schur form of the
+closed loop; it serves both the stabilizing check and a recursive blocked
+Bartels-Stewart Lyapunov solve (Jonsson & Kagstrom, ACM TOMS 28, 2002)
+with LAPACK ``trsyl`` at the leaves.  It is the package's only SciPy user
+and imports ``scipy.linalg`` when it runs.
 
 Both eigenbasis routes assume that Op is self-adjoint with the closed-form
 eigenpairs, which holds because ``linearization`` keeps only the
@@ -95,18 +101,21 @@ _REPORT_SAMPLES, _REPORT_SEED = 100, 202
 
 def _probe_residual(
     R: np.ndarray,
-    A_op: np.ndarray,
+    apply_op,
     B: np.ndarray,
     Q_diag: np.ndarray,
     samples: int,
     rng: np.random.Generator,
 ) -> float:
-    """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x."""
+    """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x.
+
+    ``apply_op(X)`` is X Op^T, Op applied to each row of X.
+    """
     # row i of one (samples, dim) draw is the i-th of `samples` draws of dim
     X = rng.standard_normal((samples, R.shape[0]))
     X /= np.linalg.norm(X, axis=1)[:, None]
     RX = X @ R.T
-    quad = 2.0 * np.sum(RX * (X @ A_op.T), axis=1) + np.sum((RX @ B) ** 2, axis=1)
+    quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
     target = (X * X) @ Q_diag
     return float(np.max(np.abs(quad - target) / target))
 
@@ -203,25 +212,55 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
+_CHUNK = 128  # rows per pass over an n x n array
+
+
+def _to_eigenbasis(cols: np.ndarray, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """V^T X for V whose row r is sum_a vals[r, a] e_{cols[r, a]}^T.
+
+    Row r of X, times vals[r, a], is added into row cols[r, a] of the result.
+    """
+    out = np.zeros((len(cols), X.shape[1]))
+    for a in range(cols.shape[1]):
+        np.add.at(out, cols[:, a], vals[:, a : a + 1] * X)
+    return out
+
+
 def _congruence(cols: np.ndarray, vals: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """U Y U^T for U whose row r is sum_a vals[r, a] e_{cols[r, a]}^T: row, then column gathers."""
-    W, X, buf = np.zeros_like(Y), np.zeros_like(Y), np.empty_like(Y)
+    """Overwrite Y with the symmetric part of X = U Y U^T, U as V in ``_to_eigenbasis``.
+
+    W = U Y by row gathers, then X = W U^T by column gathers into Y's own
+    buffer, both _CHUNK rows at a time; X is symmetrized through W.  W and
+    one _CHUNK x n buffer are the only scratch.  Returns Y.
+    """
+    n = Y.shape[0]
+    W, buf = np.zeros_like(Y), np.empty((min(_CHUNK, n), n))
     # mode="clip" keeps np.take from buffering its output; every index is in range
-    for a in range(cols.shape[1]):
-        np.take(Y, cols[:, a], axis=0, out=buf, mode="clip")
-        buf *= vals[:, a : a + 1]
-        W += buf
-    for a in range(cols.shape[1]):
-        np.take(W, cols[:, a], axis=1, out=buf, mode="clip")
-        buf *= vals[:, a]
-        X += buf
-    return X
+    for i in range(0, n, _CHUNK):
+        w = W[i : i + _CHUNK]
+        t = buf[: len(w)]
+        for a in range(cols.shape[1]):
+            np.take(Y, cols[i : i + _CHUNK, a], axis=0, out=t, mode="clip")
+            t *= vals[i : i + _CHUNK, a : a + 1]
+            w += t
+    Y.fill(0.0)
+    for i in range(0, n, _CHUNK):
+        x = Y[i : i + _CHUNK]
+        t = buf[: len(x)]
+        for a in range(cols.shape[1]):
+            np.take(W[i : i + _CHUNK], cols[:, a], axis=1, out=t, mode="clip")
+            t *= vals[:, a]
+            x += t
+    np.copyto(W, Y.T)
+    Y += W
+    Y *= 0.5
+    return Y
 
 
 def _first_step(
     lam: np.ndarray,
-    V: np.ndarray,
     cols: np.ndarray,
+    vals: np.ndarray,
     B: np.ndarray,
     D: np.ndarray,
     Q_diag: np.ndarray,
@@ -230,10 +269,10 @@ def _first_step(
 
     (lam, V) are the orthonormal eigenpairs of Op, ascending, the leading
     N = len(D) the unstable block, and row r of V is nonzero only in the
-    columns cols[r].  The start gain K0 = (P_u D)^T V_U^T, P_u the
-    Hamiltonian LQR solution of the unstable block, acts only through V_U, so
-    with b_S = V_S^T B the transposed closed loop is block upper triangular
-    in the eigenbasis:
+    columns cols[r], where it holds vals[r].  The start gain
+    K0 = (P_u D)^T V_U^T, P_u the Hamiltonian LQR solution of the unstable
+    block, acts only through V_U, so with b_S = V_S^T B the transposed
+    closed loop is block upper triangular in the eigenbasis:
 
         T = V^T (A - B K0)^T V = [[A_u, C], [0, -Lam_S]],
         A_u = -(Lam_U + P_u D D^T),   C = -P_u D b_S^T.
@@ -243,12 +282,12 @@ def _first_step(
     (A_u - lam_j I) y = (F_US - C Y_SS)_j, and Y_UU from the N^2 x N^2 system
     (A_u (x) I + I (x) A_u) vec Y_UU = vec(F_UU - C Y_SU - Y_US C^T).
     V^T Q V couples only the two eigenvectors of one cosine mode, and
-    K0^T K0 only the unstable ones, so F and X1 = V Y V^T are gathered
-    through cols.  The loop's margin is min(-max Re spec(A_u), lam_{N+1}).
+    K0^T K0 only the unstable ones, so F, b_S and X1 = V Y V^T are gathered
+    through cols; X1 is formed in Y's buffer with one n x n scratch.  The
+    loop's margin is min(-max Re spec(A_u), lam_{N+1}).
     """
     n, N = len(lam), len(D)
     lam_s = lam[N:]
-    vals = np.take_along_axis(V, cols, axis=1)
     # Y starts as F and is overwritten by the solution; first -V^T Q V,
     # scattered from the outer product of each row's nonzeros
     Y, outer = np.zeros((n, n)), vals[:, :, None] * vals[:, None, :]
@@ -258,7 +297,7 @@ def _first_step(
     margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
         raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
-    C = -PD @ (V[:, N:].T @ B).T
+    C = -PD @ _to_eigenbasis(cols, vals, B)[N:].T
     Y[:N, :N] -= PD @ PD.T  # K0^T K0 in the eigenbasis
     Y[N:, N:] /= -(lam_s[:, None] + lam_s)
     Y[:N, N:] -= C @ Y[N:, N:]
@@ -270,10 +309,7 @@ def _first_step(
     Y[:N, :N] -= update + update.T
     kron = np.kron(A_u, eye) + np.kron(eye, A_u)
     Y[:N, :N] = np.linalg.solve(kron, Y[:N, :N].ravel()).reshape(N, N)
-    X = _congruence(cols, vals, Y)
-    X += X.T
-    X *= 0.5
-    return X, margin
+    return _congruence(cols, vals, Y), margin
 
 
 def _dense_step(
@@ -300,38 +336,42 @@ def _dense_step(
 
 
 def _solve_care_core(
-    A_op: np.ndarray,
+    apply_op,
     B: np.ndarray,
     Q_diag: np.ndarray,
     lam: np.ndarray,
-    V: np.ndarray,
     cols: np.ndarray,
+    vals: np.ndarray,
     D: np.ndarray,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start, until the probe residual meets tol.
 
-    (lam, V) are the orthonormal eigenpairs of A_op, ascending, and row r of
-    V is nonzero only in the columns cols[r].  The leading N = len(D) must be
-    stabilized, D = V_U^T B is their input matrix, and the rest of the
-    spectrum must be positive.  Iterate 0 starts from the Hamiltonian LQR
-    gain of that block and is formed in the eigenbasis (``_first_step``);
-    each later iterate factors the dense closed loop of the previous one's
-    gain (``_dense_step``), for at most max(max_iters, 1) iterates.
+    ``apply_op(X)`` is X Op^T, Op applied to each row of X.  (lam, V) are
+    the orthonormal eigenpairs of Op, ascending, and row r of V is nonzero
+    only in the columns cols[r], where it holds vals[r].  The leading
+    N = len(D) must be stabilized, D = V_U^T B is their input matrix, and the
+    rest of the spectrum must be positive.  Iterate 0 starts from the
+    Hamiltonian LQR gain of that block and is formed in the eigenbasis
+    (``_first_step``); each later iterate factors the dense closed loop of
+    the previous one's gain (``_dense_step``), for at most max(max_iters, 1)
+    iterates.  Only those later iterates form the dense Op, as
+    apply_op(I)^T.
     """
     history: list[dict] = []
     for it in range(max(max_iters, 1)):
         try:
             if it == 0:
-                X, margin = _first_step(lam, V, cols, B, D, Q_diag)
+                X, margin = _first_step(lam, cols, vals, B, D, Q_diag)
             else:
+                A_op = apply_op(np.eye(len(lam))).T
                 X, margin = _dense_step(A_op, B, Q_diag, B.T @ X)
         except RiccatiError as exc:
             raise RiccatiError(f"iterate {it}: {exc}", history) from exc
         # identical probe set every iteration so residuals are comparable
         res = _probe_residual(
-            X, A_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+            X, apply_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
         )
         history.append({"margin": margin, "residual": res})
         if res <= tol:
@@ -422,19 +462,18 @@ def solve_care(
             f"unknown Riccati method {method!r}: the package solves by 'newton' only; "
             "the integrated Riccati route is a test oracle in tests/oracles.py"
         )
-    A_op = plant.operator_matrix()
     B = act.B_matrix
     Q_diag = plant.state_weight_diagonal()
-    lam, V = plant.eigenvalues, plant.eigenvectors
+    lam, cols, vals = plant.eigenvalues, plant.eigvec_cols, plant.eigvec_vals
 
     R, iterations, history = _solve_care_core(
-        A_op, B, Q_diag, lam, V, plant.eigvec_cols, act.D_matrix, tol=tol, max_iters=max_iters
+        plant.apply_operator, B, Q_diag, lam, cols, vals, act.D_matrix, tol=tol, max_iters=max_iters
     )
 
     K = B.T @ R
-    b, k = V.T @ B, V.T @ K.T
+    b, k = _to_eigenbasis(cols, vals, B), _to_eigenbasis(cols, vals, K.T)
     res = _probe_residual(
-        R, A_op, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
+        R, plant.apply_operator, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
     )
 
     return RiccatiSolution(

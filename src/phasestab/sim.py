@@ -107,13 +107,17 @@ class ImplicitSolveError(ValueError):
     """The implicit closed-loop solve of a step is singular or ill conditioned."""
 
 
-def _decay_norm(basis, x: np.ndarray):
+def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
     """Decay norm ||y||_{D(A^{1/2})} + ||z||_{D(A^{1/4})} of (y, z) coefficients.
 
-    x holds y then z along its last axis; one norm per row.
+    x holds y then z along its last axis; one norm per row.  ``out`` and
+    ``scratch`` (the shape of y) are ``_weighted_norm``'s.
     """
-    return _weighted_norm(basis.mu, x[..., : basis.M]) + _weighted_norm(
-        basis.sqrt_mu, x[..., basis.M :]
+    M = basis.M
+    return np.add(
+        _weighted_norm(basis.mu, x[..., :M], out, scratch),
+        _weighted_norm(basis.sqrt_mu, x[..., M:], None, scratch),
+        out,
     )
 
 
@@ -164,25 +168,44 @@ class _PhysicalMap:
             basis, params.alpha0 * stat.theta_inf
         ).coeffs + self.phi_inf * (params.alpha0 * params.l0)
 
-    def to_physical(self, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi = y + self.phi_inf
-        theta = (z + self.sigma_inf) * (1.0 / self.params.alpha0) - phi * self.params.l0
+    def to_physical(self, y: np.ndarray, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, theta) of (y, z), row by row.
+
+        ``out`` is None or three arrays of y's shape: phi and theta are
+        written into the first two, and the third is scratch.
+        """
+        phi, theta, t = np.empty((3,) + np.shape(y)) if out is None else out
+        np.add(y, self.phi_inf, phi)
+        np.add(z, self.sigma_inf, theta)
+        theta *= 1.0 / self.params.alpha0
+        np.multiply(phi, self.params.l0, t)
+        theta -= t
         return phi, theta
 
-    def deviation_norm(self, y: np.ndarray, z: np.ndarray):
+    def deviation_norm(self, y: np.ndarray, z: np.ndarray, out=None, scratch=None):
         """Composite physical-variable norm, one per row of y and z:
 
             ||phi - phi_inf||_{D(A^{1/2})}
                 + ||alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf)||_{D(A^{1/4})},
 
         recomputed through (phi, theta); identically equal to the (y, z)
-        decay norm since the second argument is exactly z.
+        decay norm since the second argument is exactly z.  Given ``out``
+        (one entry per row) and ``scratch`` (three arrays of y's shape), the
+        call allocates nothing of y's size.
         """
         alpha0, l0 = self.params.alpha0, self.params.l0
-        phi, theta = self.to_physical(y, z)
-        dphi = phi - self.phi_inf
-        combo = (theta - self.theta_inf) * alpha0 + dphi * (alpha0 * l0)
-        return _weighted_norm(self.basis.mu, dphi) + _weighted_norm(self.basis.sqrt_mu, combo)
+        dphi, combo, t = scratch = np.empty((3,) + np.shape(y)) if scratch is None else scratch
+        self.to_physical(y, z, scratch)  # phi into dphi, theta into combo
+        dphi -= self.phi_inf
+        combo -= self.theta_inf
+        combo *= alpha0
+        np.multiply(dphi, alpha0 * l0, t)
+        combo += t
+        return np.add(
+            _weighted_norm(self.basis.mu, dphi, out, t),
+            _weighted_norm(self.basis.sqrt_mu, combo, None, t),
+            out,
+        )
 
 
 # -- time stepping -----------------------------------------------------------
@@ -522,20 +545,26 @@ def simulate(
     sqrtL = np.sqrt(basis.L)
     xi0 = _decay_norm(basis, x)
     bound = blowup_factor * max(xi0, NORM_FLOOR)
-    # row r waits in block[r % _RECORD_BLOCK] until its block's pass
+    # row r waits in block[r % _RECORD_BLOCK] until its block's pass, which
+    # writes straight into the record arrays through three (rows, M) scratches
     block = np.empty((min(_RECORD_BLOCK, n_rows), 2 * M))
+    scratch = np.empty((3,) + block[:, :M].shape)
 
     def record_block(stop: int) -> None:
         """Fill the rows of the block that ends before row ``stop``, then guard them."""
         first = (stop - 1) // _RECORD_BLOCK * _RECORD_BLOCK
         rows = slice(first, stop)
-        x_b = block[: stop - first]
+        x_b, s = block[: stop - first], scratch[:, : stop - first]
         y_b, z_b = x_b[:, :M], x_b[:, M:]
-        xi = xi_s[rows] = _decay_norm(basis, x_b)
-        h_s[rows] = np.hypot(_weighted_norm(1.0, y_b), _weighted_norm(1.0, z_b))
-        phys_s[rows] = xi if phys_map is None else phys_map.deviation_norm(y_b, z_b)
-        my_s[rows] = y_b[:, 0] / sqrtL
-        mz_s[rows] = z_b[:, 0] / sqrtL
+        xi = _decay_norm(basis, x_b, xi_s[rows], s[0])
+        h = h_s[rows]
+        np.hypot(_weighted_norm(1.0, y_b, h, s[0]), _weighted_norm(1.0, z_b, None, s[0]), h)
+        if phys_map is None:
+            phys_s[rows] = xi
+        else:
+            phys_map.deviation_norm(y_b, z_b, phys_s[rows], s)
+        np.divide(y_b[:, 0], sqrtL, my_s[rows])
+        np.divide(z_b[:, 0], sqrtL, mz_s[rows])
         # row 0 sets the bound and is not checked against it
         skip = 1 if first == 0 else 0
         over = np.flatnonzero(~np.isfinite(xi[skip:]) | (xi[skip:] > bound))

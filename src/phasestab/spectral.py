@@ -138,7 +138,7 @@ def _check_same_basis(*fields: ScalarField) -> SpectralBasis:
     return basis
 
 
-def _weighted_norm(weights, coeffs: np.ndarray):
+def _weighted_norm(weights, coeffs: np.ndarray, out=None, scratch=None):
     """sqrt(sum_k w_k c_k^2) over the last axis of coeffs, one value per row.
 
     Weights mu_k^{2 alpha} give the graph norm ||A^alpha f||_{L^2}; a 1-D
@@ -148,9 +148,13 @@ def _weighted_norm(weights, coeffs: np.ndarray):
     A stack of (1 x M) @ (M x 1) products is one dot product per row, so a
     row's value does not depend on how many rows are stacked with it and
     equals the 1-D ``c @ (w * c)``; ``simulate`` relies on that to record
-    its norms in blocks.
+    its norms in blocks.  Given ``out`` (one entry per row) and ``scratch``
+    (coeffs' shape), the norms go into out, w c into scratch, and no array
+    is allocated; the arithmetic is the same either way.
     """
-    return np.sqrt((coeffs[..., None, :] @ (weights * coeffs)[..., None])[..., 0, 0])
+    wc = np.multiply(weights, coeffs, scratch)
+    sq = None if out is None else out[..., None, None]
+    return np.sqrt(np.matmul(coeffs[..., None, :], wc[..., None], sq)[..., 0, 0], out)
 
 
 def laplacian(f: ScalarField) -> ScalarField:

@@ -9,6 +9,14 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     e_k at any points by its cosine formula, not the cached cosine matrix.
     Used across ``test_spectral.py`` and by ``test_sim.py::TestRemainderTerm``.
 
+``eigenvectors``
+    The plant's dense orthonormal eigenvector matrix V, scattered from its
+    compact pair ``eigvec_cols``/``eigvec_vals`` by one ``put_along_axis``;
+    the package keeps only the pair.  Used across ``test_linearization.py``,
+    ``test_lqr.py``, ``test_actuator.py`` and ``test_sim.py``, by
+    ``test_acceptance.py::test_c01_spectral_oracle`` and by
+    ``propagate_linear_with_control`` and ``solve_care_integrated`` below.
+
 ``apply_B``
     The nodal input map, formed at the nodes so it vanishes outside omega; it
     checks ``Actuator.B_matrix``.  Used by ``test_actuator.py::TestBMaps``,
@@ -91,6 +99,14 @@ def basis_function(basis, k: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / basis.L) * np.cos(k * np.pi * x / basis.L)
 
 
+def eigenvectors(plant) -> np.ndarray:
+    """Dense 2M x 2M V with V[r, eigvec_cols[r, a]] = eigvec_vals[r, a] and zeros elsewhere."""
+    n = 2 * plant.M
+    V = np.zeros((n, n))
+    np.put_along_axis(V, plant.eigvec_cols, plant.eigvec_vals, axis=1)
+    return V
+
+
 def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
     """Forcing pair (sum_i w phi_i W_i, sum_i w psi_i W_i) from node values."""
     W = np.asarray(W, dtype=float)
@@ -164,7 +180,7 @@ def propagate_linear_with_control(
     requested times (nearest step).
     """
     lam = plant.eigenvalues
-    V = plant.eigenvectors
+    V = eigenvectors(plant)
     B_e = V.T @ act.B_matrix
     xi = V.T @ np.asarray(x0, dtype=float)
 
@@ -276,7 +292,7 @@ def _integrated_R(B: np.ndarray, Q_diag: np.ndarray, lam: np.ndarray, V: np.ndar
 def solve_care_integrated(plant, act) -> np.ndarray:
     """R by the integrated route on the plant's exact per-block eigenpairs."""
     R, _ = _integrated_R(
-        act.B_matrix, plant.state_weight_diagonal(), plant.eigenvalues, plant.eigenvectors
+        act.B_matrix, plant.state_weight_diagonal(), plant.eigenvalues, eigenvectors(plant)
     )
     return R
 
@@ -303,7 +319,7 @@ def solve_care_dense(
         # eigh's basis is dense: every row may be nonzero in every column
         cols = np.tile(np.arange(len(lam)), (len(lam), 1))
         return lqr._solve_care_core(
-            A_op, B, Q_diag, lam, V, cols, V[:, :n_u].T @ B, tol, max_iters
+            lambda X: X @ A_op.T, B, Q_diag, lam, cols, V, V[:, :n_u].T @ B, tol, max_iters
         )
     if method == "integrate":
         R, steps = _integrated_R(B, Q_diag, lam, V)
@@ -315,7 +331,7 @@ def riccati_residual(sol, plant, act, samples: int = 100, seed: int = 0) -> floa
     """The probe residual of ``sol.R_matrix`` on ``samples`` fresh unit vectors."""
     return lqr._probe_residual(
         sol.R_matrix,
-        plant.operator_matrix(),
+        plant.apply_operator,
         act.B_matrix,
         sol.Q_diag,
         samples,

@@ -166,6 +166,7 @@ class TestPipeline:
         # the independent oracles live in tests/oracles.py: no package module
         # defines them, and no source file imports that module
         names = {
+            "eigenvectors",
             "apply_B",
             "basis_function",
             "from_physical",

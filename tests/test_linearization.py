@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from phasestab.cli import build_materials
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
+
+from oracles import eigenvectors
 
 from phasebench.workloads import config_for
 
@@ -143,12 +146,12 @@ class TestAssembledPlant:
         assert scaled.max() <= 1e-9
 
     def test_eigenvector_gram_identity(self, default_plant):
-        V = default_plant.eigenvectors
+        V = eigenvectors(default_plant)
         gram = V.T @ V
         assert np.abs(gram - np.eye(V.shape[0])).max() <= 1e-10
 
     def test_spectral_reconstruction(self, default_plant):
-        V, lam = default_plant.eigenvectors, default_plant.eigenvalues
+        V, lam = eigenvectors(default_plant), default_plant.eigenvalues
         recon = (V * lam) @ V.T
         A = default_plant.operator_matrix()
         assert np.abs(recon - A).max() <= 1e-9 * max(1.0, np.abs(A).max())
@@ -236,7 +239,7 @@ class TestClosedFormConventions:
         basis = SpectralBasis(L=1.0, M=M)
         params = PhysicalParams(nu=nu, l0=l0, gamma0=gamma0)
         plant = assemble_plant(params, stationary_constant(which, basis=basis))
-        lam, V = plant.eigenvalues, plant.eigenvectors
+        lam, V = plant.eigenvalues, eigenvectors(plant)
         cols = np.arange(2 * M)
 
         # every column lives on one block k, and every block has two columns;
@@ -271,14 +274,43 @@ class TestClosedFormConventions:
         assert z_mode == y_mode + 1
 
 
+def _dense_eigenvectors(plant):
+    """V as assemble_plant once stored it, densely: the closed-form block
+    eigenpairs sorted by (lambda, k, branch), signs fixed per column."""
+    M, blocks = plant.M, plant.A_blocks
+    a, b, c = blocks[1:, 0, 0], blocks[1:, 0, 1], blocks[1:, 1, 1]
+    half_tr = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    big = np.where(half_tr >= 0, half_tr + rad, half_tr - rad)
+    other = (a * c - b * b) / big
+    theta = 0.5 * np.arctan2(2.0 * b, a - c)
+    ct, st = np.cos(theta), np.sin(theta)
+    lam = np.concatenate([[0.0], np.minimum(big, other), [0.0], np.maximum(big, other)])
+    vy = np.concatenate([[1.0], -st, [0.0], ct])
+    vz = np.concatenate([[0.0], ct, [1.0], st])
+    branch, k = np.divmod(np.arange(2 * M), M)
+    order = np.lexsort((branch, k, lam))
+    k, vy, vz = k[order], vy[order], vz[order]
+    flip = np.where(np.abs(vy) >= np.abs(vz), vy < 0, vz < 0)
+    vectors = np.zeros((2 * M, 2 * M))
+    vectors[k, np.arange(2 * M)] = np.where(flip, -vy, vy)
+    vectors[M + k, np.arange(2 * M)] = np.where(flip, -vz, vz)
+    return vectors
+
+
 def _assert_pattern_holds(plant):
-    """Every nonzero of the eigenvectors lies in its row's recorded columns, exactly."""
-    V, cols = plant.eigenvectors, plant.eigvec_cols
-    assert cols.shape == (2 * plant.M, 2)
-    rebuilt = np.zeros_like(V)
-    rows = np.arange(2 * plant.M)[:, None]
-    rebuilt[rows, cols] = np.take_along_axis(V, cols, axis=1)
-    assert np.array_equal(rebuilt, V)
+    """The compact pair rebuilds the dense closed-form eigenvectors bit for bit.
+
+    So every nonzero of V lies in its row's recorded columns, rows k and
+    M + k share them, and no field of the plant holds (2M)^2 entries.
+    """
+    M, cols = plant.M, plant.eigvec_cols
+    assert cols.shape == plant.eigvec_vals.shape == (2 * M, 2)
+    assert np.array_equal(cols[:M], cols[M:])
+    assert eigenvectors(plant).tobytes() == _dense_eigenvectors(plant).tobytes()
+    for f in dataclasses.fields(plant):
+        value = getattr(plant, f.name)
+        assert not isinstance(value, np.ndarray) or value.size < (2 * M) ** 2, f.name
 
 
 class TestEigenvectorPattern:

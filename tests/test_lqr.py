@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,13 @@ from phasestab.lqr import RiccatiError, solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
 
-from oracles import apply_B, riccati_residual, solve_care_dense, solve_care_integrated
+from oracles import (
+    apply_B,
+    eigenvectors,
+    riccati_residual,
+    solve_care_dense,
+    solve_care_integrated,
+)
 from phasebench.workloads import config_for
 
 
@@ -148,12 +155,34 @@ def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
 @pytest.mark.parametrize("samples, seed", [(32, 12345), (100, 202), (100, 0)])
 def test_probe_residual_matches_loop(problem, solution, samples, seed):
     _, plant, act = problem
-    args = (solution.R_matrix, plant.operator_matrix(), act.B_matrix, solution.Q_diag)
-    batched = lqr._probe_residual(*args, samples, np.random.default_rng(seed))
-    looped = _loop_probe_residual(*args, samples, np.random.default_rng(seed))
+    R, B, Q_diag = solution.R_matrix, act.B_matrix, solution.Q_diag
+    batched = lqr._probe_residual(
+        R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(seed)
+    )
+    looped = _loop_probe_residual(
+        R, plant.operator_matrix(), B, Q_diag, samples, np.random.default_rng(seed)
+    )
     # the residual is a difference of O(1) quadratic forms over their size:
     # summation order moves it by a few eps
     assert batched == pytest.approx(looped, rel=0, abs=64 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("workload", ["default", "thin_interface"])
+def test_block_probe_matches_dense_probe(workload):
+    # the probe applies Op through its 2 x 2 blocks, four multiplies on the
+    # (samples, M) halves; the dense operator's product gives the same residual
+    m = _materials(workload)
+    sol = solve_care(m.plant, m.act)
+    A_op = m.plant.operator_matrix()
+    for samples, seed in [(lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, 0)]:
+        block, dense = (
+            lqr._probe_residual(
+                sol.R_matrix, apply_op, m.act.B_matrix, sol.Q_diag, samples,
+                np.random.default_rng(seed),
+            )
+            for apply_op in (m.plant.apply_operator, lambda X: X @ A_op.T)
+        )
+        assert block == pytest.approx(dense, rel=1e-12)
 
 
 def _split_points(lo: int, hi: int) -> list[int]:
@@ -222,7 +251,8 @@ def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
         X = 0.5 * (X + X.T)
         K = B.T @ X
         res = lqr._probe_residual(
-            X, -A, B, Q_diag, lqr._PROBE_SAMPLES, np.random.default_rng(lqr._PROBE_SEED)
+            X, lambda Z: -Z @ A.T, B, Q_diag, lqr._PROBE_SAMPLES,
+            np.random.default_rng(lqr._PROBE_SEED),
         )
         history.append({"iteration": it, "margin": margin, "residual": res})
         if res <= tol:
@@ -276,7 +306,7 @@ def _materials(workload):
 
 def _start_gain(plant, act):
     """(K0, P_u D): the start gain (P_u D)^T V_U^T from the unstable block's LQR solution."""
-    N, V = act.N, plant.eigenvectors
+    N, V = act.N, eigenvectors(plant)
     Q_u = V[:, :N].T @ np.diag(plant.state_weight_diagonal()) @ V[:, :N]
     PD = lqr._care_hamiltonian(-np.diag(plant.eigenvalues[:N]), act.D_matrix, Q_u) @ act.D_matrix
     return PD.T @ V[:, :N].T, PD
@@ -286,8 +316,8 @@ def _package_first_step(plant, act):
     """X1 as ``solve_care`` forms it, in the eigenbasis."""
     X1, _ = lqr._first_step(
         plant.eigenvalues,
-        plant.eigenvectors,
         plant.eigvec_cols,
+        plant.eigvec_vals,
         act.B_matrix,
         act.D_matrix,
         plant.state_weight_diagonal(),
@@ -301,7 +331,7 @@ def _scaled_lyapunov_residual(plant, act, K0, X):
     A_cl is taken in the plant's closed-form eigenbasis, V^T A_cl V =
     -(Lambda + V^T B K0 V), so the dense operator's rounding stays out.
     """
-    lam, V = plant.eigenvalues, plant.eigenvectors
+    lam, V = plant.eigenvalues, eigenvectors(plant)
     Q_diag = plant.state_weight_diagonal()
     A_e = -(np.diag(lam) + (V.T @ act.B_matrix) @ (K0 @ V))
     X_e = V.T @ X @ V
@@ -346,12 +376,12 @@ class TestNewtonSchur:
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
         _, iterations, _ = lqr._solve_care_core(
-            plant.operator_matrix(),
+            plant.apply_operator,
             act.B_matrix,
             plant.state_weight_diagonal(),
             plant.eigenvalues,
-            plant.eigenvectors,
             plant.eigvec_cols,
+            plant.eigvec_vals,
             act.D_matrix,
             tol=0.0,
             max_iters=3,
@@ -388,12 +418,12 @@ class TestNewtonSchur:
         monkeypatch.setattr(lqr, "_dense_step", failing_step)
         with pytest.raises(RiccatiError, match="^iterate 1: the closed loop") as info:
             lqr._solve_care_core(
-                plant.operator_matrix(),
+                plant.apply_operator,
                 act.B_matrix,
                 plant.state_weight_diagonal(),
                 plant.eigenvalues,
-                plant.eigenvectors,
                 plant.eigvec_cols,
+                plant.eigvec_vals,
                 act.D_matrix,
                 tol=0.0,
                 max_iters=3,
@@ -458,7 +488,7 @@ class TestFirstStep:
         # T = [[A_u, C], [0, -Lam_S]], A_u = -(Lam_U + P_u D D^T) and
         # C = -P_u D b_S^T, is the start gain's transposed loop in the eigenbasis
         m = _materials(workload)
-        lam, V, B = m.plant.eigenvalues, m.plant.eigenvectors, m.act.B_matrix
+        lam, V, B = m.plant.eigenvalues, eigenvectors(m.plant), m.act.B_matrix
         N, eps = m.act.N, np.finfo(float).eps
         K0, PD = _start_gain(m.plant, m.act)
         T = np.diag(-lam)
@@ -466,6 +496,21 @@ class TestFirstStep:
         T[:N, N:] = -PD @ (V[:, N:].T @ B).T
         A_cl = -(m.plant.operator_matrix() + B @ K0)
         assert np.linalg.norm(V.T @ A_cl.T @ V - T) <= 64 * eps * np.linalg.norm(A_cl)
+
+    def test_synthesis_transient_is_two_dense_arrays(self):
+        # at M = 256, above its inputs, solve_care holds Y (which becomes R),
+        # one n x n scratch and row chunks; the dense operator and a dense
+        # eigenvector matrix are never formed (5.09 n^2 doubles with them)
+        m = _materials("thin_interface")
+        n = 2 * m.plant.M
+        solve_care(m.plant, m.act)  # warm every cache first
+        tracemalloc.start()
+        try:
+            solve_care(m.plant, m.act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
     def test_stable_only_plant_takes_no_dense_schur(self, schur_shapes):
         # the set-up of test_stable_only_plant_margin_positive: only the two
@@ -548,7 +593,7 @@ class TestMargin:
         # here; the head's eigenproblem agrees with the exact root to ~1e-13
         m = _materials(workload)
         sol = solve_care(m.plant, m.act)
-        V = m.plant.eigenvectors
+        V = eigenvectors(m.plant)
         b, k = V.T @ m.act.B_matrix, V.T @ sol.K_gain.T
         root = _secular_root(m.plant.eigenvalues, b, k, sol.margin)
         assert sol.margin == pytest.approx(root, rel=1e-11)

@@ -49,3 +49,4 @@ def test_bench_writes_its_file(tmp_path):
     assert row["correct"] and row["failed"] == 0
     assert row["wall_s"]["q1"] <= row["wall_s"]["median"] <= row["wall_s"]["q3"]
     assert set(bench["step_profile"]["M=16"]) >= {"remainder", "solve", "rhs", "step"}
+    assert set(bench["care_profile"]["M=16"]) >= {"first", "probe", "total", "peak"}

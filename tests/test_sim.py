@@ -35,7 +35,7 @@ from phasestab.spectral import (
 )
 from phasestab.stationary import stationary_constant
 
-from oracles import apply_B, basis_function, from_physical, remainder_G_expanded
+from oracles import apply_B, basis_function, eigenvectors, from_physical, remainder_G_expanded
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +212,7 @@ class TestStepImex:
     def test_linear_eigenmode_recursion(self, world):
         basis, _, state, plant, _, _ = world
         lam = plant.eigenvalues[plant.N_unstable]
-        v = plant.eigenvectors[:, plant.N_unstable]
+        v = eigenvectors(plant)[:, plant.N_unstable]
         dt, n = 1e-3, 50
         s = final_state(
             plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
@@ -436,7 +436,7 @@ class TestSimulate:
     def test_open_loop_unstable_growth(self, world):
         basis, _, state, plant, _, _ = world
         lam1 = plant.eigenvalues[0]
-        v1 = plant.eigenvectors[:, 0]
+        v1 = eigenvectors(plant)[:, 0]
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         rec = simulate(plant, y0, z0, dt=1e-4, t_end=1.0, nonlinear=False, stat=state)
@@ -478,7 +478,7 @@ class TestSimulate:
         # SBDF2 amplitude on a single eigenmode matches the scalar recursion
         # a_{n+1} = (4 a_n - a_{n-1}) / (3 + 2 dt lam), started by one Euler step
         lam = plant.eigenvalues[plant.N_unstable]
-        v = plant.eigenvectors[:, plant.N_unstable]
+        v = eigenvectors(plant)[:, plant.N_unstable]
         dt, n = 1e-3, 20
         s = final_state(
             plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
@@ -591,7 +591,7 @@ class TestSimulate:
 
     def test_blowup_guard_triggers(self, world):
         basis, _, state, plant, _, _ = world
-        v1 = plant.eigenvectors[:, 0]
+        v1 = eigenvectors(plant)[:, 0]
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         with pytest.raises(BlowUpError) as info:
@@ -626,7 +626,7 @@ class TestSimulate:
         # the guard runs once per block of recorded rows; it must still name
         # the first row past the bound, here a finite overshoot mid-block
         basis, _, state, plant, _, _ = world
-        v1 = plant.eigenvectors[:, 0]
+        v1 = eigenvectors(plant)[:, 0]
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         dt, t_end, factor = 0.05, 50.0, 10.0
@@ -771,6 +771,32 @@ class TestPhysicalMap:
         for i in range(k):
             assert xi[i] == _decay_norm(basis, x[i])
             assert dev[i] == phys.deviation_norm(y[i], z[i])
+
+    def test_norms_into_buffers_allocate_nothing_of_block_size(self):
+        # simulate's record pass hands the norms one-per-row outputs and
+        # (rows, M) scratches allocated once: the bits stay those of the
+        # allocating calls, and what is allocated is NumPy's ufunc iterator
+        # buffers (at most 8192 values each), not arrays of a block's size
+        M = 256
+        basis = SpectralBasis(L=1.0, M=M)
+        params = PhysicalParams(nu=0.2, l0=2.0, gamma0=0.5)
+        phys = _PhysicalMap(stationary_constant(+1, theta=0.3, basis=basis), params)
+        k = 256
+        x = np.random.default_rng(M).standard_normal((k, 2 * M)) * np.tile(basis.mu, 2) ** -1.0
+        y, z = x[:, :M], x[:, M:]
+        xi, h, dev, scratch = np.empty(k), np.empty(k), np.empty(k), np.empty((3, k, M))
+        tracemalloc.start()
+        try:
+            _decay_norm(basis, x, xi, scratch[0])
+            _weighted_norm(1.0, y, h, scratch[0])
+            phys.deviation_norm(y, z, dev, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * M * 8 // 2
+        assert xi.tobytes() == _decay_norm(basis, x).tobytes()
+        assert h.tobytes() == _weighted_norm(1.0, y).tobytes()
+        assert dev.tobytes() == phys.deviation_norm(y, z).tobytes()
 
     def test_zero_deviation_norm(self, nontrivial):
         basis, params, state = nontrivial
