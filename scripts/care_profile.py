@@ -9,12 +9,15 @@ phase of the solve is then timed alone:
 
     first       the first Newton step, formed in the plant's eigenbasis: the
                 start gain, the block solves of its closed loop's Lyapunov
-                equation and the gathers through the compact eigenvectors
+                equation, mode by mode where it is block diagonal, and R
+                written as the unstable cross plus the modes' 2x2 blocks
     margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
     rest        total minus the phases above: the gain K = B^T R, its
-                eigen-coordinates, and any Newton step after the first
+                eigen-coordinates, and any Newton step after the first.
+                The phases are medians of separate timing loops, so this
+                difference is noisy; it is clamped at 0 and is a floor
     total       one whole solve_care call
     peak        not a time: the tracemalloc peak of one solve_care call above
                 its inputs, in n^2 doubles (n = 2M)
@@ -58,7 +61,6 @@ from phasestab.lqr import (  # noqa: E402
     _lyapunov_schur,
     _margin,
     _probe_residual,
-    _to_eigenbasis,
     solve_care,
 )
 
@@ -91,10 +93,9 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     solve()
     peak = tracemalloc.get_traced_memory()[1] / (8.0 * (2 * M) ** 2)
     tracemalloc.stop()
-    lam, cols, vals = plant.eigenvalues, plant.eigvec_cols, plant.eigvec_vals
     A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, sol.Q_diag
     R, K = sol.R_matrix, sol.K_gain
-    b, k = _to_eigenbasis(cols, vals, B), _to_eigenbasis(cols, vals, K.T)
+    b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
 
     def probe(samples):
         return _ms_per_call(
@@ -116,10 +117,8 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         Z @ Y @ Z.T
 
     row = {
-        "first": _ms_per_call(
-            lambda: _first_step(lam, cols, vals, B, act.D_matrix, Q_diag), repeats
-        ),
-        "margin": _ms_per_call(lambda: _margin(lam, b, k), repeats),
+        "first": _ms_per_call(lambda: _first_step(plant, B, act.D_matrix, Q_diag), repeats),
+        "margin": _ms_per_call(lambda: _margin(plant.eigenvalues, b, k), repeats),
         "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
         "total": _ms_per_call(solve, repeats),
         "dense": _ms_per_call(lambda: _dense_step(A_op, B, Q_diag, K), repeats),
@@ -127,7 +126,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         "sylvester": _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
         "transforms": _ms_per_call(transforms, repeats),
     }
-    row["rest"] = row["total"] - row["first"] - row["margin"] - row["probe"]
+    row["rest"] = max(row["total"] - row["first"] - row["margin"] - row["probe"], 0.0)
     row["peak"] = peak
     return row, sol.iterations, sol.margin
 

@@ -23,7 +23,9 @@ dt is then timed with ``time.perf_counter`` on the run's final state:
                 recording only the first and last rows, per step.  simulate
                 fills its norms in passes over blocks of 256 rows, so this
                 figure spans whole blocks: the default 2000 steps give 2001
-                rows, 8 blocks
+                rows, 8 blocks.  The two simulate figures are medians of
+                separate timing loops, so this difference is noisy; it is
+                clamped at 0 and is a floor
     simulate    simulate at record_every = 1, per step
 
 Every figure is in microseconds per step, the median of --repeats timed
@@ -101,7 +103,7 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
     out["rhs"] = out["step"] - out["remainder"] - out["solve"]
     every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps
     ends_only = _us_per_call(lambda: run_simulate(steps), 1, repeats) / steps
-    out["recording"] = every_step - ends_only
+    out["recording"] = max(every_step - ends_only, 0.0)
     out["simulate"] = every_step
     return out
 

@@ -103,11 +103,7 @@ def build_actuator(
     w = weight.values
 
     N = plant.N_unstable
-    # the first N columns of the eigenvector matrix, from its compact pair
-    cols, vals = plant.eigvec_cols, plant.eigvec_vals
-    rows, which = np.nonzero(cols < N)
-    modes = np.zeros((2 * M, N))
-    modes[rows, cols[rows, which]] = vals[rows, which]
+    modes = plant.from_eigenbasis(np.eye(2 * M, N))  # the first N columns of V
     lambdas = plant.eigenvalues[:N].copy()
 
     # the y and z components phi_i, psi_i of the eigenpairs at the nodes,

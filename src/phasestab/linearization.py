@@ -20,7 +20,10 @@ obtained in closed form, vectorized over the blocks, and one sort on
 finite and the feedback will act only through them.  An eigenvector lives
 on one mode's two rows, so the 2M x 2M eigenvector matrix is kept
 compactly, as each row's two columns and values, and the operator is
-applied through its blocks; the plant holds no 2M x 2M array.
+applied through its blocks; the plant holds no 2M x 2M array.  Only
+``LinearizedPlant.mode_view`` reads that pair: it gives each mode's two
+eigen indices and its 2x2 rotation, through which ``to_eigenbasis`` and
+``from_eigenbasis`` apply V^T and V.
 
 The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 (it is handled with the nonlinear remainder), which is what keeps the blocks
@@ -85,7 +88,8 @@ class LinearizedPlant:
     eigvec_cols[k] = eigvec_cols[M + k], the columns of that mode's two
     eigenpairs, so V is kept as those columns and the values there:
     V[r, eigvec_cols[r, a]] = eigvec_vals[r, a], every other entry zero.  No
-    field holds (2M)^2 entries.
+    field holds (2M)^2 entries.  ``mode_view`` is the only reader of the
+    pair; ``to_eigenbasis`` and ``from_eigenbasis`` apply V through it.
     """
 
     params: PhysicalParams
@@ -115,6 +119,29 @@ class LinearizedPlant:
             [blocks[:, 0, 0] * y + blocks[:, 0, 1] * z, blocks[:, 1, 0] * y + blocks[:, 1, 1] * z],
             axis=1,
         )
+
+    def mode_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, rot): pos[k, b] is the eigen index of mode k's branch b, and
+        rot[c, k, b] = V[c M + k, pos[k, b]] is mode k's 2x2 rotation.
+
+        pos is a permutation of range(2M); both are views of the pair.
+        """
+        return self.eigvec_cols[: self.M], self.eigvec_vals.reshape(2, self.M, 2)
+
+    def to_eigenbasis(self, X: np.ndarray) -> np.ndarray:
+        """V^T X for X of 2M rows in stacked modal coordinates."""
+        pos, rot = self.mode_view()
+        x = X.reshape(2, self.M, 1, -1)
+        out = np.empty((2 * self.M, x.shape[-1]))
+        out[pos] = rot[0, :, :, None] * x[0] + rot[1, :, :, None] * x[1]
+        return out.reshape(X.shape)
+
+    def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V x for x of 2M rows in eigen coordinates."""
+        pos, rot = self.mode_view()
+        xb = x.reshape(2 * self.M, -1)[pos]  # (M, 2, columns): mode k's branch b
+        out = rot[:, :, 0, None] * xb[:, 0] + rot[:, :, 1, None] * xb[:, 1]
+        return out.reshape(x.shape)
 
     def operator_matrix(self) -> np.ndarray:
         """Dense 2M x 2M matrix of the operator in stacked modal coordinates."""

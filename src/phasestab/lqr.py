@@ -24,11 +24,11 @@ is the actuator's eigenpairs ``lambdas``/``modes`` with their input matrix
 Newton stops after its first step on the default config and on every
 benchmark workload.  That step (``_first_step``) and the closed-loop margin
 (``_margin``) are formed in the plant's closed-form orthonormal eigenbasis
-Op = V Lambda V^T, each of whose rows is nonzero only in the two columns
-``linearization`` records for it, with their values (V itself is never
-formed), in O(M^2 N) with no dense 2M x 2M factorization and no Schur
-form: the start gain's closed loop is block triangular there, an N x N
-block over a diagonal stable block, so the step takes only N x N and
+Op = V Lambda V^T, one 2 x 2 rotation per cosine mode that the plant
+applies as ``to_eigenbasis`` and ``from_eigenbasis`` (V itself is never
+formed), with no dense 2M x 2M factorization and no Schur form: the start
+gain's closed loop is block triangular there, an N x N block over a
+diagonal stable block, so the step takes only N x N and
 N^2 x N^2 solves; and any gain's closed loop is diagonal plus rank N, as
 in the rank-k modified eigenproblem (Golub, SIAM Rev. 15, 1973; Bunch,
 Nielsen & Sorensen, Numer. Math. 31, 1978).  The margin agrees with a
@@ -39,10 +39,12 @@ eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
 ``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
 to first order (to 3e-15 relative on the workloads).
 
-The probe residual applies Op through its 2 x 2 blocks, and the first
-step writes X1 = V Y V^T into Y's own buffer with one n x n scratch, so a
-synthesis that stops after it holds about two n x n arrays (n = 2M) besides
-its inputs.
+The probe residual applies Op through its 2 x 2 blocks.  The first step
+keeps the stable block of its eigenbasis iterate as one 2 x 2 block per
+cosine mode and writes R as the cross of the unstable modes' rows and
+columns plus those blocks, into one zeroed n x n array (n = 2M), so a
+synthesis that stops after it holds R and the probe's samples besides its
+inputs.
 
 Each later step (``_dense_step``, when the probe residual has not met the
 tolerance) forms the dense Op and takes one dense real Schur form of the
@@ -212,67 +214,16 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
-_CHUNK = 128  # rows per pass over an n x n array
-
-
-def _to_eigenbasis(cols: np.ndarray, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """V^T X for V whose row r is sum_a vals[r, a] e_{cols[r, a]}^T.
-
-    Row r of X, times vals[r, a], is added into row cols[r, a] of the result.
-    """
-    out = np.zeros((len(cols), X.shape[1]))
-    for a in range(cols.shape[1]):
-        np.add.at(out, cols[:, a], vals[:, a : a + 1] * X)
-    return out
-
-
-def _congruence(cols: np.ndarray, vals: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Overwrite Y with the symmetric part of X = U Y U^T, U as V in ``_to_eigenbasis``.
-
-    W = U Y by row gathers, then X = W U^T by column gathers into Y's own
-    buffer, both _CHUNK rows at a time; X is symmetrized through W.  W and
-    one _CHUNK x n buffer are the only scratch.  Returns Y.
-    """
-    n = Y.shape[0]
-    W, buf = np.zeros_like(Y), np.empty((min(_CHUNK, n), n))
-    # mode="clip" keeps np.take from buffering its output; every index is in range
-    for i in range(0, n, _CHUNK):
-        w = W[i : i + _CHUNK]
-        t = buf[: len(w)]
-        for a in range(cols.shape[1]):
-            np.take(Y, cols[i : i + _CHUNK, a], axis=0, out=t, mode="clip")
-            t *= vals[i : i + _CHUNK, a : a + 1]
-            w += t
-    Y.fill(0.0)
-    for i in range(0, n, _CHUNK):
-        x = Y[i : i + _CHUNK]
-        t = buf[: len(x)]
-        for a in range(cols.shape[1]):
-            np.take(W[i : i + _CHUNK], cols[:, a], axis=1, out=t, mode="clip")
-            t *= vals[:, a]
-            x += t
-    np.copyto(W, Y.T)
-    Y += W
-    Y *= 0.5
-    return Y
-
-
 def _first_step(
-    lam: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    B: np.ndarray,
-    D: np.ndarray,
-    Q_diag: np.ndarray,
+    plant: LinearizedPlant, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
 
-    (lam, V) are the orthonormal eigenpairs of Op, ascending, the leading
-    N = len(D) the unstable block, and row r of V is nonzero only in the
-    columns cols[r], where it holds vals[r].  The start gain
-    K0 = (P_u D)^T V_U^T, P_u the Hamiltonian LQR solution of the unstable
-    block, acts only through V_U, so with b_S = V_S^T B the transposed
-    closed loop is block upper triangular in the eigenbasis:
+    (lam, V) are the plant's orthonormal eigenpairs, ascending, the leading
+    N = len(D) the unstable block.  The start gain K0 = (P_u D)^T V_U^T,
+    P_u the Hamiltonian LQR solution of the unstable block, acts only
+    through V_U, so with b_S = V_S^T B the transposed closed loop is block
+    upper triangular in the eigenbasis:
 
         T = V^T (A - B K0)^T V = [[A_u, C], [0, -Lam_S]],
         A_u = -(Lam_U + P_u D D^T),   C = -P_u D b_S^T.
@@ -281,35 +232,55 @@ def _first_step(
     Y_SS = -F_SS / (lam_i + lam_j) elementwise, column j of Y_US from
     (A_u - lam_j I) y = (F_US - C Y_SS)_j, and Y_UU from the N^2 x N^2 system
     (A_u (x) I + I (x) A_u) vec Y_UU = vec(F_UU - C Y_SU - Y_US C^T).
-    V^T Q V couples only the two eigenvectors of one cosine mode, and
-    K0^T K0 only the unstable ones, so F, b_S and X1 = V Y V^T are gathered
-    through cols; X1 is formed in Y's buffer with one n x n scratch.  The
-    loop's margin is min(-max Re spec(A_u), lam_{N+1}).
+    V^T Q V couples only the two eigenvectors of one cosine mode, so F_SS,
+    Y_SS and C Y_SS are taken per mode, as (M, 2, 2) arrays through the
+    plant's mode view.  Then X1 = V Y V^T is the cross E V_U^T + V_U E^T,
+    E = V [Y_UU / 2; Y_SU], which lies in the rows and columns of the
+    unstable modes' coefficient pairs, plus each mode's 2 x 2 block
+    V_S Y_SS V_S^T on the diagonals of the four M x M quadrants; both parts
+    are written exactly symmetric into X1, the only n x n array.  The loop's
+    margin is min(-max Re spec(A_u), lam_{N+1}).
     """
-    n, N = len(lam), len(D)
-    lam_s = lam[N:]
-    # Y starts as F and is overwritten by the solution; first -V^T Q V,
-    # scattered from the outer product of each row's nonzeros
-    Y, outer = np.zeros((n, n)), vals[:, :, None] * vals[:, None, :]
-    np.add.at(Y, (cols[:, :, None], cols[:, None, :]), -Q_diag[:, None, None] * outer)
-    PD = _care_hamiltonian(-np.diag(lam[:N]), D, -Y[:N, :N]) @ D
+    lam, M, N = plant.eigenvalues, plant.M, len(D)
+    n, lam_s, eye = 2 * M, lam[N:], np.eye(N)
+    pos, rot = plant.mode_view()
+    V_U = plant.from_eigenbasis(np.eye(n, N))
+    QV_U = plant.to_eigenbasis(Q_diag[:, None] * V_U)  # the unstable columns of V^T Q V
+    PD = _care_hamiltonian(-np.diag(lam[:N]), D, QV_U[:N]) @ D
     A_u = -(np.diag(lam[:N]) + PD @ D.T)
     margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
         raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
-    C = -PD @ _to_eigenbasis(cols, vals, B)[N:].T
-    Y[:N, :N] -= PD @ PD.T  # K0^T K0 in the eigenbasis
-    Y[N:, N:] /= -(lam_s[:, None] + lam_s)
-    Y[:N, N:] -= C @ Y[N:, N:]
-    eye = np.eye(N)
+    C = -PD @ plant.to_eigenbasis(B).T  # its stable columns are T's coupling block
+    # mode k's block of V^T Q V and of Y_SS, zero where a branch is unstable
+    QV = (Q_diag.reshape(2, M, 1, 1) * (rot[:, :, :, None] * rot[:, :, None, :])).sum(axis=0)
+    stable, lam_pair = pos >= N, lam[pos]
+    Y_SS = np.divide(
+        QV,
+        lam_pair[:, :, None] + lam_pair[:, None, :],
+        out=np.zeros_like(QV),
+        where=stable[:, :, None] & stable[:, None, :],
+    )
+    CY = np.empty((N, n))
+    CY[:, pos] = np.einsum("ika,kab->ikb", C[:, pos], Y_SS)
+    Y_US = -QV_U[N:].T - CY[:, N:]
     shifted = A_u - lam_s[:, None, None] * eye  # one N x N system per stable column
-    Y[:N, N:] = np.linalg.solve(shifted, Y[:N, N:].T[..., None])[..., 0].T
-    Y[N:, :N] = Y[:N, N:].T
-    update = C @ Y[N:, :N]
-    Y[:N, :N] -= update + update.T
+    Y_US = np.linalg.solve(shifted, Y_US.T[..., None])[..., 0].T
+    update = C[:, N:] @ Y_US.T
+    Y_UU = -QV_U[:N] - PD @ PD.T - (update + update.T)  # PD PD^T: K0^T K0 in the eigenbasis
     kron = np.kron(A_u, eye) + np.kron(eye, A_u)
-    Y[:N, :N] = np.linalg.solve(kron, Y[:N, :N].ravel()).reshape(N, N)
-    return _congruence(cols, vals, Y), margin
+    Y_UU = np.linalg.solve(kron, Y_UU.ravel()).reshape(N, N)
+
+    X = np.zeros((n, n))
+    modes = np.flatnonzero(~stable.all(axis=1))
+    rows = np.concatenate([modes, M + modes])  # the only rows where V_U is nonzero
+    cross = plant.from_eigenbasis(np.concatenate([0.5 * Y_UU, Y_US.T])) @ V_U[rows].T
+    X[:, rows] = cross
+    X[rows] += cross.T
+    blocks = np.einsum("akb,kbd,ckd->kac", rot, Y_SS, rot)
+    k = np.arange(M)
+    X.reshape(2, M, 2, M)[:, k, :, k] += 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    return X, margin
 
 
 def _dense_step(
@@ -336,42 +307,37 @@ def _dense_step(
 
 
 def _solve_care_core(
-    apply_op,
+    plant: LinearizedPlant,
     B: np.ndarray,
     Q_diag: np.ndarray,
-    lam: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
     D: np.ndarray,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start, until the probe residual meets tol.
 
-    ``apply_op(X)`` is X Op^T, Op applied to each row of X.  (lam, V) are
-    the orthonormal eigenpairs of Op, ascending, and row r of V is nonzero
-    only in the columns cols[r], where it holds vals[r].  The leading
-    N = len(D) must be stabilized, D = V_U^T B is their input matrix, and the
-    rest of the spectrum must be positive.  Iterate 0 starts from the
-    Hamiltonian LQR gain of that block and is formed in the eigenbasis
-    (``_first_step``); each later iterate factors the dense closed loop of
-    the previous one's gain (``_dense_step``), for at most max(max_iters, 1)
-    iterates.  Only those later iterates form the dense Op, as
-    apply_op(I)^T.
+    The plant's leading N = len(D) eigenpairs must be stabilized, D = V_U^T B
+    is their input matrix, and the rest of the spectrum must be positive.
+    Iterate 0 starts from the Hamiltonian LQR gain of that block and is
+    formed in the eigenbasis (``_first_step``); each later iterate factors
+    the dense closed loop of the previous one's gain (``_dense_step``), for
+    at most max(max_iters, 1) iterates.  The dense Op is formed once, for
+    the first of those later iterates.
     """
     history: list[dict] = []
     for it in range(max(max_iters, 1)):
         try:
             if it == 0:
-                X, margin = _first_step(lam, cols, vals, B, D, Q_diag)
+                X, margin = _first_step(plant, B, D, Q_diag)
             else:
-                A_op = apply_op(np.eye(len(lam))).T
+                if it == 1:
+                    A_op = plant.operator_matrix()
                 X, margin = _dense_step(A_op, B, Q_diag, B.T @ X)
         except RiccatiError as exc:
             raise RiccatiError(f"iterate {it}: {exc}", history) from exc
         # identical probe set every iteration so residuals are comparable
         res = _probe_residual(
-            X, apply_op, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+            X, plant.apply_operator, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
         )
         history.append({"margin": margin, "residual": res})
         if res <= tol:
@@ -464,14 +430,14 @@ def solve_care(
         )
     B = act.B_matrix
     Q_diag = plant.state_weight_diagonal()
-    lam, cols, vals = plant.eigenvalues, plant.eigvec_cols, plant.eigvec_vals
+    lam = plant.eigenvalues
 
     R, iterations, history = _solve_care_core(
-        plant.apply_operator, B, Q_diag, lam, cols, vals, act.D_matrix, tol=tol, max_iters=max_iters
+        plant, B, Q_diag, act.D_matrix, tol=tol, max_iters=max_iters
     )
 
     K = B.T @ R
-    b, k = _to_eigenbasis(cols, vals, B), _to_eigenbasis(cols, vals, K.T)
+    b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
     res = _probe_residual(
         R, plant.apply_operator, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
     )

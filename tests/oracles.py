@@ -58,10 +58,12 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 ``solve_care_dense``
     The CARE for a dense symmetric operator, diagonalized by ``eigh``.  With
     ``method="newton"`` it counts the eigenpairs at or below 1e-10 (the
-    plant's unstable split) and forms their input matrix itself, then runs
-    the package's own solver body ``lqr._solve_care_core`` on the eigenpairs,
-    so the scalar closed-form checks exercise package code.  With ``method="integrate"`` it
-    runs the integrated route below.  Used by
+    plant's unstable split), starts from the Hamiltonian LQR gain
+    ``lqr._care_hamiltonian`` of that block (the zero gain when it is
+    empty) and iterates the package's dense step ``lqr._dense_step`` until
+    the package's probe (``_PROBE_SAMPLES``, ``_PROBE_SEED``) meets tol, so
+    the scalar closed-form checks exercise package kernels.  With
+    ``method="integrate"`` it runs the integrated route below.  Used by
     ``test_acceptance.py::test_c04_riccati_certificate`` (scalar closed
     forms) and ``test_lqr.py::TestScalarOracles``.
 
@@ -316,11 +318,24 @@ def solve_care_dense(
     lam, V = np.linalg.eigh(A_op)
     if method == "newton":
         n_u = int(np.sum(lam <= 1e-10))  # eigh sorts ascending
-        # eigh's basis is dense: every row may be nonzero in every column
-        cols = np.tile(np.arange(len(lam)), (len(lam), 1))
-        return lqr._solve_care_core(
-            lambda X: X @ A_op.T, B, Q_diag, lam, cols, V, V[:, :n_u].T @ B, tol, max_iters
-        )
+        V_U = V[:, :n_u]
+        K = np.zeros((B.shape[1], len(lam)))
+        if n_u:
+            D = V_U.T @ B
+            P_u = lqr._care_hamiltonian(-np.diag(lam[:n_u]), D, V_U.T @ np.diag(Q_diag) @ V_U)
+            K = (P_u @ D).T @ V_U.T
+        history: list[dict] = []
+        for _ in range(max(max_iters, 1)):
+            R, margin = lqr._dense_step(A_op, B, Q_diag, K)
+            res = lqr._probe_residual(
+                R, lambda X: X @ A_op.T, B, Q_diag, lqr._PROBE_SAMPLES,
+                np.random.default_rng(lqr._PROBE_SEED),
+            )
+            history.append({"margin": margin, "residual": res})
+            if res <= tol:
+                break
+            K = B.T @ R
+        return R, len(history), history
     if method == "integrate":
         R, steps = _integrated_R(B, Q_diag, lam, V)
         return R, steps, []

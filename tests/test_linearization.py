@@ -325,3 +325,16 @@ class TestEigenvectorPattern:
     def test_minimize_state(self):
         # the rho_ensemble workload's state, from stationary.mode = minimize
         _assert_pattern_holds(build_materials(config_for("rho_ensemble", 0)).plant)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_eigenbasis_maps_match_dense_V(self, default_plant, shape):
+        # each entry is a sum of at most two products, so the maps agree
+        # with the dense products to rounding and invert each other
+        V = eigenvectors(default_plant)
+        X = np.random.default_rng(5).standard_normal((len(V),) + shape)
+        tol = 4 * np.finfo(float).eps * np.abs(X).max()
+        to, back = default_plant.to_eigenbasis(X), default_plant.from_eigenbasis(X)
+        assert to.shape == back.shape == X.shape
+        assert np.abs(to - V.T @ X).max() <= tol
+        assert np.abs(back - V @ X).max() <= tol
+        assert np.abs(default_plant.from_eigenbasis(to) - X).max() <= tol
