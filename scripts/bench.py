@@ -18,7 +18,8 @@ A thin driver with no timers of its own.  From the checkout ``--root``
         once, at the same sizes.  It keeps the Riccati synthesis's milliseconds per phase and,
         where the checkout prints it, its ``peak`` memory in n^2 doubles.
 
-and writes them, with the benchmark's environment line, to
+and writes them, with the benchmark's environment line and ``src_lines``,
+the line count of ``<root>/src/phasestab/*.py``, to
 ``BENCH_<label>.json`` in the directory it is run from.  Running
 it with ``--root`` on a copy of an earlier commit gives that commit's file
 from the same driver.  It exits 1 when a run fails or reports a failed
@@ -103,6 +104,11 @@ def run_profile(root: Path, script: str, sizes: list[int], unit: str) -> dict | 
     return table
 
 
+def count_src_lines(root: Path) -> int:
+    """Lines in the package's modules, ``<root>/src/phasestab/*.py``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "phasestab").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -115,7 +121,8 @@ def main() -> int:
     out = Path(f"BENCH_{args.label}.json")
 
     bench = {"label": args.label, "seconds": args.seconds, "seed": 0, "environment": None,
-             "workloads": {}, "step_profile": None, "care_profile": None}
+             "src_lines": count_src_lines(root), "workloads": {}, "step_profile": None,
+             "care_profile": None}
     status = 0
     for workload in args.workloads:
         row, env = run_workload(root, workload, args.seconds)

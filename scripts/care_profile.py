@@ -8,9 +8,10 @@ state, plant and actuator) and one whole ``solve_care`` call is timed.  Each
 phase of the solve is then timed alone:
 
     first       the first Newton step, formed in the plant's eigenbasis: the
-                start gain, the block solves of its closed loop's Lyapunov
-                equation, mode by mode where it is block diagonal, and R
-                written as the unstable cross plus the modes' 2x2 blocks
+                start gain on the actuator's unstable block, the block
+                solves of its closed loop's Lyapunov equation, mode by mode
+                where it is block diagonal, and R written as the unstable
+                cross plus the modes' 2x2 blocks
     margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
                 for the reported residual
@@ -93,7 +94,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     solve()
     peak = tracemalloc.get_traced_memory()[1] / (8.0 * (2 * M) ** 2)
     tracemalloc.stop()
-    A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, sol.Q_diag
+    A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, plant.state_weight_diagonal()
     R, K = sol.R_matrix, sol.K_gain
     b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
 
@@ -117,7 +118,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         Z @ Y @ Z.T
 
     row = {
-        "first": _ms_per_call(lambda: _first_step(plant, B, act.D_matrix, Q_diag), repeats),
+        "first": _ms_per_call(lambda: _first_step(plant, act), repeats),
         "margin": _ms_per_call(lambda: _margin(plant.eigenvalues, b, k), repeats),
         "probe": sol.iterations * probe(_PROBE_SAMPLES) + probe(_REPORT_SAMPLES),
         "total": _ms_per_call(solve, repeats),

@@ -21,7 +21,7 @@ import json
 import sys
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -148,20 +148,15 @@ def stage_controllability(m: Materials, outdir: Path) -> dict:
     return summary
 
 
+# gain.npz holds each of these fields under its own name, plus config_digest
+_GAIN_FIELDS = fields(RiccatiSolution)
+
+
 def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
     rc = m.cfg.riccati
     sol = solve_care(m.plant, m.act, method=rc.method, tol=rc.tol, max_iters=rc.max_iters)
-    np.savez(
-        outdir / "gain.npz",
-        R=sol.R_matrix,
-        K=sol.K_gain,
-        margin=sol.margin,
-        residual_rel=sol.residual_rel,
-        Q_diag=sol.Q_diag,
-        min_real=sol.min_real,
-        iterations=sol.iterations,
-        config_digest=_gain_digest(m.cfg),
-    )
+    members = {f.name: getattr(sol, f.name) for f in _GAIN_FIELDS}
+    np.savez(outdir / "gain.npz", config_digest=_gain_digest(m.cfg), **members)
     return sol, write_synth_summary(sol, outdir)
 
 
@@ -194,8 +189,9 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
     """Reuse a previously synthesized gain when it was made from the same config.
 
     None (synthesize afresh) when the file is missing, stale or unreadable,
-    holds a plain .npy array rather than an npz archive, or lacks a member
-    read here (a file written by older code).
+    holds a plain .npy array rather than an npz archive, or lacks a field's
+    member (a file written by older code).  An array field is read as an
+    array, every other field as Python numbers.
     """
     if not path.exists():
         return None
@@ -206,13 +202,10 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
             if "config_digest" not in data or str(data["config_digest"]) != _gain_digest(m.cfg):
                 return None
             return RiccatiSolution(
-                R_matrix=data["R"],
-                K_gain=data["K"],
-                residual_rel=float(data["residual_rel"]),
-                margin=float(data["margin"]),
-                min_real=float(data["min_real"]),
-                Q_diag=data["Q_diag"],
-                iterations=int(data["iterations"]),
+                **{
+                    f.name: data[f.name] if f.type == "np.ndarray" else data[f.name].tolist()
+                    for f in _GAIN_FIELDS
+                }
             )
     except (ValueError, EOFError, KeyError, zipfile.BadZipFile):
         # not an npz archive (garbage, empty, truncated by an interrupted

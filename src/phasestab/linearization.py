@@ -19,11 +19,10 @@ obtained in closed form, vectorized over the blocks, and one sort on
 (lambda, k, branch) orders them all; the number N of eigenvalues <= 0 is
 finite and the feedback will act only through them.  An eigenvector lives
 on one mode's two rows, so the 2M x 2M eigenvector matrix is kept
-compactly, as each row's two columns and values, and the operator is
-applied through its blocks; the plant holds no 2M x 2M array.  Only
-``LinearizedPlant.mode_view`` reads that pair: it gives each mode's two
-eigen indices and its 2x2 rotation, through which ``to_eigenbasis`` and
-``from_eigenbasis`` apply V^T and V.
+compactly, as each mode's two eigen indices ``eig_pos`` and its 2x2
+rotation ``eig_rot``, through which ``to_eigenbasis`` and
+``from_eigenbasis`` apply V^T and V; the operator is applied through its
+blocks, and the plant holds no 2M x 2M array.
 
 The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 (it is handled with the nonlinear remainder), which is what keeps the blocks
@@ -84,12 +83,12 @@ class LinearizedPlant:
     The orthonormal eigenvector matrix V has the i-th eigenpair in column i,
     in stacked modal coordinates (y coefficients in rows 0..M-1, z
     coefficients in rows M..2M-1); eigenvalues are ascending.  Rows k and
-    M + k belong to cosine mode k and are nonzero only in
-    eigvec_cols[k] = eigvec_cols[M + k], the columns of that mode's two
-    eigenpairs, so V is kept as those columns and the values there:
-    V[r, eigvec_cols[r, a]] = eigvec_vals[r, a], every other entry zero.  No
-    field holds (2M)^2 entries.  ``mode_view`` is the only reader of the
-    pair; ``to_eigenbasis`` and ``from_eigenbasis`` apply V through it.
+    M + k belong to cosine mode k and are nonzero only in the columns of
+    that mode's two eigenpairs, so V is kept per mode: eig_pos[k, b] is the
+    eigen index of mode k's branch b (a permutation of range(2M)), and
+    V[c M + k, eig_pos[k, b]] = eig_rot[c, k, b], every other entry zero.
+    No field holds (2M)^2 entries; ``to_eigenbasis`` and ``from_eigenbasis``
+    apply V through the two.
     """
 
     params: PhysicalParams
@@ -99,8 +98,8 @@ class LinearizedPlant:
     g: ScalarField
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
-    eigvec_cols: np.ndarray  # (2M, 2) the only columns where each row of V is nonzero
-    eigvec_vals: np.ndarray  # (2M, 2) V's entries in those columns
+    eig_pos: np.ndarray  # (M, 2) eigen index of each mode's two branches
+    eig_rot: np.ndarray  # (2, M, 2) each mode's 2x2 rotation, component first
     N_unstable: int
     phi_inf: ScalarField
 
@@ -120,17 +119,9 @@ class LinearizedPlant:
             axis=1,
         )
 
-    def mode_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pos, rot): pos[k, b] is the eigen index of mode k's branch b, and
-        rot[c, k, b] = V[c M + k, pos[k, b]] is mode k's 2x2 rotation.
-
-        pos is a permutation of range(2M); both are views of the pair.
-        """
-        return self.eigvec_cols[: self.M], self.eigvec_vals.reshape(2, self.M, 2)
-
     def to_eigenbasis(self, X: np.ndarray) -> np.ndarray:
         """V^T X for X of 2M rows in stacked modal coordinates."""
-        pos, rot = self.mode_view()
+        pos, rot = self.eig_pos, self.eig_rot
         x = X.reshape(2, self.M, 1, -1)
         out = np.empty((2 * self.M, x.shape[-1]))
         out[pos] = rot[0, :, :, None] * x[0] + rot[1, :, :, None] * x[1]
@@ -138,7 +129,7 @@ class LinearizedPlant:
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V x for x of 2M rows in eigen coordinates."""
-        pos, rot = self.mode_view()
+        pos, rot = self.eig_pos, self.eig_rot
         xb = x.reshape(2 * self.M, -1)[pos]  # (M, 2, columns): mode k's branch b
         out = rot[:, :, 0, None] * xb[:, 0] + rot[:, :, 1, None] * xb[:, 1]
         return out.reshape(x.shape)
@@ -203,14 +194,14 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
     vz = np.concatenate([[0.0], ct, [1.0], st])
     branch, k = np.divmod(np.arange(2 * M), M)
     order = np.lexsort((branch, k, lam))  # by lambda, then k, then branch
-    # argsort inverts the sort: mode k's pair lands in columns argsort(order)[[k, M + k]]
-    eigvec_cols = np.tile(np.argsort(order).reshape(2, M).T, (2, 1))
+    # argsort inverts the sort: mode k's pair lands at argsort(order)[[k, M + k]]
+    eig_pos = np.argsort(order).reshape(2, M).T.copy()
     eigenvalues = lam[order]
-    # deterministic sign: dominant component positive, y component first;
-    # row k holds mode k's two y components, row M + k its z components
+    # deterministic sign: dominant component positive; eig_rot[c, k, b] is
+    # component c (y first) of mode k's branch b
     flip = np.where(np.abs(vy) >= np.abs(vz), vy < 0, vz < 0)
     signed = np.where(flip, -np.stack([vy, vz]), np.stack([vy, vz]))
-    eigvec_vals = signed.reshape(2, 2, M).transpose(0, 2, 1).reshape(2 * M, 2)
+    eig_rot = np.ascontiguousarray(signed.reshape(2, 2, M).transpose(0, 2, 1))
 
     N_unstable = int(np.sum(eigenvalues <= ZERO_EIGENVALUE_TOL))
 
@@ -231,8 +222,8 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
         g=g,
         A_blocks=blocks,
         eigenvalues=eigenvalues,
-        eigvec_cols=eigvec_cols,
-        eigvec_vals=eigvec_vals,
+        eig_pos=eig_pos,
+        eig_rot=eig_rot,
         N_unstable=N_unstable,
         phi_inf=phi_inf,
     )

@@ -17,21 +17,23 @@ is the residual we certify.
 The solve is Newton-Kleinman iteration (Kleinman, IEEE TAC 13, 1968),
 initialized by a small Hamiltonian-eigenvector LQR solve on the unstable
 block (stabilizing because the complement is open-loop stable).  That block
-is the actuator's eigenpairs ``lambdas``/``modes`` with their input matrix
-``D_matrix``, so which modes count as unstable is decided once, in
-``linearization``.
+is read from the actuator, its eigenpairs ``lambdas``/``modes`` with their
+input matrix ``D_matrix``, so which modes count as unstable is decided once,
+in ``linearization``, and V_U is formed once, in ``actuator``.  The state
+weight Ahat is the plant's ``state_weight_diagonal()``; the solution does
+not carry a copy.
 
 Newton stops after its first step on the default config and on every
 benchmark workload.  That step (``_first_step``) and the closed-loop margin
 (``_margin``) are formed in the plant's closed-form orthonormal eigenbasis
-Op = V Lambda V^T, one 2 x 2 rotation per cosine mode that the plant
-applies as ``to_eigenbasis`` and ``from_eigenbasis`` (V itself is never
-formed), with no dense 2M x 2M factorization and no Schur form: the start
-gain's closed loop is block triangular there, an N x N block over a
-diagonal stable block, so the step takes only N x N and
-N^2 x N^2 solves; and any gain's closed loop is diagonal plus rank N, as
-in the rank-k modified eigenproblem (Golub, SIAM Rev. 15, 1973; Bunch,
-Nielsen & Sorensen, Numer. Math. 31, 1978).  The margin agrees with a
+Op = V Lambda V^T, one 2 x 2 rotation per cosine mode (the plant's
+``eig_pos`` and ``eig_rot``), applied as ``to_eigenbasis`` and
+``from_eigenbasis`` (V itself is never formed), with no dense 2M x 2M
+factorization and no Schur form: the start gain's closed loop is block
+triangular there, an N x N block over a diagonal stable block, so the step
+takes only N x N and N^2 x N^2 solves; and any gain's closed loop is
+diagonal plus rank N, as in the rank-k modified eigenproblem (Golub, SIAM
+Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978).  The margin agrees with a
 40-digit root of the secular determinant
 det(I + k^T (Lambda - z)^{-1} b) to 1e-12 relative or better, where an
 eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
@@ -90,7 +92,6 @@ class RiccatiSolution:
     residual_rel: float
     margin: float  # -max Re of the closed-loop spectrum
     min_real: float  # min Re of the closed-loop spectrum, to first order
-    Q_diag: np.ndarray
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
 
@@ -214,16 +215,15 @@ def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
     _lyapunov_schur(T[:h, :h], F[:h, :h])
 
 
-def _first_step(
-    plant: LinearizedPlant, B: np.ndarray, D: np.ndarray, Q_diag: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, float]:
     """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
 
-    (lam, V) are the plant's orthonormal eigenpairs, ascending, the leading
-    N = len(D) the unstable block.  The start gain K0 = (P_u D)^T V_U^T,
-    P_u the Hamiltonian LQR solution of the unstable block, acts only
-    through V_U, so with b_S = V_S^T B the transposed closed loop is block
-    upper triangular in the eigenbasis:
+    (lam, V) are the plant's orthonormal eigenpairs, ascending; the leading
+    N are the actuator's unstable block (Lam_U, V_U) = (``lambdas``,
+    ``modes``) with input matrix D = ``D_matrix``.  The start gain
+    K0 = (P_u D)^T V_U^T, P_u the Hamiltonian LQR solution of the unstable
+    block, acts only through V_U, so with b_S = V_S^T B the transposed
+    closed loop is block upper triangular in the eigenbasis:
 
         T = V^T (A - B K0)^T V = [[A_u, C], [0, -Lam_S]],
         A_u = -(Lam_U + P_u D D^T),   C = -P_u D b_S^T.
@@ -234,24 +234,24 @@ def _first_step(
     (A_u (x) I + I (x) A_u) vec Y_UU = vec(F_UU - C Y_SU - Y_US C^T).
     V^T Q V couples only the two eigenvectors of one cosine mode, so F_SS,
     Y_SS and C Y_SS are taken per mode, as (M, 2, 2) arrays through the
-    plant's mode view.  Then X1 = V Y V^T is the cross E V_U^T + V_U E^T,
-    E = V [Y_UU / 2; Y_SU], which lies in the rows and columns of the
-    unstable modes' coefficient pairs, plus each mode's 2 x 2 block
-    V_S Y_SS V_S^T on the diagonals of the four M x M quadrants; both parts
-    are written exactly symmetric into X1, the only n x n array.  The loop's
+    plant's ``eig_pos`` and ``eig_rot``.  Then X1 = V Y V^T is the cross
+    E V_U^T + V_U E^T, E = V [Y_UU / 2; Y_SU], which lies in the rows and
+    columns of the unstable modes' coefficient pairs, plus each mode's 2 x 2
+    block V_S Y_SS V_S^T on the diagonals of the four M x M quadrants; both
+    parts are written exactly symmetric into X1, the only n x n array.  The loop's
     margin is min(-max Re spec(A_u), lam_{N+1}).
     """
-    lam, M, N = plant.eigenvalues, plant.M, len(D)
+    lam, M, N = plant.eigenvalues, plant.M, act.N
     n, lam_s, eye = 2 * M, lam[N:], np.eye(N)
-    pos, rot = plant.mode_view()
-    V_U = plant.from_eigenbasis(np.eye(n, N))
+    pos, rot, Q_diag = plant.eig_pos, plant.eig_rot, plant.state_weight_diagonal()
+    V_U, D = act.modes, act.D_matrix
     QV_U = plant.to_eigenbasis(Q_diag[:, None] * V_U)  # the unstable columns of V^T Q V
-    PD = _care_hamiltonian(-np.diag(lam[:N]), D, QV_U[:N]) @ D
-    A_u = -(np.diag(lam[:N]) + PD @ D.T)
+    PD = _care_hamiltonian(-np.diag(act.lambdas), D, QV_U[:N]) @ D
+    A_u = -(np.diag(act.lambdas) + PD @ D.T)
     margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
         raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
-    C = -PD @ plant.to_eigenbasis(B).T  # its stable columns are T's coupling block
+    C = -PD @ plant.to_eigenbasis(act.B_matrix).T  # its stable columns are T's coupling block
     # mode k's block of V^T Q V and of Y_SS, zero where a branch is unstable
     QV = (Q_diag.reshape(2, M, 1, 1) * (rot[:, :, :, None] * rot[:, :, None, :])).sum(axis=0)
     stable, lam_pair = pos >= N, lam[pos]
@@ -307,28 +307,24 @@ def _dense_step(
 
 
 def _solve_care_core(
-    plant: LinearizedPlant,
-    B: np.ndarray,
-    Q_diag: np.ndarray,
-    D: np.ndarray,
-    tol: float,
-    max_iters: int,
+    plant: LinearizedPlant, act: Actuator, tol: float, max_iters: int
 ) -> tuple[np.ndarray, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start, until the probe residual meets tol.
 
-    The plant's leading N = len(D) eigenpairs must be stabilized, D = V_U^T B
-    is their input matrix, and the rest of the spectrum must be positive.
+    The actuator's unstable block, the plant's leading N eigenpairs, must be
+    stabilized, and the rest of the spectrum must be positive.
     Iterate 0 starts from the Hamiltonian LQR gain of that block and is
     formed in the eigenbasis (``_first_step``); each later iterate factors
     the dense closed loop of the previous one's gain (``_dense_step``), for
     at most max(max_iters, 1) iterates.  The dense Op is formed once, for
     the first of those later iterates.
     """
+    B, Q_diag = act.B_matrix, plant.state_weight_diagonal()
     history: list[dict] = []
     for it in range(max(max_iters, 1)):
         try:
             if it == 0:
-                X, margin = _first_step(plant, B, D, Q_diag)
+                X, margin = _first_step(plant, act)
             else:
                 if it == 1:
                     A_op = plant.operator_matrix()
@@ -432,9 +428,7 @@ def solve_care(
     Q_diag = plant.state_weight_diagonal()
     lam = plant.eigenvalues
 
-    R, iterations, history = _solve_care_core(
-        plant, B, Q_diag, act.D_matrix, tol=tol, max_iters=max_iters
-    )
+    R, iterations, history = _solve_care_core(plant, act, tol=tol, max_iters=max_iters)
 
     K = B.T @ R
     b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
@@ -450,7 +444,6 @@ def solve_care(
         # the largest eigenvalues are the tail's, where the diagonal of
         # Lambda + b k^T is their first-order value
         min_real=-float(np.max(lam + np.sum(b * k, axis=1))),
-        Q_diag=Q_diag,
         iterations=iterations,
         residual_history=[h["residual"] for h in history],
     )

@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 NORM_FLOOR = 1e-14  # a decay norm below this is machine noise: no rate is fitted
+BLOWUP_FACTOR = 1e6  # a decay norm this many times its start is a blow-up
 FIT_MIN_SAMPLES = 20  # fewest recorded rows in the fit window that give a rate
 FIT_MIN_R2 = 0.99  # a log-linear fit below this R^2 gives no rate
 INITIAL_MU_DECAY = 2.0  # seeded initial coefficients are damped by mu_k^-2
@@ -516,13 +517,12 @@ def simulate(
     scheme: str = RunConfig.scheme,
     stat: StationaryState | None = None,
     record_every: int = 1,
-    blowup_factor: float = 1e6,
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording norms, means and feedback amplitudes.
 
     The decay rate is fitted on log(xi norm) over the second half of the
     run, [t_end / 2, t_end].  Raises BlowUpError at the first recorded row
-    whose decay norm exceeds ``blowup_factor`` times its initial value or
+    whose decay norm exceeds ``BLOWUP_FACTOR`` times its initial value or
     stops being finite; rows are checked once per block of
     ``_RECORD_BLOCK``, so up to one block of further steps runs first.
     """
@@ -544,7 +544,7 @@ def simulate(
     phys_map = _PhysicalMap(stat, params) if stat is not None else None
     sqrtL = np.sqrt(basis.L)
     xi0 = _decay_norm(basis, x)
-    bound = blowup_factor * max(xi0, NORM_FLOOR)
+    bound = BLOWUP_FACTOR * max(xi0, NORM_FLOOR)
     # row r waits in block[r % _RECORD_BLOCK] until its block's pass, which
     # writes straight into the record arrays through three (rows, M) scratches
     block = np.empty((min(_RECORD_BLOCK, n_rows), 2 * M))
@@ -573,7 +573,7 @@ def simulate(
             t = float(times[row])
             raise BlowUpError(
                 f"decay norm {xi_s[row]:.3e} at t={t:.3f} is not finite or exceeds "
-                f"{blowup_factor:.0e} x initial {xi0:.3e}",
+                f"{BLOWUP_FACTOR:.0e} x initial {xi0:.3e}",
                 t=t,
                 norm=float(xi_s[row]),
             )

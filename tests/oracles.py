@@ -11,11 +11,11 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 
 ``eigenvectors``
     The plant's dense orthonormal eigenvector matrix V, scattered from its
-    compact pair ``eigvec_cols``/``eigvec_vals`` by one ``put_along_axis``;
-    the package keeps only the pair.  Used across ``test_linearization.py``,
-    ``test_lqr.py``, ``test_actuator.py`` and ``test_sim.py``, by
-    ``test_acceptance.py::test_c01_spectral_oracle`` and by
-    ``propagate_linear_with_control`` and ``solve_care_integrated`` below.
+    per-mode eigen indices ``eig_pos`` and rotations ``eig_rot`` by one
+    ``put_along_axis``; the package keeps only those two.  Used across
+    ``test_linearization.py``, ``test_lqr.py``, ``test_actuator.py`` and
+    ``test_sim.py``, by ``test_acceptance.py::test_c01_spectral_oracle`` and
+    by ``propagate_linear_with_control`` and ``solve_care_integrated`` below.
 
 ``apply_B``
     The nodal input map, formed at the nodes so it vanishes outside omega; it
@@ -102,11 +102,11 @@ def basis_function(basis, k: int, x: np.ndarray) -> np.ndarray:
 
 
 def eigenvectors(plant) -> np.ndarray:
-    """Dense 2M x 2M V with V[r, eigvec_cols[r, a]] = eigvec_vals[r, a] and zeros elsewhere."""
-    n = 2 * plant.M
-    V = np.zeros((n, n))
-    np.put_along_axis(V, plant.eigvec_cols, plant.eigvec_vals, axis=1)
-    return V
+    """Dense 2M x 2M V with V[c M + k, eig_pos[k, b]] = eig_rot[c, k, b] and zeros elsewhere."""
+    M = plant.M
+    V = np.zeros((2, M, 2 * M))
+    np.put_along_axis(V, np.broadcast_to(plant.eig_pos, (2, M, 2)), plant.eig_rot, axis=2)
+    return V.reshape(2 * M, 2 * M)
 
 
 def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
@@ -348,7 +348,7 @@ def riccati_residual(sol, plant, act, samples: int = 100, seed: int = 0) -> floa
         sol.R_matrix,
         plant.apply_operator,
         act.B_matrix,
-        sol.Q_diag,
+        plant.state_weight_diagonal(),
         samples,
         np.random.default_rng(seed),
     )

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -8,7 +9,16 @@ import numpy as np
 import pytest
 
 import phasestab
-from phasestab.cli import _gain_digest, main, render_report, run_pipeline, run_sweep
+from phasestab.cli import (
+    _gain_digest,
+    build_materials,
+    load_gain,
+    main,
+    render_report,
+    run_pipeline,
+    run_sweep,
+    stage_synth,
+)
 from phasestab.config import (
     ConfigError,
     SimConfig,
@@ -17,6 +27,7 @@ from phasestab.config import (
     save_config,
 )
 from phasestab.io import _jsonable, read_json, read_trajectory_csv, write_json, write_table
+from phasestab.lqr import RiccatiSolution
 
 import oracles
 
@@ -158,9 +169,29 @@ class TestPipeline:
         assert fresh["synth"]["margin"] != pytest.approx(stale["synth"]["margin"], rel=1e-3)
         assert rerun["synth"] == fresh["synth"]
         assert rerun["simulate"]["margin"] == fresh["simulate"]["margin"]
-        K_rerun = np.load(Path(cfg.output_dir) / "gain.npz")["K"]
-        K_fresh = np.load(tmp_path / "fresh" / "gain.npz")["K"]
+        K_rerun = np.load(Path(cfg.output_dir) / "gain.npz")["K_gain"]
+        K_fresh = np.load(tmp_path / "fresh" / "gain.npz")["K_gain"]
         assert np.array_equal(K_rerun, K_fresh)
+
+    def test_gain_file_round_trip(self, tmp_path):
+        # gain.npz holds each RiccatiSolution field under its own name, and
+        # load_gain gives back the very solution stage_synth wrote
+        out = tmp_path / "run"
+        out.mkdir()
+        m = build_materials(fast_config(out))
+        sol, _ = stage_synth(m, out)
+        with np.load(out / "gain.npz") as data:
+            names = set(data.files)
+        fields = dataclasses.fields(RiccatiSolution)
+        assert names == {f.name for f in fields} | {"config_digest"}
+        loaded = load_gain(out / "gain.npz", m)
+        for f in fields:
+            fresh, read = getattr(sol, f.name), getattr(loaded, f.name)
+            if isinstance(fresh, np.ndarray):
+                assert isinstance(read, np.ndarray) and np.array_equal(read, fresh), f.name
+            else:
+                assert type(read) is type(fresh) and read == fresh, f.name
+        assert all(type(v) is float for v in loaded.residual_history)
 
     def test_oracles_stay_off_the_pipeline_path(self):
         # the independent oracles live in tests/oracles.py: no package module
@@ -225,7 +256,15 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "damage",
-        ["garbage", "truncated", "emptied", "plain_npy", "member_missing", "synth_json_deleted"],
+        [
+            "garbage",
+            "truncated",
+            "emptied",
+            "plain_npy",
+            "member_missing",
+            "old_member_names",
+            "synth_json_deleted",
+        ],
     )
     def test_damaged_gain_cache_exit_zero(self, tmp_path, damage):
         # an unreadable gain.npz is a cache miss like a stale one, and a
@@ -235,7 +274,7 @@ class TestMainEntry:
                 "--set", "sim.t_end=1.0", "--output-dir", str(run)]
         assert main(argv) == 0
         gain = run / "gain.npz"
-        synth, K = (run / "synth.json").read_bytes(), np.load(gain)["K"]
+        synth, K = (run / "synth.json").read_bytes(), np.load(gain)["K_gain"]
         if damage == "garbage":
             gain.write_bytes(b"not a gain archive\n" * 8)  # np.load: ValueError
         elif damage == "truncated":
@@ -249,13 +288,22 @@ class TestMainEntry:
             # the digest matches, but a member load_gain reads is absent (a
             # file written by older code): KeyError
             with np.load(gain) as data:
-                kept = {name: data[name] for name in data.files if name != "R"}
+                kept = {name: data[name] for name in data.files if name != "R_matrix"}
             np.savez(gain, **kept)
+        elif damage == "old_member_names":
+            # the member names older code wrote, with a matching digest: a
+            # field's member is missing, so the gain is synthesized again
+            plant = build_materials(load_config(run / "config.json")).plant
+            old = {"R_matrix": "R", "K_gain": "K"}
+            with np.load(gain) as data:
+                kept = {old.get(name, name): data[name] for name in data.files}
+            del kept["residual_history"]
+            np.savez(gain, Q_diag=plant.state_weight_diagonal(), **kept)
         else:
             (run / "synth.json").unlink()
         assert main(argv) == 0
         assert (run / "synth.json").read_bytes() == synth
-        assert np.array_equal(np.load(gain)["K"], K)
+        assert np.array_equal(np.load(gain)["K_gain"], K)
 
     def test_validation_error_exit_two(self, tmp_path):
         code = main(

@@ -299,14 +299,14 @@ def _dense_eigenvectors(plant):
 
 
 def _assert_pattern_holds(plant):
-    """The compact pair rebuilds the dense closed-form eigenvectors bit for bit.
+    """The per-mode indices and rotations rebuild the dense closed-form eigenvectors bit for bit.
 
-    So every nonzero of V lies in its row's recorded columns, rows k and
-    M + k share them, and no field of the plant holds (2M)^2 entries.
+    So every nonzero of V lies in its mode's two columns, those columns are
+    a permutation of range(2M), and no field of the plant holds (2M)^2 entries.
     """
-    M, cols = plant.M, plant.eigvec_cols
-    assert cols.shape == plant.eigvec_vals.shape == (2 * M, 2)
-    assert np.array_equal(cols[:M], cols[M:])
+    M, pos = plant.M, plant.eig_pos
+    assert pos.shape == (M, 2) and plant.eig_rot.shape == (2, M, 2)
+    assert np.array_equal(np.sort(pos, axis=None), np.arange(2 * M))
     assert eigenvectors(plant).tobytes() == _dense_eigenvectors(plant).tobytes()
     for f in dataclasses.fields(plant):
         value = getattr(plant, f.name)

@@ -168,7 +168,7 @@ def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
 @pytest.mark.parametrize("samples, seed", [(32, 12345), (100, 202), (100, 0)])
 def test_probe_residual_matches_loop(problem, solution, samples, seed):
     _, plant, act = problem
-    R, B, Q_diag = solution.R_matrix, act.B_matrix, solution.Q_diag
+    R, B, Q_diag = solution.R_matrix, act.B_matrix, plant.state_weight_diagonal()
     batched = lqr._probe_residual(
         R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(seed)
     )
@@ -190,7 +190,7 @@ def test_block_probe_matches_dense_probe(workload):
     for samples, seed in [(lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, 0)]:
         block, dense = (
             lqr._probe_residual(
-                sol.R_matrix, apply_op, m.act.B_matrix, sol.Q_diag, samples,
+                sol.R_matrix, apply_op, m.act.B_matrix, m.plant.state_weight_diagonal(), samples,
                 np.random.default_rng(seed),
             )
             for apply_op in (m.plant.apply_operator, lambda X: X @ A_op.T)
@@ -327,7 +327,7 @@ def _start_gain(plant, act):
 
 def _package_first_step(plant, act):
     """X1 as ``solve_care`` forms it, in the eigenbasis."""
-    X1, _ = lqr._first_step(plant, act.B_matrix, act.D_matrix, plant.state_weight_diagonal())
+    X1, _ = lqr._first_step(plant, act)
     return X1
 
 
@@ -381,14 +381,7 @@ class TestNewtonSchur:
             return eigvals(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
-        _, iterations, _ = lqr._solve_care_core(
-            plant,
-            act.B_matrix,
-            plant.state_weight_diagonal(),
-            act.D_matrix,
-            tol=0.0,
-            max_iters=3,
-        )
+        _, iterations, _ = lqr._solve_care_core(plant, act, tol=0.0, max_iters=3)
         assert iterations == 3
         # the first step takes no Schur form, only the eigenvalues of its
         # N x N unstable block for the margin; each later step takes one
@@ -420,14 +413,7 @@ class TestNewtonSchur:
 
         monkeypatch.setattr(lqr, "_dense_step", failing_step)
         with pytest.raises(RiccatiError, match="^iterate 1: the closed loop") as info:
-            lqr._solve_care_core(
-                plant,
-                act.B_matrix,
-                plant.state_weight_diagonal(),
-                act.D_matrix,
-                tol=0.0,
-                max_iters=3,
-            )
+            lqr._solve_care_core(plant, act, tol=0.0, max_iters=3)
         # the first step's probe entry, and nothing of the failed iterate
         assert len(info.value.history) == 1
 
@@ -444,6 +430,25 @@ class TestNewtonSchur:
         X1 = _package_first_step(m.plant, m.act)
         R_ref = _schur_newton_kleinman(A_op, B, Q_diag, B.T @ X1, iterations=2)
         assert np.array_equal(sol.R_matrix, R_ref)
+
+    def test_far_start_later_steps_reach_dense_care(self):
+        # nu = 0.02, L = 2 puts N = 6 eigenpairs in the unstable block, and the
+        # start's probe residual is 6.1e-2, far from the M = 16 default's
+        # 3.3e-6: the later dense steps converge to SciPy's CARE solution
+        cfg = SimConfig()
+        cfg.params.nu, cfg.basis.M, cfg.basis.L = 0.02, 16, 2.0
+        cfg.actuator.a, cfg.actuator.b = 0.5, 1.5
+        m = build_materials(cfg.validate())
+        assert m.act.N == 6
+        sol = solve_care(m.plant, m.act)
+        assert sol.residual_history[0] > 1e-2
+        assert sol.iterations >= 4
+        A, B = -m.plant.operator_matrix(), m.act.B_matrix
+        Q = np.diag(m.plant.state_weight_diagonal())
+        R_ref = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(m.act.N))
+        assert np.abs(sol.R_matrix - R_ref).max() <= 1e-8 * np.abs(R_ref).max()
+        ref_margin = -float(np.max(np.linalg.eigvals(A - B @ B.T @ R_ref).real))
+        assert sol.margin == pytest.approx(ref_margin, rel=1e-9)
 
     def test_default_run_leaves_scipy_linalg_unloaded(self, tmp_path):
         # Newton stops after its eigenbasis first step, so a whole default run

@@ -45,6 +45,7 @@ def test_bench_writes_its_file(tmp_path):
     result = run_script("bench.py", args, tmp_path)
     assert result.returncode == 0, result.stderr
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert type(bench["src_lines"]) is int and bench["src_lines"] > 0
     row = bench["workloads"]["rho_ensemble"]
     assert row["correct"] and row["failed"] == 0
     assert row["wall_s"]["q1"] <= row["wall_s"]["median"] <= row["wall_s"]["q3"]

@@ -15,6 +15,7 @@ from phasestab.linearization import F_second_parts, PhysicalParams, assemble_pla
 from phasestab.lqr import solve_care
 from phasestab.sim import (
     _RECORD_BLOCK,
+    BLOWUP_FACTOR,
     NORM_FLOOR,
     BlowUpError,
     ImplicitSolveError,
@@ -589,16 +590,14 @@ class TestSimulate:
             assert errors[0] / errors[1] == pytest.approx(ratio, rel=0.1)
             assert errors[1] / errors[2] == pytest.approx(ratio, rel=0.1)
 
-    def test_blowup_guard_triggers(self, world):
+    def test_blowup_guard_triggers(self, world, monkeypatch):
         basis, _, state, plant, _, _ = world
         v1 = eigenvectors(plant)[:, 0]
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
+        monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", 1.0 + 1e-4)
         with pytest.raises(BlowUpError) as info:
-            simulate(
-                plant, y0, z0, dt=1e-3, t_end=5.0, nonlinear=False, stat=state,
-                blowup_factor=1.0 + 1e-4,
-            )
+            simulate(plant, y0, z0, dt=1e-3, t_end=5.0, nonlinear=False, stat=state)
         assert info.value.norm > 0
         assert 0 < info.value.t <= 5.0
 
@@ -616,13 +615,15 @@ class TestSimulate:
         assert not np.isfinite(info.value.norm)
         with np.errstate(all="ignore"):
             t, norm = first_guard_crossing(
-                plant, y0, z0, 1e-3, 2.0, sol, act, True, record_every, 1e6
+                plant, y0, z0, 1e-3, 2.0, sol, act, True, record_every, BLOWUP_FACTOR
             )
         assert info.value.t == t
         np.testing.assert_equal(info.value.norm, norm)
 
     @pytest.mark.parametrize("record_every", [1, 3])
-    def test_blowup_guard_reports_first_row_past_bound_inside_a_block(self, world, record_every):
+    def test_blowup_guard_reports_first_row_past_bound_inside_a_block(
+        self, world, record_every, monkeypatch
+    ):
         # the guard runs once per block of recorded rows; it must still name
         # the first row past the bound, here a finite overshoot mid-block
         basis, _, state, plant, _, _ = world
@@ -630,10 +631,11 @@ class TestSimulate:
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         dt, t_end, factor = 0.05, 50.0, 10.0
+        monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", factor)
         with pytest.raises(BlowUpError) as info:
             simulate(
                 plant, y0, z0, dt=dt, t_end=t_end, nonlinear=False, stat=state,
-                record_every=record_every, blowup_factor=factor,
+                record_every=record_every,
             )
         t, norm = first_guard_crossing(
             plant, y0, z0, dt, t_end, None, None, False, record_every, factor
