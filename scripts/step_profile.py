@@ -1,35 +1,42 @@
 #!/usr/bin/env python3
-"""Per-phase cost of one closed-loop step of ``phasestab.sim.simulate``.
+"""Per-phase cost of the closed-loop time loop of ``phasestab.sim.simulate``.
 
     PYTHONPATH=src python scripts/step_profile.py [--M 64 256] [--steps 2000] [--repeats 5]
 
 For each basis size M the default config is built at that M (stationary
-state, plant, actuator and the Newton-Kleinman gain), a short closed-loop run
-warms up every cache, and each phase of one step of the config's scheme and
-dt is then timed with ``time.perf_counter`` on the run's final state:
+state, plant, actuator and the Newton-Kleinman gain), and a short closed-loop
+run warms up every cache.  Every step phase is then timed on the loop that
+``simulate`` runs, ``_Stepper.run``, from the warm-up run's final state with
+the config's scheme and dt, as a whole loop of --steps steps or as the
+difference of two such loops:
 
-    remainder   the unscaled remainder analysis q = C^T f(C y) on the
-                dealiasing grid, written into an output buffer
-                (``_remainder_analysis`` with ``out`` and ``grid``)
-    solve       the in-place implicit solve of the scheme's steady step: the
-                folded 2x2 block inverse v = (J/3) r on (2, M) views, then
-                the rank-N Woodbury feedback w = (-C^{-1} K) v and
-                x = v + JU w (``_ClosedLoopSolve``)
-    rhs         step minus remainder minus solve: the scaling h = e q, the
-                right-hand side [4 x - x_old; 2 h - h_old] with its h part
-                added into its y part, and the step's own Python overhead
-    step        one whole stepper step, advancing the stepper's own state
+    setup       one ``_Stepper`` build of the closed nonlinear loop, in
+                microseconds per build: both implicit solves' block inverses,
+                the capacitance checks, -C^{-1} K and the remainder's grid
+                values
+    solve       the linear open loop: the right-hand side, the folded 2x2
+                block inverse on (2, M) views and the loop itself
+    feedback    the linear closed loop minus the linear open loop: the
+                rank-N Woodbury correction w = (-C^{-1} K) v, x = v + JU w
+    remainder   the nonlinear closed loop minus the linear closed loop: the
+                unscaled remainder analysis q = C^T f(C y) on the dealiasing
+                grid (``_remainder_analysis``) and its scaling into the
+                right-hand side
+    step        the nonlinear closed loop, the step ``simulate`` takes
     recording   one recorded row: simulate at record_every = 1 minus simulate
                 recording only the first and last rows, per step.  simulate
                 fills its norms in passes over blocks of 256 rows, so this
                 figure spans whole blocks: the default 2000 steps give 2001
-                rows, 8 blocks.  The two simulate figures are medians of
-                separate timing loops, so this difference is noisy; it is
-                clamped at 0 and is a floor
+                rows, 8 blocks
     simulate    simulate at record_every = 1, per step
 
-Every figure is in microseconds per step, the median of --repeats timed
-loops of --steps calls.  BLAS is pinned to one thread, as in the benchmark,
+Every figure except setup is in microseconds per step.  The loops that a
+figure compares are timed in turn, once per round, for --repeats rounds
+(setup: --repeats timed batches of 50 builds), so a drift in the host's load
+reaches both sides of a difference.  A whole loop's figure is the median of
+its rounds; feedback, remainder and recording are medians of the per-round
+differences, which can still be negative on a noisy host, so each is clamped
+at 0 and is a floor.  BLAS is pinned to one thread, as in the benchmark,
 unless the thread variables are already set.
 """
 
@@ -47,24 +54,29 @@ import numpy as np  # noqa: E402
 from phasestab.cli import build_materials  # noqa: E402
 from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import solve_care  # noqa: E402
-from phasestab.sim import (  # noqa: E402
-    _remainder_analysis,
-    _Stepper,
-    seeded_initial_state,
-    simulate,
-)
+from phasestab.sim import _Stepper, seeded_initial_state, simulate  # noqa: E402
 
-PHASES = ("remainder", "solve", "rhs", "step", "recording", "simulate")
+PHASES = ("setup", "solve", "feedback", "remainder", "step", "recording", "simulate")
+SETUP_BUILDS = 50  # stepper builds per timed batch
 
 
-def _us_per_call(fn, calls: int, repeats: int) -> float:
-    samples = []
+def _rounds(fns, per: int, repeats: int) -> list[list[float]]:
+    """Per fn, its ``repeats`` timings in microseconds divided by ``per``.
+
+    Each round calls every fn once, in turn.
+    """
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
+        for fn, out in zip(fns, samples):
+            start = time.perf_counter()
             fn()
-        samples.append((time.perf_counter() - start) / calls * 1e6)
-    return statistics.median(samples)
+            out.append((time.perf_counter() - start) / per * 1e6)
+    return samples
+
+
+def _floor_of_difference(a: list[float], b: list[float]) -> float:
+    """Median of the per-round differences a - b, clamped at 0."""
+    return max(statistics.median(x - y for x, y in zip(a, b)), 0.0)
 
 
 def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
@@ -82,30 +94,42 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
             nonlinear=True, scheme=run.scheme, stat=m.stat, record_every=record_every,
         )
 
+    def build(closed: bool, nonlinear: bool) -> _Stepper:
+        return _Stepper(
+            m.plant, run.dt, sol if closed else None, m.act if closed else None,
+            nonlinear, run.scheme,
+        )
+
     final = run_simulate(1).final_state
     x = np.concatenate([final.y.coeffs, final.z.coeffs])
-    stepper = _Stepper(m.plant, run.dt, sol, m.act, True, run.scheme)
-    stepper.start(x)
-    stepper.step()  # imex2 takes its steady form from the second step on
-    solve = stepper.bdf2 or stepper.euler
-    solve.r[: 2 * M] = x
-    q, x_out, w_out = np.empty(M), np.empty(2 * M), np.empty(m.act.N)
-    x_out2 = x_out.reshape(2, M)
-    C, phi3, g, grid = stepper.C, stepper.phi3_padded, stepper.g_padded, stepper.grid
 
-    out = {
-        "remainder": _us_per_call(
-            lambda: _remainder_analysis(C, x[:M], phi3, g, q, grid), steps, repeats
-        ),
-        "solve": _us_per_call(lambda: solve(x_out2, x_out, w_out), steps, repeats),
-        "step": _us_per_call(stepper.step, steps, repeats),
+    def builds():
+        for _ in range(SETUP_BUILDS):
+            build(True, True)
+
+    def loop(stepper: _Stepper):
+        def run_loop():
+            for _ in stepper.run(x, steps, steps):
+                pass
+
+        return run_loop
+
+    open_linear, closed_linear, step = _rounds(
+        [loop(build(False, False)), loop(build(True, False)), loop(build(True, True))],
+        steps, repeats,
+    )
+    every_step, ends_only = _rounds(
+        [lambda: run_simulate(1), lambda: run_simulate(steps)], steps, repeats
+    )
+    return {
+        "setup": statistics.median(_rounds([builds], SETUP_BUILDS, repeats)[0]),
+        "solve": statistics.median(open_linear),
+        "feedback": _floor_of_difference(closed_linear, open_linear),
+        "remainder": _floor_of_difference(step, closed_linear),
+        "step": statistics.median(step),
+        "recording": _floor_of_difference(every_step, ends_only),
+        "simulate": statistics.median(every_step),
     }
-    out["rhs"] = out["step"] - out["remainder"] - out["solve"]
-    every_step = _us_per_call(lambda: run_simulate(1), 1, repeats) / steps
-    ends_only = _us_per_call(lambda: run_simulate(steps), 1, repeats) / steps
-    out["recording"] = max(every_step - ends_only, 0.0)
-    out["simulate"] = every_step
-    return out
 
 
 def main() -> None:
@@ -116,7 +140,7 @@ def main() -> None:
     args = parser.parse_args()
 
     run = SimConfig().sim
-    print(f"scheme {run.scheme}, dt {run.dt:g}")
+    print(f"scheme {run.scheme}, dt {run.dt:g}; setup in us per build")
     print("us/step  " + "  ".join(f"{name:>9}" for name in PHASES))
     for M in args.M:
         row = profile(M, args.steps, args.repeats)

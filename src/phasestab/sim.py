@@ -21,15 +21,18 @@ Each step evaluates the remainder with two matrix-vector products against
 one cached cosine matrix C (the basis functions on the P = 2M dealiasing
 grid, built on the first call): values v = C y, then the unscaled analysis
 q = C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.  The
-scheme's constants are folded once, when the stepper is built: 3 phi_inf on
-the padded grid, the per-mode factor -kappa L / P times dt (imex1) or 2 dt
-(imex2), and SBDF2's 1/3 into a copy of the block inverse.  The stepper
-owns its state: a ring of three history slots [x; q; w], and every
-intermediate is written in place into a buffer allocated once.  A steady
-step is q, one right-hand side, one block product and the rank-N feedback
-correction: 17 NumPy calls and no allocation.  ``step`` returns views into
-the ring, valid for two further steps; ``simulate`` copies the rows it
-records and the final state.
+scheme's constants are folded once, when the stepper is built, in one pass
+over both implicit solves: 3 phi_inf on the padded grid, the per-mode
+factor -kappa L / P times dt (imex1) or 2 dt (imex2), and SBDF2's 1/3 into
+a copy of the block inverse.  The time loop is one generator,
+``_Stepper.run``: it binds every buffer once, keeps the state in a ring of
+three history slots [x; q; w], writes every intermediate in place into a
+buffer allocated once, and yields views of the state and the feedback
+amplitudes after every recorded step.  A steady step is q, one right-hand
+side, one block product and the rank-N feedback correction: 17 NumPy calls
+and no allocation.  The first step runs through the same body with the
+theta = dt constants.  ``simulate`` copies the rows it records and keeps
+the final state.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -49,6 +52,7 @@ the stationary offsets precomputed once per run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +151,8 @@ def _remainder_analysis(
     t *= yv
     t += g_padded
     t *= yv
-    return C.T.dot(t, out)
+    # t C is C^T t: the product as a method of t makes no transposed view
+    return t.dot(C, out)
 
 
 # -- physical variables ------------------------------------------------------
@@ -218,106 +223,11 @@ class _PhysicalMap:
 CAPACITANCE_COND_MAX = 1e8
 
 
-class _ClosedLoopSolve:
-    """x = (I + theta (Op + B K))^{-1} (scale r) for one theta and one scale, in place.
-
-    J = (I + theta Op)^{-1} is the per-mode 2x2 block inverse
-    [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
-    right-hand side buffer ``r`` holds [r_y; r_z; r_y], so that both
-    R = [r_y; r_z] and its swap [r_z; r_y] are contiguous (2, M) views, and
-
-        scale J r = D R + O [r_z; r_y],   D = scale [d; a] / det,
-                                          O = scale [-b; -c] / det,
-
-    two products and one sum.  A row-reversed view R[::-1] would save the
-    copy of r_y, but NumPy runs it through its general iterator, which
-    allocates about 2 KB per call and costs about a microsecond more.  BK
-    has rank N, so the closed-loop inverse is J plus a Woodbury correction.
-    With JU = J theta B (2M x N, unscaled) and the capacitance matrix
-    C = I_N + K JU, all formed once, the solve is
-
-        v = (scale J) r,  w = (-C^{-1} K) v,  x = v + JU w
-
-    at O(MN) cost.  w equals -K x, the feedback amplitude at the new state,
-    so no second product forms it.  The caller writes r into the first 2M
-    entries of ``r``; the solve copies r_y into the last M, which until then
-    are the caller's to use.  Raises ImplicitSolveError, before any
-    division, when a block is not invertible at theta, and when C is ill
-    conditioned.
-    """
-
-    def __init__(
-        self,
-        blocks: np.ndarray,
-        theta: float,
-        scale: float,
-        dt: float,
-        scheme: str,
-        sol: RiccatiSolution | None,
-        act: Actuator | None,
-    ):
-        M = len(blocks)
-        a = 1.0 + theta * blocks[:, 0, 0]
-        b = theta * blocks[:, 0, 1]
-        c = theta * blocks[:, 1, 0]
-        d = 1.0 + theta * blocks[:, 1, 1]
-        det = a * d - b * c
-        # both schemes first solve at theta = dt (imex2 on its first step),
-        # and det(I + theta A_k) > 0 at theta = dt keeps it positive for
-        # smaller theta, so the bound on dt is the same for both
-        if not np.min(det) >= 1e-12:
-            raise ImplicitSolveError(
-                f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
-                f"{np.min(det):.3e}); keep dt below {_Stepper._dt_bound(blocks):.3e} "
-                f"for {scheme}"
-            )
-        diag = np.stack([d, a]) / det
-        off = np.stack([-b, -c]) / det
-        self.diag, self.off = scale * diag, scale * off
-        self.r = np.zeros(3 * M)
-        self.r_y, self.r_tail = self.r[:M], self.r[2 * M :]
-        self.r2 = self.r[: 2 * M].reshape(2, M)
-        self.r2_swap = self.r[M:].reshape(2, M)
-        self.t = np.empty(2 * M)
-        self.t2 = self.t.reshape(2, M)
-        self.JU = self.minus_S = None
-        if sol is None:
-            return
-        U2 = (theta * act.B_matrix).reshape(2, M, -1)
-        self.JU = (diag[..., None] * U2 + off[..., None] * U2[::-1]).reshape(2 * M, -1)
-        KJU = sol.K_gain @ self.JU
-        cap = np.eye(act.N) + KJU
-        # condition relative to the terms that form C: forming it rounds at
-        # eps (1 + ||K JU||), and solving with it amplifies that by
-        # 1 / sigma_min(C); plain cond(C) misses cancellation in I + K JU
-        sv = np.linalg.svd(np.stack([cap, KJU]), compute_uv=False)
-        smin, norm_KJU = sv[0, -1], sv[1, 0]
-        cond = (1.0 + norm_KJU) / smin if smin > 0 else np.inf
-        if not cond <= CAPACITANCE_COND_MAX:
-            raise ImplicitSolveError(
-                f"capacitance matrix I + K J theta B of the implicit feedback has "
-                f"condition number {cond:.3e} at dt = {dt:.3e}, above "
-                f"{CAPACITANCE_COND_MAX:.0e}; reduce dt"
-            )
-        self.minus_S = -np.linalg.solve(cap, sol.K_gain)
-
-    def __call__(self, x2: np.ndarray, x: np.ndarray, w: np.ndarray) -> None:
-        """Write the solution into x (x2 its (2, M) view) and -K x into w (not open loop)."""
-        np.copyto(self.r_tail, self.r_y)
-        np.multiply(self.diag, self.r2, x2)
-        np.multiply(self.off, self.r2_swap, self.t2)
-        x2 += self.t2
-        if self.minus_S is not None:
-            self.minus_S.dot(x, w)
-            self.JU.dot(w, self.t)
-            x += self.t
-
-
 class _Stepper:
-    """One IMEX step of the closed loop, with operator and feedback implicit.
+    """The IMEX time loop of the closed loop, with operator and feedback implicit.
 
-    Both schemes solve (I + theta (Op + B K)) x_next = r once per step with a
-    ``_ClosedLoopSolve``, and only the remainder G is explicit:
+    Both schemes solve (I + theta (Op + B K)) x_next = r once per step, and
+    only the remainder G is explicit:
 
         imex1  theta = dt       r = x_n + dt G(x_n)
         imex2  theta = 2 dt/3   r = (4 x_n - x_{n-1}) / 3
@@ -342,16 +252,43 @@ class _Stepper:
     e1 and e2 have a zero mean entry (kappa_0 = 0), so the explicit term
     leaves the means alone.
 
-    The stepper owns its state: a ring of three slots [x (2M); q (M); w (N)],
-    w = -K x the feedback amplitude.  ``start`` copies x_0 into a slot, and
-    each ``step`` writes q_n into x_n's slot and x_{n+1}, w_{n+1} into the
-    slot of x_{n-2}, every intermediate in a preallocated buffer: it
-    allocates no array.  The right-hand side is one product of [x_n; q_n]
-    with a coefficient vector (1 for imex1, [4; 2] for SBDF2), minus
-    [x_{n-1}; q_{n-1}] for SBDF2; its q part is scaled by e1 or e2 and added
-    into its y part.  A steady nonlinear closed-loop step makes 17 NumPy
-    calls.  ``step`` returns views into the ring, which keep their values
-    for two further steps.
+    The open-loop part of the solve is the per-mode 2x2 block inverse
+    [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
+    right-hand side buffer r holds [r_y; r_z; r_y], so that both
+    R = [r_y; r_z] and its swap [r_z; r_y] are contiguous (2, M) views, and
+
+        scale J r = D R + O [r_z; r_y],   D = scale [d; a] / det,
+                                          O = scale [-b; -c] / det,
+
+    two products and one sum, with scale 1 at theta = dt and SBDF2's 1/3 at
+    theta = 2 dt/3.  A row-reversed view R[::-1] would save the copy of r_y,
+    but NumPy runs it through its general iterator, which allocates about
+    2 KB per call and costs about a microsecond more.  BK has rank N, so the
+    closed-loop inverse is J plus a Woodbury correction.  With
+    JU = J theta B (2M x N, unscaled) and the capacitance matrix
+    C = I_N + K JU, the solve is
+
+        v = (scale J) r,  w = (-C^{-1} K) v,  x = v + JU w
+
+    at O(MN) cost.  w equals -K x, the feedback amplitude at the new state,
+    so no second product forms it.
+
+    The set-up is one pass over the scheme's thetas: dt, which imex1 steps
+    with and SBDF2 takes for its first step, and SBDF2's 2 dt/3.  It
+    evaluates their block inverses together, checks their capacitance
+    matrices with one stacked SVD and forms their -C^{-1} K with one stacked
+    solve; ``diag``, ``off``, ``JU`` and ``minus_S`` hold one entry per
+    theta.  It raises ImplicitSolveError, before any division, when a block
+    is not invertible at theta = dt, and when a capacitance matrix is ill
+    conditioned.
+
+    ``run`` is the time loop.  The state lives in a ring of three slots
+    [x (2M); q (M); w (N)], w = -K x, and every intermediate is written into
+    a buffer allocated once.  The right-hand side is one product of
+    [x_n; q_n] with a coefficient vector (1 at theta = dt, [4; 2] for
+    SBDF2), minus [x_{n-1}; q_{n-1}] for SBDF2; its q part is scaled by e1
+    or e2 and added into its y part.  A steady nonlinear closed-loop step
+    makes 17 NumPy calls and allocates no array.
     """
 
     def __init__(
@@ -371,38 +308,61 @@ class _Stepper:
             raise ValueError("feedback needs both the Riccati solution and the actuator")
         basis = plant.basis
         M = basis.M
+        N = 0 if sol is None else act.N
         self.nonlinear = nonlinear
         blocks = plant.A_blocks
-        self.euler = _ClosedLoopSolve(blocks, dt, 1.0, dt, scheme, sol, act)
-        self.bdf2 = (
-            _ClosedLoopSolve(blocks, 2.0 * dt / 3.0, 1.0 / 3.0, dt, scheme, sol, act)
-            if scheme == "imex2"
-            else None
-        )
+        theta = np.array([dt] if scheme == "imex1" else [dt, 2.0 * dt / 3.0])[:, None]
+        S = len(theta)
+        scale = np.array([1.0, 1.0 / 3.0])[:S, None, None]
+        a = 1.0 + theta * blocks[:, 0, 0]
+        b = theta * blocks[:, 0, 1]
+        c = theta * blocks[:, 1, 0]
+        d = 1.0 + theta * blocks[:, 1, 1]
+        det = a * d - b * c
+        # both schemes first solve at theta = dt (imex2 on its first step),
+        # and det(I + theta A_k) > 0 at theta = dt keeps it positive for
+        # smaller theta, so the bound on dt is the same for both
+        if not np.min(det[0]) >= 1e-12:
+            raise ImplicitSolveError(
+                f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
+                f"{np.min(det[0]):.3e}); keep dt below {self._dt_bound(blocks):.3e} "
+                f"for {scheme}"
+            )
+        diag = np.stack([d, a], axis=1) / det[:, None]
+        off = np.stack([-b, -c], axis=1) / det[:, None]
+        self.diag, self.off = scale * diag, scale * off
+        self.JU = self.minus_S = None
+        if sol is not None:
+            U2 = (theta[..., None] * act.B_matrix).reshape(S, 2, M, N)
+            self.JU = (diag[..., None] * U2 + off[..., None] * U2[:, ::-1]).reshape(S, 2 * M, N)
+            KJU = sol.K_gain @ self.JU
+            cap = np.eye(N) + KJU
+            # condition relative to the terms that form C: forming it rounds at
+            # eps (1 + ||K JU||), and solving with it amplifies that by
+            # 1 / sigma_min(C); plain cond(C) misses cancellation in I + K JU
+            sv = np.linalg.svd(np.concatenate([cap, KJU]), compute_uv=False)
+            for smin, norm_KJU in zip(sv[:S, -1], sv[S:, 0]):
+                cond = (1.0 + norm_KJU) / smin if smin > 0 else np.inf
+                if not cond <= CAPACITANCE_COND_MAX:
+                    raise ImplicitSolveError(
+                        f"capacitance matrix I + K J theta B of the implicit feedback has "
+                        f"condition number {cond:.3e} at dt = {dt:.3e}, above "
+                        f"{CAPACITANCE_COND_MAX:.0e}; reduce dt"
+                    )
+            self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
         P = PAD_FACTOR * M
         self.C = _cosine_matrix(basis, P)
         self.phi3_padded = 3.0 * _values_on_grid(basis, plant.phi_inf.coeffs, P)
         self.g_padded = _values_on_grid(basis, plant.g.coeffs, P)
         self.grid = (np.empty(P), np.empty(P))
-        self.e1 = -basis.kappa * (basis.L / P * dt)
-        self.e2 = 2.0 * self.e1
-        # (solve, coefficients on [x_n; q_n], factor on the q part)
-        self._first = (self.euler, np.ones(3 * M), self.e1)
-        self._steady = (
-            self._first
-            if self.bdf2 is None
-            else (self.bdf2, np.repeat([4.0, 2.0], [2 * M, M]), self.e2)
-        )
-        self._next = self._first
-
-        N = 0 if sol is None else act.N
-        # each slot: ([x; q], x, x as (2, M), y, q, w), all views of one row
-        self._ring = tuple(
-            (row[: 3 * M], row[: 2 * M], row[: 2 * M].reshape(2, M), row[:M],
-             row[2 * M : 3 * M], row[3 * M :])
-            for row in np.zeros((3, 3 * M + N))
-        )
+        e1 = -basis.kappa * (basis.L / P * dt)
+        # per theta: the coefficients on [x_n; q_n] and the factor e1 or e2
+        # on the q part
+        self.coef = (np.ones(3 * M), np.repeat([4.0, 2.0], [2 * M, M]))[:S]
+        self.e = (e1, 2.0 * e1)[:S]
+        self.r, self.t = np.zeros(3 * M), np.empty(2 * M)
+        self.ring = np.zeros((3, 3 * M + N))
 
     @staticmethod
     def _dt_bound(blocks: np.ndarray) -> float:
@@ -418,36 +378,68 @@ class _Stepper:
         q2, q1 = q2[neg], q1[neg]
         return float(np.min((q1 + np.sqrt(q1 * q1 - 4.0 * q2)) / (-2.0 * q2)))
 
-    def start(self, x0: np.ndarray) -> None:
-        """Take x0 as the state x_0; the next step is the scheme's first."""
-        np.copyto(self._ring[1][1], x0)
-        self._next = self._first
+    def run(self, x0: np.ndarray, n_steps: int, every: int):
+        """Step from x_0 = x0; yield (x_n, w_n) after every ``every``-th step and the last.
 
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the state by one dt.
-
-        Returns (x_next, w_next) with w_next = -K x_next, the feedback
-        amplitude at the new state (empty when open loop): views into the
-        ring that keep their values for two further steps.
+        w_n = -K x_n is the feedback amplitude at x_n (empty when open loop).
+        Both are views into the ring that keep their values for two further
+        steps: a caller that keeps them longer copies them.  Each call starts
+        afresh with the scheme's first step; the loops of one stepper share
+        its buffers, so one runs at a time.
         """
-        old, cur, new = self._ring
-        xq, _, _, y, q, _ = cur
-        if self.nonlinear:
-            _remainder_analysis(self.C, y, self.phi3_padded, self.g_padded, q, self.grid)
-        solve, coef, e = self._next
-        r = solve.r
-        np.multiply(coef, xq, r)
-        if solve is self.bdf2:
-            r -= old[0]
-        if self.nonlinear:
-            r_y, r_q = solve.r_y, solve.r_tail
-            r_q *= e
-            r_y += r_q
-        _, x, x2, _, _, w = new
-        solve(x2, x, w)
-        self._ring = cur, new, old
-        self._next = self._steady
-        return x, w
+        M = self.C.shape[1]
+        C, phi3, g, grid = self.C, self.phi3_padded, self.g_padded, self.grid
+        nonlinear, closed = self.nonlinear, self.minus_S is not None
+        remainder, multiply, copyto = _remainder_analysis, np.multiply, np.copyto
+        r, t = self.r, self.t
+        r_y, r_q, t2 = r[:M], r[2 * M :], t.reshape(2, M)
+        r2, r2_swap = r[: 2 * M].reshape(2, M), r[M:].reshape(2, M)
+        # each slot: [x; q], y, q, x, x as (2, M), w; all views of one row
+        slots = [
+            (row[: 3 * M], row[:M], row[2 * M : 3 * M], row[: 2 * M],
+             row[: 2 * M].reshape(2, M), row[3 * M :])
+            for row in self.ring
+        ]
+        copyto(slots[1][3], x0)
+        # step n reads the slots of x_{n-2} and x_{n-1} and writes x_n into
+        # the third; the slots rotate, so the frames repeat every three steps
+        frames = itertools.cycle(
+            [(slots[k][0], *slots[(k + 1) % 3][:3], *slots[(k + 2) % 3][3:]) for k in range(3)]
+        )
+        # per theta: the folded block inverse, the right-hand side's factors,
+        # whether it is SBDF2's, and the Woodbury products as bound methods
+        solves = [
+            (self.diag[i], self.off[i], self.coef[i], self.e[i], i == 1,
+             self.minus_S[i].dot if closed else None, self.JU[i].dot if closed else None)
+            for i in range(len(self.coef))
+        ]
+        due = min(every, n_steps)
+        n = 0
+        # step 1 solves at theta = dt, every later step at the scheme's steady theta
+        for (diag, off, coef, e, sbdf2, minus_S_dot, JU_dot), last in (
+            (solves[0], min(n_steps, 1)), (solves[-1], n_steps)
+        ):
+            # zip asks the range first, so it takes no frame past the last step
+            for n, (xq_old, xq, y, q, x, x2, w) in zip(range(n + 1, last + 1), frames):
+                if nonlinear:
+                    remainder(C, y, phi3, g, q, grid)
+                multiply(coef, xq, r)
+                if sbdf2:
+                    r -= xq_old
+                if nonlinear:
+                    r_q *= e
+                    r_y += r_q
+                copyto(r_q, r_y)
+                multiply(diag, r2, x2)
+                multiply(off, r2_swap, t2)
+                x2 += t2
+                if closed:
+                    minus_S_dot(x, w)
+                    JU_dot(w, t)
+                    x += t
+                if n == due:
+                    due = min(due + every, n_steps)
+                    yield x, w
 
 
 # -- trajectories ------------------------------------------------------------
@@ -520,7 +512,9 @@ def simulate(
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording norms, means and feedback amplitudes.
 
-    The decay rate is fitted on log(xi norm) over the second half of the
+    One ``_Stepper`` is built per call, and its ``run`` loop yields the
+    state and the feedback amplitudes of every recorded step; the rows wait
+    in a block buffer for their norm pass.  The decay rate is fitted on log(xi norm) over the second half of the
     run, [t_end / 2, t_end].  Raises BlowUpError at the first recorded row
     whose decay norm exceeds ``BLOWUP_FACTOR`` times its initial value or
     stops being finite; rows are checked once per block of
@@ -580,16 +574,13 @@ def simulate(
 
     block[0] = x
     amps[0] = w
-    stepper.start(x)
     row = 0
-    for step_idx in range(1, n_steps + 1):
-        x, w = stepper.step()
-        if step_idx % record_every == 0 or step_idx == n_steps:
-            row += 1
-            block[row % _RECORD_BLOCK] = x
-            amps[row] = w
-            if (row + 1) % _RECORD_BLOCK == 0:
-                record_block(row + 1)
+    for x, w in stepper.run(x, n_steps, record_every):
+        row += 1
+        block[row % _RECORD_BLOCK] = x
+        amps[row] = w
+        if (row + 1) % _RECORD_BLOCK == 0:
+            record_block(row + 1)
     if n_rows % _RECORD_BLOCK:
         record_block(n_rows)
 

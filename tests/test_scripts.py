@@ -49,8 +49,11 @@ def test_bench_writes_its_file(tmp_path):
     row = bench["workloads"]["rho_ensemble"]
     assert row["correct"] and row["failed"] == 0
     assert row["wall_s"]["q1"] <= row["wall_s"]["median"] <= row["wall_s"]["q3"]
-    assert set(bench["step_profile"]["M=16"]) >= {"remainder", "solve", "rhs", "step"}
+    assert set(bench["step_profile"]["M=16"]) >= {
+        "setup", "solve", "feedback", "remainder", "step", "recording"
+    }
     assert set(bench["care_profile"]["M=16"]) >= {"first", "probe", "total", "peak"}
-    # the derived columns are differences of separately timed medians, clamped at 0
-    assert bench["step_profile"]["M=16"]["recording"] >= 0.0
+    # the derived columns are differences of two timings, clamped at 0
+    for phase in ("feedback", "remainder", "recording"):
+        assert bench["step_profile"]["M=16"][phase] >= 0.0
     assert bench["care_profile"]["M=16"]["rest"] >= 0.0

@@ -66,8 +66,8 @@ def remainder_direct(y, phi, g):
 def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_every, factor):
     """(t, decay norm) of the first recorded step past simulate's blow-up bound.
 
-    Steps the stepper one step at a time and takes each recorded state's norm
-    as the sum of its two graph norms; None when no step crosses.
+    Runs the stepper's own loop and takes each recorded state's norm as the
+    sum of its two graph norms; None when no step crosses.
     """
     basis = plant.basis
     M = basis.M
@@ -79,13 +79,10 @@ def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_e
     x = np.concatenate([y0.coeffs, z0.coeffs])
     bound = factor * max(norm(x), NORM_FLOOR)
     n_steps = int(round(t_end / dt))
-    stepper.start(x)
-    for step_idx in range(1, n_steps + 1):
-        x, _ = stepper.step()
-        if step_idx % record_every == 0 or step_idx == n_steps:
-            xi = norm(x)
-            if not np.isfinite(xi) or xi > bound:
-                return step_idx * dt, xi
+    for row, (x, _) in enumerate(stepper.run(x, n_steps, record_every), 1):
+        xi = norm(x)
+        if not np.isfinite(xi) or xi > bound:
+            return min(row * record_every, n_steps) * dt, xi
     return None
 
 
@@ -189,11 +186,10 @@ class TestRemainderTerm:
         basis = SpectralBasis(L=L, M=M)
         plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
         stepper = _Stepper(plant, 1e-3, None, None, True, "imex2")
-        assert stepper.e1[0] == 0.0 and stepper.e2[0] == 0.0
+        assert len(stepper.e) == 2 and all(e[0] == 0.0 for e in stepper.e)
         rng = np.random.default_rng(M)
         x = rng.standard_normal(2 * M)
-        stepper.start(x)
-        x_next, _ = stepper.step()
+        x_next, _ = next(stepper.run(x, 1, 1))
         assert x_next[0] == x[0]
 
 
@@ -259,11 +255,23 @@ class TestStepImex:
         # although every 2x2 block is invertible
         basis, _, state, plant, act, sol = world
         dt = 1e-2
-        JU = _Stepper(plant, dt, sol, act, True, "imex1").euler.JU
+        JU = _Stepper(plant, dt, sol, act, True, "imex1").JU[0]
         bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
         zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ImplicitSolveError, match="capacitance"):
             simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act)
+
+    def test_singular_sbdf2_capacitance_rejected(self, world):
+        # the same singular gain built at SBDF2's theta = 2 dt/3 leaves the
+        # theta = dt capacitance, which imex1 uses, regular
+        basis, _, state, plant, act, sol = world
+        dt = 1e-2
+        JU = _Stepper(plant, dt, sol, act, True, "imex2").JU[1]
+        bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
+        zero = ScalarField.constant(basis, 0.0)
+        with pytest.raises(ImplicitSolveError, match="capacitance"):
+            simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act, scheme="imex2")
+        simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act, scheme="imex1")
 
     @pytest.mark.parametrize("nu, M", [(0.1, 64), (0.02, 256), (0.005, 32), (100.0, 16)])
     def test_dt_bound_matches_root_loop(self, nu, M):
@@ -370,9 +378,7 @@ class TestFoldedStep:
         y0, z0 = seeded_initial_state(plant.basis, rho, seed=11)
         x = x_ref = np.concatenate([y0.coeffs, z0.coeffs])
         old = old_ref = None
-        stepper.start(x)
-        for _ in range(self.STEPS):
-            x_next, w = stepper.step()
+        for x_next, w in stepper.run(x, self.STEPS, 1):
             # one reference step from the stepper's own states
             expected, w_expected = ref.step(x, old if scheme == "imex2" else None)
             assert rel_dev(x_next, expected) <= self.TOL
@@ -400,18 +406,19 @@ class TestFoldedStep:
 
 def test_steady_step_allocates_less_than_one_state(world):
     # every intermediate of a step is a buffer of the stepper, and the state
-    # lives in its ring: 100 steady steps trace less than one 2M-value state
+    # lives in its ring: 100 steady steps of one run trace less than one
+    # 2M-value state
     basis, _, _, plant, act, sol = world
     stepper = _Stepper(plant, 5e-3, sol, act, True, "imex2")
     y0, z0 = seeded_initial_state(basis, 0.1, seed=11)
-    stepper.start(np.concatenate([y0.coeffs, z0.coeffs]))
+    steps = stepper.run(np.concatenate([y0.coeffs, z0.coeffs]), 103, 1)
     for _ in range(3):
-        stepper.step()
+        next(steps)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(100):
-            x, w = stepper.step()
+        for x, w in steps:
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
