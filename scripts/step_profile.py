@@ -19,9 +19,11 @@ difference of two such loops:
     feedback    the linear closed loop minus the linear open loop: the
                 rank-N Woodbury correction w = (-C^{-1} K) v, x = v + JU w
     remainder   the nonlinear closed loop minus the linear closed loop: the
-                unscaled remainder analysis q = C^T f(C y) on the dealiasing
-                grid (``_remainder_analysis``) and its scaling into the
-                right-hand side
+                remainder on the folded dealiasing grid
+                (``_remainder_analysis``), two two-row products against the
+                top half H of the cosine matrix, [(-1)^k y; y] H^T and T H;
+                the signed scaling of their two rows into the right-hand
+                side; and the refresh of (-1)^k y after the solve
     step        the nonlinear closed loop, the step ``simulate`` takes
     recording   one recorded row: simulate at record_every = 1 minus simulate
                 recording only the first and last rows, per step.  simulate

@@ -17,22 +17,29 @@ plus a rank-N Woodbury correction for the feedback, which enters through the
 actuator's modal input matrix ``B_matrix``; the step size is therefore not
 limited by the gain.
 
-Each step evaluates the remainder with two matrix-vector products against
-one cached cosine matrix C (the basis functions on the P = 2M dealiasing
-grid, built on the first call): values v = C y, then the unscaled analysis
-q = C^T (v^3 + 3 phi_inf v^2 + g v), the cubic in Horner form.  The
-scheme's constants are folded once, when the stepper is built, in one pass
-over both implicit solves: 3 phi_inf on the padded grid, the per-mode
-factor -kappa L / P times dt (imex1) or 2 dt (imex2), and SBDF2's 1/3 into
-a copy of the block inverse.  The time loop is one generator,
+Each step evaluates the remainder pseudospectrally on the P = 2M
+dealiasing grid, whose cosine matrix C (the basis functions at the grid's
+midpoints, cached on the first call) is mirror-symmetric:
+C[P-1-j] = (-1)^k C[j].  The grid values are therefore held folded, as the
+(2, M) array [bottom half reversed; top half] = [ys; y] H^T, where
+H = C[:M] is the top half of C and ys = (-1)^k y.  The remainder is two
+two-row products against H: the folded values V = [ys; y] H^T, and the
+unscaled analysis Z = [Zb; Zt] = T H of T = V^3 + 3 phi_inf V^2 + g V (the
+cubic in Horner form, on 3 phi_inf and g folded the same way), from which
+the analysis of the whole grid is q = C^T T = Zt + (-1)^k Zb.  Each
+product reads half of C.  The scheme's constants are folded once, when the
+stepper is built, in one pass over both implicit solves: 3 phi_inf and g
+on the folded grid, the per-mode factor -kappa L / P times dt (imex1) or
+2 dt (imex2) with the sign (-1)^k on its Zb row, and SBDF2's 1/3 into a
+copy of the block inverse.  The time loop is one generator,
 ``_Stepper.run``: it binds every buffer once, keeps the state in a ring of
-three history slots [x; q; w], writes every intermediate in place into a
-buffer allocated once, and yields views of the state and the feedback
-amplitudes after every recorded step.  A steady step is q, one right-hand
-side, one block product and the rank-N feedback correction: 17 NumPy calls
-and no allocation.  The first step runs through the same body with the
-theta = dt constants.  ``simulate`` copies the rows it records and keeps
-the final state.
+three history slots [ys; y; z; Zb; Zt; w], writes every intermediate in
+place into a buffer allocated once, and yields views of the state and the
+feedback amplitudes after every recorded step.  A steady step is Z, one
+right-hand side, one block product, the rank-N feedback correction and the
+refresh of ys: 19 NumPy calls and no allocation.  The first step runs
+through the same body with the theta = dt constants.  ``simulate`` copies
+the rows it records and keeps the final state.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -65,7 +72,6 @@ from .spectral import (
     PAD_FACTOR,
     ScalarField,
     _cosine_matrix,
-    _values_on_grid,
     _weighted_norm,
 )
 from .stationary import StationaryState
@@ -130,29 +136,34 @@ def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
 
 
 def _remainder_analysis(
-    C: np.ndarray, y: np.ndarray, phi3_padded: np.ndarray, g_padded: np.ndarray,
+    H: np.ndarray, HT: np.ndarray, y2: np.ndarray, phi3: np.ndarray, g: np.ndarray,
     out: np.ndarray | None = None, grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Unscaled analysis q = C^T f(C y), f(v) = v^3 + 3 phi_inf v^2 + g v.
+    """Unscaled folded analysis Z = f(y2 H^T) H, f(v) = v^3 + 3 phi_inf v^2 + g v.
 
-    C is the P x M cosine matrix of the dealiasing grid, and ``phi3_padded``
-    and ``g_padded`` hold 3 phi_inf and g on that grid.  The modal
-    coefficients of G(y) are -kappa (L / P) q.  Given ``out`` (M entries)
-    and ``grid`` (two buffers of P entries), q is written into ``out`` and
-    the call allocates nothing.
+    H is the top half C[:M] of the cosine matrix C of the P = 2M dealiasing
+    grid, HT its transpose H.T, and y2 the (2, M) pair [(-1)^k y; y].  Since
+    C[P-1-j] = (-1)^k C[j], y2 H^T is C y folded to the (2, M) array
+    [bottom half reversed; top half], and ``phi3`` and ``g`` hold 3 phi_inf
+    and g on the grid folded the same way.  The result Z = [Zb; Zt] gives
+    the unscaled analysis of the whole grid, q = C^T f(C y) = Zt + (-1)^k Zb,
+    and the modal coefficients of G(y) are -kappa (L / P) q.  Given ``out``
+    ((2, M)) and ``grid`` (two (2, M) buffers), Z is written into ``out``
+    and the call allocates nothing.  The time loop makes the view HT once:
+    one made per call cost about 0.4 us of a 10 us step at M = 64 (2-CPU
+    host, one BLAS thread).
     """
-    yv, t = np.empty((2, len(C))) if grid is None else grid
+    v, t = np.empty((2,) + y2.shape) if grid is None else grid
     # methods and positional out arguments: np.dot and out= keywords cost a
     # dispatch each, a tenth of a microsecond or more
-    C.dot(y, yv)
+    y2.dot(HT, v)
     # Horner form, in place: a float power costs more than both
-    # matrix-vector products at P = 128
-    np.add(yv, phi3_padded, t)
-    t *= yv
-    t += g_padded
-    t *= yv
-    # t C is C^T t: the product as a method of t makes no transposed view
-    return t.dot(C, out)
+    # matrix products at P = 128
+    np.add(v, phi3, t)
+    t *= v
+    t += g
+    t *= v
+    return t.dot(H, out)
 
 
 # -- physical variables ------------------------------------------------------
@@ -242,19 +253,29 @@ class _Stepper:
     and G has no z part.
 
     The constants are folded when the stepper is built.  With the unscaled
-    remainder analysis q (``_remainder_analysis``), G = -kappa (L/P) q, and
-    with J the closed-loop inverse at the scheme's theta, the steps are
+    remainder analysis q = Zt + (-1)^k Zb (``_remainder_analysis``),
+    G = -kappa (L/P) q, and with J the closed-loop inverse at the scheme's
+    theta, the steps are
 
         imex1  x_next = J (x_n + [e1 q_n; 0]),              e1 = -kappa (L/P) dt
         imex2  x_next = (J/3) (4 x_n - x_{n-1} + [e2 (2 q_n - q_{n-1}); 0]),
                                                             e2 = 2 e1
 
-    e1 and e2 have a zero mean entry (kappa_0 = 0), so the explicit term
-    leaves the means alone.
+    ``e`` holds e1 and e2 folded as (2, M) factors [(-1)^k e; e] on
+    [Zb; Zt], so that one in-place product scales both rows, and the two
+    rows are added into the y part.  e1 and e2 have a zero mean entry
+    (kappa_0 = 0) in both rows, so the explicit term leaves the means alone.
+
+    The remainder reads only the top half H = C[:M] of the cached cosine
+    matrix, a view, and the set-up folds 3 phi_inf and g with the same
+    product.  The cache still holds the whole P x M matrix, which
+    ``_values_on_grid`` and ``_coeffs_from_grid`` read for the dealiased
+    products of the stationary solve, so the memory it takes does not halve.
 
     The open-loop part of the solve is the per-mode 2x2 block inverse
     [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
-    right-hand side buffer r holds [r_y; r_z; r_y], so that both
+    right-hand side buffer r holds [r_y; r_z; r_Zb; r_Zt], and once r_Zb
+    has been added into r_y a copy of r_y overwrites it, so that both
     R = [r_y; r_z] and its swap [r_z; r_y] are contiguous (2, M) views, and
 
         scale J r = D R + O [r_z; r_y],   D = scale [d; a] / det,
@@ -283,12 +304,15 @@ class _Stepper:
     conditioned.
 
     ``run`` is the time loop.  The state lives in a ring of three slots
-    [x (2M); q (M); w (N)], w = -K x, and every intermediate is written into
-    a buffer allocated once.  The right-hand side is one product of
-    [x_n; q_n] with a coefficient vector (1 at theta = dt, [4; 2] for
-    SBDF2), minus [x_{n-1}; q_{n-1}] for SBDF2; its q part is scaled by e1
-    or e2 and added into its y part.  A steady nonlinear closed-loop step
-    makes 17 NumPy calls and allocates no array.
+    [ys (M); y (M); z (M); Zb (M); Zt (M); w (N)], w = -K x, x = [y; z] and
+    ys = (-1)^k y, so that both [ys; y] and x are contiguous, and every
+    intermediate is written into a buffer allocated once.  The right-hand
+    side is one product of [x_n; Z_n] with a coefficient vector (1 at
+    theta = dt, [4; 2] for SBDF2), minus [x_{n-1}; Z_{n-1}] for SBDF2; its
+    Z part is scaled by the folded e1 or e2 and both its rows are added into
+    its y part.  After the solve one product refreshes the new slot's ys.
+    A steady nonlinear closed-loop step makes 19 NumPy calls and allocates
+    no array.
     """
 
     def __init__(
@@ -352,17 +376,29 @@ class _Stepper:
             self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
         P = PAD_FACTOR * M
-        self.C = _cosine_matrix(basis, P)
-        self.phi3_padded = 3.0 * _values_on_grid(basis, plant.phi_inf.coeffs, P)
-        self.g_padded = _values_on_grid(basis, plant.g.coeffs, P)
-        self.grid = (np.empty(P), np.empty(P))
-        e1 = -basis.kappa * (basis.L / P * dt)
-        # per theta: the coefficients on [x_n; q_n] and the factor e1 or e2
-        # on the q part
-        self.coef = (np.ones(3 * M), np.repeat([4.0, 2.0], [2 * M, M]))[:S]
+        H = self.H = _cosine_matrix(basis, P)[:M]
+        sign = self.sign = np.ones(M)
+        sign[1::2] = -1.0
+        # [(-1)^k c; c] for c = 3 phi_inf and g: its product with H^T is c
+        # on the folded grid
+        folded = np.empty((4, M))
+        np.multiply(plant.phi_inf.coeffs, 3.0, folded[1])
+        folded[3] = plant.g.coeffs
+        np.multiply(sign, folded[1::2], folded[::2])
+        folded = folded.dot(H.T)
+        self.phi3, self.g = folded[:2], folded[2:]
+        self.grid = (np.empty((2, M)), np.empty((2, M)))
+        e1 = np.empty((2, M))
+        np.multiply(basis.kappa, -basis.L / P * dt, e1[1])
+        np.multiply(sign, e1[1], e1[0])
+        # per theta: the coefficients on [x_n; Z_n] and the factor e1 or e2
+        # on the Z part
+        coef = self.coef = np.ones((S, 4 * M))
+        coef[1:, : 2 * M] = 4.0
+        coef[1:, 2 * M :] = 2.0
         self.e = (e1, 2.0 * e1)[:S]
-        self.r, self.t = np.zeros(3 * M), np.empty(2 * M)
-        self.ring = np.zeros((3, 3 * M + N))
+        self.r, self.t = np.zeros(4 * M), np.empty(2 * M)
+        self.ring = np.zeros((3, 5 * M + N))
 
     @staticmethod
     def _dt_bound(blocks: np.ndarray) -> float:
@@ -387,20 +423,25 @@ class _Stepper:
         afresh with the scheme's first step; the loops of one stepper share
         its buffers, so one runs at a time.
         """
-        M = self.C.shape[1]
-        C, phi3, g, grid = self.C, self.phi3_padded, self.g_padded, self.grid
+        M = len(self.sign)
+        H, phi3, g, grid, sign = self.H, self.phi3, self.g, self.grid, self.sign
+        HT = H.T
         nonlinear, closed = self.nonlinear, self.minus_S is not None
         remainder, multiply, copyto = _remainder_analysis, np.multiply, np.copyto
         r, t = self.r, self.t
-        r_y, r_q, t2 = r[:M], r[2 * M :], t.reshape(2, M)
-        r2, r2_swap = r[: 2 * M].reshape(2, M), r[M:].reshape(2, M)
-        # each slot: [x; q], y, q, x, x as (2, M), w; all views of one row
+        r_y, r_Z, r_Zb, r_Zt = r[:M], r[2 * M :].reshape(2, M), r[2 * M : 3 * M], r[3 * M :]
+        t2 = t.reshape(2, M)
+        r2, r2_swap = r[: 2 * M].reshape(2, M), r[M : 3 * M].reshape(2, M)
+        # each slot: [x; Z], [ys; y] and Z as (2, M), ys, y, x, x as (2, M),
+        # w; all views of one row [ys; y; z; Zb; Zt; w]
         slots = [
-            (row[: 3 * M], row[:M], row[2 * M : 3 * M], row[: 2 * M],
-             row[: 2 * M].reshape(2, M), row[3 * M :])
+            (row[M : 5 * M], row[: 2 * M].reshape(2, M), row[3 * M : 5 * M].reshape(2, M),
+             row[:M], row[M : 2 * M], row[M : 3 * M], row[M : 3 * M].reshape(2, M),
+             row[5 * M :])
             for row in self.ring
         ]
-        copyto(slots[1][3], x0)
+        copyto(slots[1][5], x0)
+        multiply(sign, slots[1][4], slots[1][3])
         # step n reads the slots of x_{n-2} and x_{n-1} and writes x_n into
         # the third; the slots rotate, so the frames repeat every three steps
         frames = itertools.cycle(
@@ -420,16 +461,17 @@ class _Stepper:
             (solves[0], min(n_steps, 1)), (solves[-1], n_steps)
         ):
             # zip asks the range first, so it takes no frame past the last step
-            for n, (xq_old, xq, y, q, x, x2, w) in zip(range(n + 1, last + 1), frames):
+            for n, (xZ_old, xZ, y2, Z, ys, y, x, x2, w) in zip(range(n + 1, last + 1), frames):
                 if nonlinear:
-                    remainder(C, y, phi3, g, q, grid)
-                multiply(coef, xq, r)
+                    remainder(H, HT, y2, phi3, g, Z, grid)
+                multiply(coef, xZ, r)
                 if sbdf2:
-                    r -= xq_old
+                    r -= xZ_old
                 if nonlinear:
-                    r_q *= e
-                    r_y += r_q
-                copyto(r_q, r_y)
+                    r_Z *= e
+                    r_y += r_Zb
+                    r_y += r_Zt
+                copyto(r_Zb, r_y)
                 multiply(diag, r2, x2)
                 multiply(off, r2_swap, t2)
                 x2 += t2
@@ -437,6 +479,8 @@ class _Stepper:
                     minus_S_dot(x, w)
                     JU_dot(w, t)
                     x += t
+                if nonlinear:
+                    multiply(sign, y, ys)
                 if n == due:
                     due = min(due + every, n_steps)
                     yield x, w

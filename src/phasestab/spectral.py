@@ -202,8 +202,12 @@ def _cosine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
     """P x M matrix  e_k(x_j)  on the P-point midpoint grid (cached, read-only).
 
     ``C @ c`` gives values on the grid and ``(L/P) C.T @ v`` the coefficients
-    of grid values; the time stepper applies it twice per step.  The matrix
-    holds P M doubles (1 MiB at M = 256, P = 2M).
+    of grid values.  The midpoint grid is mirror-symmetric,
+    C[P-1-j] = (-1)^k C[j], so the top half C[:P/2] carries the whole matrix
+    when P is even: the time stepper's two products per step read only that
+    half (``sim._remainder_analysis``).  The cache holds all P M doubles
+    (1 MiB at M = 256, P = 2M), which ``_values_on_grid`` and
+    ``_coeffs_from_grid`` read.
     """
     mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P))
     mat[:, 0] = np.sqrt(1.0 / basis.L)

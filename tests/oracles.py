@@ -50,7 +50,8 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 ``remainder_G_expanded``
     The remainder G(y) = Lap(y^3 + 3 phi_inf y^2 + g y) expanded by the
     product rule into seven pseudospectral terms.  It checks the stepper's
-    kernel ``sim._remainder_analysis``.  Used by
+    folded kernel ``sim._remainder_analysis``, through q = Zt + (-1)^k Zb
+    formed from its output.  Used by
     ``test_acceptance.py::test_c08_remainder_equivalence`` and by
     ``test_sim.py::TestRemainderTerm`` (``test_direct_vs_expanded_*``,
     ``test_quadratic_scaling``, ``test_cubic_scaling_around_zero``).

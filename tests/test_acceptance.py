@@ -305,12 +305,18 @@ def test_c08_remainder_equivalence(default_problem):
             y = ScalarField(basis, (1.0 / sup) * coeffs)
         phi = backgrounds[i % 2]
         g = F_second_parts(phi)[1]
-        # the stepper's kernel q, given 3 phi_inf and g on the padded grid;
-        # G(y) = -kappa (L/P) q
-        P = 2 * basis.M
-        pv, gv = (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
-        q = _remainder_analysis(_cosine_matrix(basis, P), y.coeffs, 3.0 * pv, gv)
-        direct = -basis.kappa * (basis.L / P) * q
+        # the stepper's folded kernel, given 3 phi_inf and g on the folded
+        # grid; q = Zt + (-1)^k Zb and G(y) = -kappa (L/P) q
+        M, P = basis.M, 2 * basis.M
+        sign = (-1.0) ** np.arange(M)
+        # full-grid values folded to [bottom half reversed; top half]
+        pv, gv = (
+            np.stack([v[M:][::-1], v[:M]])
+            for v in (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
+        )
+        H = _cosine_matrix(basis, P)[:M]
+        Zb, Zt = _remainder_analysis(H, H.T, np.stack([sign * y.coeffs, y.coeffs]), 3.0 * pv, gv)
+        direct = -basis.kappa * (basis.L / P) * (Zt + sign * Zb)
         expanded = remainder_G_expanded(y, phi, g)
         err = np.abs(direct - expanded.coeffs).max() / (1.0 + np.abs(direct).max())
         worst = max(worst, err)

@@ -55,12 +55,20 @@ def graph_norm(basis, coeffs, alpha):
     return float(_weighted_norm(basis.mu ** (2.0 * alpha), coeffs))
 
 
+def fold(values):
+    """Values on the 2M-point midpoint grid as the (2, M) array [bottom half reversed; top half]."""
+    M = len(values) // 2
+    return np.stack([values[M:][::-1], values[:M]])
+
+
 def remainder_direct(y, phi, g):
-    """G(y) = -kappa (L/P) q from the stepper's kernel q, phi_inf and g on the padded grid."""
-    basis, P = y.basis, 2 * y.basis.M
-    pv, gv = (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
-    q = _remainder_analysis(_cosine_matrix(basis, P), y.coeffs, 3.0 * pv, gv)
-    return ScalarField(basis, -basis.kappa * (basis.L / P) * q)
+    """G(y) = -kappa (L/P) q from the stepper's folded kernel, q = Zt + (-1)^k Zb."""
+    basis, M, P = y.basis, y.basis.M, 2 * y.basis.M
+    sign = (-1.0) ** np.arange(M)
+    pv, gv = (fold(_values_on_grid(basis, f.coeffs, P)) for f in (phi, g))
+    H = _cosine_matrix(basis, P)[:M]
+    Zb, Zt = _remainder_analysis(H, H.T, np.stack([sign * y.coeffs, y.coeffs]), 3.0 * pv, gv)
+    return ScalarField(basis, -basis.kappa * (basis.L / P) * (Zt + sign * Zb))
 
 
 def first_guard_crossing(plant, y0, z0, dt, t_end, sol, act, nonlinear, record_every, factor):
@@ -181,16 +189,69 @@ class TestRemainderTerm:
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_mean_coefficient_exactly_zero(self, M, L):
         # the k = 0 coefficient of the explicit term must vanish exactly for
-        # the means to be conserved: the stepper's folded factors have a zero
-        # mean entry, and the mean block of J is the identity
+        # the means to be conserved: both rows [(-1)^k e; e] of the stepper's
+        # folded factors have a zero mean entry, and the mean block of J is
+        # the identity
         basis = SpectralBasis(L=L, M=M)
         plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
         stepper = _Stepper(plant, 1e-3, None, None, True, "imex2")
-        assert len(stepper.e) == 2 and all(e[0] == 0.0 for e in stepper.e)
+        assert len(stepper.e) == 2 and all(np.all(e[:, 0] == 0.0) for e in stepper.e)
         rng = np.random.default_rng(M)
         x = rng.standard_normal(2 * M)
         x_next, _ = next(stepper.run(x, 1, 1))
         assert x_next[0] == x[0]
+
+
+class TestFoldedRemainder:
+    """The folded kernel against full-grid products, and the ring's [ys; y] pairs."""
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_matches_full_grid_products(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        P = 2 * M
+        C = _cosine_matrix(basis, P)
+        sign = (-1.0) ** np.arange(M)
+        rng = np.random.default_rng(P)
+        y, phi3, g = rng.standard_normal((3, M)) * np.exp(-0.25 * np.arange(M))
+        phi3_full, g_full = (_values_on_grid(basis, c, P) for c in (phi3, g))
+        grid = (np.empty((2, M)), np.empty((2, M)))
+        H = C[:M]
+        Zb, Zt = _remainder_analysis(
+            H, H.T, np.stack([sign * y, y]), fold(phi3_full), fold(g_full), None, grid
+        )
+        # synthesis: the kernel's first grid buffer holds C y folded
+        values = C @ y
+        assert np.abs(grid[0] - fold(values)).max() <= 1e-14 * np.abs(values).max()
+        # analysis: q = Zt + (-1)^k Zb is C^T f(C y) on the whole grid
+        full = C.T @ (values * (values * (values + phi3_full) + g_full))
+        assert np.abs(Zt + sign * Zb - full).max() <= 1e-14 * np.abs(full).max()
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_ring_holds_signed_copies(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
+        stepper = _Stepper(plant, 1e-3, None, None, True, "imex2")
+        y0, z0 = seeded_initial_state(basis, 0.1, seed=M)
+        for _ in stepper.run(np.concatenate([y0.coeffs, z0.coeffs]), 5, 1):
+            pass
+        sign = (-1.0) ** np.arange(M)
+        # every slot [ys; y; z; Zb; Zt; w] keeps ys = (-1)^k y exactly
+        for row in stepper.ring:
+            assert np.abs(row[M : 2 * M]).max() > 0.0
+            assert np.array_equal(row[:M], sign * row[M : 2 * M])
+
+    def test_ring_holds_signed_copies_closed_loop(self, world):
+        basis, _, _, plant, act, sol = world
+        M = basis.M
+        stepper = _Stepper(plant, 5e-3, sol, act, True, "imex2")
+        y0, z0 = seeded_initial_state(basis, 0.1, seed=3)
+        for _ in stepper.run(np.concatenate([y0.coeffs, z0.coeffs]), 7, 3):
+            pass
+        sign = (-1.0) ** np.arange(M)
+        for row in stepper.ring:
+            assert np.array_equal(row[:M], sign * row[M : 2 * M])
 
 
 def final_state(plant, y0, z0, dt, n_steps, **kwargs):

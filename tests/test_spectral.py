@@ -349,6 +349,15 @@ class TestCosineMatrix:
         )
         assert result.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_mirror_symmetric(self, M, L):
+        # e_k(x_{P-1-j}) = (-1)^k e_k(x_j) on the P = 2M midpoint grid, so the
+        # top M rows carry the whole matrix
+        C = _cosine_matrix(SpectralBasis(L=L, M=M), 2 * M)
+        sign = (-1.0) ** np.arange(M)
+        assert np.abs(C[::-1] - sign * C).max() <= 4 * np.finfo(float).eps * np.abs(C).max()
+
     def test_cached_and_read_only(self, basis):
         C = _cosine_matrix(basis, 2 * basis.M)
         assert _cosine_matrix(basis, 2 * basis.M) is C
