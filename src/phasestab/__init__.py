@@ -39,7 +39,6 @@ from .spectral import (
     ScalarField,
     SpectralBasis,
     laplacian,
-    pointwise_product,
 )
 from .stationary import (
     StationaryState,

@@ -111,8 +111,8 @@ class SimConfig:
                 raise ConfigError(f"params.{name} must be positive, got {value}")
         if b.L <= 0:
             raise ConfigError(f"basis.L must be positive, got {b.L}")
-        if b.M < 4 or (b.M & (b.M - 1)) != 0:
-            raise ConfigError(f"basis.M must be a power of two >= 4, got {b.M}")
+        if b.M < 4:
+            raise ConfigError(f"basis.M must be >= 4, got {b.M}")
         if s.mode not in ("constant", "minimize"):
             raise ConfigError(f"stationary.mode must be 'constant' or 'minimize', got {s.mode!r}")
         if s.mode == "constant" and s.which not in (-1, 0, 1):

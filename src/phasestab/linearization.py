@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralBasis, pointwise_product
+from .spectral import PAD_FACTOR, ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
 from .stationary import StationaryState
 
 __all__ = [
@@ -152,14 +152,17 @@ class LinearizedPlant:
 def F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
     """(F_bar, g): the mean of F''(phi_inf) = 3 phi_inf^2 - 1 and its mean-free part.
 
-    Both come from one dealiased square of phi_inf.
+    Both come from one dealiased square of phi_inf: the analysis of v^2 for
+    its one synthesis v on the P = 2M grid.
     """
-    sq = pointwise_product([phi_inf, phi_inf]).coeffs
-    L = phi_inf.basis.L
+    basis = phi_inf.basis
+    v = _values_on_grid(basis, phi_inf.coeffs, PAD_FACTOR * basis.M)
+    sq = _coeffs_from_grid(basis, v * v)
+    L = basis.L
     F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)
     g = 3.0 * sq
     g[0] = 0.0  # subtracting the mean zeroes the k=0 coefficient exactly
-    return F_bar, ScalarField(phi_inf.basis, g)
+    return F_bar, ScalarField(basis, g)
 
 
 def assemble_plant(params: PhysicalParams, state: StationaryState) -> LinearizedPlant:

@@ -24,7 +24,11 @@ amplifies by kappa_k.
 
 Pointwise (nonlinear) products are evaluated on a zero-padded grid of 2M
 points.  This exceeds the 3/2-rule padding and makes quadratic *and* cubic
-products of band-limited fields alias-free in the retained M modes.
+products of band-limited fields alias-free in the retained M modes.  Each
+caller synthesizes its field once there and analyses the product of the
+values: ``linearization.F_second_parts`` the square, and
+``stationary._euler_lagrange`` the cube, from the one synthesis per
+iterate that also gives Upsilon and the Euler-Lagrange residual.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "SpectralBasis",
     "ScalarField",
     "laplacian",
-    "pointwise_product",
     "gradient_values",
 ]
 
@@ -130,14 +133,6 @@ class ScalarField:
         return float(self.coeffs[0]) / np.sqrt(self.basis.L)
 
 
-def _check_same_basis(*fields: ScalarField) -> SpectralBasis:
-    basis = fields[0].basis
-    for f in fields[1:]:
-        if f.basis is not basis and (f.basis.L != basis.L or f.basis.M != basis.M):
-            raise ValueError("fields live on different bases")
-    return basis
-
-
 def _weighted_norm(weights, coeffs: np.ndarray, out=None, scratch=None):
     """sqrt(sum_k w_k c_k^2) over the last axis of coeffs, one value per row.
 
@@ -160,23 +155,6 @@ def _weighted_norm(weights, coeffs: np.ndarray, out=None, scratch=None):
 def laplacian(f: ScalarField) -> ScalarField:
     """Neumann Laplacian, diagonal with weights -kappa_k; annihilates the mean."""
     return ScalarField(f.basis, -f.basis.kappa * f.coeffs)
-
-
-def pointwise_product(fs: list[ScalarField]) -> ScalarField:
-    """Pointwise product of 2 or 3 fields, dealiased by zero padding.
-
-    The factors are evaluated on a 2M-point grid (>= the ceil(3M/2) padding
-    required by the 3/2 rule), multiplied pointwise and truncated back to M
-    modes; products of band-limited factors are then exact projections.
-    """
-    if len(fs) not in (2, 3):
-        raise ValueError(f"pointwise_product takes 2 or 3 fields, got {len(fs)}")
-    basis = _check_same_basis(*fs)
-    P = PAD_FACTOR * basis.M
-    prod = np.ones(P)
-    for f in fs:
-        prod *= _values_on_grid(basis, f.coeffs, P)
-    return ScalarField(basis, _coeffs_from_grid(basis, prod))
 
 
 def _midpoint_angles(basis: SpectralBasis, P: int) -> np.ndarray:

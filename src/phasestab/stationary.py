@@ -10,11 +10,12 @@ arbitrary constant theta_inf.  Solutions are critical points of the energy
     Upsilon(phi) = int ( nu/2 |phi'|^2 + (phi^2 - 1)^2 / 4 + C phi ) dx,
 
 which we minimize by a semi-implicit gradient flow (linear part nu*Lap - I
-implicit, cubic explicit) followed by a short Newton polish.  The
-Euler-Lagrange residual is formed in one place, ``_euler_lagrange``, which
-also hands back the cubic, so the flow's explicit step reuses the cubic of
-the accepted iterate and the polish starts from the residual the flow
-stopped on.  Constant states phi = root of phi^3 - phi + C are
+implicit, cubic explicit) followed by a short Newton polish.  The double
+well is evaluated in one place, ``_euler_lagrange``: one synthesis of an
+iterate on the dealiasing grid gives its Upsilon, its Euler-Lagrange
+residual and its cubic, so the flow tests, accepts and steps from each
+candidate with that one synthesis, and the polish starts from the residual
+the flow stopped on.  Constant states phi = root of phi^3 - phi + C are
 always available in closed form.
 """
 
@@ -28,11 +29,11 @@ from .spectral import (
     PAD_FACTOR,
     ScalarField,
     SpectralBasis,
+    _coeffs_from_grid,
     _cosine_matrix,
     _values_on_grid,
     gradient_values,
     laplacian,
-    pointwise_product,
 )
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "stationary_constant",
     "stationary_minimize",
     "upsilon",
-    "stationary_residual",
     "chi_infinity",
     "gbar_infinity",
 ]
@@ -77,34 +77,30 @@ class StationaryState:
 
 def _euler_lagrange(
     basis: SpectralBasis, coeffs: np.ndarray, nu: float, C: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of nu*Lap(phi) - phi^3 + phi - C, and of phi^3 (dealiased)."""
-    f = ScalarField(basis, coeffs)
-    cubic = pointwise_product([f, f, f]).coeffs
-    res = nu * laplacian(f).coeffs - cubic + coeffs
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Upsilon, and the coefficients of nu*Lap(phi) - phi^3 + phi - C and of phi^3.
+
+    All three come from one synthesis v of phi on the P = 2M dealiasing
+    grid.  The gradient term of Upsilon is nu/2 sum kappa_k c_k^2 by
+    Parseval, since the derivatives e_k' are orthogonal with squared norms
+    kappa_k; the well is the midpoint rule on the grid, which integrates
+    cos(k pi x / L) exactly for k < 2P, so also the quartic of a
+    band-limited field, whose wavenumbers stay below 4M.  The cubic is the
+    analysis of v^3, exact in the retained modes for the same reason.
+    """
+    P = PAD_FACTOR * basis.M
+    v = _values_on_grid(basis, coeffs, P)
+    well = 0.25 * (v * v - 1.0) ** 2 + C * v
+    ups = float(0.5 * nu * (basis.kappa @ coeffs**2) + well.sum() * basis.L / P)
+    cubic = _coeffs_from_grid(basis, v * v * v)
+    res = nu * (-basis.kappa * coeffs) - cubic + coeffs
     res[0] -= C * np.sqrt(basis.L)
-    return res, cubic
-
-
-def stationary_residual(phi: ScalarField, nu: float, C: float) -> float:
-    """L2 norm of nu*Lap(phi) - phi^3 + phi - C."""
-    return float(np.linalg.norm(_euler_lagrange(phi.basis, phi.coeffs, nu, C)[0]))
+    return ups, res, cubic
 
 
 def upsilon(phi: ScalarField, nu: float, C: float) -> float:
-    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx, exactly.
-
-    The gradient term is nu/2 sum kappa_k c_k^2 by Parseval, since the
-    derivatives e_k' are orthogonal with squared norms kappa_k.  The rest is
-    the midpoint rule on the P = 2M dealiasing grid, which integrates
-    cos(k pi x / L) exactly for k < 2P, so also the quartic of a band-limited
-    field, whose wavenumbers stay below 4M.
-    """
-    basis = phi.basis
-    P = PAD_FACTOR * basis.M
-    v = _values_on_grid(basis, phi.coeffs, P)
-    well = 0.25 * (v * v - 1.0) ** 2 + C * v
-    return float(0.5 * nu * (basis.kappa @ phi.coeffs**2) + well.sum() * basis.L / P)
+    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx, exactly (``_euler_lagrange``)."""
+    return _euler_lagrange(phi.basis, phi.coeffs, nu, C)[0]
 
 
 def stationary_constant(
@@ -147,22 +143,19 @@ def stationary_minimize(
     sqrtL = np.sqrt(basis.L)
 
     dt = FLOW_DT0
-    ups = upsilon(ScalarField(basis, phi), nu, C)
+    ups, res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
     history = [ups]
-    res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
     res = float(np.linalg.norm(res_vec))
     it = 0
     while res > tol and it < max_iters:
         explicit = 2.0 * phi - cubic
         explicit[0] -= C * sqrtL
         cand = (phi + dt * explicit) / (1.0 + dt * (nu * basis.kappa + 1.0))
-        ups_cand = upsilon(ScalarField(basis, cand), nu, C)
+        ups_cand, res_cand, cubic_cand = _euler_lagrange(basis, cand, nu, C)
         if ups_cand <= ups + 1e-15 * max(1.0, abs(ups)):
-            phi = cand
-            ups = ups_cand
+            phi, ups, res_vec, cubic = cand, ups_cand, res_cand, cubic_cand
             history.append(ups)
             dt = min(dt * 1.1, 4.0 * FLOW_DT0)
-            res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
             res = float(np.linalg.norm(res_vec))
         else:
             # phi is unchanged, and with it the residual and the cubic
@@ -224,7 +217,7 @@ def _newton_polish(
         except np.linalg.LinAlgError:
             break
         current = current - step
-        res_vec = _euler_lagrange(basis, current, nu, C)[0]
+        res_vec = _euler_lagrange(basis, current, nu, C)[1]
         norm = np.linalg.norm(res_vec)
         if norm < best_norm:
             best, best_norm = current, norm

@@ -85,11 +85,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    def test_non_power_of_two_M_rejected(self):
+    @pytest.mark.parametrize("M", [48, 97])
+    def test_any_M_from_four_runs(self, tmp_path, M):
+        # every transform is the cached cosine matrix and the dealiasing grid
+        # has P = 2M points, so M need not be a power of two
         cfg = SimConfig()
-        cfg.basis.M = 48
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        cfg.basis.M = M
+        cfg.validate()
+        run = tmp_path / "run"
+        assert main(["simulate", "--set", f"basis.M={M}", "--output-dir", str(run)]) == 0
+        summary = read_json(run / "summary.json")
+        assert summary["fitted_rate"] >= 0.9 * summary["synth"]["margin"]
+        assert main(["simulate", "--set", "basis.M=3", "--output-dir", str(run)]) == 2
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "v9.json"

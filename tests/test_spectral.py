@@ -19,8 +19,9 @@ from phasestab.spectral import (
     _weighted_norm,
     gradient_values,
     laplacian,
-    pointwise_product,
 )
+from phasestab.linearization import F_second_parts
+from phasestab.stationary import _euler_lagrange
 
 from oracles import basis_function
 
@@ -195,56 +196,81 @@ def convolve_cosine(a, b, M):
     return out[:M]
 
 
+def orthonormal_coeffs(amps, L):
+    """Convert plain cosine amplitudes to orthonormal coefficients."""
+    coeffs = amps * np.sqrt(L / 2.0)
+    coeffs[0] = amps[0] * np.sqrt(L)
+    return coeffs
+
+
+def square_coeffs(f):
+    """Coefficients of f^2, read back from F_second_parts' (3 mean(f^2) - 1, 3 f^2 - its mean)."""
+    F_bar, g = F_second_parts(f)
+    sq = g.coeffs / 3.0
+    sq[0] = (F_bar + 1.0) / 3.0 * np.sqrt(f.basis.L)
+    return sq
+
+
+def cube_coeffs(f):
+    """Coefficients of f^3, the cubic of the stationary solver's one synthesis."""
+    return _euler_lagrange(f.basis, f.coeffs, 0.0, 0.0)[2]
+
+
+def band_limited_field(basis, band, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(basis.M)
+    coeffs[:band] = rng.standard_normal(band)
+    return ScalarField(basis, coeffs)
+
+
 class TestPointwiseProduct:
+    # the package's two dealiased products: the square of phi_inf in
+    # F_second_parts and the cube of each stationary iterate
     def test_multiply_by_one(self, basis):
+        # multiplying the values by one is exact, so the cube equals the
+        # analysis of a product over three factors seeded with ones, bit for bit
         f = random_field(basis, seed=10)
-        one = ScalarField.constant(basis, 1.0)
-        out = pointwise_product([f, one])
-        assert np.abs(out.coeffs - f.coeffs).max() < 1e-12 * np.abs(f.coeffs).max()
+        v = _values_on_grid(basis, f.coeffs, PAD_FACTOR * basis.M)
+        seeded = np.ones(PAD_FACTOR * basis.M)
+        for _ in range(3):
+            seeded *= v
+        assert np.array_equal(cube_coeffs(f), _coeffs_from_grid(basis, seeded))
 
     def test_constants_multiply(self, basis):
-        out = pointwise_product(
-            [ScalarField.constant(basis, 2.0), ScalarField.constant(basis, -1.5)]
-        )
-        assert out.mean == pytest.approx(-3.0, rel=1e-13)
-        assert np.abs(out.coeffs[1:]).max() < 1e-13
+        sq = square_coeffs(ScalarField.constant(basis, -1.5))
+        assert sq[0] / np.sqrt(basis.L) == pytest.approx(2.25, rel=1e-13)
+        assert np.abs(sq[1:]).max() < 1e-13
 
     def test_cos_squared_identity(self, basis):
         f = ScalarField.from_values(basis, np.cos(np.pi * basis.nodes))
-        out = pointwise_product([f, f])
+        out = ScalarField(basis, square_coeffs(f))
         expected = 0.5 + 0.5 * np.cos(2 * np.pi * basis.nodes)
+        assert np.abs(out.values - expected).max() < 1e-10
+        out = ScalarField(basis, cube_coeffs(f))
+        expected = 0.75 * np.cos(np.pi * basis.nodes) + 0.25 * np.cos(3 * np.pi * basis.nodes)
         assert np.abs(out.values - expected).max() < 1e-10
 
     def test_dealiased_product_matches_convolution(self, basis):
-        # factors band-limited to M/2: dealiased product is an exact projection
-        rng = np.random.default_rng(11)
-        half = basis.M // 2
-        ca = np.zeros(basis.M)
-        cb = np.zeros(basis.M)
-        ca[:half] = rng.standard_normal(half)
-        cb[:half] = rng.standard_normal(half)
-        fa, fb = ScalarField(basis, ca), ScalarField(basis, cb)
-        out = pointwise_product([fa, fb])
-        amps = convolve_cosine(cosine_amplitudes(fa), cosine_amplitudes(fb), basis.M)
-        expected = amps * np.sqrt(basis.L / 2.0)
-        expected[0] = amps[0] * np.sqrt(basis.L)
-        assert np.abs(out.coeffs - expected).max() < 1e-12 * max(
+        # factors band-limited to M/2 (square) and M/3 (cube): the dealiased
+        # products are exact projections
+        f = band_limited_field(basis, basis.M // 2, seed=11)
+        a = cosine_amplitudes(f)
+        expected = orthonormal_coeffs(convolve_cosine(a, a, basis.M), basis.L)
+        assert np.abs(square_coeffs(f) - expected).max() < 1e-12 * max(
+            1.0, np.abs(expected).max()
+        )
+        f = band_limited_field(basis, basis.M // 3, seed=12)
+        a = cosine_amplitudes(f)
+        amps = convolve_cosine(convolve_cosine(a, a, basis.M), a, basis.M)
+        expected = orthonormal_coeffs(amps, basis.L)
+        assert np.abs(cube_coeffs(f) - expected).max() < 1e-12 * max(
             1.0, np.abs(expected).max()
         )
 
     def test_triple_product_of_constants(self, basis):
-        fields = [ScalarField.constant(basis, v) for v in (0.5, 2.0, -3.0)]
-        out = pointwise_product(fields)
-        assert out.mean == pytest.approx(-3.0, rel=1e-13)
-
-    def test_basis_mismatch_raises(self, basis):
-        other = SpectralBasis(L=1.0, M=32)
-        with pytest.raises(ValueError):
-            pointwise_product([random_field(basis), random_field(other)])
-
-    def test_wrong_arity_raises(self, basis):
-        with pytest.raises(ValueError):
-            pointwise_product([random_field(basis)])
+        cube = cube_coeffs(ScalarField.constant(basis, -1.5))
+        assert cube[0] / np.sqrt(basis.L) == pytest.approx(-3.375, rel=1e-13)
+        assert np.abs(cube[1:]).max() < 1e-13
 
 
 class TestGradientSquared:

@@ -3,18 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasestab import stationary
+from phasestab import spectral, stationary
 from phasestab.cli import build_materials
 from phasestab.lqr import solve_care
-from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid, gradient_values
+from phasestab.spectral import (
+    PAD_FACTOR,
+    ScalarField,
+    SpectralBasis,
+    _values_on_grid,
+    gradient_values,
+)
 from phasestab.stationary import (
     StationaryConvergenceError,
     StationaryState,
+    _euler_lagrange,
     chi_infinity,
     gbar_infinity,
     stationary_constant,
     stationary_minimize,
-    stationary_residual,
     upsilon,
 )
 
@@ -24,6 +30,11 @@ from phasebench.workloads import config_for
 @pytest.fixture
 def basis():
     return SpectralBasis(L=1.0, M=64)
+
+
+def residual_norm(phi, nu, C):
+    """L2 norm of nu*Lap(phi) - phi^3 + phi - C."""
+    return np.linalg.norm(_euler_lagrange(phi.basis, phi.coeffs, nu, C)[1])
 
 
 class TestConstantStates:
@@ -38,7 +49,7 @@ class TestConstantStates:
         assert s.phi_inf.mean == pytest.approx(1.0, rel=1e-14)
         assert s.C_lagrange == 0.0
         # residual recomputed from scratch stays at numerical zero
-        assert stationary_residual(s.phi_inf, nu=0.5, C=0.0) < 1e-13
+        assert residual_norm(s.phi_inf, nu=0.5, C=0.0) < 1e-13
 
     def test_minus_one_with_theta(self, basis):
         s = stationary_constant(-1, theta=0.3, basis=basis)
@@ -83,7 +94,7 @@ class TestMinimize:
     def test_nonzero_C_satisfies_equation(self, basis):
         init = ScalarField.constant(basis, 1.1)
         s = stationary_minimize(0.1, init, nu=0.1, tol=1e-10)
-        assert stationary_residual(s.phi_inf, nu=0.1, C=0.1) <= 1e-10
+        assert residual_norm(s.phi_inf, nu=0.1, C=0.1) <= 1e-10
 
     def test_nonconvergence_raises(self, basis):
         init = ScalarField.constant(basis, 0.9)
@@ -91,6 +102,62 @@ class TestMinimize:
             stationary_minimize(0.0, init, nu=0.1, tol=1e-8, max_iters=2)
         assert info.value.iterations == 2
         assert info.value.last_residual > 0
+
+
+def _flow_steps(C, init, nu, tol):
+    """(accepted, rejected) steps of the flow.
+
+    The accepted ones are the energy history; every loop pass is one step,
+    and the smallest max_iters that converges is their number.
+    """
+    accepted = len(stationary_minimize(C, init, nu=nu, tol=tol).upsilon_history) - 1
+    steps = accepted
+    while True:
+        try:
+            stationary_minimize(C, init, nu=nu, tol=tol, max_iters=steps)
+        except StationaryConvergenceError:
+            steps += 1
+        else:
+            return accepted, steps - accepted
+
+
+class TestOneSynthesisPerIterate:
+    @pytest.fixture
+    def syntheses(self, monkeypatch):
+        """Count syntheses on the P = 2M dealiasing grid."""
+        calls = []
+
+        def counting(basis, coeffs, P):
+            calls.append(P == PAD_FACTOR * basis.M)
+            return _values_on_grid(basis, coeffs, P)
+
+        monkeypatch.setattr(spectral, "_values_on_grid", counting)
+        monkeypatch.setattr(stationary, "_values_on_grid", counting)
+        return calls
+
+    def _check(self, syntheses, C, init, nu, tol):
+        # one per candidate, one for the starting iterate and one for the
+        # final energy; these flows stop below the polish's 1e-12 target, so
+        # the polish takes no step (each would add one more)
+        s = stationary_minimize(C, init, nu=nu, tol=tol)
+        count = sum(syntheses)
+        assert s.residual <= 1e-12
+        n, r = _flow_steps(C, init, nu, tol)
+        assert count == n + r + 2
+        return n, r
+
+    def test_rho_ensemble_state(self, syntheses):
+        cfg = config_for("rho_ensemble", 0)
+        sc, basis = cfg.stationary, SpectralBasis(L=cfg.basis.L, M=cfg.basis.M)
+        values = sc.init_value + sc.init_cos * np.cos(np.pi * basis.nodes / basis.L)
+        init = ScalarField.from_values(basis, values)
+        assert self._check(syntheses, sc.C, init, cfg.params.nu, sc.tol) == (16, 0)
+
+    def test_flow_with_rejected_steps(self, syntheses):
+        basis = SpectralBasis(L=1.0, M=32)
+        init = ScalarField.from_values(basis, 3.0 * np.random.default_rng(1).standard_normal(32))
+        n, r = self._check(syntheses, 0.0, init, nu=0.1, tol=1e-12)
+        assert r > 0
 
 
 def _upsilon_on_4m_grid(phi, nu, C):
@@ -135,7 +202,12 @@ class TestUpsilon:
         # gain's margin stay where the 4M-grid energy puts them
         cfg = config_for("rho_ensemble", 0)
         m = build_materials(cfg)
-        monkeypatch.setattr(stationary, "upsilon", _upsilon_on_4m_grid)
+
+        def euler_lagrange_4m(basis, coeffs, nu, C):
+            _, res, cubic = _euler_lagrange(basis, coeffs, nu, C)
+            return _upsilon_on_4m_grid(ScalarField(basis, coeffs), nu, C), res, cubic
+
+        monkeypatch.setattr(stationary, "_euler_lagrange", euler_lagrange_4m)
         ref = build_materials(cfg)
         phi, phi_ref = m.stat.phi_inf.coeffs, ref.stat.phi_inf.coeffs
         assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
