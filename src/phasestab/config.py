@@ -50,7 +50,7 @@ class StationaryConfig:
     init_value: float = 0.9  # minimize: initial constant level ...
     init_cos: float = 0.0  # ... plus this amplitude of cos(pi x / L)
     tol: float = 1e-8
-    max_iters: int = 20000
+    max_iters: int = 20000  # minimize: pseudo-transient steps, accepted or rejected
 
 
 @dataclass

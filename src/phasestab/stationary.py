@@ -9,14 +9,14 @@ arbitrary constant theta_inf.  Solutions are critical points of the energy
 
     Upsilon(phi) = int ( nu/2 |phi'|^2 + (phi^2 - 1)^2 / 4 + C phi ) dx,
 
-which we minimize by a semi-implicit gradient flow (linear part nu*Lap - I
-implicit, cubic explicit) followed by a short Newton polish.  The double
-well is evaluated in one place, ``_euler_lagrange``: one synthesis of an
-iterate on the dealiasing grid gives its Upsilon, its Euler-Lagrange
-residual and its cubic, so the flow tests, accepts and steps from each
-candidate with that one synthesis, and the polish starts from the residual
-the flow stopped on.  Constant states phi = root of phi^3 - phi + C are
-always available in closed form.
+which we find by pseudo-transient continuation: damped Newton steps on
+the Euler-Lagrange equation whose damping fades as the residual falls, with
+a candidate that raises Upsilon rejected.  The double well is evaluated in
+one place, ``_euler_lagrange``: one synthesis of an iterate on the
+dealiasing grid gives its Upsilon, its Euler-Lagrange residual and its
+cubic, so the solver tests and accepts each candidate, and steps from
+its residual, with that one synthesis.  Constant states phi = root of
+phi^3 - phi + C are always available in closed form.
 """
 
 from __future__ import annotations
@@ -47,11 +47,8 @@ __all__ = [
 ]
 
 
-FLOW_DT0 = 0.25  # first gradient-flow step; accepted steps grow to 4 FLOW_DT0
-
-
 class StationaryConvergenceError(RuntimeError):
-    """Gradient flow failed to reach the requested residual tolerance."""
+    """Pseudo-transient continuation failed to reach the requested residual tolerance."""
 
     def __init__(self, message: str, last_residual: float, iterations: int):
         super().__init__(message)
@@ -128,100 +125,79 @@ def stationary_minimize(
     max_iters: int = 20000,
     theta: float = 0.0,
 ) -> StationaryState:
-    """Drive the gradient flow phi_t = nu*Lap(phi) - phi^3 + phi - C to rest.
+    """Bring F = nu*Lap(phi) - phi^3 + phi - C to zero by pseudo-transient continuation.
 
-    The linear part (nu*Lap - I) is treated implicitly, the remaining
-    2*phi - phi^3 - C explicitly.  Steps that increase Upsilon are rejected
-    and the step size halved, so the accepted energy sequence is
-    non-increasing.  A short Newton polish then brings the residual to
-    ~1e-12 when it converges; the flow result is kept otherwise.
+    Each step solves (I/delta - J) s = F with J = nu*Lap + I - 3*phi^2
+    (``_jacobian``) and evaluates the candidate phi + s with one
+    ``_euler_lagrange`` synthesis.  A candidate that raises Upsilon is
+    rejected and delta halved, so the accepted energies never increase; an
+    accepted step sets delta <- delta ||F_prev|| / ||F|| (switched evolution
+    relaxation).  From delta = 1 the loop starts as a damped gradient flow
+    and ends as Newton.  Once the residual is within ``tol``, at most 3 more
+    steps aim at 1e-12, and the first that does not lower the residual ends
+    the solve on the best iterate.  ``max_iters`` counts every step,
+    accepted or rejected.
 
     Raises StationaryConvergenceError if the residual tolerance is not met.
     """
     basis = init.basis
     phi = np.array(init.coeffs, dtype=float)
-    sqrtL = np.sqrt(basis.L)
-
-    dt = FLOW_DT0
-    ups, res_vec, cubic = _euler_lagrange(basis, phi, nu, C)
+    ups, res_vec, _ = _euler_lagrange(basis, phi, nu, C)
     history = [ups]
     res = float(np.linalg.norm(res_vec))
-    it = 0
-    while res > tol and it < max_iters:
-        explicit = 2.0 * phi - cubic
-        explicit[0] -= C * sqrtL
-        cand = (phi + dt * explicit) / (1.0 + dt * (nu * basis.kappa + 1.0))
-        ups_cand, res_cand, cubic_cand = _euler_lagrange(basis, cand, nu, C)
-        if ups_cand <= ups + 1e-15 * max(1.0, abs(ups)):
-            phi, ups, res_vec, cubic = cand, ups_cand, res_cand, cubic_cand
-            history.append(ups)
-            dt = min(dt * 1.1, 4.0 * FLOW_DT0)
-            res = float(np.linalg.norm(res_vec))
-        else:
-            # phi is unchanged, and with it the residual and the cubic
-            dt *= 0.5
-            if dt < 1e-12:
-                break
+    jac = _jacobian(basis, phi, nu)
+    delta, it, polished = 1.0, 0, 0
+    while res > 1e-12 and it < max_iters and polished < 3:
         it += 1
+        polished += res <= tol  # a step from within tol is a polish step
+        try:
+            cand = phi + np.linalg.solve(np.eye(basis.M) / delta - jac, res_vec)
+            ups_cand, res_cand, _ = _euler_lagrange(basis, cand, nu, C)
+            norm = float(np.linalg.norm(res_cand))
+            descent = ups_cand <= ups + 1e-15 * max(1.0, abs(ups))
+        except np.linalg.LinAlgError:  # 1/delta is an eigenvalue of J
+            descent = False
+        if res <= tol and not (descent and norm < res):
+            break  # a polish step must lower the residual; keep the best iterate
+        if not descent:
+            delta *= 0.5
+            if delta < 1e-12:
+                break
+            continue
+        delta *= res / norm if norm else 1.0  # a zero residual ends the loop
+        phi, ups, res_vec, res = cand, ups_cand, res_cand, norm
+        history.append(ups)
+        jac = _jacobian(basis, phi, nu)
 
     if res > tol:
         raise StationaryConvergenceError(
-            f"gradient flow stalled at residual {res:.3e} after {it} iterations"
-            f" (tolerance {tol:.1e})",
+            f"pseudo-transient continuation stalled at residual {res:.3e} after"
+            f" {it} steps (tolerance {tol:.1e})",
             last_residual=res,
             iterations=it,
         )
-
-    phi, res = _newton_polish(basis, phi, res_vec, nu, C, target=1e-12, iters=3)
-    field_phi = ScalarField(basis, phi)
     return StationaryState(
-        phi_inf=field_phi,
+        phi_inf=ScalarField(basis, phi),
         theta_inf=float(theta),
         C_lagrange=float(C),
         residual=res,
-        upsilon=upsilon(field_phi, nu, C),
+        upsilon=ups,
         upsilon_history=history,
     )
 
 
-def _newton_polish(
-    basis: SpectralBasis,
-    coeffs: np.ndarray,
-    res_vec: np.ndarray,
-    nu: float,
-    C: float,
-    target: float,
-    iters: int,
-) -> tuple[np.ndarray, float]:
-    """Newton steps on nu*Lap(phi) - phi^3 + phi - C = 0 in modal coordinates.
+def _jacobian(basis: SpectralBasis, coeffs: np.ndarray, nu: float) -> np.ndarray:
+    """J = nu*Lap + I - 3*phi^2 in modal coordinates.
 
-    The Jacobian nu*Lap + I - 3*phi^2 mixes modes through the multiplication
-    operator, assembled densely via the cached transform matrix (M is small).
-    ``res_vec`` is the Euler-Lagrange residual of ``coeffs``, which the caller
-    has already formed.  Returns the iterate of smallest residual and that
-    residual's L2 norm.
+    The multiplication by 3*phi^2 mixes modes; it is assembled densely
+    through the cached transform matrix on the M nodes (M is small).  Its
+    aliasing there can slow the last steps, not move their limit: that is
+    set by the dealiased residual alone.
     """
     to_values = _cosine_matrix(basis, basis.M)
-    to_coeffs = basis.quad_weight * to_values.T
-
-    current = coeffs
-    best, best_norm = current, np.linalg.norm(res_vec)
-    for _ in range(iters):
-        if best_norm <= target:
-            break
-        vals = to_values @ current
-        mult = to_coeffs @ ((3.0 * vals**2)[:, None] * to_values)
-        jac = np.diag(-nu * basis.kappa + 1.0) - mult
-        try:
-            step = np.linalg.solve(jac, res_vec)
-        except np.linalg.LinAlgError:
-            break
-        current = current - step
-        res_vec = _euler_lagrange(basis, current, nu, C)[1]
-        norm = np.linalg.norm(res_vec)
-        if norm < best_norm:
-            best, best_norm = current, norm
-    return best, float(best_norm)
+    vals = to_values @ coeffs
+    mult = (basis.quad_weight * to_values.T) @ ((3.0 * vals**2)[:, None] * to_values)
+    return np.diag(-nu * basis.kappa + 1.0) - mult
 
 
 def chi_infinity(state: StationaryState) -> float:
