@@ -30,8 +30,8 @@ the converged closed loop A_cl = -(Op + B K):
 
     dense       the package's dense step ``_dense_step`` on the gain K, whole
     schur       the real Schur form A_cl^T = Z T Z^T
-    sylvester   the recursive blocked solve of T Y + Y T^T = Z^T rhs Z,
-                rhs = -(Q + K^T K)
+    sylvester   the Lyapunov solve T Y + Y T^T = Z^T rhs Z, rhs = -(Q + K^T K),
+                as the recursive blocked Sylvester solve with B = T
     transforms  the basis changes Z^T rhs Z and Z Y Z^T
 
 Every time is in milliseconds, the median of --repeats timed calls.  BLAS is
@@ -59,9 +59,9 @@ from phasestab.lqr import (  # noqa: E402
     _REPORT_SAMPLES,
     _dense_step,
     _first_step,
-    _lyapunov_schur,
     _margin,
     _probe_residual,
+    _sylvester_schur,
     solve_care,
 )
 
@@ -111,7 +111,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     rhs = -(np.diag(Q_diag) + K.T @ K)
     F = Z.T @ rhs @ Z
     Y = F.copy()
-    _lyapunov_schur(T, Y)
+    _sylvester_schur(T, T, Y)
 
     def transforms():
         Z.T @ rhs @ Z
@@ -124,7 +124,7 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
         "total": _ms_per_call(solve, repeats),
         "dense": _ms_per_call(lambda: _dense_step(A_op, B, Q_diag, K), repeats),
         "schur": _ms_per_call(lambda: scipy.linalg.schur(A_cl.T, output="real"), repeats),
-        "sylvester": _ms_per_call(lambda: _lyapunov_schur(T, F.copy()), repeats),
+        "sylvester": _ms_per_call(lambda: _sylvester_schur(T, T, F.copy()), repeats),
         "transforms": _ms_per_call(transforms, repeats),
     }
     row["rest"] = max(row["total"] - row["first"] - row["margin"] - row["probe"], 0.0)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import PAD_FACTOR, ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
+from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
 from .stationary import StationaryState
 
 __all__ = [
@@ -156,7 +156,7 @@ def F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
     its one synthesis v on the P = 2M grid.
     """
     basis = phi_inf.basis
-    v = _values_on_grid(basis, phi_inf.coeffs, PAD_FACTOR * basis.M)
+    v = _values_on_grid(basis, phi_inf.coeffs, 2 * basis.M)
     sq = _coeffs_from_grid(basis, v * v)
     L = basis.L
     F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)

@@ -50,10 +50,12 @@ inputs.
 
 Each later step (``_dense_step``, when the probe residual has not met the
 tolerance) forms the dense Op and takes one dense real Schur form of the
-closed loop; it serves both the stabilizing check and a recursive blocked
-Bartels-Stewart Lyapunov solve (Jonsson & Kagstrom, ACM TOMS 28, 2002)
-with LAPACK ``trsyl`` at the leaves.  It is the package's only SciPy user
-and imports ``scipy.linalg`` when it runs.
+closed loop; it serves both the stabilizing check and the Lyapunov solve
+T Y + Y T^T = F, which is the Sylvester equation A Y + Y B^T = F with
+B = A = T, solved by the recursive blocked Bartels-Stewart Sylvester solver
+(Jonsson & Kagstrom, ACM TOMS 28, 2002) with LAPACK ``trsyl`` at the
+leaves.  It is the package's only SciPy user and imports ``scipy.linalg``
+when it runs.
 
 Both eigenbasis routes assume that Op is self-adjoint with the closed-form
 eigenpairs, which holds because ``linearization`` keeps only the
@@ -193,28 +195,6 @@ def _sylvester_schur(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
         _sylvester_schur(A, B[:h, :h], C[:, :h])
 
 
-def _lyapunov_schur(T: np.ndarray, F: np.ndarray) -> None:
-    """Overwrite symmetric F with Y solving T Y + Y T^T = F, T in real Schur form.
-
-    Recursive blocked Bartels-Stewart: with T split as [[T11, T12], [0, T22]],
-    solve the trailing Lyapunov block, then the Sylvester equation
-    T11 Y12 + Y12 T22^T = F12 - T12 Y22, set Y21 = Y12^T and recurse into
-    T11 Y11 + Y11 T11^T = F11 - T12 Y21 - (T12 Y21)^T.
-    """
-    if F.shape[0] <= _LEAF:
-        _trsyl(T, T, F)
-        return
-    h = _split(T)
-    T12 = T[:h, h:]
-    _lyapunov_schur(T[h:, h:], F[h:, h:])
-    F[:h, h:] -= T12 @ F[h:, h:]
-    _sylvester_schur(T[:h, :h], T[h:, h:], F[:h, h:])
-    F[h:, :h] = F[:h, h:].T
-    update = T12 @ F[h:, :h]
-    F[:h, :h] -= update + update.T
-    _lyapunov_schur(T[:h, :h], F[:h, :h])
-
-
 def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, float]:
     """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
 
@@ -290,7 +270,10 @@ def _dense_step(
 
     One real Schur form of the dense closed loop A_cl = -(Op + B K) serves
     both the stabilizing check and the Lyapunov solve
-    A_cl^T X + X A_cl = -(Q + K^T K).
+    A_cl^T X + X A_cl = -(Q + K^T K).  With A_cl^T = Z T Z^T that is
+    T Y + Y T^T = Z^T (-(Q + K^T K)) Z, the Sylvester equation with B = T
+    (``_sylvester_schur(T, T, Y)``); the symmetrization of X absorbs the
+    rounding-level asymmetry of its Y.
     """
     import scipy.linalg  # loaded only by runs that need a step after the first
 
@@ -301,7 +284,7 @@ def _dense_step(
     if margin <= 0.0:
         raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
     Y = Z.T @ (-(np.diag(Q_diag) + K.T @ K)) @ Z
-    _lyapunov_schur(T, Y)
+    _sylvester_schur(T, T, Y)
     X = Z @ Y @ Z.T
     return 0.5 * (X + X.T), margin
 

@@ -68,12 +68,7 @@ from .actuator import Actuator
 from .config import RunConfig
 from .linearization import LinearizedPlant, PhysicalParams
 from .lqr import RiccatiSolution
-from .spectral import (
-    PAD_FACTOR,
-    ScalarField,
-    _cosine_matrix,
-    _weighted_norm,
-)
+from .spectral import ScalarField, _cosine_matrix, _weighted_norm
 from .stationary import StationaryState
 
 __all__ = [
@@ -375,7 +370,7 @@ class _Stepper:
                     )
             self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
-        P = PAD_FACTOR * M
+        P = 2 * M
         H = self.H = _cosine_matrix(basis, P)[:M]
         sign = self.sign = np.ones(M)
         sign[1::2] = -1.0

@@ -22,11 +22,14 @@ grid, and without the projection their round-off would give a constant field
 spurious higher coefficients of order 1e-16, which the Laplacian then
 amplifies by kappa_k.
 
-Pointwise (nonlinear) products are evaluated on a zero-padded grid of 2M
-points.  This exceeds the 3/2-rule padding and makes quadratic *and* cubic
-products of band-limited fields alias-free in the retained M modes.  Each
-caller synthesizes its field once there and analyses the product of the
-values: ``linearization.F_second_parts`` the square, and
+Pointwise (nonlinear) products are evaluated on a zero-padded grid of
+P = 2M points, and every caller writes that grid as 2M.  It must be 2M for
+two reasons.  The 3/2 rule keeps only quadratic products alias-free; 2M
+does the same for cubic products of band-limited fields in the retained M
+modes.  And the time stepper folds the grid onto its mirror half
+(``sim._Stepper``), whose M rows are exactly the top half of the 2M-point
+grid.  Each caller synthesizes its field once there and analyses the
+product of the values: ``linearization.F_second_parts`` the square, and
 ``stationary._euler_lagrange`` the cube, from the one synthesis per
 iterate that also gives Upsilon and the Euler-Lagrange residual.
 """
@@ -44,11 +47,6 @@ __all__ = [
     "laplacian",
     "gradient_values",
 ]
-
-# Padding multiplier for dealiased products; 2M >= ceil(3M/2) and is exact for
-# cubic terms, which the 3/2 rule alone is not.
-PAD_FACTOR = 2
-
 
 @dataclass(frozen=True)
 class SpectralBasis:

@@ -15,8 +15,8 @@ a candidate that raises Upsilon rejected.  The double well is evaluated in
 one place, ``_euler_lagrange``: one synthesis of an iterate on the
 dealiasing grid gives its Upsilon, its Euler-Lagrange residual and its
 cubic, so the solver tests and accepts each candidate, and steps from
-its residual, with that one synthesis.  Constant states phi = root of
-phi^3 - phi + C are always available in closed form.
+its residual, with that one synthesis.  The constant states phi = -1, 0,
++1 (C = 0) and their Upsilon are available in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    PAD_FACTOR,
     ScalarField,
     SpectralBasis,
     _coeffs_from_grid,
@@ -41,7 +40,6 @@ __all__ = [
     "StationaryConvergenceError",
     "stationary_constant",
     "stationary_minimize",
-    "upsilon",
     "chi_infinity",
     "gbar_infinity",
 ]
@@ -85,7 +83,7 @@ def _euler_lagrange(
     band-limited field, whose wavenumbers stay below 4M.  The cubic is the
     analysis of v^3, exact in the retained modes for the same reason.
     """
-    P = PAD_FACTOR * basis.M
+    P = 2 * basis.M
     v = _values_on_grid(basis, coeffs, P)
     well = 0.25 * (v * v - 1.0) ** 2 + C * v
     ups = float(0.5 * nu * (basis.kappa @ coeffs**2) + well.sum() * basis.L / P)
@@ -95,26 +93,22 @@ def _euler_lagrange(
     return ups, res, cubic
 
 
-def upsilon(phi: ScalarField, nu: float, C: float) -> float:
-    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx, exactly (``_euler_lagrange``)."""
-    return _euler_lagrange(phi.basis, phi.coeffs, nu, C)[0]
-
-
 def stationary_constant(
     which: int, theta: float = 0.0, *, basis: SpectralBasis
 ) -> StationaryState:
-    """Constant stationary state phi_inf = which in {-1, 0, +1}, with C = 0."""
+    """Constant stationary state phi_inf = which in {-1, 0, +1}, with C = 0.
+
+    A constant has no gradient energy, so Upsilon = L (which^2 - 1)^2 / 4.
+    """
     if which not in (-1, 0, 1):
         raise ValueError(f"constant stationary states are -1, 0, +1; got {which}")
-    phi = ScalarField.constant(basis, float(which))
-    state = StationaryState(
-        phi_inf=phi,
+    return StationaryState(
+        phi_inf=ScalarField.constant(basis, float(which)),
         theta_inf=float(theta),
         C_lagrange=0.0,
         residual=0.0,
-        upsilon=upsilon(phi, nu=1.0, C=0.0),
+        upsilon=basis.L * (which**2 - 1) ** 2 / 4,
     )
-    return state
 
 
 def stationary_minimize(

@@ -402,6 +402,49 @@ class TestMainEntry:
         )
         assert code == 3
 
+    def test_singular_coupling_exit_three(self, tmp_path, capsys):
+        # no node of the M = 64 grid lies in (0.495, 0.505), so B = 0 and the
+        # Kalman check refuses the null control before any Gramian is formed
+        code = main(
+            [
+                "controllability",
+                "--set", "actuator.a=0.495",
+                "--set", "actuator.b=0.505",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        assert "coupling matrix is numerically singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--set", "sim.rho"], "--set expects FIELD=VALUE, got 'sim.rho'"),
+            (["--set", "basis.L=0"], "basis.L must be positive"),
+            (["--set", "params.l0=-1"], "params.l0 must be positive"),
+            (["--set", "stationary.mode=flow"], "stationary.mode must be 'constant' or"),
+            (["--set", "stationary.which=2"], "stationary.which must be -1, 0 or +1"),
+            (["--set", "stationary.tol=0"], "stationary.tol and stationary.max_iters"),
+            (["--set", "actuator.T0=0"], "actuator.T0 must be positive"),
+            (["--set", "riccati.tol=0"], "riccati.tol and riccati.max_iters"),
+            (["--set", "sim.dt=0"], "sim.dt, sim.t_end and sim.rho must be positive"),
+            (["--set", "sim.scheme=rk4"], "sim.scheme must be 'imex1' or 'imex2'"),
+            (["--set", "sim.record_every=0"], "sim.record_every must be >= 1"),
+            (["--config", "not_json"], "is not valid JSON"),
+            (["--set", "foo.bar=1"], "unknown config section 'foo.bar'"),
+            (["--set", "sim.dt=abc"], "cannot parse 'abc' for 'sim.dt'"),
+        ],
+    )
+    def test_configuration_error_exit_two(self, tmp_path, capsys, args, message):
+        if args[0] == "--config":
+            path = tmp_path / "config.json"
+            path.write_text("{schema_version: 1")
+            args = ["--config", str(path)]
+        code = main(["simulate", *args, "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_step_beyond_block_bound_exit_three(self, tmp_path, capsys, scheme):
         # past the bound some I + dt A_k turns singular (imex2 solves with

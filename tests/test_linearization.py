@@ -193,6 +193,14 @@ class TestAssembledPlant:
         assert np.all(dets > 0)
         assert np.all(blocks[:, 0, 0] + blocks[:, 1, 1] > 0)
 
+    def test_third_zero_eigenvalue_warns(self, basis):
+        # at nu = 1/pi^2 mode 1's block of phi_inf = 0 is singular: a third
+        # zero joins the conserved-mean pair, and the split is ill-posed
+        params = PhysicalParams(nu=0.10132118364233778, l0=1.0, gamma0=1.0)
+        with pytest.warns(UserWarning, match="found 3"):
+            plant = assemble_plant(params, stationary_constant(0, basis=basis))
+        assert plant.N_unstable == 3
+
 
 class TestUnstableSubspace:
     def test_returns_nonpositive_pairs(self, default_plant):

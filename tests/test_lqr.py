@@ -236,7 +236,7 @@ class TestLyapunovSchur:
         F = rng.standard_normal(T.shape)
         F = F + F.T
         Y = F.copy()
-        lqr._lyapunov_schur(T, Y)
+        lqr._sylvester_schur(T, T, Y)
         ref = scipy.linalg.solve_continuous_lyapunov(T, F)
         assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(T @ Y + Y @ T.T - F) <= 1e-12 * np.linalg.norm(F)
@@ -248,7 +248,7 @@ class TestLyapunovSchur:
         T = np.diag(np.linspace(-2.0, -0.5, n))
         T[0, 0], T[-1, -1] = 1.0, -1.0
         with pytest.raises(RiccatiError, match="trsyl"):
-            lqr._lyapunov_schur(T, np.eye(n))
+            lqr._sylvester_schur(T, T, np.eye(n))
 
 
 def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
@@ -280,7 +280,7 @@ def _schur_newton_kleinman(A_op, B, Q_diag, K, iterations):
         T, Z = scipy.linalg.schur((-A_op - B @ K).T, output="real")
         assert np.max(np.diag(T)) < 0
         Y = Z.T @ (-(Q + K.T @ K)) @ Z
-        lqr._lyapunov_schur(T, Y)
+        lqr._sylvester_schur(T, T, Y)
         X = Z @ Y @ Z.T
         X = 0.5 * (X + X.T)
         K = B.T @ X

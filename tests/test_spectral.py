@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasestab.spectral import (
-    PAD_FACTOR,
     ScalarField,
     SpectralBasis,
     _coeffs_from_grid,
@@ -230,8 +229,8 @@ class TestPointwiseProduct:
         # multiplying the values by one is exact, so the cube equals the
         # analysis of a product over three factors seeded with ones, bit for bit
         f = random_field(basis, seed=10)
-        v = _values_on_grid(basis, f.coeffs, PAD_FACTOR * basis.M)
-        seeded = np.ones(PAD_FACTOR * basis.M)
+        v = _values_on_grid(basis, f.coeffs, 2 * basis.M)
+        seeded = np.ones(2 * basis.M)
         for _ in range(3):
             seeded *= v
         assert np.array_equal(cube_coeffs(f), _coeffs_from_grid(basis, seeded))
@@ -276,7 +275,7 @@ class TestPointwiseProduct:
 class TestGradientSquared:
     # |f'|^2 on a grid, the form the remainder oracle squares gradients in
     def test_constant_gives_zero(self, basis):
-        grad = gradient_values(ScalarField.constant(basis, 4.0), PAD_FACTOR * basis.M)
+        grad = gradient_values(ScalarField.constant(basis, 4.0), 2 * basis.M)
         assert np.abs(grad * grad).max() < 1e-14
 
     def test_cosine_identity(self, basis):
@@ -304,7 +303,7 @@ class TestGradientSquared:
     def test_matches_direct_gradient_values(self, basis):
         # reference: the derivative of each e_k summed at the padded nodes
         f = random_field(basis, seed=13, decay=2.0)
-        P = PAD_FACTOR * basis.M
+        P = 2 * basis.M
         x = (np.arange(P) + 0.5) * basis.L / P
         k = np.arange(basis.M)[:, None]
         de = -np.sqrt(2.0 / basis.L) * (k * np.pi / basis.L) * np.sin(k * np.pi * x / basis.L)
@@ -320,7 +319,7 @@ class TestCosineMatrix:
     def test_matches_fft_transforms(self, M, L):
         # reference: the orthonormal DCT-II pair, zero-padded to P points
         basis = SpectralBasis(L=L, M=M)
-        P = PAD_FACTOR * M
+        P = 2 * M
         C = _cosine_matrix(basis, P)
         assert C.shape == (P, M)
         rng = np.random.default_rng(M)

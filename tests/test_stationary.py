@@ -7,7 +7,6 @@ from phasestab import spectral, stationary
 from phasestab.cli import build_materials
 from phasestab.lqr import solve_care
 from phasestab.spectral import (
-    PAD_FACTOR,
     ScalarField,
     SpectralBasis,
     _values_on_grid,
@@ -21,7 +20,6 @@ from phasestab.stationary import (
     gbar_infinity,
     stationary_constant,
     stationary_minimize,
-    upsilon,
 )
 
 from phasebench.workloads import config_for
@@ -35,6 +33,11 @@ def basis():
 def residual_norm(phi, nu, C):
     """L2 norm of nu*Lap(phi) - phi^3 + phi - C."""
     return np.linalg.norm(_euler_lagrange(phi.basis, phi.coeffs, nu, C)[1])
+
+
+def upsilon(phi, nu, C):
+    """Energy int( nu/2 |phi'|^2 + (phi^2-1)^2/4 + C*phi ) dx of phi."""
+    return _euler_lagrange(phi.basis, phi.coeffs, nu, C)[0]
 
 
 class TestConstantStates:
@@ -55,6 +58,14 @@ class TestConstantStates:
         s = stationary_constant(-1, theta=0.3, basis=basis)
         assert s.phi_inf.mean == pytest.approx(-1.0, rel=1e-14)
         assert s.theta_inf == 0.3
+
+    @pytest.mark.parametrize("which", [-1, 0, 1])
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    def test_closed_form_energy(self, which, L):
+        # a constant has no gradient energy; the well integrates to
+        # L (which^2 - 1)^2 / 4 exactly, with no rounding of a quadrature
+        s = stationary_constant(which, basis=SpectralBasis(L=L, M=64))
+        assert s.upsilon == L * (which**2 - 1) ** 2 / 4
 
     def test_invalid_branch(self, basis):
         with pytest.raises(ValueError):
@@ -141,7 +152,7 @@ class TestOneSynthesisPerIterate:
         linalg_solve = np.linalg.solve
 
         def counting(basis, coeffs, P):
-            syntheses.append(P == PAD_FACTOR * basis.M)
+            syntheses.append(P == 2 * basis.M)
             return _values_on_grid(basis, coeffs, P)
 
         def counting_solve(a, b):
