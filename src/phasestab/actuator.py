@@ -80,13 +80,11 @@ def bump_weight(omega: tuple[float, float], basis: SpectralBasis) -> ScalarField
 class Actuator:
     """Bump weight, unstable eigenpairs and the realized B / B* / D matrices."""
 
-    omega: tuple[float, float]
-    weight: ScalarField
+    weight: ScalarField  # on omega; its basis is the plant's
     lambdas: np.ndarray  # (N,) unstable eigenvalues, ascending
     modes: np.ndarray  # (2M, N) unstable eigenvectors, modal coordinates
     D_matrix: np.ndarray  # (N, N) = modes.T @ B_matrix
     B_matrix: np.ndarray  # (2M, N)
-    basis: SpectralBasis
 
     @property
     def N(self) -> int:
@@ -115,22 +113,13 @@ def build_actuator(
         ]
     )
 
-    return Actuator(
-        omega=omega,
-        weight=weight,
-        lambdas=lambdas,
-        modes=modes,
-        D_matrix=modes.T @ B,
-        B_matrix=B,
-        basis=basis,
-    )
+    return Actuator(weight=weight, lambdas=lambdas, modes=modes, D_matrix=modes.T @ B, B_matrix=B)
 
 
 @dataclass(frozen=True)
 class KalmanCertificate:
     det: float
     lambda_min: float
-    lambda_max: float
     ok: bool
 
 
@@ -143,11 +132,9 @@ def kalman_certificate(act: Actuator) -> KalmanCertificate:
     repeated plant eigenvalues.
     """
     eigs = np.linalg.eigvalsh(act.D_matrix)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    lam_min = float(eigs[0])
     det = float(np.linalg.det(act.D_matrix))
-    return KalmanCertificate(
-        det=det, lambda_min=lam_min, lambda_max=lam_max, ok=lam_min > 1e-12 * lam_max
-    )
+    return KalmanCertificate(det=det, lambda_min=lam_min, ok=lam_min > 1e-12 * float(eigs[-1]))
 
 
 @dataclass
@@ -159,16 +146,15 @@ class NullControlPlan:
     form since Lambda is diagonal), the control is
 
         W(t) = D^T exp(-Lambda (T0 - t)) G^{-1} (-exp(-Lambda T0) xi0).
+
+    The plan keeps the samples on its Gauss nodes and eta; Lambda and D stay
+    with the actuator it was built from.
     """
 
     T0: float
     t_nodes: np.ndarray  # Gauss-Legendre nodes on [0, T0]
-    t_weights: np.ndarray
     W_samples: np.ndarray  # (NULL_CONTROL_NODES, N)
     energy: float
-    xi0: np.ndarray
-    lambdas: np.ndarray
-    D_matrix: np.ndarray
     eta: np.ndarray = field(repr=False)  # G^{-1}(-e^{-Lambda T0} xi0)
     gramian_cond: float
     steering_error: float
@@ -268,12 +254,8 @@ def null_control(
     return NullControlPlan(
         T0=T0,
         t_nodes=t_nodes,
-        t_weights=t_weights,
         W_samples=W_samples,
         energy=float(np.sum(t_weights * np.sum(W_samples**2, axis=1))),
-        xi0=xi0,
-        lambdas=lambdas,
-        D_matrix=D,
         eta=eta,
         gramian_cond=cond,
         steering_error=float(np.linalg.norm(xi_T)),

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lqr
 from .actuator import (
     Actuator,
     GramianConditionError,
@@ -39,8 +40,6 @@ from .io import (  # noqa: F401
     read_json,
     read_trajectory_csv,
     write_columns_dat,
-    write_field_collocation_csv,
-    write_field_modal_csv,
     write_json,
     write_table,
     write_trajectory_csv,
@@ -69,11 +68,10 @@ __all__ = ["Materials", "build_materials", "run_pipeline", "run_sweep", "main"]
 
 @dataclass
 class Materials:
-    """Everything the later stages need, built once from the config."""
+    """Everything the later stages need, built once; the parameters are ``plant.params``."""
 
     cfg: SimConfig
     basis: SpectralBasis
-    params: PhysicalParams
     stat: StationaryState
     plant: LinearizedPlant
     act: Actuator
@@ -93,7 +91,7 @@ def build_materials(cfg: SimConfig) -> Materials:
         )
     plant = assemble_plant(params, stat)
     act = build_actuator(plant, omega=(cfg.actuator.a, cfg.actuator.b))
-    return Materials(cfg=cfg, basis=basis, params=params, stat=stat, plant=plant, act=act)
+    return Materials(cfg=cfg, basis=basis, stat=stat, plant=plant, act=act)
 
 
 # -- stages ------------------------------------------------------------------
@@ -109,8 +107,9 @@ def stage_stationary(m: Materials, outdir: Path) -> dict:
         "theta_inf": m.stat.theta_inf,
         "mean_phi": m.stat.phi_inf.mean,
     }
-    write_field_modal_csv(outdir / "stationary_phi_modes.csv", m.stat.phi_inf)
-    write_field_collocation_csv(outdir / "stationary_phi.csv", m.stat.phi_inf)
+    phi = m.stat.phi_inf
+    write_table(outdir / "stationary_phi_modes.csv", "k,coeff", [np.arange(m.basis.M), phi.coeffs])
+    write_table(outdir / "stationary_phi.csv", "x,value", [m.basis.nodes, phi.values])
     write_json(outdir / "stationary.json", summary)
     return summary
 
@@ -177,11 +176,12 @@ def write_synth_summary(sol: RiccatiSolution, outdir: Path) -> dict:
 
 
 def _gain_digest(cfg: SimConfig) -> str:
-    """Hash of the config sections the gain depends on: all but sim, seed and output_dir."""
+    """Hash of the solver version and of every config section but sim, seed and output_dir."""
     sections = {
         name: asdict(getattr(cfg, name))
         for name in ("params", "basis", "stationary", "actuator", "riccati")
     }
+    sections["solver_version"] = lqr.SOLVER_VERSION
     return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
 
 

@@ -14,12 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ScalarField
-
 __all__ = [
     "write_table",
-    "write_field_modal_csv",
-    "write_field_collocation_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_columns_dat",
@@ -45,16 +41,6 @@ def write_table(path: str | Path, header: str, columns, sep: str = ",") -> None:
         for start in range(0, n_rows, _CHUNK_ROWS):
             rows = zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
             fh.write("".join(sep.join(map(repr, row)) + "\n" for row in rows))
-
-
-def write_field_modal_csv(path: str | Path, f: ScalarField) -> None:
-    """One row per mode: k,coeff."""
-    write_table(path, "k,coeff", [np.arange(f.basis.M), f.coeffs])
-
-
-def write_field_collocation_csv(path: str | Path, f: ScalarField) -> None:
-    """One row per node: x,value."""
-    write_table(path, "x,value", [f.basis.nodes, f.values])
 
 
 def write_trajectory_csv(path: str | Path, record) -> None:

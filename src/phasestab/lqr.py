@@ -78,6 +78,10 @@ __all__ = [
     "solve_care",
 ]
 
+# the gain cache's key in cli holds this with the config; a change that gives
+# a different R for an unchanged config bumps it, so no older gain.npz is reused
+SOLVER_VERSION = 1
+
 
 class RiccatiError(RuntimeError):
     """Riccati solve failed; carries the iterate log for diagnosis."""

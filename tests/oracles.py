@@ -26,10 +26,11 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     The inverse of ``sim._PhysicalMap.to_physical``, from (phi, theta)
     coefficients back to (y, z).  Used by ``test_sim.py::TestPhysicalMap``.
 
-``plan_control``
+``plan_control(plan, act, t)``
     W(t) of a null-control plan by its closed-form formula at one time, zero
-    outside [0, T0).  It checks the plan's ``W_samples`` and drives the
-    steering checks.  Used by
+    outside [0, T0), with Lambda and D read from the actuator the plan was
+    built from.  It checks the plan's ``W_samples`` and drives the steering
+    checks.  Used by
     ``test_acceptance.py::test_c03_controllability_and_steering``,
     ``test_actuator.py::TestNullControl`` and ``::TestOpenLoopExtension``.
 
@@ -115,7 +116,7 @@ def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
     W = np.asarray(W, dtype=float)
     if W.shape != (act.N,):
         raise ValueError(f"expected {act.N} control amplitudes, got shape {W.shape}")
-    basis, M = act.basis, act.basis.M
+    basis, M = act.weight.basis, act.weight.basis.M
     fy, fz = (
         ScalarField.from_values(basis, act.weight.values * (_values_on_grid(basis, part, M) @ W))
         for part in (act.modes[:M], act.modes[M:])
@@ -130,11 +131,11 @@ def from_physical(phi: np.ndarray, theta: np.ndarray, stat, params):
     return y, params.alpha0 * (dtheta + params.l0 * y)
 
 
-def plan_control(plan, t: float) -> np.ndarray:
-    """W(t) = D^T exp(-Lambda (T0 - t)) eta of a null-control plan; zero outside [0, T0)."""
+def plan_control(plan, act, t: float) -> np.ndarray:
+    """W(t) = D^T exp(-Lambda (T0 - t)) eta of a plan built from act; zero outside [0, T0)."""
     if t < 0.0 or t >= plan.T0:
-        return np.zeros_like(plan.xi0)
-    return plan.D_matrix.T @ (np.exp(-plan.lambdas * (plan.T0 - t)) * plan.eta)
+        return np.zeros(act.N)
+    return act.D_matrix.T @ (np.exp(-act.lambdas * (plan.T0 - t)) * plan.eta)
 
 
 def rk4_propagate(f, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:

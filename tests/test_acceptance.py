@@ -151,7 +151,7 @@ def test_c03_controllability_and_steering(default_problem):
 
     # independent RK4 propagation of the unstable modal ODEs
     def ode(t, xi):
-        return -act.lambdas * xi + act.D_matrix @ plan_control(plan, t)
+        return -act.lambdas * xi + act.D_matrix @ plan_control(plan, act, t)
 
     xi_T = rk4_propagate(ode, xi0, 0.0, 1.0, 10_000)
     steering = np.linalg.norm(xi_T) / np.linalg.norm(xi0)

@@ -31,13 +31,16 @@ def b_star(act, q):
     return act.B_matrix.T @ np.concatenate([q[0].coeffs, q[1].coeffs])
 
 
+OMEGA = (0.25, 0.75)  # the actuator interval of the setup fixture
+
+
 @pytest.fixture(scope="module")
 def setup():
     basis = SpectralBasis(L=1.0, M=64)
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
     plant = assemble_plant(params, state)
-    act = build_actuator(plant, omega=(0.25, 0.75))
+    act = build_actuator(plant, omega=OMEGA)
     return basis, plant, act
 
 
@@ -61,7 +64,7 @@ class TestBumpWeight:
         basis, _, act = setup
         w = act.weight
         # omega_0, the middle half of omega
-        a, b = act.omega
+        a, b = OMEGA
         a0, b0 = a + 0.25 * (b - a), b - 0.25 * (b - a)
         inner = (basis.nodes > a0) & (basis.nodes < b0)
         assert np.all(w.values[inner] > 0)
@@ -251,7 +254,7 @@ class TestNullControl:
         _, plant, act = setup
         xi0 = np.random.default_rng(13).standard_normal(act.N)
         plan = null_control(act, xi0, T0=1.0)
-        expected = np.array([plan_control(plan, t) for t in plan.t_nodes])
+        expected = np.array([plan_control(plan, act, t) for t in plan.t_nodes])
         assert plan.W_samples.shape == expected.shape
         assert np.abs(plan.W_samples - expected).max() <= 1e-15 * np.abs(expected).max()
 
@@ -279,7 +282,7 @@ class TestNullControl:
         plan = null_control(act, xi0, T0=1.0)
 
         def ode(t, xi):
-            return -act.lambdas * xi + act.D_matrix @ plan_control(plan, t)
+            return -act.lambdas * xi + act.D_matrix @ plan_control(plan, act, t)
 
         xi_T = rk4_propagate(ode, xi0, 0.0, 1.0, 10_000)
         assert np.linalg.norm(xi_T) <= 1e-8 * np.linalg.norm(xi0)
@@ -305,7 +308,7 @@ class TestOpenLoopExtension:
     def test_zero_after_horizon(self, setup):
         _, plant, act = setup
         plan = null_control(act, np.ones(act.N), T0=1.0)
-        control = functools.partial(plan_control, plan)
+        control = functools.partial(plan_control, plan, act)
         assert np.abs(control(1.0)).max() == 0.0
         assert np.abs(control(3.7)).max() == 0.0
 
@@ -319,7 +322,7 @@ class TestOpenLoopExtension:
         plant = assemble_plant(PhysicalParams(nu=nu), stationary_constant(0, basis=basis))
         act = build_actuator(plant, omega=(0.25, 0.75))
         plan = null_control(act, np.ones(act.N), T0=1.0)
-        evaluated = np.array([plan_control(plan, t) for t in plan.t_nodes])
+        evaluated = np.array([plan_control(plan, act, t) for t in plan.t_nodes])
         scale = np.abs(plan.W_samples).max(axis=1, keepdims=True)
         eps = np.finfo(float).eps
         assert np.all(np.abs(evaluated - plan.W_samples) <= 4 * eps * scale)
@@ -332,7 +335,7 @@ def exact_state_after_steering(plant, act, plan, xi_start, T0):
     B_e = V.T @ act.B_matrix
     lam_u = act.lambdas
     c = np.exp(-lam_u * T0) * plan.eta
-    A = B_e @ plan.D_matrix.T
+    A = B_e @ act.D_matrix.T
     denom = lam[:, None] + lam_u[None, :]
     grow = np.exp(lam_u[None, :] * T0)
     decayed = np.exp(-lam[:, None] * T0)  # stiff modes underflow cleanly to 0
@@ -380,7 +383,7 @@ class TestStableTailDecay:
         # fit on [0, 1] before the amplitude reaches the noise floor
         _, plant, act = setup
         plan = null_control(act, np.zeros(act.N), T0=1.0)
-        control = functools.partial(plan_control, plan)
+        control = functools.partial(plan_control, plan, act)
         x0 = eigenvectors(plant)[:, act.N]
         ts = np.linspace(0.0, 1.0, 201)
         states = propagate_linear_with_control(
@@ -405,7 +408,7 @@ class TestStableTailDecay:
             plant,
             act,
             # the control formula without plan_control's cutoff at T0
-            lambda t: plan.D_matrix.T @ (np.exp(-plan.lambdas * (T0 - t)) * plan.eta),
+            lambda t: act.D_matrix.T @ (np.exp(-act.lambdas * (T0 - t)) * plan.eta),
             act.modes @ xi0,
             t_end=T0,
             dt=2e-5,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import phasestab
+from phasestab import lqr
 from phasestab.cli import (
     _gain_digest,
     build_materials,
@@ -31,8 +32,9 @@ from phasestab.lqr import RiccatiSolution
 
 import oracles
 
-# _gain_digest of the default config; a change invalidates every cached gain.npz
-DEFAULT_GAIN_DIGEST = "fd21aef38b30999e90e6a01f407114e80c15ae9dab090a61f7043740b69be3c7"
+# _gain_digest of the default config at lqr.SOLVER_VERSION 1; a change
+# invalidates every cached gain.npz
+DEFAULT_GAIN_DIGEST = "4554a21061bd53bf700d8e0c30f1f7b79ad0b14755e907c535a473eafe5c5635"
 
 
 def fast_config(outdir, **overrides):
@@ -179,6 +181,20 @@ class TestPipeline:
         K_rerun = np.load(Path(cfg.output_dir) / "gain.npz")["K_gain"]
         K_fresh = np.load(tmp_path / "fresh" / "gain.npz")["K_gain"]
         assert np.array_equal(K_rerun, K_fresh)
+
+    def test_gain_resynthesized_when_solver_version_changes(self, tmp_path, monkeypatch):
+        # a solver that gives another R for the same config makes every
+        # cached gain stale, though no config section changed
+        cfg = fast_config(tmp_path / "run")
+        run_pipeline(cfg)
+        gain_path = Path(cfg.output_dir) / "gain.npz"
+        m = build_materials(cfg)
+        assert load_gain(gain_path, m) is not None
+        monkeypatch.setattr(lqr, "SOLVER_VERSION", lqr.SOLVER_VERSION + 1)
+        assert load_gain(gain_path, m) is None
+        # the rerun synthesizes afresh and stores the gain under the new key
+        run_pipeline(cfg)
+        assert load_gain(gain_path, m) is not None
 
     def test_gain_file_round_trip(self, tmp_path):
         # gain.npz holds each RiccatiSolution field under its own name, and

@@ -33,12 +33,27 @@ def test_package_names_are_module_exports():
     assert [name for name in public if name not in exported] == []
 
 
-def _references(path: Path, strings: bool) -> Counter:
-    """Names a file uses: loaded names, attributes and, if ``strings``, string constants.
+def _imported(tree: ast.AST) -> set[str]:
+    """Names a file binds by import, at module level or inside a function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
 
-    Definitions, imports and the strings of an ``__all__`` list are not uses.
+
+def _references(path: Path, strings: bool) -> Counter:
+    """Names a file uses: loaded names, attributes of imported names and, if
+    ``strings``, string constants.
+
+    ``x.name`` is a use only when ``x`` is a name the file imports, so
+    ``cli.render_report`` is one and ``m.stat.upsilon`` is not.  Definitions,
+    imports and the strings of an ``__all__`` list are not uses.
     """
     tree = ast.parse(path.read_text())
+    imported = _imported(tree)
     listed = {
         id(node)
         for stmt in tree.body
@@ -50,7 +65,11 @@ def _references(path: Path, strings: bool) -> Counter:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+        ):
             used[node.attr] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in listed:
@@ -75,3 +94,16 @@ def test_every_export_has_a_caller_outside_the_tests():
         if not used[name]
     ]
     assert unused == []
+
+
+def test_attribute_of_a_local_object_is_no_use(tmp_path):
+    path = tmp_path / "user.py"
+    path.write_text(
+        "from phasestab import cli\n"
+        "\n"
+        "def summarize(m):\n"
+        "    return m.stat.upsilon, cli.render_report\n"
+    )
+    used = _references(path, strings=False)
+    assert used["render_report"] == 1
+    assert used["upsilon"] == 0

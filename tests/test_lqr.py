@@ -30,6 +30,8 @@ from oracles import (
 )
 from phasebench.workloads import config_for
 
+OMEGA = (0.25, 0.75)  # the actuator interval of the problem fixture
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -37,7 +39,7 @@ def problem():
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
     plant = assemble_plant(params, state)
-    act = build_actuator(plant, omega=(0.25, 0.75))
+    act = build_actuator(plant, omega=OMEGA)
     return basis, plant, act
 
 
@@ -704,7 +706,7 @@ class TestFeedback:
         y = ScalarField(basis, rng.standard_normal(basis.M))
         z = ScalarField(basis, rng.standard_normal(basis.M))
         (fy, fz), _ = feedback(solution, act, y, z)
-        outside = (basis.nodes <= act.omega[0]) | (basis.nodes >= act.omega[1])
+        outside = (basis.nodes <= OMEGA[0]) | (basis.nodes >= OMEGA[1])
         assert np.all(np.abs(fy.values[outside]) <= 1e-300)
         assert np.all(np.abs(fz.values[outside]) <= 1e-300)
 

@@ -38,6 +38,8 @@ from phasestab.stationary import stationary_constant
 
 from oracles import apply_B, basis_function, eigenvectors, from_physical, remainder_G_expanded
 
+OMEGA = (0.25, 0.75)  # the actuator interval of the world fixture
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -45,7 +47,7 @@ def world():
     params = PhysicalParams(nu=0.1, l0=1.0, gamma0=1.0)
     state = stationary_constant(0, basis=basis)
     plant = assemble_plant(params, state)
-    act = build_actuator(plant)
+    act = build_actuator(plant, omega=OMEGA)
     sol = solve_care(plant, act)
     return basis, params, state, plant, act, sol
 
@@ -761,7 +763,7 @@ class TestSimulate:
             plant, y0, z0, dt=1e-3, t_end=0.2, sol=sol, act=act,
             nonlinear=True, stat=state,
         )
-        outside = (basis.nodes <= act.omega[0]) | (basis.nodes >= act.omega[1])
+        outside = (basis.nodes <= OMEGA[0]) | (basis.nodes >= OMEGA[1])
         for i in range(0, len(rec.times), 20):
             fy, fz = apply_B(act, rec.control_amplitudes[i])
             assert np.all(np.abs(fy.values[outside]) <= 1e-300)
