@@ -66,7 +66,7 @@ def front(cfg: SimConfig, ref_dt: float) -> list[tuple[str, float, float, float 
         start = time.perf_counter()
         rec = simulate(
             m.plant, y0, z0, dt=dt, t_end=run.t_end, sol=sol, act=m.act,
-            nonlinear=run.nonlinear, scheme=scheme, stat=m.stat, record_every=record_every,
+            nonlinear=run.nonlinear, scheme=scheme, record_every=record_every,
         )
         return rec, time.perf_counter() - start
 

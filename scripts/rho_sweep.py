@@ -40,7 +40,7 @@ def main() -> None:
             rec = simulate(
                 m.plant, y0, z0, dt=cfg.sim.dt, t_end=args.t_end,
                 sol=sol, act=m.act, nonlinear=True, scheme=cfg.sim.scheme,
-                stat=m.stat, record_every=10,
+                record_every=10,
             )
             rows.append(
                 {

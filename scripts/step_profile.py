@@ -93,7 +93,7 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
     def run_simulate(record_every: int):
         return simulate(
             m.plant, y0, z0, dt=run.dt, t_end=steps * run.dt, sol=sol, act=m.act,
-            nonlinear=True, scheme=run.scheme, stat=m.stat, record_every=record_every,
+            nonlinear=True, scheme=run.scheme, record_every=record_every,
         )
 
     def build(closed: bool, nonlinear: bool) -> _Stepper:

@@ -9,8 +9,8 @@ trajectory CSV, JSON summaries) into the configured output directory, and a
 fixed seed makes repeated runs byte-identical.  ``sweep`` repeats the
 pipeline over a list of values for one config field.
 
-Exit codes: 0 success, 2 invalid configuration or input path, 3 numerical
-failure.
+Exit codes: 0 success, 2 invalid configuration, or an input or output path
+that cannot be used, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ def stage_simulate(
         act=m.act if run.closed_loop else None,
         nonlinear=run.nonlinear,
         scheme=run.scheme,
-        stat=m.stat,
         record_every=run.record_every,
     )
     summary = {
@@ -339,38 +338,36 @@ def render_report(run_dir: Path) -> str:
             add("fit_r2", sim["fit_r2"])
             add("final_xi_norm", sim["final_xi_norm"], "{:.3e}")
 
-    traj_path = run_dir / "trajectory.csv"
-    if traj_path.exists():
-        write_columns_dat(
-            traj_path, run_dir / "decay.dat", ("t", "xi_norm", "h_norm", "physical_norm")
-        )
+    with _run_file(run_dir / "trajectory.csv", read=Path) as trajectory:
+        if trajectory is not None:
+            write_columns_dat(trajectory, run_dir / "decay.dat", ("t", "xi_norm", "h_norm"))
 
     width = max(len(name) for name, _ in rows) if rows else 0
     table = "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
     return table
 
 
-@contextmanager
-def _run_file(path: Path):
-    """The JSON object in path, None when the file is absent.
+def _json_object(path: Path) -> dict:
+    """The JSON value in path; TypeError when it is not an object."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise TypeError(f"holds a JSON {type(data).__name__}, not an object")
+    return data
 
-    ConfigError, naming the file, when it cannot be read, is not a JSON
-    object, or when the block reading it finds a key missing, a value of
-    the wrong type or an empty array.
+
+@contextmanager
+def _run_file(path: Path, read=_json_object):
+    """``read(path)``, by default the JSON object in path; None when the file is absent.
+
+    ConfigError, naming the file, when it or a file the block writes cannot
+    be opened, or when reading it or using it in the block meets a key or a
+    column missing, a value of the wrong type, an empty array or text that
+    is not JSON.
     """
-    if not path.exists():
-        data = None
-    else:
-        try:
-            data = read_json(path)
-        except OSError as exc:  # a directory, or unreadable
-            raise ConfigError(f"cannot read run file {path}: {exc.strerror}")
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"run file {path} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"run file {path} does not hold a JSON object")
     try:
-        yield data
+        yield read(path) if path.exists() else None
+    except OSError as exc:  # a directory, or unreadable
+        raise ConfigError(f"cannot use run file {exc.filename or path}: {exc.strerror}") from None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(
             f"run file {path} lacks a usable value ({type(exc).__name__}: {exc})"
@@ -457,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an artifact path that is a directory, or unwritable
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except (
         RiccatiError,

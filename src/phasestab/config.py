@@ -45,7 +45,7 @@ class BasisConfig:
 class StationaryConfig:
     mode: str = "constant"  # "constant" | "minimize"
     which: int = 0  # constant branch: -1, 0, +1
-    theta: float = 0.0
+    theta: float = 0.0  # theta_inf: written to stationary.json, read by no stage
     C: float = 0.0
     init_value: float = 0.9  # minimize: initial constant level ...
     init_cos: float = 0.0  # ... plus this amplitude of cos(pi x / L)

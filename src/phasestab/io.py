@@ -44,15 +44,14 @@ def write_table(path: str | Path, header: str, columns, sep: str = ",") -> None:
 
 
 def write_trajectory_csv(path: str | Path, record) -> None:
-    """Columns: t, xi_norm, h_norm, physical_norm, mean_y, mean_z, w_1..w_N."""
+    """Columns: t, xi_norm (the decay norm), h_norm, mean_y, mean_z, w_1..w_N if closed loop."""
     amps = record.control_amplitudes.T
-    header = "t,xi_norm,h_norm,physical_norm,mean_y,mean_z"
+    header = "t,xi_norm,h_norm,mean_y,mean_z"
     header += "".join(f",w_{j + 1}" for j in range(len(amps)))
     columns = [
         record.times,
         record.xi_norms,
         record.h_norms,
-        record.physical_norms,
         record.mean_y,
         record.mean_z,
         *amps,

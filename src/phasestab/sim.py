@@ -43,18 +43,18 @@ the rows it records and keeps the final state.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
-the equivalent physical-variable norm, the conserved means, and the feedback
-amplitudes w = -K x at the recorded states; the decay rate is a least-squares
-fit of the log norm over the second half of the run.  The record arrays are
-sized up front (t = 0, every ``record_every``-th step and the last step) and
-filled in place.  The loop copies each recorded state into a buffer of
-``_RECORD_BLOCK`` rows; when the buffer fills, and once after the loop, one
-pass of whole-array operations fills that block's norms and means and runs
-the blow-up guard on it.  The norms are row-wise (they reduce over the last
-axis, one dot product per row), so a row's value does not depend on its
-place in a block and a single state is the same call on one row.  The
-physical-variable norm goes through (phi, theta) on coefficient arrays, with
-the stationary offsets precomputed once per run.
+the conserved means, and the feedback amplitudes w = -K x at the recorded
+states; the decay rate is a least-squares fit of the log norm over the
+second half of the run.  The decay norm is also the theorem's norm in the
+physical variables (phi, theta): y = phi - phi_inf, and z is exactly
+alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf).  The record arrays
+are sized up front (t = 0, every ``record_every``-th step and the last
+step) and filled in place.  The loop copies each recorded state into a
+buffer of ``_RECORD_BLOCK`` rows; when the buffer fills, and once after the
+loop, one pass of whole-array operations fills that block's norms and means
+and runs the blow-up guard on it.  The norms are row-wise (they reduce over
+the last axis, one dot product per row), so a row's value does not depend on
+its place in a block and a single state is the same call on one row.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 
 from .actuator import Actuator
 from .config import RunConfig
-from .linearization import LinearizedPlant, PhysicalParams
+from .linearization import LinearizedPlant
 from .lqr import RiccatiSolution
 from .spectral import ScalarField, _cosine_matrix, _weighted_norm
 from .stationary import StationaryState
@@ -159,65 +159,6 @@ def _remainder_analysis(
     t += g
     t *= v
     return t.dot(H, out)
-
-
-# -- physical variables ------------------------------------------------------
-
-
-class _PhysicalMap:
-    """Coefficient-level map from the deviation (y, z) to (phi, theta) about one state.
-
-    phi = y + phi_inf and theta = sigma / alpha0 - l0 phi with
-    sigma = z + sigma_inf, sigma_inf = alpha0 (theta_inf + l0 phi_inf).
-    """
-
-    def __init__(self, stat: StationaryState, params: PhysicalParams):
-        basis = self.basis = stat.basis
-        self.params = params
-        self.phi_inf = stat.phi_inf.coeffs
-        self.theta_inf = ScalarField.constant(basis, stat.theta_inf).coeffs
-        self.sigma_inf = ScalarField.constant(
-            basis, params.alpha0 * stat.theta_inf
-        ).coeffs + self.phi_inf * (params.alpha0 * params.l0)
-
-    def to_physical(self, y: np.ndarray, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, theta) of (y, z), row by row.
-
-        ``out`` is None or three arrays of y's shape: phi and theta are
-        written into the first two, and the third is scratch.
-        """
-        phi, theta, t = np.empty((3,) + np.shape(y)) if out is None else out
-        np.add(y, self.phi_inf, phi)
-        np.add(z, self.sigma_inf, theta)
-        theta *= 1.0 / self.params.alpha0
-        np.multiply(phi, self.params.l0, t)
-        theta -= t
-        return phi, theta
-
-    def deviation_norm(self, y: np.ndarray, z: np.ndarray, out=None, scratch=None):
-        """Composite physical-variable norm, one per row of y and z:
-
-            ||phi - phi_inf||_{D(A^{1/2})}
-                + ||alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf)||_{D(A^{1/4})},
-
-        recomputed through (phi, theta); identically equal to the (y, z)
-        decay norm since the second argument is exactly z.  Given ``out``
-        (one entry per row) and ``scratch`` (three arrays of y's shape), the
-        call allocates nothing of y's size.
-        """
-        alpha0, l0 = self.params.alpha0, self.params.l0
-        dphi, combo, t = scratch = np.empty((3,) + np.shape(y)) if scratch is None else scratch
-        self.to_physical(y, z, scratch)  # phi into dphi, theta into combo
-        dphi -= self.phi_inf
-        combo -= self.theta_inf
-        combo *= alpha0
-        np.multiply(dphi, alpha0 * l0, t)
-        combo += t
-        return np.add(
-            _weighted_norm(self.basis.mu, dphi, out, t),
-            _weighted_norm(self.basis.sqrt_mu, combo, None, t),
-            out,
-        )
 
 
 # -- time stepping -----------------------------------------------------------
@@ -488,6 +429,9 @@ class _Stepper:
 class TrajectoryRecord:
     """Recorded rows of one run.
 
+    ``xi_norms`` holds the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)}
+    of the recorded states, ``h_norms`` their product-space norm, and
+    ``mean_y`` and ``mean_z`` their conserved means.
     ``control_amplitudes[i]`` is w_i = -K x(t_i), the amplitude of the
     implicit feedback at the recorded state (row 0 included); the forcing is
     ``B_matrix @ w_i``.
@@ -496,7 +440,6 @@ class TrajectoryRecord:
     times: np.ndarray
     xi_norms: np.ndarray
     h_norms: np.ndarray
-    physical_norms: np.ndarray
     mean_y: np.ndarray
     mean_z: np.ndarray
     control_amplitudes: np.ndarray  # (n_rec, N), empty second axis when open loop
@@ -558,11 +501,11 @@ def simulate(
     whose decay norm exceeds ``BLOWUP_FACTOR`` times its initial value or
     stops being finite; rows are checked once per block of
     ``_RECORD_BLOCK``, so up to one block of further steps runs first.
+    ``stat`` is not used; it stays for callers that still pass it.
     """
     stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
     basis = plant.basis
     M = basis.M
-    params = plant.params
     fit_window = (0.5 * t_end, t_end)
 
     x = np.concatenate([y0.coeffs, z0.coeffs])
@@ -572,30 +515,25 @@ def simulate(
     # rows: t = 0, every record_every-th step, and the last step once
     n_rows = n_steps // record_every + 1 + (n_steps % record_every != 0)
     times = np.minimum(np.arange(n_rows) * record_every, n_steps) * dt
-    xi_s, h_s, phys_s, my_s, mz_s = np.empty((5, n_rows))
+    xi_s, h_s, my_s, mz_s = np.empty((4, n_rows))
     amps = np.empty((n_rows, len(w)))
-    phys_map = _PhysicalMap(stat, params) if stat is not None else None
     sqrtL = np.sqrt(basis.L)
     xi0 = _decay_norm(basis, x)
     bound = BLOWUP_FACTOR * max(xi0, NORM_FLOOR)
     # row r waits in block[r % _RECORD_BLOCK] until its block's pass, which
-    # writes straight into the record arrays through three (rows, M) scratches
+    # writes straight into the record arrays through one (rows, M) scratch
     block = np.empty((min(_RECORD_BLOCK, n_rows), 2 * M))
-    scratch = np.empty((3,) + block[:, :M].shape)
+    scratch = np.empty(block[:, :M].shape)
 
     def record_block(stop: int) -> None:
         """Fill the rows of the block that ends before row ``stop``, then guard them."""
         first = (stop - 1) // _RECORD_BLOCK * _RECORD_BLOCK
         rows = slice(first, stop)
-        x_b, s = block[: stop - first], scratch[:, : stop - first]
+        x_b, s = block[: stop - first], scratch[: stop - first]
         y_b, z_b = x_b[:, :M], x_b[:, M:]
-        xi = _decay_norm(basis, x_b, xi_s[rows], s[0])
+        xi = _decay_norm(basis, x_b, xi_s[rows], s)
         h = h_s[rows]
-        np.hypot(_weighted_norm(1.0, y_b, h, s[0]), _weighted_norm(1.0, z_b, None, s[0]), h)
-        if phys_map is None:
-            phys_s[rows] = xi
-        else:
-            phys_map.deviation_norm(y_b, z_b, phys_s[rows], s)
+        np.hypot(_weighted_norm(1.0, y_b, h, s), _weighted_norm(1.0, z_b, None, s), h)
         np.divide(y_b[:, 0], sqrtL, my_s[rows])
         np.divide(z_b[:, 0], sqrtL, mz_s[rows])
         # row 0 sets the bound and is not checked against it
@@ -634,7 +572,6 @@ def simulate(
         times=times,
         xi_norms=xi_s,
         h_norms=h_s,
-        physical_norms=phys_s,
         mean_y=my_s,
         mean_z=mz_s,
         control_amplitudes=amps,

@@ -22,9 +22,13 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     checks ``Actuator.B_matrix``.  Used by ``test_actuator.py::TestBMaps``,
     ``test_lqr.py::TestFeedback`` and ``test_sim.py::TestSimulate``.
 
-``from_physical``
-    The inverse of ``sim._PhysicalMap.to_physical``, from (phi, theta)
-    coefficients back to (y, z).  Used by ``test_sim.py::TestPhysicalMap``.
+``to_physical``, ``from_physical`` and ``physical_norm``
+    The map from the deviation (y, z) to the physical variables (phi, theta)
+    about a stationary state, its inverse, and the theorem's decay norm
+    computed in (phi, theta).  The package records only the (y, z) decay
+    norm ``sim._decay_norm``; these check that it is the theorem's norm.
+    Used by ``test_sim.py::TestPhysicalMap`` and
+    ``test_acceptance.py::test_c07_theorem_norm_identity``.
 
 ``plan_control(plan, act, t)``
     W(t) of a null-control plan by its closed-form formula at one time, zero
@@ -122,6 +126,33 @@ def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
         for part in (act.modes[:M], act.modes[M:])
     )
     return fy, fz
+
+
+def to_physical(y: np.ndarray, z: np.ndarray, stat, params):
+    """(phi, theta) coefficients: phi = y + phi_inf, theta = sigma / alpha0 - l0 phi.
+
+    sigma = z + sigma_inf with sigma_inf = alpha0 (theta_inf + l0 phi_inf).
+    """
+    phi_inf = stat.phi_inf.coeffs
+    theta_inf = ScalarField.constant(stat.basis, stat.theta_inf).coeffs
+    sigma = z + params.alpha0 * (theta_inf + params.l0 * phi_inf)
+    phi = y + phi_inf
+    return phi, sigma / params.alpha0 - params.l0 * phi
+
+
+def physical_norm(phi: np.ndarray, theta: np.ndarray, stat, params):
+    """The theorem's decay norm in the physical variables, one per row:
+
+        ||phi - phi_inf||_{D(A^1/2)}
+            + ||alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf)||_{D(A^1/4)},
+
+    each graph norm summed as sqrt(sum mu_k^{2 alpha} c_k^2).
+    """
+    mu = stat.basis.mu
+    dphi = phi - stat.phi_inf.coeffs
+    dtheta = theta - ScalarField.constant(stat.basis, stat.theta_inf).coeffs
+    combo = params.alpha0 * (dtheta + params.l0 * dphi)
+    return np.sqrt(np.sum(mu * dphi**2, axis=-1)) + np.sqrt(np.sum(np.sqrt(mu) * combo**2, axis=-1))
 
 
 def from_physical(phi: np.ndarray, theta: np.ndarray, stat, params):

@@ -18,6 +18,7 @@ from phasestab.cli import (
     render_report,
     run_pipeline,
     run_sweep,
+    stage_simulate,
     stage_synth,
 )
 from phasestab.config import (
@@ -29,6 +30,7 @@ from phasestab.config import (
 )
 from phasestab.io import _jsonable, read_json, read_trajectory_csv, write_json, write_table
 from phasestab.lqr import RiccatiSolution
+from phasestab.sim import _decay_norm
 
 import oracles
 
@@ -223,7 +225,9 @@ class TestPipeline:
             "eigenvectors",
             "apply_B",
             "basis_function",
+            "to_physical",
             "from_physical",
+            "physical_norm",
             "plan_control",
             "rk4_propagate",
             "propagate_linear_with_control",
@@ -256,6 +260,24 @@ class TestPipeline:
         run_pipeline(cfg)
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob, name
+
+    def test_simulate_summary_matches_trajectory_rows(self, tmp_path):
+        # simulate.json's norms are the first and last trajectory rows, bit for
+        # bit, and the final decay norm is that of the final state
+        cfg = fast_config(tmp_path / "run")
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True)
+        m = build_materials(cfg)
+        sol, _ = stage_synth(m, out)
+        record, _ = stage_simulate(m, sol, out)
+        sim = read_json(out / "simulate.json")
+        data = read_trajectory_csv(out / "trajectory.csv")
+        assert sim["initial_xi_norm"] == data["xi_norm"][0]
+        assert sim["final_xi_norm"] == data["xi_norm"][-1]
+        assert sim["final_h_norm"] == data["h_norm"][-1]
+        final = record.final_state
+        x = np.concatenate([final.y.coeffs, final.z.coeffs])
+        assert sim["final_xi_norm"] == _decay_norm(m.basis, x)
 
     def test_open_loop_has_no_amplitude_columns(self, tmp_path):
         cfg = fast_config(tmp_path / "run", **{"sim.closed_loop": "false"})
@@ -387,6 +409,18 @@ class TestMainEntry:
         assert code == 2
         assert "cannot use output directory" in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("name", ["gain.npz", "config.json", "trajectory.csv"])
+    def test_artifact_path_that_is_a_directory_exit_two(self, tmp_path, capsys, name):
+        # gain.npz is read before it is written; the others are only written
+        run = tmp_path / "run"
+        (run / name).mkdir(parents=True)
+        code = main(["simulate", "--set", "basis.M=16", "--set", "sim.t_end=1.0",
+                     "--output-dir", str(run)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / name) in captured.err
 
     def test_int_in_float_field_loads(self):
         cfg = load_config(data={"params": {"nu": 1}, "sim": {"t_end": 5}})
@@ -637,6 +671,36 @@ class TestReport:
         assert captured.out == ""
         assert str(run / "spectrum.json") in captured.err
 
+    @pytest.mark.parametrize(
+        "content", ["", "t,xi_norm\n0.0,1.0\n", None], ids=["empty", "no-h_norm", "directory"]
+    )
+    def test_damaged_trajectory_exit_two(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        path = run / "trajectory.csv"
+        if content is None:
+            path.mkdir(parents=True)
+        else:
+            run.mkdir()
+            path.write_text(content)
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    def test_trajectory_with_physical_norm_column_renders(self, tmp_path):
+        # trajectory.csv files written before the column was dropped still report
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trajectory.csv").write_text(
+            "t,xi_norm,h_norm,physical_norm,mean_y,mean_z,w_1\n"
+            "0.0,0.01,0.008,0.01,-0.006,0.003,0.5\n"
+            "0.005,0.0099,0.0079,0.0099,-0.006,0.003,0.4\n"
+        )
+        assert main(["report", str(run)]) == 0
+        assert (run / "decay.dat").read_text() == (
+            "# t xi_norm h_norm\n0.0 0.01 0.008\n0.005 0.0099 0.0079\n"
+        )
+
     def test_decay_dat_holds_trajectory_columns_as_plain_numbers(self, tmp_path):
         cfg = fast_config(tmp_path / "run")
         run_pipeline(cfg)
@@ -645,7 +709,7 @@ class TestReport:
         decay = np.loadtxt(out / "decay.dat")
         data = read_trajectory_csv(out / "trajectory.csv")
         expected = np.column_stack(
-            [data[name] for name in ("t", "xi_norm", "h_norm", "physical_norm")]
+            [data[name] for name in ("t", "xi_norm", "h_norm")]
         )
         assert decay.shape == expected.shape
         assert np.array_equal(decay, expected)
@@ -658,7 +722,7 @@ class TestReport:
         out = Path(cfg.output_dir)
         render_report(out)
         data = read_trajectory_csv(out / "trajectory.csv")
-        columns = ("t", "xi_norm", "h_norm", "physical_norm")
+        columns = ("t", "xi_norm", "h_norm")
         numeric = tmp_path / "numeric.dat"
         write_table(numeric, "# " + " ".join(columns), [data[name] for name in columns], sep=" ")
         assert (out / "decay.dat").read_bytes() == numeric.read_bytes()

@@ -20,7 +20,6 @@ from phasestab.sim import (
     BlowUpError,
     ImplicitSolveError,
     _decay_norm,
-    _PhysicalMap,
     _remainder_analysis,
     _Stepper,
     fit_exponential_rate,
@@ -36,7 +35,15 @@ from phasestab.spectral import (
 )
 from phasestab.stationary import stationary_constant
 
-from oracles import apply_B, basis_function, eigenvectors, from_physical, remainder_G_expanded
+from oracles import (
+    apply_B,
+    basis_function,
+    eigenvectors,
+    from_physical,
+    physical_norm,
+    remainder_G_expanded,
+    to_physical,
+)
 
 OMEGA = (0.25, 0.75)  # the actuator interval of the world fixture
 
@@ -284,7 +291,7 @@ class TestStepImex:
     def test_mean_conservation_over_1000_steps(self, world):
         basis, _, state, plant, _, _ = world
         y0, z0 = seeded_initial_state(basis, 0.05, seed=5)
-        rec = simulate(plant, y0, z0, dt=1e-3, t_end=1.0, nonlinear=True, stat=state)
+        rec = simulate(plant, y0, z0, dt=1e-3, t_end=1.0, nonlinear=True)
         assert np.abs(rec.mean_y - rec.mean_y[0]).max() <= 1e-10
         assert np.abs(rec.mean_z - rec.mean_z[0]).max() <= 1e-10
 
@@ -495,7 +502,7 @@ class TestSimulate:
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
         rec = simulate(
             plant, y0, z0, dt=1e-3, t_end=20.0, sol=sol, act=act,
-            nonlinear=True, stat=state, record_every=10,
+            nonlinear=True, record_every=10,
         )
         assert rec.fitted_rate is not None and rec.fitted_rate > 0
         # decay consistent with the synthesized margin (the conserved means
@@ -510,7 +517,7 @@ class TestSimulate:
         v1 = eigenvectors(plant)[:, 0]
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
-        rec = simulate(plant, y0, z0, dt=1e-4, t_end=1.0, nonlinear=False, stat=state)
+        rec = simulate(plant, y0, z0, dt=1e-4, t_end=1.0, nonlinear=False)
         growth = rec.xi_norms[-1] / rec.xi_norms[0]
         assert growth == pytest.approx(np.exp(-lam1), rel=0.02)
 
@@ -521,7 +528,7 @@ class TestSimulate:
             y0, z0 = seeded_initial_state(basis, rho, seed=1234)
             rec = simulate(
                 plant, y0, z0, dt=1e-3, t_end=20.0, sol=sol, act=act,
-                nonlinear=True, stat=state, record_every=20,
+                nonlinear=True, record_every=20,
             )
             rates.append(rec.fitted_rate)
         assert abs(rates[0] - rates[1]) <= 0.1 * rates[0]
@@ -532,7 +539,7 @@ class TestSimulate:
 
         def final(dt):
             rec = simulate(
-                plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state,
+                plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True,
                 scheme="imex1",
             )
             return np.concatenate(
@@ -566,7 +573,7 @@ class TestSimulate:
 
         def final(dt):
             rec = simulate(
-                plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True, stat=state,
+                plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True,
                 scheme="imex2",
             )
             return np.concatenate(
@@ -585,7 +592,7 @@ class TestSimulate:
         basis, _, state, plant, act, sol = world
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=3)
         rec = simulate(
-            plant, y0, z0, dt=5e-3, t_end=0.5, sol=sol, act=act, stat=state,
+            plant, y0, z0, dt=5e-3, t_end=0.5, sol=sol, act=act,
             scheme=scheme, record_every=7,
         )
         x0 = np.concatenate([y0.coeffs, z0.coeffs])
@@ -606,7 +613,7 @@ class TestSimulate:
 
         def final_norm(dt):
             rec = simulate(
-                plant, y0, z0, dt=dt, t_end=2.0, sol=sol, act=act, stat=state,
+                plant, y0, z0, dt=dt, t_end=2.0, sol=sol, act=act,
                 scheme="imex2",
             )
             return rec.xi_norms[-1]
@@ -631,7 +638,7 @@ class TestSimulate:
 
         def final_norm(dt):
             rec = simulate(
-                m.plant, y0, z0, dt=dt, t_end=5.0, sol=sol, act=m.act, stat=m.stat,
+                m.plant, y0, z0, dt=dt, t_end=5.0, sol=sol, act=m.act,
                 scheme="imex2", record_every=int(round(0.1 / dt)),
             )
             return rec.xi_norms[-1]
@@ -667,7 +674,7 @@ class TestSimulate:
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", 1.0 + 1e-4)
         with pytest.raises(BlowUpError) as info:
-            simulate(plant, y0, z0, dt=1e-3, t_end=5.0, nonlinear=False, stat=state)
+            simulate(plant, y0, z0, dt=1e-3, t_end=5.0, nonlinear=False)
         assert info.value.norm > 0
         assert 0 < info.value.t <= 5.0
 
@@ -680,7 +687,7 @@ class TestSimulate:
         with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
             simulate(
                 plant, y0, z0, dt=1e-3, t_end=2.0, sol=sol, act=act,
-                stat=state, record_every=record_every,
+                record_every=record_every,
             )
         assert not np.isfinite(info.value.norm)
         with np.errstate(all="ignore"):
@@ -704,7 +711,7 @@ class TestSimulate:
         monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", factor)
         with pytest.raises(BlowUpError) as info:
             simulate(
-                plant, y0, z0, dt=dt, t_end=t_end, nonlinear=False, stat=state,
+                plant, y0, z0, dt=dt, t_end=t_end, nonlinear=False,
                 record_every=record_every,
             )
         t, norm = first_guard_crossing(
@@ -728,13 +735,13 @@ class TestSimulate:
         ],
     )
     def test_sparse_recording_matches_every_step(self, world, every, n_steps):
-        basis, params, state, plant, act, sol = world
+        basis, _, state, plant, act, sol = world
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
 
         def run(record_every):
             return simulate(
                 plant, y0, z0, dt=1e-3, t_end=n_steps * 1e-3, sol=sol, act=act,
-                stat=state, record_every=record_every,
+                record_every=record_every,
             )
 
         full, sparse = run(1), run(every)
@@ -742,16 +749,15 @@ class TestSimulate:
         assert len(sparse.times) == n_steps // every + 1 + (n_steps % every != 0)
         assert len(sparse.times) == len(rows)
         for name in (
-            "times", "xi_norms", "h_norms", "physical_norms",
-            "mean_y", "mean_z", "control_amplitudes",
+            "times", "xi_norms", "h_norms", "mean_y", "mean_z", "control_amplitudes",
         ):
             np.testing.assert_array_equal(getattr(sparse, name), getattr(full, name)[rows])
         # the last step is recorded once, also when it is not a multiple of every
         assert np.count_nonzero(sparse.times == full.times[-1]) == 1
         assert np.all(np.diff(sparse.times) > 0)
         final = sparse.final_state
-        assert sparse.physical_norms[-1] == _PhysicalMap(state, params).deviation_norm(
-            final.y.coeffs, final.z.coeffs
+        assert sparse.xi_norms[-1] == _decay_norm(
+            basis, np.concatenate([final.y.coeffs, final.z.coeffs])
         )
 
     def test_control_forcing_localized_along_run(self, world):
@@ -761,7 +767,7 @@ class TestSimulate:
         y0, z0 = seeded_initial_state(basis, 1e-2, seed=9)
         rec = simulate(
             plant, y0, z0, dt=1e-3, t_end=0.2, sol=sol, act=act,
-            nonlinear=True, stat=state,
+            nonlinear=True,
         )
         outside = (basis.nodes <= OMEGA[0]) | (basis.nodes >= OMEGA[1])
         for i in range(0, len(rec.times), 20):
@@ -781,7 +787,7 @@ class TestPhysicalMap:
     def test_zero_state_maps_to_target(self, nontrivial):
         basis, params, state = nontrivial
         zero = np.zeros(basis.M)
-        phi, theta = _PhysicalMap(state, params).to_physical(zero, zero)
+        phi, theta = to_physical(zero, zero, state, params)
         assert np.abs(ScalarField(basis, phi).values - 1.0).max() < 1e-12
         assert np.abs(ScalarField(basis, theta).values - 0.3).max() < 1e-12
 
@@ -789,7 +795,7 @@ class TestPhysicalMap:
         basis, params, state = nontrivial
         rng = np.random.default_rng(10)
         y, z = rng.standard_normal((2, basis.M))
-        phi, theta = _PhysicalMap(state, params).to_physical(y, z)
+        phi, theta = to_physical(y, z, state, params)
         y_back, z_back = from_physical(phi, theta, state, params)
         assert np.abs(y_back - y).max() < 1e-12
         assert np.abs(z_back - z).max() < 1e-12
@@ -805,12 +811,13 @@ class TestPhysicalMap:
         assert np.abs(z - (theta + phi)).max() < 1e-12
 
     def test_theorem_norm_identity(self, nontrivial):
+        # the decay norm of (y, z) is the theorem's norm of (phi, theta), row by row
         basis, params, state = nontrivial
         rng = np.random.default_rng(12)
-        y, z = 0.01 * rng.standard_normal((2, basis.M))
-        assert _PhysicalMap(state, params).deviation_norm(y, z) == pytest.approx(
-            graph_norm(basis, y, 0.5) + graph_norm(basis, z, 0.25), abs=1e-12
-        )
+        x = 0.01 * rng.standard_normal((16, 2 * basis.M))
+        y, z = x[:, : basis.M], x[:, basis.M :]
+        phys = physical_norm(*to_physical(y, z, state, params), state, params)
+        np.testing.assert_allclose(phys, _decay_norm(basis, x), rtol=0, atol=1e-12)
 
     @given(
         M=st.sampled_from([8, 16, 64, 256]),
@@ -833,49 +840,41 @@ class TestPhysicalMap:
         # simulate evaluates its recorded norms on blocks of rows: each row of
         # a k-row stack must get the bits of the one-row call
         basis = SpectralBasis(L=1.0, M=M)
-        params = PhysicalParams(nu=0.2, l0=2.0, gamma0=0.5)
-        phys = _PhysicalMap(stationary_constant(+1, theta=0.3, basis=basis), params)
         rng = np.random.default_rng(k)
         x = rng.standard_normal((k, 2 * M)) * np.tile(basis.mu, 2) ** -1.0
-        y, z = x[:, :M], x[:, M:]
-        xi, dev = _decay_norm(basis, x), phys.deviation_norm(y, z)
-        assert xi.shape == dev.shape == (k,)
+        xi, h = _decay_norm(basis, x), _weighted_norm(1.0, x[:, :M])
+        assert xi.shape == h.shape == (k,)
         for i in range(k):
             assert xi[i] == _decay_norm(basis, x[i])
-            assert dev[i] == phys.deviation_norm(y[i], z[i])
+            assert h[i] == _weighted_norm(1.0, x[i, :M])
 
     def test_norms_into_buffers_allocate_nothing_of_block_size(self):
-        # simulate's record pass hands the norms one-per-row outputs and
-        # (rows, M) scratches allocated once: the bits stay those of the
+        # simulate's record pass hands the norms one-per-row outputs and one
+        # (rows, M) scratch allocated once: the bits stay those of the
         # allocating calls, and what is allocated is NumPy's ufunc iterator
         # buffers (at most 8192 values each), not arrays of a block's size
         M = 256
         basis = SpectralBasis(L=1.0, M=M)
-        params = PhysicalParams(nu=0.2, l0=2.0, gamma0=0.5)
-        phys = _PhysicalMap(stationary_constant(+1, theta=0.3, basis=basis), params)
         k = 256
         x = np.random.default_rng(M).standard_normal((k, 2 * M)) * np.tile(basis.mu, 2) ** -1.0
-        y, z = x[:, :M], x[:, M:]
-        xi, h, dev, scratch = np.empty(k), np.empty(k), np.empty(k), np.empty((3, k, M))
+        y = x[:, :M]
+        xi, h, scratch = np.empty(k), np.empty(k), np.empty((k, M))
         tracemalloc.start()
         try:
-            _decay_norm(basis, x, xi, scratch[0])
-            _weighted_norm(1.0, y, h, scratch[0])
-            phys.deviation_norm(y, z, dev, scratch)
+            _decay_norm(basis, x, xi, scratch)
+            _weighted_norm(1.0, y, h, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < k * M * 8 // 2
         assert xi.tobytes() == _decay_norm(basis, x).tobytes()
         assert h.tobytes() == _weighted_norm(1.0, y).tobytes()
-        assert dev.tobytes() == phys.deviation_norm(y, z).tobytes()
 
     def test_zero_deviation_norm(self, nontrivial):
         basis, params, state = nontrivial
         zero = np.zeros(basis.M)
-        assert _PhysicalMap(state, params).deviation_norm(zero, zero) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        phi, theta = to_physical(zero, zero, state, params)
+        assert physical_norm(phi, theta, state, params) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestFitting:
