@@ -14,9 +14,9 @@ import json
 import numpy as np
 
 from phasestab.cli import build_materials
-from phasestab.config import SimConfig
+from phasestab.config import NumericalError, SimConfig
 from phasestab.lqr import solve_care
-from phasestab.sim import BlowUpError, seeded_initial_state, simulate
+from phasestab.sim import seeded_initial_state, simulate
 
 
 def main() -> None:
@@ -51,9 +51,10 @@ def main() -> None:
                 }
             )
             status = f"rate={rec.fitted_rate}"
-        except BlowUpError as exc:
-            rows.append({"rho": float(rho), "decayed": False, "blowup_t": exc.t})
-            status = f"blow-up at t={exc.t:.2f}"
+        except NumericalError as exc:
+            t = exc.facts.get("t")
+            rows.append({"rho": float(rho), "decayed": False, "blowup_t": t})
+            status = f"failed: {exc}" if t is None else f"blow-up at t={t:.2f}"
         print(f"rho={rho:.3e}  {status}")
 
     decayed = [r["rho"] for r in rows if r.get("decayed")]

@@ -9,14 +9,13 @@ the nonlinear closed loop.
 
 from .actuator import (
     Actuator,
-    GramianConditionError,
     NullControlPlan,
     build_actuator,
     bump_weight,
     kalman_certificate,
     null_control,
 )
-from .config import ConfigError, SimConfig, load_config, save_config
+from .config import ConfigError, NumericalError, SimConfig, load_config, save_config
 from .linearization import (
     F_second_parts,
     LinearizedPlant,
@@ -24,13 +23,10 @@ from .linearization import (
     assemble_plant,
 )
 from .lqr import (
-    RiccatiError,
     RiccatiSolution,
     solve_care,
 )
 from .sim import (
-    BlowUpError,
-    ImplicitSolveError,
     StateYZ,
     TrajectoryRecord,
     simulate,

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import NumericalError
 from .linearization import LinearizedPlant
 from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
 
@@ -47,7 +48,6 @@ __all__ = [
     "Actuator",
     "KalmanCertificate",
     "NullControlPlan",
-    "GramianConditionError",
     "bump_weight",
     "build_actuator",
     "kalman_certificate",
@@ -57,10 +57,6 @@ __all__ = [
 GRAMIAN_CONDITION_LIMIT = 1e12
 # Gauss-Legendre nodes of the null control's samples and steering residual
 NULL_CONTROL_NODES = 512
-
-
-class GramianConditionError(RuntimeError):
-    """Steering Gramian too ill-conditioned to invert reliably."""
 
 
 def bump_weight(omega: tuple[float, float], basis: SpectralBasis) -> ScalarField:
@@ -223,7 +219,7 @@ def null_control(
         raise ValueError(f"horizon must be positive, got {T0}")
     cert = kalman_certificate(act)
     if not cert.ok:
-        raise GramianConditionError(
+        raise NumericalError(
             f"coupling matrix is numerically singular (lambda_min={cert.lambda_min:.3e})"
         )
     xi0 = np.asarray(xi0, dtype=float)
@@ -234,7 +230,7 @@ def null_control(
     G = _gramian_closed_form(lambdas, D, T0)
     cond = float(np.linalg.cond(G))
     if cond > GRAMIAN_CONDITION_LIMIT:
-        raise GramianConditionError(
+        raise NumericalError(
             f"steering Gramian condition {cond:.3e} exceeds {GRAMIAN_CONDITION_LIMIT:.0e}"
         )
     eta = np.linalg.solve(G, -np.exp(-lambdas * T0) * xi0)

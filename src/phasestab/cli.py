@@ -27,13 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import lqr
-from .actuator import (
-    Actuator,
-    GramianConditionError,
-    build_actuator,
-    null_control,
+from .actuator import Actuator, build_actuator, null_control
+from .config import (
+    ConfigError,
+    NumericalError,
+    SimConfig,
+    apply_override,
+    load_config,
+    save_config,
 )
-from .config import ConfigError, SimConfig, apply_override, load_config, save_config
 # read_trajectory_csv is unused here, but phasebench's tracer wraps it by
 # name in this module's namespace
 from .io import (  # noqa: F401
@@ -45,17 +47,10 @@ from .io import (  # noqa: F401
     write_trajectory_csv,
 )
 from .linearization import LinearizedPlant, PhysicalParams, assemble_plant
-from .lqr import RiccatiError, RiccatiSolution, solve_care
-from .sim import (
-    BlowUpError,
-    ImplicitSolveError,
-    TrajectoryRecord,
-    seeded_initial_state,
-    simulate,
-)
+from .lqr import RiccatiSolution, solve_care
+from .sim import TrajectoryRecord, seeded_initial_state, simulate
 from .spectral import ScalarField, SpectralBasis
 from .stationary import (
-    StationaryConvergenceError,
     StationaryState,
     chi_infinity,
     gbar_infinity,
@@ -458,14 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an artifact path that is a directory, or unwritable
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (
-        RiccatiError,
-        GramianConditionError,
-        StationaryConvergenceError,
-        BlowUpError,
-        ImplicitSolveError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,8 @@
-"""Run configuration: a versioned, JSON-serializable bundle of settings."""
+"""Run configuration: a versioned, JSON-serializable bundle of settings.
+
+It also defines the two failures that set the command line's exit codes:
+``ConfigError`` (2, an unusable config or path) and ``NumericalError`` (3).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from pathlib import Path
 
 __all__ = [
     "ConfigError",
+    "NumericalError",
     "ParamsConfig",
     "BasisConfig",
     "StationaryConfig",
@@ -26,6 +31,17 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 2."""
+
+
+class NumericalError(RuntimeError):
+    """A stage's numerics failed; maps to CLI exit code 3.
+
+    The keyword facts (a time, a residual, an iterate log) are kept in ``facts``.
+    """
+
+    def __init__(self, message: str, **facts):
+        super().__init__(message)
+        self.facts = facts
 
 
 @dataclass

@@ -70,25 +70,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuator import Actuator
+from .config import NumericalError
 from .linearization import LinearizedPlant
 
 __all__ = [
     "RiccatiSolution",
-    "RiccatiError",
     "solve_care",
 ]
 
 # the gain cache's key in cli holds this with the config; a change that gives
 # a different R for an unchanged config bumps it, so no older gain.npz is reused
 SOLVER_VERSION = 1
-
-
-class RiccatiError(RuntimeError):
-    """Riccati solve failed; carries the iterate log for diagnosis."""
-
-    def __init__(self, message: str, history: list[dict] | None = None):
-        super().__init__(message)
-        self.history = history or []
 
 
 @dataclass
@@ -140,7 +132,7 @@ def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray
     eigvals, eigvecs = np.linalg.eig(H)
     stable = eigvals.real < 0
     if stable.sum() != n:
-        raise RiccatiError(
+        raise NumericalError(
             f"Hamiltonian has {int(stable.sum())} stable eigenvalues, expected {n}"
         )
     basis = eigvecs[:, stable]
@@ -148,7 +140,7 @@ def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray
     try:
         P = np.real(Y @ np.linalg.solve(X, np.eye(n, dtype=complex)))
     except np.linalg.LinAlgError:
-        raise RiccatiError(
+        raise NumericalError(
             "stable invariant subspace is degenerate; the unstable block is "
             "not stabilizable through this actuator"
         )
@@ -164,15 +156,15 @@ def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
 
     Y, scale, info = scipy.linalg.lapack.dtrsyl(A, B, C, tranb="T")
     if info < 0:
-        raise RiccatiError(f"trsyl rejected its argument {-info}")
+        raise NumericalError(f"trsyl rejected its argument {-info}")
     if info == 1:
-        raise RiccatiError(
+        raise NumericalError(
             "trsyl perturbed a near-zero eigenvalue sum lambda_i + lambda_j; "
             "the Lyapunov operator is (nearly) singular"
         )
     if scale != 1.0:
         # LAPACK solves for scale * C to avoid overflow
-        raise RiccatiError(f"trsyl scaled the right-hand side by {scale:.3e}")
+        raise NumericalError(f"trsyl scaled the right-hand side by {scale:.3e}")
     C[...] = Y
 
 
@@ -234,7 +226,7 @@ def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, floa
     A_u = -(np.diag(act.lambdas) + PD @ D.T)
     margin = -float(np.max(np.concatenate([np.linalg.eigvals(A_u).real, -lam_s])))
     if margin <= 0.0:
-        raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
+        raise NumericalError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
     C = -PD @ plant.to_eigenbasis(act.B_matrix).T  # its stable columns are T's coupling block
     # mode k's block of V^T Q V and of Y_SS, zero where a branch is unstable
     QV = (Q_diag.reshape(2, M, 1, 1) * (rot[:, :, :, None] * rot[:, :, None, :])).sum(axis=0)
@@ -286,7 +278,7 @@ def _dense_step(
     T, Z = scipy.linalg.schur((-A_op - B @ K).T, output="real")
     margin = -float(np.max(np.diag(T)))
     if margin <= 0.0:
-        raise RiccatiError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
+        raise NumericalError(f"the closed loop lost the stabilizing property (margin {margin:.3e})")
     Y = Z.T @ (-(np.diag(Q_diag) + K.T @ K)) @ Z
     _sylvester_schur(T, T, Y)
     X = Z @ Y @ Z.T
@@ -304,7 +296,9 @@ def _solve_care_core(
     formed in the eigenbasis (``_first_step``); each later iterate factors
     the dense closed loop of the previous one's gain (``_dense_step``), for
     at most max(max_iters, 1) iterates.  The dense Op is formed once, for
-    the first of those later iterates.
+    the first of those later iterates.  A step's NumericalError is raised
+    again as ``iterate {it}: ...``, with the earlier iterates' log as the
+    fact ``history``.
     """
     B, Q_diag = act.B_matrix, plant.state_weight_diagonal()
     history: list[dict] = []
@@ -316,8 +310,8 @@ def _solve_care_core(
                 if it == 1:
                     A_op = plant.operator_matrix()
                 X, margin = _dense_step(A_op, B, Q_diag, B.T @ X)
-        except RiccatiError as exc:
-            raise RiccatiError(f"iterate {it}: {exc}", history) from exc
+        except NumericalError as exc:
+            raise NumericalError(f"iterate {it}: {exc}", history=history) from exc
         # identical probe set every iteration so residuals are comparable
         res = _probe_residual(
             X, plant.apply_operator, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
@@ -390,7 +384,7 @@ def _margin(lam: np.ndarray, b: np.ndarray, k: np.ndarray) -> float:
                     return float(z.real)
                 break
         if m == n:
-            raise RiccatiError("the closed-loop margin iteration did not settle")
+            raise NumericalError("the closed-loop margin iteration did not settle")
         m = min(2 * m, n)
 
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuator import Actuator
-from .config import RunConfig
+from .config import NumericalError, RunConfig
 from .linearization import LinearizedPlant
 from .lqr import RiccatiSolution
 from .spectral import ScalarField, _cosine_matrix, _weighted_norm
@@ -74,8 +74,6 @@ from .stationary import StationaryState
 __all__ = [
     "StateYZ",
     "TrajectoryRecord",
-    "BlowUpError",
-    "ImplicitSolveError",
     "simulate",
     "fit_exponential_rate",
     "seeded_initial_state",
@@ -98,19 +96,6 @@ class StateYZ:
     y: ScalarField
     z: ScalarField
     t: float = 0.0
-
-
-class BlowUpError(RuntimeError):
-    """Trajectory norm exceeded the blow-up guard."""
-
-    def __init__(self, message: str, t: float, norm: float):
-        super().__init__(message)
-        self.t = t
-        self.norm = norm
-
-
-class ImplicitSolveError(ValueError):
-    """The implicit closed-loop solve of a step is singular or ill conditioned."""
 
 
 def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
@@ -235,7 +220,7 @@ class _Stepper:
     evaluates their block inverses together, checks their capacitance
     matrices with one stacked SVD and forms their -C^{-1} K with one stacked
     solve; ``diag``, ``off``, ``JU`` and ``minus_S`` hold one entry per
-    theta.  It raises ImplicitSolveError, before any division, when a block
+    theta.  It raises NumericalError, before any division, when a block
     is not invertible at theta = dt, and when a capacitance matrix is ill
     conditioned.
 
@@ -283,7 +268,7 @@ class _Stepper:
         # and det(I + theta A_k) > 0 at theta = dt keeps it positive for
         # smaller theta, so the bound on dt is the same for both
         if not np.min(det[0]) >= 1e-12:
-            raise ImplicitSolveError(
+            raise NumericalError(
                 f"implicit blocks lose invertibility at dt = {dt:.3e} (min det "
                 f"{np.min(det[0]):.3e}); keep dt below {self._dt_bound(blocks):.3e} "
                 f"for {scheme}"
@@ -304,7 +289,7 @@ class _Stepper:
             for smin, norm_KJU in zip(sv[:S, -1], sv[S:, 0]):
                 cond = (1.0 + norm_KJU) / smin if smin > 0 else np.inf
                 if not cond <= CAPACITANCE_COND_MAX:
-                    raise ImplicitSolveError(
+                    raise NumericalError(
                         f"capacitance matrix I + K J theta B of the implicit feedback has "
                         f"condition number {cond:.3e} at dt = {dt:.3e}, above "
                         f"{CAPACITANCE_COND_MAX:.0e}; reduce dt"
@@ -496,10 +481,11 @@ def simulate(
 
     One ``_Stepper`` is built per call, and its ``run`` loop yields the
     state and the feedback amplitudes of every recorded step; the rows wait
-    in a block buffer for their norm pass.  The decay rate is fitted on log(xi norm) over the second half of the
-    run, [t_end / 2, t_end].  Raises BlowUpError at the first recorded row
-    whose decay norm exceeds ``BLOWUP_FACTOR`` times its initial value or
-    stops being finite; rows are checked once per block of
+    in a block buffer for their norm pass.  The decay rate is fitted on
+    log(xi norm) over the second half of the run, [t_end / 2, t_end].
+    Raises NumericalError, with facts ``t`` and ``norm``, at the first
+    recorded row whose decay norm exceeds ``BLOWUP_FACTOR`` times its
+    initial value or stops being finite; rows are checked once per block of
     ``_RECORD_BLOCK``, so up to one block of further steps runs first.
     ``stat`` is not used; it stays for callers that still pass it.
     """
@@ -542,7 +528,7 @@ def simulate(
         if over.size:
             row = first + skip + int(over[0])
             t = float(times[row])
-            raise BlowUpError(
+            raise NumericalError(
                 f"decay norm {xi_s[row]:.3e} at t={t:.3f} is not finite or exceeds "
                 f"{BLOWUP_FACTOR:.0e} x initial {xi0:.3e}",
                 t=t,

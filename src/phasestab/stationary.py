@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import NumericalError
 from .spectral import (
     ScalarField,
     SpectralBasis,
@@ -37,21 +38,11 @@ from .spectral import (
 
 __all__ = [
     "StationaryState",
-    "StationaryConvergenceError",
     "stationary_constant",
     "stationary_minimize",
     "chi_infinity",
     "gbar_infinity",
 ]
-
-
-class StationaryConvergenceError(RuntimeError):
-    """Pseudo-transient continuation failed to reach the requested residual tolerance."""
-
-    def __init__(self, message: str, last_residual: float, iterations: int):
-        super().__init__(message)
-        self.last_residual = last_residual
-        self.iterations = iterations
 
 
 @dataclass
@@ -132,7 +123,8 @@ def stationary_minimize(
     the solve on the best iterate.  ``max_iters`` counts every step,
     accepted or rejected.
 
-    Raises StationaryConvergenceError if the residual tolerance is not met.
+    Raises NumericalError, with facts ``last_residual`` and ``iterations``,
+    if the residual tolerance is not met.
     """
     basis = init.basis
     phi = np.array(init.coeffs, dtype=float)
@@ -164,7 +156,7 @@ def stationary_minimize(
         jac = _jacobian(basis, phi, nu)
 
     if res > tol:
-        raise StationaryConvergenceError(
+        raise NumericalError(
             f"pseudo-transient continuation stalled at residual {res:.3e} after"
             f" {it} steps (tolerance {tol:.1e})",
             last_residual=res,

@@ -97,6 +97,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasestab import lqr
+from phasestab.config import NumericalError
 from phasestab.spectral import ScalarField, _coeffs_from_grid, _values_on_grid, gradient_values
 
 
@@ -310,7 +311,7 @@ def _care_integrate(
         P = P_new
         if delta <= tol_steady:
             return P, step
-    raise lqr.RiccatiError(f"differential Riccati marching did not settle in {max_steps} steps")
+    raise NumericalError(f"differential Riccati marching did not settle in {max_steps} steps")
 
 
 def _integrated_R(B: np.ndarray, Q_diag: np.ndarray, lam: np.ndarray, V: np.ndarray):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from phasestab import lqr
 from phasestab.actuator import build_actuator
 from phasestab.cli import build_materials
-from phasestab.config import SimConfig
+from phasestab.config import NumericalError, SimConfig
 from phasestab.linearization import PhysicalParams, assemble_plant
-from phasestab.lqr import RiccatiError, solve_care
+from phasestab.lqr import solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
 
@@ -87,7 +87,7 @@ class TestScalarOracles:
         assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
 
     def test_uncontrollable_unstable_raises(self):
-        with pytest.raises(RiccatiError):
+        with pytest.raises(NumericalError):
             solve_care_dense(np.array([[-1.0]]), np.array([[0.0]]), np.array([1.0]))
 
 
@@ -249,7 +249,7 @@ class TestLyapunovSchur:
         # Sylvester leaf (n = 100) meets a singular operator
         T = np.diag(np.linspace(-2.0, -0.5, n))
         T[0, 0], T[-1, -1] = 1.0, -1.0
-        with pytest.raises(RiccatiError, match="trsyl"):
+        with pytest.raises(NumericalError, match="trsyl"):
             lqr._sylvester_schur(T, T, np.eye(n))
 
 
@@ -395,7 +395,7 @@ class TestNewtonSchur:
     def test_destabilizing_gain_rejected(self, problem):
         _, plant, act = problem
         B = act.B_matrix
-        with pytest.raises(RiccatiError, match="lost the stabilizing property"):
+        with pytest.raises(NumericalError, match="lost the stabilizing property"):
             lqr._dense_step(
                 plant.operator_matrix(), B, plant.state_weight_diagonal(), -10.0 * B.T
             )
@@ -404,20 +404,20 @@ class TestNewtonSchur:
     def test_unstable_complex_pair_rejected(self, re):
         # the real part of a complex pair sits on its 2x2 block's diagonal
         A = np.array([[re, 1.0, 0.0], [-1.0, re, 0.0], [0.0, 0.0, -1.0]])
-        with pytest.raises(RiccatiError, match="lost the stabilizing property"):
+        with pytest.raises(NumericalError, match="lost the stabilizing property"):
             lqr._dense_step(-A, np.zeros((3, 1)), np.ones(3), np.zeros((1, 3)))
 
     def test_step_failure_names_iterate_and_carries_history(self, monkeypatch, problem):
         _, plant, act = problem
 
         def failing_step(*args):
-            raise RiccatiError("the closed loop lost the stabilizing property")
+            raise NumericalError("the closed loop lost the stabilizing property")
 
         monkeypatch.setattr(lqr, "_dense_step", failing_step)
-        with pytest.raises(RiccatiError, match="^iterate 1: the closed loop") as info:
+        with pytest.raises(NumericalError, match="^iterate 1: the closed loop") as info:
             lqr._solve_care_core(plant, act, tol=0.0, max_iters=3)
         # the first step's probe entry, and nothing of the failed iterate
-        assert len(info.value.history) == 1
+        assert len(info.value.facts["history"]) == 1
 
     def test_later_steps_match_schur_newton_kleinman(self):
         # at M = 16 the probe asks for two dense steps; the one loop gives the

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from phasestab.actuator import build_actuator
 from phasestab.cli import build_materials
-from phasestab.config import SimConfig
+from phasestab.config import NumericalError, SimConfig
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import (
     _RECORD_BLOCK,
     BLOWUP_FACTOR,
     NORM_FLOOR,
-    BlowUpError,
-    ImplicitSolveError,
     _decay_norm,
     _remainder_analysis,
     _Stepper,
@@ -306,7 +304,7 @@ class TestStepImex:
         # invertibility of I + dt * block
         basis, _, state, plant, _, _ = world
         zero = ScalarField.constant(basis, 0.0)
-        with pytest.raises(ValueError, match="invertibility"):
+        with pytest.raises(NumericalError, match="invertibility"):
             simulate(plant, zero, zero, dt=20.0, t_end=20.0)
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
@@ -316,7 +314,7 @@ class TestStepImex:
         zero = ScalarField.constant(basis, 0.0)
         bound = _Stepper._dt_bound(plant.A_blocks)
         message = re.escape(f"keep dt below {bound:.3e} for {scheme}")
-        with pytest.raises(ImplicitSolveError, match=message):
+        with pytest.raises(NumericalError, match=message):
             simulate(plant, zero, zero, dt=1.1 * bound, t_end=1.1 * bound, scheme=scheme)
         simulate(plant, zero, zero, dt=0.9 * bound, t_end=0.9 * bound, scheme=scheme)
 
@@ -328,7 +326,7 @@ class TestStepImex:
         JU = _Stepper(plant, dt, sol, act, True, "imex1").JU[0]
         bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
         zero = ScalarField.constant(basis, 0.0)
-        with pytest.raises(ImplicitSolveError, match="capacitance"):
+        with pytest.raises(NumericalError, match="capacitance"):
             simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act)
 
     def test_singular_sbdf2_capacitance_rejected(self, world):
@@ -339,7 +337,7 @@ class TestStepImex:
         JU = _Stepper(plant, dt, sol, act, True, "imex2").JU[1]
         bad = dataclasses.replace(sol, K_gain=-np.linalg.pinv(JU))
         zero = ScalarField.constant(basis, 0.0)
-        with pytest.raises(ImplicitSolveError, match="capacitance"):
+        with pytest.raises(NumericalError, match="capacitance"):
             simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act, scheme="imex2")
         simulate(plant, zero, zero, dt=dt, t_end=dt, sol=bad, act=act, scheme="imex1")
 
@@ -673,10 +671,10 @@ class TestSimulate:
         y0 = ScalarField(basis, 1e-3 * v1[:64])
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", 1.0 + 1e-4)
-        with pytest.raises(BlowUpError) as info:
+        with pytest.raises(NumericalError) as info:
             simulate(plant, y0, z0, dt=1e-3, t_end=5.0, nonlinear=False)
-        assert info.value.norm > 0
-        assert 0 < info.value.t <= 5.0
+        assert info.value.facts["norm"] > 0
+        assert 0 < info.value.facts["t"] <= 5.0
 
     @pytest.mark.parametrize("record_every", [50, 100, 1000])
     def test_blowup_guard_catches_non_finite_norm(self, world, record_every):
@@ -684,18 +682,18 @@ class TestSimulate:
         # "norm > factor * initial" comparison lets through
         basis, _, state, plant, act, sol = world
         y0, z0 = seeded_initial_state(basis, 10.0, seed=1234)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
             simulate(
                 plant, y0, z0, dt=1e-3, t_end=2.0, sol=sol, act=act,
                 record_every=record_every,
             )
-        assert not np.isfinite(info.value.norm)
+        assert not np.isfinite(info.value.facts["norm"])
         with np.errstate(all="ignore"):
             t, norm = first_guard_crossing(
                 plant, y0, z0, 1e-3, 2.0, sol, act, True, record_every, BLOWUP_FACTOR
             )
-        assert info.value.t == t
-        np.testing.assert_equal(info.value.norm, norm)
+        assert info.value.facts["t"] == t
+        np.testing.assert_equal(info.value.facts["norm"], norm)
 
     @pytest.mark.parametrize("record_every", [1, 3])
     def test_blowup_guard_reports_first_row_past_bound_inside_a_block(
@@ -709,7 +707,7 @@ class TestSimulate:
         z0 = ScalarField(basis, 1e-3 * v1[64:])
         dt, t_end, factor = 0.05, 50.0, 10.0
         monkeypatch.setattr("phasestab.sim.BLOWUP_FACTOR", factor)
-        with pytest.raises(BlowUpError) as info:
+        with pytest.raises(NumericalError) as info:
             simulate(
                 plant, y0, z0, dt=dt, t_end=t_end, nonlinear=False,
                 record_every=record_every,
@@ -717,8 +715,8 @@ class TestSimulate:
         t, norm = first_guard_crossing(
             plant, y0, z0, dt, t_end, None, None, False, record_every, factor
         )
-        assert info.value.t == t
-        assert info.value.norm == norm
+        assert info.value.facts["t"] == t
+        assert info.value.facts["norm"] == norm
         row = round(t / dt) // record_every
         assert row % _RECORD_BLOCK not in (0, _RECORD_BLOCK - 1)
 
