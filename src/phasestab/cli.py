@@ -49,7 +49,7 @@ from .io import (  # noqa: F401
 from .linearization import LinearizedPlant, PhysicalParams, assemble_plant
 from .lqr import RiccatiSolution, solve_care
 from .sim import TrajectoryRecord, seeded_initial_state, simulate
-from .spectral import ScalarField, SpectralBasis
+from .spectral import ScalarField, SpectralBasis, _values_on_grid
 from .stationary import (
     StationaryState,
     chi_infinity,
@@ -93,6 +93,10 @@ def build_materials(cfg: SimConfig) -> Materials:
 
 
 def stage_stationary(m: Materials, outdir: Path) -> dict:
+    # the largest |g| on the dealiasing grid: the plant leaves the linear term
+    # Lap(g y) to the remainder, so the synthesized margin is the true loop's
+    # only when it is 0
+    g = _values_on_grid(m.basis, m.plant.g.coeffs, 2 * m.basis.M)
     summary = {
         "C": m.stat.C_lagrange,
         "residual": m.stat.residual,
@@ -101,6 +105,7 @@ def stage_stationary(m: Materials, outdir: Path) -> dict:
         "gbar_inf": gbar_infinity(m.stat),
         "theta_inf": m.stat.theta_inf,
         "mean_phi": m.stat.phi_inf.mean,
+        "g_max": float(np.max(np.abs(g))),
     }
     phi = m.stat.phi_inf
     write_table(outdir / "stationary_phi_modes.csv", "k,coeff", [np.arange(m.basis.M), phi.coeffs])
@@ -316,6 +321,7 @@ def render_report(run_dir: Path) -> str:
             add("stationary_residual", stationary["residual"], "{:.3e}")
             add("chi_inf", stationary["chi_inf"])
             add("gbar_inf", stationary["gbar_inf"])
+            add("g_max", stationary.get("g_max"))
 
     with _run_file(run_dir / "controllability.json") as controllability:
         if controllability is not None:

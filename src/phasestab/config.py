@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# most rows a run may record (sim.t_end / sim.dt / sim.record_every): at this
+# bound and N = 3 the record arrays hold 8 doubles a row, 640 MB
+MAX_RECORDED_ROWS = 10**7
 
 
 class ConfigError(ValueError):
@@ -154,6 +157,13 @@ class SimConfig:
             raise ConfigError(f"sim.scheme must be 'imex1' or 'imex2', got {run.scheme!r}")
         if run.record_every < 1:
             raise ConfigError(f"sim.record_every must be >= 1, got {run.record_every}")
+        # one float quotient against an exact int: no conversion can overflow
+        if run.t_end / run.dt > MAX_RECORDED_ROWS * run.record_every:
+            raise ConfigError(
+                f"sim.t_end / sim.dt / sim.record_every asks for "
+                f"{run.t_end / run.dt / run.record_every:.3e} recorded rows, above "
+                f"{MAX_RECORDED_ROWS:.0e}"
+            )
         return self
 
 

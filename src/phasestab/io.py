@@ -10,6 +10,7 @@ a whole table's text in memory.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +72,31 @@ def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None
 
     The fields are copied as text: ``write_table`` already wrote them as
     shortest round-trip reprs, so parsing them would give them back unchanged.
+    A field that ``float`` rejects raises ValueError, and a short row
+    IndexError.  The rows go to a temporary file beside dat_path, which
+    replaces dat_path only once every row is copied.
     """
-    with open(csv_path) as src, open(dat_path, "w") as dst:
-        header = src.readline().rstrip("\n").split(",")
-        picks = [header.index(name) for name in names]
-        # fields past the last picked column are never split apart
-        stop = max(picks, default=-1) + 1
-        dst.write("# " + " ".join(names) + "\n")
-        dst.writelines(
-            " ".join([fields[j] for j in picks]) + "\n"
-            for fields in (line.rstrip("\n").split(",", stop) for line in src)
-        )
+    tmp = Path(f"{dat_path}.tmp")
+    try:
+        with open(csv_path) as src, open(tmp, "w") as dst:
+            header = src.readline().rstrip("\n").split(",")
+            picks = [header.index(name) for name in names]
+            # fields past the last picked column are never split apart
+            stop = max(picks, default=-1) + 1
+            dst.write("# " + " ".join(names) + "\n")
+            dst.writelines(
+                " ".join([_number(fields[j]) for j in picks]) + "\n"
+                for fields in (line.rstrip("\n").split(",", stop) for line in src)
+            )
+        os.replace(tmp, dat_path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _number(text: str) -> str:
+    """text, once ``float`` accepts it."""
+    float(text)
+    return text
 
 
 def _jsonable(value):

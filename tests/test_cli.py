@@ -2,11 +2,16 @@ import ast
 import dataclasses
 import importlib
 import json
+import math
 import pkgutil
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phasestab
 from phasestab import lqr
@@ -19,6 +24,7 @@ from phasestab.cli import (
     run_pipeline,
     run_sweep,
     stage_simulate,
+    stage_stationary,
     stage_synth,
 )
 from phasestab.config import (
@@ -33,6 +39,7 @@ from phasestab.lqr import RiccatiSolution
 from phasestab.sim import _decay_norm
 
 import oracles
+from phasebench import workloads
 
 # _gain_digest of the default config at lqr.SOLVER_VERSION 1; a change
 # invalidates every cached gain.npz
@@ -480,6 +487,13 @@ class TestMainEntry:
             (["--set", "sim.dt=0"], "sim.dt, sim.t_end and sim.rho must be positive"),
             (["--set", "sim.scheme=rk4"], "sim.scheme must be 'imex1' or 'imex2'"),
             (["--set", "sim.record_every=0"], "sim.record_every must be >= 1"),
+            # more recorded rows than NumPy can size, or an infinite count
+            (["--set", "sim.dt=1e-300"], "sim.t_end / sim.dt / sim.record_every asks"),
+            (["--set", "sim.t_end=1e300"], "sim.t_end / sim.dt / sim.record_every asks"),
+            (
+                ["--set", "sim.dt=1e-300", "--set", "sim.t_end=1e300"],
+                "sim.t_end / sim.dt / sim.record_every asks for inf",
+            ),
             (["--config", "not_json"], "is not valid JSON"),
             (["--set", "foo.bar=1"], "unknown config section 'foo.bar'"),
             (["--set", "sim.dt=abc"], "cannot parse 'abc' for 'sim.dt'"),
@@ -687,6 +701,34 @@ class TestReport:
         assert captured.out == ""
         assert str(path) in captured.err
 
+    @pytest.mark.parametrize("reported", [False, True], ids=["fresh", "reported"])
+    @pytest.mark.parametrize("damage", ["non-numeric", "short"])
+    def test_damaged_trajectory_row_leaves_decay_dat(self, tmp_path, capsys, damage, reported):
+        # a bad field or a cut row fails the copy; decay.dat is replaced only
+        # by a whole copy, and the temporary file is removed
+        cfg = fast_config(tmp_path / "run")
+        run_pipeline(cfg)
+        run = Path(cfg.output_dir)
+        if reported:
+            assert main(["report", str(run)]) == 0
+        decay = (run / "decay.dat").read_bytes() if reported else None
+        path = run / "trajectory.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[6].split(",")
+        lines[6] = ",".join([fields[0], "abc", *fields[2:]]) if damage == "non-numeric" else (
+            fields[0] + "\n"
+        )
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+        left = [p.name for p in run.iterdir() if p.name.startswith("decay")]
+        assert left == (["decay.dat"] if reported else [])
+        if reported:
+            assert (run / "decay.dat").read_bytes() == decay
+
     def test_trajectory_with_physical_norm_column_renders(self, tmp_path):
         # trajectory.csv files written before the column was dropped still report
         run = tmp_path / "run"
@@ -734,6 +776,96 @@ class TestReport:
         mask = data["t"] >= 4.0
         xi = data["xi_norm"][mask]
         assert np.all(np.diff(xi) <= 1e-9 * xi[:-1])
+
+
+class TestStationaryStage:
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_g_max_zero_on_constant_states(self, tmp_path, workload):
+        m = build_materials(workloads.config_for(workload, 0))
+        stage_stationary(m, tmp_path)
+        assert read_json(tmp_path / "stationary.json")["g_max"] == 0.0
+
+    def test_g_max_of_a_kinked_state(self, tmp_path):
+        # the nu = 0.05 minimizer from 0 + 0.6 cos(pi x / L): its g is not
+        # zero, so the plant's margin is not the true loop's
+        cfg = SimConfig()
+        for dotted, value in (
+            ("params.nu", "0.05"),
+            ("stationary.mode", "minimize"),
+            ("stationary.init_value", "0"),
+            ("stationary.init_cos", "0.6"),
+        ):
+            apply_override(cfg, dotted, value)
+        stage_stationary(build_materials(cfg.validate()), tmp_path)
+        assert read_json(tmp_path / "stationary.json")["g_max"] == pytest.approx(
+            1.0523154, abs=1e-6
+        )
+        rows = dict(line.split(maxsplit=1) for line in render_report(tmp_path).splitlines())
+        assert rows["g_max"] == "1.05232"
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _simulate_overrides(draw):
+    """--set items for one simulate run drawn from a bounded box of configs."""
+    L = draw(st.floats(0.5, 3.0))
+    a = draw(st.floats(0.02, 0.6))
+    width = draw(st.floats(0.05, 0.35))
+    values = {
+        "basis.M": draw(st.integers(4, 16)),
+        "basis.L": L,
+        "actuator.a": a * L,
+        "actuator.b": (a + width) * L,
+        "params.nu": draw(_log_uniform(3e-3, 0.5)),
+        "params.l0": draw(_log_uniform(0.1, 10.0)),
+        "params.gamma0": draw(_log_uniform(0.1, 10.0)),
+        "actuator.T0": draw(_log_uniform(0.1, 10.0)),
+        "sim.dt": draw(st.sampled_from([1e-3, 5e-3, 2e-2, 0.1])),
+        "sim.t_end": draw(st.sampled_from([0.05, 0.2, 0.5])),
+        "sim.rho": draw(_log_uniform(1e-4, 1e2)),
+        "sim.record_every": draw(st.sampled_from([1, 3, 10])),
+        "sim.closed_loop": draw(st.booleans()),
+        "sim.scheme": draw(st.sampled_from(["imex1", "imex2"])),
+        "stationary.mode": draw(st.sampled_from(["constant", "minimize"])),
+    }
+    return [f"{name}={value}" for name, value in values.items()]
+
+
+def _numbers(value):
+    """Every number in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=None)
+    @given(overrides=_simulate_overrides())
+    @example(overrides=["sim.dt=1e-300"])
+    @example(overrides=["sim.t_end=1e300"])
+    @example(overrides=["sim.dt=1e-300", "sim.t_end=1e300"])
+    def test_simulate_exits_zero_two_or_three(self, overrides):
+        # a run either succeeds with finite numbers or fails with exit 2 or 3;
+        # the console process prints warnings, so they are not errors here
+        args = [arg for item in overrides for arg in ("--set", item)]
+        with (
+            tempfile.TemporaryDirectory() as run,
+            warnings.catch_warnings(),
+            np.errstate(all="ignore"),
+        ):
+            warnings.simplefilter("ignore")
+            code = main(["simulate", *args, "--output-dir", run])
+            assert code in (0, 2, 3)
+            if code == 0:
+                summary = read_json(Path(run) / "summary.json")
+                assert all(math.isfinite(number) for number in _numbers(summary))
 
 
 class TestSweep:
