@@ -487,6 +487,9 @@ class TestMainEntry:
             (["--set", "sim.dt=0"], "sim.dt, sim.t_end and sim.rho must be positive"),
             (["--set", "sim.scheme=rk4"], "sim.scheme must be 'imex1' or 'imex2'"),
             (["--set", "sim.record_every=0"], "sim.record_every must be >= 1"),
+            (["--config", "not_json"], "is not valid JSON"),
+            (["--set", "foo.bar=1"], "unknown config section 'foo.bar'"),
+            (["--set", "sim.dt=abc"], "cannot parse 'abc' for 'sim.dt'"),
             # more recorded rows than NumPy can size, or an infinite count
             (["--set", "sim.dt=1e-300"], "sim.t_end / sim.dt / sim.record_every asks"),
             (["--set", "sim.t_end=1e300"], "sim.t_end / sim.dt / sim.record_every asks"),
@@ -494,9 +497,6 @@ class TestMainEntry:
                 ["--set", "sim.dt=1e-300", "--set", "sim.t_end=1e300"],
                 "sim.t_end / sim.dt / sim.record_every asks for inf",
             ),
-            (["--config", "not_json"], "is not valid JSON"),
-            (["--set", "foo.bar=1"], "unknown config section 'foo.bar'"),
-            (["--set", "sim.dt=abc"], "cannot parse 'abc' for 'sim.dt'"),
         ],
     )
     def test_configuration_error_exit_two(self, tmp_path, capsys, args, message):
@@ -715,9 +715,8 @@ class TestReport:
         path = run / "trajectory.csv"
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[6].split(",")
-        lines[6] = ",".join([fields[0], "abc", *fields[2:]]) if damage == "non-numeric" else (
-            fields[0] + "\n"
-        )
+        kept = [fields[0], "abc", *fields[2:]] if damage == "non-numeric" else [fields[0] + "\n"]
+        lines[6] = ",".join(kept)
         path.write_text("".join(lines))
         capsys.readouterr()
         assert main(["report", str(run)]) == 2
