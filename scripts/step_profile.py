@@ -102,8 +102,7 @@ def profile(M: int, steps: int, repeats: int) -> dict[str, float]:
             nonlinear, run.scheme,
         )
 
-    final = run_simulate(1).final_state
-    x = np.concatenate([final.y.coeffs, final.z.coeffs])
+    x = run_simulate(1).final_x
 
     def builds():
         for _ in range(SETUP_BUILDS):

@@ -27,7 +27,6 @@ from .lqr import (
     solve_care,
 )
 from .sim import (
-    StateYZ,
     TrajectoryRecord,
     simulate,
 )

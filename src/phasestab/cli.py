@@ -49,7 +49,7 @@ from .io import (  # noqa: F401
 from .linearization import LinearizedPlant, PhysicalParams, assemble_plant
 from .lqr import RiccatiSolution, solve_care
 from .sim import TrajectoryRecord, seeded_initial_state, simulate
-from .spectral import ScalarField, SpectralBasis, _values_on_grid
+from .spectral import ScalarField, SpectralBasis
 from .stationary import (
     StationaryState,
     chi_infinity,
@@ -93,10 +93,8 @@ def build_materials(cfg: SimConfig) -> Materials:
 
 
 def stage_stationary(m: Materials, outdir: Path) -> dict:
-    # the largest |g| on the dealiasing grid: the plant leaves the linear term
-    # Lap(g y) to the remainder, so the synthesized margin is the true loop's
-    # only when it is 0
-    g = _values_on_grid(m.basis, m.plant.g.coeffs, 2 * m.basis.M)
+    # the plant leaves the linear term Lap(g y) to the remainder, so the
+    # synthesized margin is the true loop's only when g_max is 0
     summary = {
         "C": m.stat.C_lagrange,
         "residual": m.stat.residual,
@@ -105,7 +103,7 @@ def stage_stationary(m: Materials, outdir: Path) -> dict:
         "gbar_inf": gbar_infinity(m.stat),
         "theta_inf": m.stat.theta_inf,
         "mean_phi": m.stat.phi_inf.mean,
-        "g_max": float(np.max(np.abs(g))),
+        "g_max": m.plant.g_max,
     }
     phi = m.stat.phi_inf
     write_table(outdir / "stationary_phi_modes.csv", "k,coeff", [np.arange(m.basis.M), phi.coeffs])

@@ -29,7 +29,9 @@ The spatially varying part g(x) of F''(phi_inf) is excluded from the operator
 decoupled.  So Op is the whole linearization only on a constant state, where
 g = 0; on a nonconstant state the linear term Lap(g y) sits in the remainder,
 which is then not superlinear.  F_l and g come from one dealiased square of
-phi_inf.
+phi_inf, and the plant keeps the remainder's two coefficient functions,
+3 phi_inf and g, as their values on the P = 2M dealiasing grid, which the
+time stepper folds and ``g_max`` reads.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
+from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _cosine_matrix
 from .stationary import StationaryState
 
 __all__ = [
@@ -88,24 +90,30 @@ class LinearizedPlant:
     eigen index of mode k's branch b (a permutation of range(2M)), and
     V[c M + k, eig_pos[k, b]] = eig_rot[c, k, b], every other entry zero.
     No field holds (2M)^2 entries; ``to_eigenbasis`` and ``from_eigenbasis``
-    apply V through the two.
+    apply V through the two.  ``remainder_grid`` holds [3 phi_inf; g] on the
+    P = 2M dealiasing grid: the coefficient functions of the remainder
+    F_r(y) + g y = y^3 + 3 phi_inf y^2 + g y.
     """
 
     params: PhysicalParams
     basis: SpectralBasis
     F_bar: float
     F_l: float
-    g: ScalarField
+    remainder_grid: np.ndarray  # (2, 2M) [3 phi_inf; g] on the dealiasing grid
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
     eig_pos: np.ndarray  # (M, 2) eigen index of each mode's two branches
     eig_rot: np.ndarray  # (2, M, 2) each mode's 2x2 rotation, component first
     N_unstable: int
-    phi_inf: ScalarField
 
     @property
     def M(self) -> int:
         return self.basis.M
+
+    @property
+    def g_max(self) -> float:
+        """Largest |g| on the dealiasing grid: 0 when Op is the whole linearization."""
+        return float(np.max(np.abs(self.remainder_grid[1])))
 
     def apply_operator(self, X: np.ndarray) -> np.ndarray:
         """X Op^T: the operator applied to each row of X (stacked modal coordinates).
@@ -156,7 +164,7 @@ def F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
     its one synthesis v on the P = 2M grid.
     """
     basis = phi_inf.basis
-    v = _values_on_grid(basis, phi_inf.coeffs, 2 * basis.M)
+    v = _cosine_matrix(basis, 2 * basis.M) @ phi_inf.coeffs
     sq = _coeffs_from_grid(basis, v * v)
     L = basis.L
     F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)
@@ -173,6 +181,7 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
     F_l = F_bar + params.l
 
     M = basis.M
+    remainder_grid = np.stack([3.0 * phi_inf.coeffs, g.coeffs]) @ _cosine_matrix(basis, 2 * M).T
     kap = basis.kappa
     blocks = np.zeros((M, 2, 2))
     blocks[:, 0, 0] = params.nu * kap**2 + F_l * kap
@@ -222,11 +231,10 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
         basis=basis,
         F_bar=F_bar,
         F_l=F_l,
-        g=g,
+        remainder_grid=remainder_grid,
         A_blocks=blocks,
         eigenvalues=eigenvalues,
         eig_pos=eig_pos,
         eig_rot=eig_rot,
         N_unstable=N_unstable,
-        phi_inf=phi_inf,
     )

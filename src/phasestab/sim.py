@@ -28,18 +28,19 @@ unscaled analysis Z = [Zb; Zt] = T H of T = V^3 + 3 phi_inf V^2 + g V (the
 cubic in Horner form, on 3 phi_inf and g folded the same way), from which
 the analysis of the whole grid is q = C^T T = Zt + (-1)^k Zb.  Each
 product reads half of C.  The scheme's constants are folded once, when the
-stepper is built, in one pass over both implicit solves: 3 phi_inf and g
-on the folded grid, the per-mode factor -kappa L / P times dt (imex1) or
-2 dt (imex2) with the sign (-1)^k on its Zb row, and SBDF2's 1/3 into a
-copy of the block inverse.  The time loop is one generator,
-``_Stepper.run``: it binds every buffer once, keeps the state in a ring of
-three history slots [ys; y; z; Zb; Zt; w], writes every intermediate in
-place into a buffer allocated once, and yields views of the state and the
-feedback amplitudes after every recorded step.  A steady step is Z, one
-right-hand side, one block product, the rank-N feedback correction and the
-refresh of ys: 19 NumPy calls and no allocation.  The first step runs
-through the same body with the theta = dt constants.  ``simulate`` copies
-the rows it records and keeps the final state.
+stepper is built, in one pass over both implicit solves: the plant's grid
+rows of 3 phi_inf and g folded by slicing, the per-mode factor
+-kappa L / P times dt (imex1) or 2 dt (imex2) with the sign (-1)^k on its
+Zb row, and SBDF2's 1/3 into a copy of the block inverse.  The time loop
+is one generator, ``_Stepper.run``: it binds every buffer once, keeps the
+state in a ring of three history slots [ys; y; z; Zb; Zt; w], writes every
+intermediate in place into a buffer allocated once, and yields views of the
+state and the feedback amplitudes after every recorded step.  A steady step
+is Z, one right-hand side, one block product, the rank-N feedback
+correction and the refresh of ys: 19 NumPy calls and no allocation.  The
+first step runs through the same body with the theta = dt constants.
+``simulate`` copies the rows it records and the final state, the stepper's
+stacked vector.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -72,7 +73,6 @@ from .spectral import ScalarField, _cosine_matrix, _weighted_norm
 from .stationary import StationaryState
 
 __all__ = [
-    "StateYZ",
     "TrajectoryRecord",
     "simulate",
     "fit_exponential_rate",
@@ -87,15 +87,6 @@ INITIAL_MU_DECAY = 2.0  # seeded initial coefficients are damped by mu_k^-2
 # recorded states buffered between two norm passes: 256 KB at M = 64, 1 MB
 # at M = 256, where buffering a whole 4 001-row run would take 4.1 MB
 _RECORD_BLOCK = 256
-
-
-@dataclass
-class StateYZ:
-    """Deviation state: y = phi - phi_inf, z = sigma - sigma_inf, at time t."""
-
-    y: ScalarField
-    z: ScalarField
-    t: float = 0.0
 
 
 def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
@@ -188,10 +179,10 @@ class _Stepper:
     (kappa_0 = 0) in both rows, so the explicit term leaves the means alone.
 
     The remainder reads only the top half H = C[:M] of the cached cosine
-    matrix, a view, and the set-up folds 3 phi_inf and g with the same
-    product.  The cache still holds the whole P x M matrix, which
-    ``_values_on_grid`` and ``_coeffs_from_grid`` read for the dealiased
-    products of the stationary solve, so the memory it takes does not halve.
+    matrix, a view, and the set-up folds the plant's grid rows of 3 phi_inf
+    and g (``remainder_grid``) by slicing, with no product.  The cache still
+    holds the whole P x M matrix, which ``assemble_plant`` and the
+    stationary solve read, so the memory it takes does not halve.
 
     The open-loop part of the solve is the per-mode 2x2 block inverse
     [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
@@ -300,14 +291,10 @@ class _Stepper:
         H = self.H = _cosine_matrix(basis, P)[:M]
         sign = self.sign = np.ones(M)
         sign[1::2] = -1.0
-        # [(-1)^k c; c] for c = 3 phi_inf and g: its product with H^T is c
-        # on the folded grid
-        folded = np.empty((4, M))
-        np.multiply(plant.phi_inf.coeffs, 3.0, folded[1])
-        folded[3] = plant.g.coeffs
-        np.multiply(sign, folded[1::2], folded[::2])
-        folded = folded.dot(H.T)
-        self.phi3, self.g = folded[:2], folded[2:]
+        # the plant's grid rows 3 phi_inf and g, each folded to
+        # [bottom half reversed; top half]
+        v = plant.remainder_grid
+        self.phi3, self.g = np.stack([v[:, : M - 1 : -1], v[:, :M]], axis=1)
         self.grid = (np.empty((2, M)), np.empty((2, M)))
         e1 = np.empty((2, M))
         np.multiply(basis.kappa, -basis.L / P * dt, e1[1])
@@ -419,7 +406,8 @@ class TrajectoryRecord:
     ``mean_y`` and ``mean_z`` their conserved means.
     ``control_amplitudes[i]`` is w_i = -K x(t_i), the amplitude of the
     implicit feedback at the recorded state (row 0 included); the forcing is
-    ``B_matrix @ w_i``.
+    ``B_matrix @ w_i``.  ``final_x`` is the state at the last step, the
+    stepper's stacked (2M,) vector [y; z] of modal coefficients.
     """
 
     times: np.ndarray
@@ -431,7 +419,7 @@ class TrajectoryRecord:
     fitted_rate: float | None
     fit_window: tuple[float, float]
     fit_r2: float | None
-    final_state: StateYZ = field(repr=False, default=None)
+    final_x: np.ndarray = field(repr=False)
 
 
 def fit_exponential_rate(
@@ -549,11 +537,6 @@ def simulate(
 
     rate, r2 = fit_exponential_rate(times, xi_s, fit_window)
 
-    final = StateYZ(
-        y=ScalarField(basis, x[:M].copy()),
-        z=ScalarField(basis, x[M:].copy()),
-        t=n_steps * dt,
-    )
     return TrajectoryRecord(
         times=times,
         xi_norms=xi_s,
@@ -564,7 +547,7 @@ def simulate(
         fitted_rate=rate,
         fit_window=fit_window,
         fit_r2=r2,
-        final_state=final,
+        final_x=x.copy(),
     )
 
 

@@ -182,8 +182,8 @@ def _cosine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
     C[P-1-j] = (-1)^k C[j], so the top half C[:P/2] carries the whole matrix
     when P is even: the time stepper's two products per step read only that
     half (``sim._remainder_analysis``).  The cache holds all P M doubles
-    (1 MiB at M = 256, P = 2M), which ``_values_on_grid`` and
-    ``_coeffs_from_grid`` read.
+    (1 MiB at M = 256, P = 2M), which ``linearization``, ``_values_on_grid``
+    and ``_coeffs_from_grid`` read.
     """
     mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P))
     mat[:, 0] = np.sqrt(1.0 / basis.L)

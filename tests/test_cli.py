@@ -282,9 +282,7 @@ class TestPipeline:
         assert sim["initial_xi_norm"] == data["xi_norm"][0]
         assert sim["final_xi_norm"] == data["xi_norm"][-1]
         assert sim["final_h_norm"] == data["h_norm"][-1]
-        final = record.final_state
-        x = np.concatenate([final.y.coeffs, final.z.coeffs])
-        assert sim["final_xi_norm"] == _decay_norm(m.basis, x)
+        assert sim["final_xi_norm"] == _decay_norm(m.basis, record.final_x)
 
     def test_open_loop_has_no_amplitude_columns(self, tmp_path):
         cfg = fast_config(tmp_path / "run", **{"sim.closed_loop": "false"})

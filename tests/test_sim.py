@@ -111,8 +111,9 @@ def smooth_random_field(basis, seed, amplitude=1.0):
 
 class TestRemainderTerm:
     def test_zero_input(self, world):
-        basis, _, state, plant, _, _ = world
-        out = remainder_direct(ScalarField.constant(basis, 0.0), state.phi_inf, plant.g)
+        basis, _, state, _, _, _ = world
+        g = F_second_parts(state.phi_inf)[1]
+        out = remainder_direct(ScalarField.constant(basis, 0.0), state.phi_inf, g)
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_constant_input_constant_background(self, world):
@@ -176,20 +177,21 @@ class TestRemainderTerm:
 
     def test_cubic_scaling_around_zero(self, world):
         # around phi_inf = 0 the remainder is purely cubic
-        basis, _, state, plant, _, _ = world
+        basis, _, state, _, _, _ = world
+        g = F_second_parts(state.phi_inf)[1]
         e1 = ScalarField.from_values(basis, basis_function(basis, 1, basis.nodes))
         norms = []
         for eps in (1e-2, 1e-3):
             y = ScalarField(basis, eps * e1.coeffs)
-            out = remainder_G_expanded(y, state.phi_inf, plant.g)
+            out = remainder_G_expanded(y, state.phi_inf, g)
             norms.append(np.linalg.norm(out.coeffs))
         ratio = norms[0] / norms[1]
         assert abs(ratio - 1000.0) <= 50.0
 
     def test_mean_annihilated(self, world):
-        basis, _, state, plant, _, _ = world
+        basis, _, state, _, _, _ = world
         y = smooth_random_field(basis, 4)
-        out = remainder_direct(y, state.phi_inf, plant.g)
+        out = remainder_direct(y, state.phi_inf, F_second_parts(state.phi_inf)[1])
         assert out.coeffs[0] == 0.0
 
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
@@ -261,29 +263,27 @@ class TestFoldedRemainder:
             assert np.array_equal(row[:M], sign * row[M : 2 * M])
 
 
-def final_state(plant, y0, z0, dt, n_steps, **kwargs):
-    """State after n_steps IMEX steps of simulate."""
-    return simulate(plant, y0, z0, dt=dt, t_end=n_steps * dt, **kwargs).final_state
+def final_x(plant, y0, z0, dt, n_steps, **kwargs):
+    """State [y; z] after n_steps IMEX steps of simulate."""
+    return simulate(plant, y0, z0, dt=dt, t_end=n_steps * dt, **kwargs).final_x
 
 
 class TestStepImex:
     def test_zero_state_is_fixed_point(self, world):
         basis, _, state, plant, _, _ = world
         zero = ScalarField.constant(basis, 0.0)
-        s1 = final_state(plant, zero, zero, 1e-3, 1)
-        assert np.abs(s1.y.coeffs).max() == 0.0
-        assert np.abs(s1.z.coeffs).max() == 0.0
+        assert np.abs(final_x(plant, zero, zero, 1e-3, 1)).max() == 0.0
 
     def test_linear_eigenmode_recursion(self, world):
         basis, _, state, plant, _, _ = world
         lam = plant.eigenvalues[plant.N_unstable]
         v = eigenvectors(plant)[:, plant.N_unstable]
         dt, n = 1e-3, 50
-        s = final_state(
+        x = final_x(
             plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
             nonlinear=False, scheme="imex1",
         )
-        amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
+        amp = np.linalg.norm(x)
         assert amp == pytest.approx((1.0 + dt * lam) ** (-n), rel=1e-10)
 
     def test_mean_conservation_over_1000_steps(self, world):
@@ -373,11 +373,13 @@ class ReferenceStep:
                                     + (2 dt/3) (2 G(x_n) - G(x_{n-1}))
 
     then x_next = (I + theta (Op + B K))^{-1} r, by ``np.linalg.solve`` on
-    the dense matrix, with G from the expanded product-rule oracle.
+    the dense matrix, with G from the expanded product-rule oracle about
+    phi_inf and its g.
     """
 
-    def __init__(self, plant, dt, sol, act, nonlinear):
+    def __init__(self, phi_inf, plant, dt, sol, act, nonlinear):
         self.plant, self.dt, self.nonlinear = plant, dt, nonlinear
+        self.phi_inf, self.g = phi_inf, F_second_parts(phi_inf)[1]
         closed = plant.operator_matrix()
         if sol is not None:
             closed = closed + act.B_matrix @ sol.K_gain
@@ -389,7 +391,7 @@ class ReferenceStep:
         out = np.zeros(2 * M)
         if self.nonlinear:
             y = ScalarField(self.plant.basis, x[:M])
-            out[:M] = remainder_G_expanded(y, self.plant.phi_inf, self.plant.g).coeffs
+            out[:M] = remainder_G_expanded(y, self.phi_inf, self.g).coeffs
         return out
 
     def step(self, x, x_old=None):
@@ -418,8 +420,8 @@ def kink():
     cfg.stationary.mode = "minimize"
     cfg.stationary.init_value, cfg.stationary.init_cos = 0.0, 0.6
     m = build_materials(cfg.validate())
-    assert np.abs(m.plant.g.values).max() > 0.5
-    return m.plant, m.act, solve_care(m.plant, m.act)
+    assert m.plant.g_max > 0.5
+    return m.stat.phi_inf, m.plant, m.act, solve_care(m.plant, m.act)
 
 
 @pytest.fixture(scope="module")
@@ -427,9 +429,10 @@ def constant_plants():
     out = {}
     for M in (8, 16, 64):
         basis = SpectralBasis(L=1.0, M=M)
-        plant = assemble_plant(PhysicalParams(nu=0.1), stationary_constant(0, basis=basis))
+        state = stationary_constant(0, basis=basis)
+        plant = assemble_plant(PhysicalParams(nu=0.1), state)
         act = build_actuator(plant)
-        out[M] = plant, act, solve_care(plant, act)
+        out[M] = state.phi_inf, plant, act, solve_care(plant, act)
     return out
 
 
@@ -439,10 +442,10 @@ class TestFoldedStep:
     STEPS = 200
     TOL = 1e-12
 
-    def check(self, plant, act, sol, scheme, closed, nonlinear, rho=0.1, dt=5e-3):
+    def check(self, phi_inf, plant, act, sol, scheme, closed, nonlinear, rho=0.1, dt=5e-3):
         sol, act = (sol, act) if closed else (None, None)
         stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
-        ref = ReferenceStep(plant, dt, sol, act, nonlinear)
+        ref = ReferenceStep(phi_inf, plant, dt, sol, act, nonlinear)
         y0, z0 = seeded_initial_state(plant.basis, rho, seed=11)
         x = x_ref = np.concatenate([y0.coeffs, z0.coeffs])
         old = old_ref = None
@@ -540,9 +543,7 @@ class TestSimulate:
                 plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True,
                 scheme="imex1",
             )
-            return np.concatenate(
-                [rec.final_state.y.coeffs, rec.final_state.z.coeffs]
-            )
+            return rec.final_x
 
         ref = final(4e-3 / 8.0)
         e_coarse = np.linalg.norm(final(4e-3) - ref)
@@ -556,11 +557,11 @@ class TestSimulate:
         lam = plant.eigenvalues[plant.N_unstable]
         v = eigenvectors(plant)[:, plant.N_unstable]
         dt, n = 1e-3, 20
-        s = final_state(
+        x = final_x(
             plant, ScalarField(basis, v[:64]), ScalarField(basis, v[64:]), dt, n,
             nonlinear=False, scheme="imex2",
         )
-        amp = np.hypot(np.linalg.norm(s.y.coeffs), np.linalg.norm(s.z.coeffs))
+        amp = np.linalg.norm(x)
         prev, expected = 1.0, 1.0 / (1.0 + dt * lam)
         for _ in range(n - 1):
             prev, expected = expected, (4.0 * expected - prev) / (3.0 + 2.0 * dt * lam)
@@ -574,9 +575,7 @@ class TestSimulate:
                 plant, y0, z0, dt=dt, t_end=1.0, nonlinear=True,
                 scheme="imex2",
             )
-            return np.concatenate(
-                [rec.final_state.y.coeffs, rec.final_state.z.coeffs]
-            )
+            return rec.final_x
 
         ref = final(1e-4)
         e_coarse = np.linalg.norm(final(2e-3) - ref)
@@ -595,8 +594,7 @@ class TestSimulate:
         )
         x0 = np.concatenate([y0.coeffs, z0.coeffs])
         np.testing.assert_array_equal(rec.control_amplitudes[0], -(sol.K_gain @ x0))
-        final = rec.final_state
-        w_end = -(sol.K_gain @ np.concatenate([final.y.coeffs, final.z.coeffs]))
+        w_end = -(sol.K_gain @ rec.final_x)
         assert np.abs(rec.control_amplitudes[-1] - w_end).max() <= 1e-13 * np.abs(w_end).max()
 
     def test_implicit_feedback_takes_large_steps_on_thin_interface(self):
@@ -657,11 +655,11 @@ class TestSimulate:
         for scheme, ratio in (("imex1", 2.0), ("imex2", 4.0)):
             errors = []
             for dt in (2e-2, 1e-2, 5e-3):
-                s = final_state(
+                x = final_x(
                     plant, y0, z0, dt, int(round(1.0 / dt)), sol=sol, act=act,
                     nonlinear=False, scheme=scheme,
                 )
-                errors.append(np.linalg.norm(np.concatenate([s.y.coeffs, s.z.coeffs]) - exact))
+                errors.append(np.linalg.norm(x - exact))
             assert errors[0] / errors[1] == pytest.approx(ratio, rel=0.1)
             assert errors[1] / errors[2] == pytest.approx(ratio, rel=0.1)
 
@@ -753,10 +751,7 @@ class TestSimulate:
         # the last step is recorded once, also when it is not a multiple of every
         assert np.count_nonzero(sparse.times == full.times[-1]) == 1
         assert np.all(np.diff(sparse.times) > 0)
-        final = sparse.final_state
-        assert sparse.xi_norms[-1] == _decay_norm(
-            basis, np.concatenate([final.y.coeffs, final.z.coeffs])
-        )
+        assert sparse.xi_norms[-1] == _decay_norm(basis, sparse.final_x)
 
     def test_control_forcing_localized_along_run(self, world):
         # replay the recorded amplitudes through the actuator: node values
