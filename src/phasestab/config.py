@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 # most rows a run may record (sim.t_end / sim.dt / sim.record_every): at this
 # bound and N = 3 the record arrays hold 8 doubles a row, 640 MB
 MAX_RECORDED_ROWS = 10**7
+# most modes basis.M may ask for: at this bound the (2M)^2 gain R takes 512 MiB
+MAX_MODES = 4096
 
 
 class ConfigError(ValueError):
@@ -130,8 +132,8 @@ class SimConfig:
                 raise ConfigError(f"params.{name} must be positive, got {value}")
         if b.L <= 0:
             raise ConfigError(f"basis.L must be positive, got {b.L}")
-        if b.M < 4:
-            raise ConfigError(f"basis.M must be >= 4, got {b.M}")
+        if not 4 <= b.M <= MAX_MODES:
+            raise ConfigError(f"basis.M must be in [4, {MAX_MODES}], got {b.M}")
         if s.mode not in ("constant", "minimize"):
             raise ConfigError(f"stationary.mode must be 'constant' or 'minimize', got {s.mode!r}")
         if s.mode == "constant" and s.which not in (-1, 0, 1):
@@ -164,6 +166,8 @@ class SimConfig:
                 f"{run.t_end / run.dt / run.record_every:.3e} recorded rows, above "
                 f"{MAX_RECORDED_ROWS:.0e}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -486,7 +486,10 @@ def simulate(
     n_steps = int(round(t_end / dt))
     w = -(sol.K_gain @ x) if sol is not None else np.zeros(0)
 
-    # rows: t = 0, every record_every-th step, and the last step once
+    # rows: t = 0, every record_every-th step, and the last step once; any
+    # record_every from the step count on records t = 0 and t_end alone, and
+    # clamping it there keeps the product below inside int64
+    record_every = min(record_every, max(n_steps, 1))
     n_rows = n_steps // record_every + 1 + (n_steps % record_every != 0)
     times = np.minimum(np.arange(n_rows) * record_every, n_steps) * dt
     xi_s, h_s, my_s, mz_s = np.empty((4, n_rows))

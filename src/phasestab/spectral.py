@@ -135,9 +135,8 @@ def _weighted_norm(weights, coeffs: np.ndarray, out=None, scratch=None):
     """sqrt(sum_k w_k c_k^2) over the last axis of coeffs, one value per row.
 
     Weights mu_k^{2 alpha} give the graph norm ||A^alpha f||_{L^2}; a 1-D
-    coeffs gives a scalar.  The decay norm and the physical-variable norm
-    both go through this one function, so they agree bit for bit on equal
-    weights.
+    coeffs gives a scalar.  The decay norm (``sim._decay_norm``) and the
+    plain product-space norm the trajectory records both go through it.
     A stack of (1 x M) @ (M x 1) products is one dot product per row, so a
     row's value does not depend on how many rows are stacked with it and
     equals the 1-D ``c @ (w * c)``; ``simulate`` relies on that to record

@@ -28,6 +28,7 @@ from phasestab.cli import (
     stage_synth,
 )
 from phasestab.config import (
+    MAX_MODES,
     ConfigError,
     SimConfig,
     apply_override,
@@ -108,6 +109,16 @@ class TestConfig:
         summary = read_json(run / "summary.json")
         assert summary["fitted_rate"] >= 0.9 * summary["synth"]["margin"]
         assert main(["simulate", "--set", "basis.M=3", "--output-dir", str(run)]) == 2
+
+    @pytest.mark.parametrize("M", [MAX_MODES + 1, 10**19], ids=["bound+1", "1e19"])
+    def test_M_beyond_the_bound_rejected(self, M):
+        # validate alone: a run at such an M would allocate its arrays first
+        cfg = SimConfig()
+        cfg.basis.M = MAX_MODES
+        cfg.validate()
+        cfg.basis.M = M
+        with pytest.raises(ConfigError, match=rf"basis.M must be in \[4, {MAX_MODES}\]"):
+            cfg.validate()
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "v9.json"
@@ -304,6 +315,20 @@ class TestMainEntry:
         )
         assert code == 0
 
+    def test_record_every_beyond_int64_records_both_ends(self, tmp_path):
+        # a record_every past the step count records t = 0 and t_end alone,
+        # also one that no int64 holds
+        runs = {}
+        for every in (10**18, 10**19):
+            run = runs[every] = tmp_path / str(every)
+            argv = ["simulate", "--set", "basis.M=16", "--set", "sim.t_end=1",
+                    "--set", f"sim.record_every={every}", "--output-dir", str(run)]
+            assert main(argv) == 0
+        data = read_trajectory_csv(runs[10**19] / "trajectory.csv")
+        assert data["t"].tolist() == [0.0, 1.0]
+        for name in ("trajectory.csv", "simulate.json"):
+            assert (runs[10**19] / name).read_bytes() == (runs[10**18] / name).read_bytes()
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -495,6 +520,7 @@ class TestMainEntry:
                 ["--set", "sim.dt=1e-300", "--set", "sim.t_end=1e300"],
                 "sim.t_end / sim.dt / sim.record_every asks for inf",
             ),
+            (["--set", "seed=-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_configuration_error_exit_two(self, tmp_path, capsys, args, message):
@@ -848,6 +874,9 @@ class TestExitCodeContract:
     @example(overrides=["sim.dt=1e-300"])
     @example(overrides=["sim.t_end=1e300"])
     @example(overrides=["sim.dt=1e-300", "sim.t_end=1e300"])
+    @example(overrides=["basis.M=16", "sim.t_end=1", f"sim.record_every={10**19}"])
+    @example(overrides=["seed=-1"])
+    @example(overrides=[f"basis.M={10**19}"])
     def test_simulate_exits_zero_two_or_three(self, overrides):
         # a run either succeeds with finite numbers or fails with exit 2 or 3;
         # the console process prints warnings, so they are not errors here
