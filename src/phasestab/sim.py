@@ -288,7 +288,7 @@ class _Stepper:
             self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
         P = 2 * M
-        H = self.H = _cosine_matrix(basis, P)[:M]
+        self.H = _cosine_matrix(basis, P)[:M]
         sign = self.sign = np.ones(M)
         sign[1::2] = -1.0
         # the plant's grid rows 3 phi_inf and g, each folded to
