@@ -2,10 +2,10 @@
 """Write ``BENCH_<label>.json`` from the benchmark and the step and CARE profiles.
 
     python3 scripts/bench.py --label 17 [--seconds 25] [--workloads default rho_ensemble]
-                             [--M 32 64 128 256] [--root CHECKOUT]
+                             [--M 32 64 128 256] [--root CHECKOUT] [--tier1]
 
-A thin driver with no timers of its own.  From the checkout ``--root``
-(default: the one this script sits in) it runs
+A thin driver with one timer of its own, for the tier-1 suite.  From the
+checkout ``--root`` (default: the one this script sits in) it runs
 
     phasebench/run.py --workload W --seed 0 --seconds S --trace 0
         once per workload, each in its own process.  It keeps the end-to-end
@@ -17,6 +17,11 @@ A thin driver with no timers of its own.  From the checkout ``--root``
     scripts/care_profile.py --M ...
         once, at the same sizes.  It keeps the Riccati synthesis's milliseconds per phase and,
         where the checkout prints it, its ``peak`` memory in n^2 doubles.
+    python -m pytest -q --continue-on-collection-errors
+        once, with --tier1, the tier-1 suite with ``<root>/src`` on the path
+        and one BLAS thread.  It keeps the suite's wall time in seconds,
+        its exit code and its summary line (the counts of passed and failed
+        tests).
 
 and writes them, with the benchmark's environment line and ``src_lines``,
 the line count of ``<root>/src/phasestab/*.py``, to
@@ -34,6 +39,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,6 +110,19 @@ def run_profile(root: Path, script: str, sizes: list[int], unit: str) -> dict | 
     return table
 
 
+def run_tier1(root: Path) -> dict:
+    """Wall time, exit code and summary line of one tier-1 run in the checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=3600)
+    wall = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": out.returncode, "summary": lines[-1] if lines else ""}
+
+
 def count_src_lines(root: Path) -> int:
     """Lines in the package's modules, ``<root>/src/phasestab/*.py``."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "phasestab").glob("*.py"))
@@ -116,13 +135,14 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--M", type=int, nargs="+", default=[32, 64, 128, 256])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
     args = parser.parse_args()
     root = args.root.resolve()
     out = Path(f"BENCH_{args.label}.json")
 
     bench = {"label": args.label, "seconds": args.seconds, "seed": 0, "environment": None,
              "src_lines": count_src_lines(root), "workloads": {}, "step_profile": None,
-             "care_profile": None}
+             "care_profile": None, "tier1": None}
     status = 0
     for workload in args.workloads:
         row, env = run_workload(root, workload, args.seconds)
@@ -135,6 +155,10 @@ def main() -> int:
         root, "care_profile.py", args.M, "ms per call; peak in n^2 doubles"
     )
     status |= int(bench["step_profile"] is None or bench["care_profile"] is None)
+    if args.tier1:
+        bench["tier1"] = run_tier1(root)
+        status |= int(bench["tier1"]["exit"] != 0)
+        print(f"tier1: {json.dumps(bench['tier1'])}", flush=True)
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return status

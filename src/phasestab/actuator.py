@@ -162,7 +162,8 @@ def _gramian_closed_form(lambdas: np.ndarray, D: np.ndarray, T0: float) -> np.nd
     DDt = D @ D.T
     s = lambdas[:, None] + lambdas[None, :]
     safe = np.where(s == 0.0, 1.0, s)
-    factor = np.where(s == 0.0, T0, -np.expm1(-s * T0) / safe)
+    with np.errstate(over="ignore"):  # an infinite entry is null_control's to report
+        factor = np.where(s == 0.0, T0, -np.expm1(-s * T0) / safe)
     return DDt * factor
 
 
@@ -228,6 +229,9 @@ def null_control(
 
     lambdas, D = act.lambdas, act.D_matrix
     G = _gramian_closed_form(lambdas, D, T0)
+    # checked before cond: LAPACK prints to stderr on a non-finite matrix
+    if not np.isfinite(G).all():
+        raise NumericalError(f"steering Gramian is not finite at T0 = {T0:.3e}")
     cond = float(np.linalg.cond(G))
     if cond > GRAMIAN_CONDITION_LIMIT:
         raise NumericalError(

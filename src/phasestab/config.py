@@ -32,6 +32,8 @@ SCHEMA_VERSION = 1
 MAX_RECORDED_ROWS = 10**7
 # most modes basis.M may ask for: at this bound the (2M)^2 gain R takes 512 MiB
 MAX_MODES = 4096
+# sim.t_end must be a whole number of sim.dt steps to this relative rounding
+STEP_COUNT_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -166,9 +168,27 @@ class SimConfig:
                 f"{run.t_end / run.dt / run.record_every:.3e} recorded rows, above "
                 f"{MAX_RECORDED_ROWS:.0e}"
             )
+        step_count(run.t_end, run.dt)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt), the steps of a run from 0 to t_end.
+
+    ConfigError (a ValueError) unless that is a whole number >= 1 to
+    rounding, within ``STEP_COUNT_RTOL`` of t_end / dt: a run of another
+    length would end at another time than t_end and still report t_end.
+    """
+    steps = t_end / dt
+    count = round(steps) if math.isfinite(steps) else 0
+    if count < 1 or abs(steps - count) > STEP_COUNT_RTOL * count:
+        raise ConfigError(
+            f"sim.t_end = {t_end!r} is not a positive whole number of sim.dt = {dt!r} "
+            f"steps (t_end / dt = {steps:.6g})"
+        )
+    return count
 
 
 _SECTIONS = {

@@ -30,8 +30,9 @@ decoupled.  So Op is the whole linearization only on a constant state, where
 g = 0; on a nonconstant state the linear term Lap(g y) sits in the remainder,
 which is then not superlinear.  F_l and g come from one dealiased square of
 phi_inf, and the plant keeps the remainder's two coefficient functions,
-3 phi_inf and g, as their values on the P = 2M dealiasing grid, which the
-time stepper folds and ``g_max`` reads.
+3 phi_inf and g, as their folded values on the P = 2M dealiasing grid
+(``spectral._folded_values``), which the time stepper, ``g_max`` and the
+Riccati synthesis's true-loop check read as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _cosine_matrix
+from .spectral import ScalarField, SpectralBasis, _folded_coeffs, _folded_values
 from .stationary import StationaryState
 
 __all__ = [
@@ -90,16 +91,19 @@ class LinearizedPlant:
     eigen index of mode k's branch b (a permutation of range(2M)), and
     V[c M + k, eig_pos[k, b]] = eig_rot[c, k, b], every other entry zero.
     No field holds (2M)^2 entries; ``to_eigenbasis`` and ``from_eigenbasis``
-    apply V through the two.  ``remainder_grid`` holds [3 phi_inf; g] on the
-    P = 2M dealiasing grid: the coefficient functions of the remainder
-    F_r(y) + g y = y^3 + 3 phi_inf y^2 + g y.
+    apply V through the two.  ``remainder_grid`` holds 3 phi_inf and g, the
+    coefficient functions of the remainder
+    F_r(y) + g y = y^3 + 3 phi_inf y^2 + g y, on the P = 2M dealiasing grid,
+    each folded to [bottom half reversed; top half]
+    (``spectral._folded_values``): remainder_grid[0] and [1] are C-contiguous
+    (2, M) arrays, the layout the time stepper multiplies by.
     """
 
     params: PhysicalParams
     basis: SpectralBasis
     F_bar: float
     F_l: float
-    remainder_grid: np.ndarray  # (2, 2M) [3 phi_inf; g] on the dealiasing grid
+    remainder_grid: np.ndarray  # (2, 2, M) [3 phi_inf; g], folded on the dealiasing grid
     A_blocks: np.ndarray  # (M, 2, 2)
     eigenvalues: np.ndarray  # (2M,) ascending
     eig_pos: np.ndarray  # (M, 2) eigen index of each mode's two branches
@@ -161,11 +165,11 @@ def F_second_parts(phi_inf: ScalarField) -> tuple[float, ScalarField]:
     """(F_bar, g): the mean of F''(phi_inf) = 3 phi_inf^2 - 1 and its mean-free part.
 
     Both come from one dealiased square of phi_inf: the analysis of v^2 for
-    its one synthesis v on the P = 2M grid.
+    its one synthesis v on the P = 2M grid, held folded.
     """
     basis = phi_inf.basis
-    v = _cosine_matrix(basis, 2 * basis.M) @ phi_inf.coeffs
-    sq = _coeffs_from_grid(basis, v * v)
+    v = _folded_values(basis, phi_inf.coeffs)
+    sq = _folded_coeffs(basis, v * v)
     L = basis.L
     F_bar = float(3.0 * (sq[0] * np.sqrt(L)) / L - 1.0)
     g = 3.0 * sq
@@ -181,7 +185,7 @@ def assemble_plant(params: PhysicalParams, state: StationaryState) -> Linearized
     F_l = F_bar + params.l
 
     M = basis.M
-    remainder_grid = np.stack([3.0 * phi_inf.coeffs, g.coeffs]) @ _cosine_matrix(basis, 2 * M).T
+    remainder_grid = np.stack([_folded_values(basis, c) for c in (3.0 * phi_inf.coeffs, g.coeffs)])
     kap = basis.kappa
     blocks = np.zeros((M, 2, 2))
     blocks[:, 0, 0] = params.nu * kap**2 + F_l * kap

@@ -41,12 +41,12 @@ eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
 ``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
 to first order (to 3e-15 relative on the workloads).
 
-The probe residual applies Op through its 2 x 2 blocks.  The first step
-keeps the stable block of its eigenbasis iterate as one 2 x 2 block per
-cosine mode and writes R as the cross of the unstable modes' rows and
-columns plus those blocks, into one zeroed n x n array (n = 2M), so a
-synthesis that stops after it holds R and the probe's samples besides its
-inputs.
+The probe residual applies Op through its 2 x 2 blocks and draws its
+samples in blocks of 32 rows.  The first step keeps the stable block of its
+eigenbasis iterate as one 2 x 2 block per cosine mode and writes R as the
+cross of the unstable modes' rows and columns plus those blocks, into one
+zeroed n x n array (n = 2M), so a synthesis that stops after it holds R and
+one block of probe samples besides its inputs.
 
 Each later step (``_dense_step``, when the probe residual has not met the
 tolerance) forms the dense Op and takes one dense real Schur form of the
@@ -60,7 +60,11 @@ when it runs.
 Both eigenbasis routes assume that Op is self-adjoint with the closed-form
 eigenpairs, which holds because ``linearization`` keeps only the
 constant-coefficient part of the linearization; a variable-coefficient
-operator would need both revisited.
+operator would need both revisited.  On a nonconstant state the gain is
+therefore designed on a model, and ``solve_care`` certifies it on the true
+linearization instead (``_true_operator``): when the plant's ``g_max``
+exceeds ``TRUE_LOOP_G_MAX``, the reported margin is that of the true closed
+loop, from one dense eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ import numpy as np
 from .actuator import Actuator
 from .config import NumericalError
 from .linearization import LinearizedPlant
+from .spectral import _folded_coeffs, _folded_values
 
 __all__ = [
     "RiccatiSolution",
@@ -79,8 +84,12 @@ __all__ = [
 ]
 
 # the gain cache's key in cli holds this with the config; a change that gives
-# a different R for an unchanged config bumps it, so no older gain.npz is reused
-SOLVER_VERSION = 1
+# a different R, or another cached margin, for an unchanged config bumps it,
+# so no older gain.npz is reused (2: the true-loop margin on nonconstant states)
+SOLVER_VERSION = 2
+# g_max (which bounds ||G_hat||_2) above this makes solve_care report the
+# true closed loop's margin; a constant state has g_max = 0 exactly
+TRUE_LOOP_G_MAX = 1e-12
 
 
 @dataclass
@@ -95,9 +104,11 @@ class RiccatiSolution:
 
 
 # Probe sets of the quadratic-form residual: the same draw at every Newton
-# iteration (its stop rule), and a separate draw for the reported residual
+# iteration (its stop rule), and a separate draw for the reported residual;
+# each is drawn and applied _PROBE_BLOCK rows at a time
 _PROBE_SAMPLES, _PROBE_SEED = 32, 12345
 _REPORT_SAMPLES, _REPORT_SEED = 100, 202
+_PROBE_BLOCK = 32
 
 
 def _probe_residual(
@@ -110,15 +121,21 @@ def _probe_residual(
 ) -> float:
     """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x.
 
-    ``apply_op(X)`` is X Op^T, Op applied to each row of X.
+    ``apply_op(X)`` is X Op^T, Op applied to each row of X.  The samples are
+    drawn in blocks of ``_PROBE_BLOCK`` rows from the one generator, which
+    gives the rows of a single (samples, dim) draw, and each row's value is
+    its own, so the residual does not depend on the block size; at most
+    one block of (rows, dim) temporaries is alive at a time.
     """
-    # row i of one (samples, dim) draw is the i-th of `samples` draws of dim
-    X = rng.standard_normal((samples, R.shape[0]))
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    RX = X @ R.T
-    quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
-    target = (X * X) @ Q_diag
-    return float(np.max(np.abs(quad - target) / target))
+    worst = []  # each block's largest, NaN included
+    for start in range(0, samples, _PROBE_BLOCK):
+        X = rng.standard_normal((min(_PROBE_BLOCK, samples - start), R.shape[0]))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        RX = X @ R.T
+        quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
+        target = (X * X) @ Q_diag
+        worst.append(np.max(np.abs(quad - target) / target))
+    return float(np.max(worst))
 
 
 def _care_hamiltonian(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -416,15 +433,47 @@ def solve_care(
     res = _probe_residual(
         R, plant.apply_operator, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
     )
+    margin = _margin(lam, b, k)
+    # the largest eigenvalues are the tail's, where the diagonal of
+    # Lambda + b k^T is their first-order value
+    min_real = -float(np.max(lam + np.sum(b * k, axis=1)))
+    g_max = plant.g_max
+    if g_max > TRUE_LOOP_G_MAX:
+        spectrum = np.linalg.eigvals(_true_operator(plant) + B @ K).real
+        margin, min_real = float(spectrum.min()), -float(spectrum.max())
+        if margin <= 0.0:
+            raise NumericalError(
+                f"the true closed loop Op + diag(kappa) G + B K is not stable (min Re "
+                f"{margin:.3e}): the gain was designed without the state's g y term "
+                f"(g_max {g_max:.3e})",
+                margin=margin,
+            )
 
     return RiccatiSolution(
         R_matrix=R,
         K_gain=K,
         residual_rel=res,
-        margin=_margin(lam, b, k),
-        # the largest eigenvalues are the tail's, where the diagonal of
-        # Lambda + b k^T is their first-order value
-        min_real=-float(np.max(lam + np.sum(b * k, axis=1))),
+        margin=margin,
+        min_real=min_real,
         iterations=iterations,
         residual_history=[h["residual"] for h in history],
     )
+
+
+def _true_operator(plant: LinearizedPlant) -> np.ndarray:
+    """Dense Op_true = Op + [[diag(kappa) G_hat, 0], [0, 0]], the whole linearization.
+
+    G_hat = (L/P) C^T diag(g) C is the linear term g y of the remainder in
+    modal coordinates, taken through the folded pair on the P = 2M grid from
+    the plant's folded g row; the remainder Lap(g y) enters the dynamics as
+    -diag(kappa) G_hat y.  Only ``solve_care``'s true-loop check reads it:
+    that check certifies a gain designed on the constant-coefficient part,
+    and is a certificate, not a design.  A synthesis on the true operator
+    would replace it.
+    """
+    basis, M = plant.basis, plant.M
+    g = plant.remainder_grid[1]
+    G_hat = _folded_coeffs(basis, g[:, :, None] * _folded_values(basis, np.eye(M)))
+    op = plant.operator_matrix()
+    op[:M, :M] += basis.kappa[:, None] * G_hat
+    return op

@@ -19,28 +19,27 @@ limited by the gain.
 
 Each step evaluates the remainder pseudospectrally on the P = 2M
 dealiasing grid, whose cosine matrix C (the basis functions at the grid's
-midpoints, cached on the first call) is mirror-symmetric:
-C[P-1-j] = (-1)^k C[j].  The grid values are therefore held folded, as the
-(2, M) array [bottom half reversed; top half] = [ys; y] H^T, where
-H = C[:M] is the top half of C and ys = (-1)^k y.  The remainder is two
-two-row products against H: the folded values V = [ys; y] H^T, and the
-unscaled analysis Z = [Zb; Zt] = T H of T = V^3 + 3 phi_inf V^2 + g V (the
-cubic in Horner form, on 3 phi_inf and g folded the same way), from which
-the analysis of the whole grid is q = C^T T = Zt + (-1)^k Zb.  Each
-product reads half of C.  The scheme's constants are folded once, when the
-stepper is built, in one pass over both implicit solves: the plant's grid
-rows of 3 phi_inf and g folded by slicing, the per-mode factor
--kappa L / P times dt (imex1) or 2 dt (imex2) with the sign (-1)^k on its
-Zb row, and SBDF2's 1/3 into a copy of the block inverse.  The time loop
-is one generator, ``_Stepper.run``: it binds every buffer once, keeps the
-state in a ring of three history slots [ys; y; z; Zb; Zt; w], writes every
-intermediate in place into a buffer allocated once, and yields views of the
-state and the feedback amplitudes after every recorded step.  A steady step
-is Z, one right-hand side, one block product, the rank-N feedback
-correction and the refresh of ys: 19 NumPy calls and no allocation.  The
-first step runs through the same body with the theta = dt constants.
-``simulate`` copies the rows it records and the final state, the stepper's
-stacked vector.
+midpoints) is mirror-symmetric: C[P-1-j] = (-1)^k C[j].  The grid values
+are therefore held folded, as the (2, M) array
+[bottom half reversed; top half] = [ys; y] H^T, where H = C[:M] is the top
+half of C, the only part of it that ``spectral`` caches, and
+ys = (-1)^k y.  The remainder is two two-row products against H: the
+folded values V = [ys; y] H^T, and the unscaled analysis Z = [Zb; Zt] = T H
+of T = V^3 + 3 phi_inf V^2 + g V (the cubic in Horner form, on 3 phi_inf
+and g, which the plant keeps folded the same way in ``remainder_grid``),
+from which the analysis of the whole grid is q = C^T T = Zt + (-1)^k Zb.
+The scheme's constants are folded once, when the stepper is built, in one
+pass over both implicit solves: the per-mode factor -kappa L / P times dt
+(imex1) or 2 dt (imex2) with the sign (-1)^k on its Zb row, and SBDF2's
+1/3 into a copy of the block inverse.  The time loop is one generator,
+``_Stepper.run``: it binds every buffer once, keeps the state in a ring of
+three history slots [ys; y; z; Zb; Zt; w], writes every intermediate in
+place into a buffer allocated once, and yields views of the state and the
+feedback amplitudes after every recorded step.  A steady step is Z, one
+right-hand side, one block product, the rank-N feedback correction and the
+refresh of ys: 19 NumPy calls and no allocation.  The first step runs
+through the same body with the theta = dt constants.  ``simulate`` copies
+the rows it records and the final state, the stepper's stacked vector.
 
 Trajectories record the decay norm ||y||_{D(A^1/2)} + ||z||_{D(A^1/4)} (the
 norm in which exponential decay is certified), the plain product-space norm,
@@ -51,9 +50,11 @@ physical variables (phi, theta): y = phi - phi_inf, and z is exactly
 alpha0 (theta - theta_inf) + alpha0 l0 (phi - phi_inf).  The record arrays
 are sized up front (t = 0, every ``record_every``-th step and the last
 step) and filled in place.  The loop copies each recorded state into a
-buffer of ``_RECORD_BLOCK`` rows; when the buffer fills, and once after the
-loop, one pass of whole-array operations fills that block's norms and means
-and runs the blow-up guard on it.  The norms are row-wise (they reduce over
+block buffer of ``_RECORD_BLOCK_BYTES`` of stacked states
+(``_record_block_rows``: 256 rows at M = 64, 64 at M = 256, 4 at
+M = 4096); when the buffer fills, and once after the loop, one pass of
+whole-array operations fills that block's norms and means and runs the
+blow-up guard on it.  The norms are row-wise (they reduce over
 the last axis, one dot product per row), so a row's value does not depend on
 its place in a block and a single state is the same call on one row.
 """
@@ -66,10 +67,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuator import Actuator
-from .config import NumericalError, RunConfig
+from .config import NumericalError, RunConfig, step_count
 from .linearization import LinearizedPlant
 from .lqr import RiccatiSolution
-from .spectral import ScalarField, _cosine_matrix, _weighted_norm
+from .spectral import ScalarField, _half_cosine_matrix, _mirror_sign, _weighted_norm
 from .stationary import StationaryState
 
 __all__ = [
@@ -84,9 +85,15 @@ BLOWUP_FACTOR = 1e6  # a decay norm this many times its start is a blow-up
 FIT_MIN_SAMPLES = 20  # fewest recorded rows in the fit window that give a rate
 FIT_MIN_R2 = 0.99  # a log-linear fit below this R^2 gives no rate
 INITIAL_MU_DECAY = 2.0  # seeded initial coefficients are damped by mu_k^-2
-# recorded states buffered between two norm passes: 256 KB at M = 64, 1 MB
-# at M = 256, where buffering a whole 4 001-row run would take 4.1 MB
-_RECORD_BLOCK = 256
+# recorded states buffered between two norm passes, in bytes of stacked
+# (2M,) states: 256 rows at M = 64; at M = 256 a block of 256 rows took 1 MiB
+# and its norm scratch another 0.5 MiB
+_RECORD_BLOCK_BYTES = 256 * 1024
+
+
+def _record_block_rows(M: int) -> int:
+    """Rows of 2M doubles in one block of ``_RECORD_BLOCK_BYTES``, at least one."""
+    return max(_RECORD_BLOCK_BYTES // (2 * M * 8), 1)
 
 
 def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
@@ -178,11 +185,12 @@ class _Stepper:
     rows are added into the y part.  e1 and e2 have a zero mean entry
     (kappa_0 = 0) in both rows, so the explicit term leaves the means alone.
 
-    The remainder reads only the top half H = C[:M] of the cached cosine
-    matrix, a view, and the set-up folds the plant's grid rows of 3 phi_inf
-    and g (``remainder_grid``) by slicing, with no product.  The cache still
-    holds the whole P x M matrix, which ``assemble_plant`` and the
-    stationary solve read, so the memory it takes does not halve.
+    The remainder reads the top half H = C[:M] of the cosine matrix, the
+    M x M matrix that ``spectral`` caches for the dealiasing grid, and the
+    plant's rows of 3 phi_inf and g (``remainder_grid``), which the plant
+    keeps folded and C-contiguous, so the set-up neither slices nor copies
+    them; a strided view there would send each in-place product of the
+    step through NumPy's general iterator.
 
     The open-loop part of the solve is the per-mode 2x2 block inverse
     [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
@@ -288,13 +296,10 @@ class _Stepper:
             self.minus_S = -np.linalg.solve(cap, sol.K_gain)
 
         P = 2 * M
-        self.H = _cosine_matrix(basis, P)[:M]
-        sign = self.sign = np.ones(M)
-        sign[1::2] = -1.0
-        # the plant's grid rows 3 phi_inf and g, each folded to
-        # [bottom half reversed; top half]
-        v = plant.remainder_grid
-        self.phi3, self.g = np.stack([v[:, : M - 1 : -1], v[:, :M]], axis=1)
+        self.H = _half_cosine_matrix(basis)
+        sign = self.sign = _mirror_sign(M)
+        # 3 phi_inf and g, each folded to [bottom half reversed; top half]
+        self.phi3, self.g = plant.remainder_grid
         self.grid = (np.empty((2, M)), np.empty((2, M)))
         e1 = np.empty((2, M))
         np.multiply(basis.kappa, -basis.L / P * dt, e1[1])
@@ -471,11 +476,13 @@ def simulate(
     state and the feedback amplitudes of every recorded step; the rows wait
     in a block buffer for their norm pass.  The decay rate is fitted on
     log(xi norm) over the second half of the run, [t_end / 2, t_end].
-    Raises NumericalError, with facts ``t`` and ``norm``, at the first
-    recorded row whose decay norm exceeds ``BLOWUP_FACTOR`` times its
-    initial value or stops being finite; rows are checked once per block of
-    ``_RECORD_BLOCK``, so up to one block of further steps runs first.
-    ``stat`` is not used; it stays for callers that still pass it.
+    Raises ValueError unless t_end is a positive whole number of steps dt
+    to rounding (``config.step_count``), and NumericalError, with facts
+    ``t`` and ``norm``, at the first recorded row whose decay norm exceeds
+    ``BLOWUP_FACTOR`` times its initial value or stops being finite; rows
+    are checked once per block (``_record_block_rows``), so up to one block
+    of further steps runs first.  ``stat`` is not used; it stays for callers
+    that still pass it.
     """
     stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
     basis = plant.basis
@@ -483,13 +490,13 @@ def simulate(
     fit_window = (0.5 * t_end, t_end)
 
     x = np.concatenate([y0.coeffs, z0.coeffs])
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     w = -(sol.K_gain @ x) if sol is not None else np.zeros(0)
 
     # rows: t = 0, every record_every-th step, and the last step once; any
     # record_every from the step count on records t = 0 and t_end alone, and
     # clamping it there keeps the product below inside int64
-    record_every = min(record_every, max(n_steps, 1))
+    record_every = min(record_every, n_steps)
     n_rows = n_steps // record_every + 1 + (n_steps % record_every != 0)
     times = np.minimum(np.arange(n_rows) * record_every, n_steps) * dt
     xi_s, h_s, my_s, mz_s = np.empty((4, n_rows))
@@ -497,22 +504,23 @@ def simulate(
     sqrtL = np.sqrt(basis.L)
     xi0 = _decay_norm(basis, x)
     bound = BLOWUP_FACTOR * max(xi0, NORM_FLOOR)
-    # row r waits in block[r % _RECORD_BLOCK] until its block's pass, which
-    # writes straight into the record arrays through one (rows, M) scratch
-    block = np.empty((min(_RECORD_BLOCK, n_rows), 2 * M))
+    # row r waits in block[r % rows] until its block's pass, which writes
+    # straight into the record arrays through one (rows, M) scratch
+    rows = _record_block_rows(M)
+    block = np.empty((min(rows, n_rows), 2 * M))
     scratch = np.empty(block[:, :M].shape)
 
     def record_block(stop: int) -> None:
         """Fill the rows of the block that ends before row ``stop``, then guard them."""
-        first = (stop - 1) // _RECORD_BLOCK * _RECORD_BLOCK
-        rows = slice(first, stop)
+        first = (stop - 1) // rows * rows
+        span = slice(first, stop)
         x_b, s = block[: stop - first], scratch[: stop - first]
         y_b, z_b = x_b[:, :M], x_b[:, M:]
-        xi = _decay_norm(basis, x_b, xi_s[rows], s)
-        h = h_s[rows]
+        xi = _decay_norm(basis, x_b, xi_s[span], s)
+        h = h_s[span]
         np.hypot(_weighted_norm(1.0, y_b, h, s), _weighted_norm(1.0, z_b, None, s), h)
-        np.divide(y_b[:, 0], sqrtL, my_s[rows])
-        np.divide(z_b[:, 0], sqrtL, mz_s[rows])
+        np.divide(y_b[:, 0], sqrtL, my_s[span])
+        np.divide(z_b[:, 0], sqrtL, mz_s[span])
         # row 0 sets the bound and is not checked against it
         skip = 1 if first == 0 else 0
         over = np.flatnonzero(~np.isfinite(xi[skip:]) | (xi[skip:] > bound))
@@ -531,11 +539,11 @@ def simulate(
     row = 0
     for x, w in stepper.run(x, n_steps, record_every):
         row += 1
-        block[row % _RECORD_BLOCK] = x
+        block[row % rows] = x
         amps[row] = w
-        if (row + 1) % _RECORD_BLOCK == 0:
+        if (row + 1) % rows == 0:
             record_block(row + 1)
-    if n_rows % _RECORD_BLOCK:
+    if n_rows % rows:
         record_block(n_rows)
 
     rate, r2 = fit_exponential_rate(times, xi_s, fit_window)

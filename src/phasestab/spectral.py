@@ -11,27 +11,35 @@ basis every operator we need is diagonal:
     A = -Laplacian + I   ->  mu_k    = 1 + kappa_k
     A^alpha              ->  mu_k^alpha   (any real alpha, since mu_k >= 1)
 
-There is one transform between coefficients and grid values: the cached
-P x M matrix C of the basis functions at the P midpoint nodes
-(``_cosine_matrix``).  Synthesis is C c; analysis is (L/P) C^T v, the
-midpoint rule, which is exact for the retained modes, so round trips at
-P = M are exact to round-off and the discrete Parseval identity
-sum_k c_k^2 = (L/M) sum_j f_j^2 holds.  Analysis first projects out the grid
-mean and sets c_0 from it: the k >= 1 columns sum to zero on the midpoint
-grid, and without the projection their round-off would give a constant field
-spurious higher coefficients of order 1e-16, which the Laplacian then
-amplifies by kappa_k.
+There is one transform between coefficients and grid values, a cached
+matrix of the basis functions at the grid's midpoints.  On the P-point grid
+it is the P x M matrix C (``_cosine_matrix``): synthesis is C c; analysis is
+(L/P) C^T v, the midpoint rule, which is exact for the retained modes, so
+round trips at P = M are exact to round-off and the discrete Parseval
+identity sum_k c_k^2 = (L/M) sum_j f_j^2 holds.  Analysis first projects out
+the grid mean and sets c_0 from it: the k >= 1 columns sum to zero on the
+midpoint grid, and without the projection their round-off would give a
+constant field spurious higher coefficients of order 1e-16, which the
+Laplacian then amplifies by kappa_k.
 
 Pointwise (nonlinear) products are evaluated on a zero-padded grid of
 P = 2M points, and every caller writes that grid as 2M.  It must be 2M for
 two reasons.  The 3/2 rule keeps only quadratic products alias-free; 2M
 does the same for cubic products of band-limited fields in the retained M
-modes.  And the time stepper folds the grid onto its mirror half
-(``sim._Stepper``), whose M rows are exactly the top half of the 2M-point
-grid.  Each caller synthesizes its field once there and analyses the
-product of the values: ``linearization.F_second_parts`` the square, and
-``stationary._euler_lagrange`` the cube, from the one synthesis per
-iterate that also gives Upsilon and the Euler-Lagrange residual.
+modes.  And the 2M-point midpoint grid is mirror-symmetric,
+C[P-1-j] = (-1)^k C[j], so its top half H = C[:M], an M x M matrix, carries
+the whole of C: this module caches only H (``_half_cosine_matrix``) and
+holds the grid's values folded, as the (2, M) array
+[bottom half reversed; top half] = [H (-1)^k c; H c].  ``_folded_values``
+and ``_folded_coeffs`` are that synthesis and analysis, the latter with the
+same mean projection; the analysis of a folded v is
+(L/P) (H^T v_top + (-1)^k H^T v_bottom).  Each caller synthesizes its field
+once there and analyses the product of the values:
+``linearization.F_second_parts`` the square, ``assemble_plant`` the
+remainder's coefficient functions, ``stationary._euler_lagrange`` the cube,
+from the one synthesis per iterate that also gives Upsilon and the
+Euler-Lagrange residual, and the time stepper (``sim._Stepper``) its
+remainder.  The node grid (P = M, which may be odd) keeps its full matrix.
 """
 
 from __future__ import annotations
@@ -154,20 +162,20 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.basis, -f.basis.kappa * f.coeffs)
 
 
-def _midpoint_angles(basis: SpectralBasis, P: int) -> np.ndarray:
-    """P x M angles k pi x_j / L on the P-point midpoint grid, reduced to [0, 2 pi).
+def _midpoint_angles(basis: SpectralBasis, P: int, rows: int) -> np.ndarray:
+    """rows x M angles k pi x_j / L on the first ``rows`` rows of the P-point midpoint grid.
 
     k pi x_j / L = pi k (2j + 1) / (2P); reducing k (2j + 1) modulo 4P in
-    integers keeps every angle accurate to round-off.
+    integers keeps every angle accurate to round-off, in [0, 2 pi).
     """
-    turns = np.outer(2 * np.arange(P) + 1, np.arange(basis.M)) % (4 * P)
+    turns = np.outer(2 * np.arange(rows) + 1, np.arange(basis.M)) % (4 * P)
     return turns * (np.pi / (2 * P))
 
 
 @functools.lru_cache(maxsize=16)
 def _sine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
     """P x M matrix  sin(k pi x_j / L)  on the P-point midpoint grid (cached, read-only)."""
-    mat = np.sin(_midpoint_angles(basis, P))
+    mat = np.sin(_midpoint_angles(basis, P, P))
     mat.flags.writeable = False
     return mat
 
@@ -177,17 +185,68 @@ def _cosine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
     """P x M matrix  e_k(x_j)  on the P-point midpoint grid (cached, read-only).
 
     ``C @ c`` gives values on the grid and ``(L/P) C.T @ v`` the coefficients
-    of grid values.  The midpoint grid is mirror-symmetric,
-    C[P-1-j] = (-1)^k C[j], so the top half C[:P/2] carries the whole matrix
-    when P is even: the time stepper's two products per step read only that
-    half (``sim._remainder_analysis``).  The cache holds all P M doubles
-    (1 MiB at M = 256, P = 2M), which ``linearization``, ``_values_on_grid``
-    and ``_coeffs_from_grid`` read.
+    of grid values.  The package reads it on the node grid, P = M; the 2M
+    dealiasing grid goes through its top half (``_half_cosine_matrix``).
     """
-    mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P))
+    return _cosine_rows(basis, P, P)
+
+
+def _cosine_rows(basis: SpectralBasis, P: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the P-point grid's cosine matrix (read-only)."""
+    mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P, rows))
     mat[:, 0] = np.sqrt(1.0 / basis.L)
     mat.flags.writeable = False
     return mat
+
+
+@functools.lru_cache(maxsize=16)
+def _half_cosine_matrix(basis: SpectralBasis) -> np.ndarray:
+    """M x M top half H = C[:M] of the 2M-point grid's cosine matrix (cached, read-only).
+
+    The 2M-point midpoint grid is mirror-symmetric, C[P-1-j] = (-1)^k C[j],
+    so H carries all of C in M^2 doubles (0.5 MiB at M = 256, 128 MiB at
+    M = 4096), half of what C would take; its entries are those of C[:M]
+    bit for bit.
+    """
+    return _cosine_rows(basis, 2 * basis.M, basis.M)
+
+
+def _mirror_sign(M: int) -> np.ndarray:
+    """(-1)^k for k = 0..M-1: C[P-1-j, k] = (-1)^k C[j, k] on the 2M-point grid."""
+    sign = np.ones(M)
+    sign[1::2] = -1.0
+    return sign
+
+
+def _folded_values(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Values on the 2M-point grid of the M coefficients (or of each (M, n) column), folded.
+
+    The result is [bottom half reversed; top half] = [H (-1)^k c; H c], of
+    shape (2, M) or (2, M, n): C c with its rows P-1-j and j side by side.
+    """
+    M = basis.M
+    c = coeffs.reshape(M, -1)
+    folded = _half_cosine_matrix(basis) @ np.stack([_mirror_sign(M)[:, None] * c, c])
+    return folded.reshape((2,) + coeffs.shape)
+
+
+def _folded_coeffs(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
+    """The M coefficients (or (M, n)) of folded values (2, M) (or (2, M, n)) on the 2M grid.
+
+    The analysis (L/P) C^T v of the whole grid, as (L/P) (H^T v_top +
+    (-1)^k H^T v_bottom), with ``_coeffs_from_grid``'s mean projection: the
+    mean is projected out twice, over both halves, so a constant leaves
+    exactly zero higher coefficients, and c_0 is set from it.
+    """
+    M = basis.M
+    flat = values.reshape((2 * M,) + values.shape[2:])
+    mean = flat.mean(axis=0)
+    deviation = flat - mean
+    deviation -= deviation.mean(axis=0)
+    Z = _half_cosine_matrix(basis).T @ deviation.reshape(2, M, -1)
+    coeffs = (basis.L / (2 * M)) * (Z[1] + _mirror_sign(M)[:, None] * Z[0])
+    coeffs[0] = np.sqrt(basis.L) * mean
+    return coeffs.reshape(values.shape[1:])
 
 
 def gradient_values(f: ScalarField, P: int | None = None) -> np.ndarray:

@@ -29,9 +29,9 @@ from .config import NumericalError
 from .spectral import (
     ScalarField,
     SpectralBasis,
-    _coeffs_from_grid,
     _cosine_matrix,
-    _values_on_grid,
+    _folded_coeffs,
+    _folded_values,
     gradient_values,
     laplacian,
 )
@@ -67,18 +67,19 @@ def _euler_lagrange(
     """Upsilon, and the coefficients of nu*Lap(phi) - phi^3 + phi - C and of phi^3.
 
     All three come from one synthesis v of phi on the P = 2M dealiasing
-    grid.  The gradient term of Upsilon is nu/2 sum kappa_k c_k^2 by
-    Parseval, since the derivatives e_k' are orthogonal with squared norms
-    kappa_k; the well is the midpoint rule on the grid, which integrates
-    cos(k pi x / L) exactly for k < 2P, so also the quartic of a
-    band-limited field, whose wavenumbers stay below 4M.  The cubic is the
-    analysis of v^3, exact in the retained modes for the same reason.
+    grid, held folded (``spectral._folded_values``).  The gradient term of
+    Upsilon is nu/2 sum kappa_k c_k^2 by Parseval, since the derivatives e_k'
+    are orthogonal with squared norms kappa_k; the well is the midpoint rule
+    on the grid, which integrates cos(k pi x / L) exactly for k < 2P, so also
+    the quartic of a band-limited field, whose wavenumbers stay below 4M.
+    The cubic is the analysis of v^3, exact in the retained modes for the
+    same reason.
     """
     P = 2 * basis.M
-    v = _values_on_grid(basis, coeffs, P)
+    v = _folded_values(basis, coeffs)
     well = 0.25 * (v * v - 1.0) ** 2 + C * v
     ups = float(0.5 * nu * (basis.kappa @ coeffs**2) + well.sum() * basis.L / P)
-    cubic = _coeffs_from_grid(basis, v * v * v)
+    cubic = _folded_coeffs(basis, v * v * v)
     res = nu * (-basis.kappa * coeffs) - cubic + coeffs
     res[0] -= C * np.sqrt(basis.L)
     return ups, res, cubic

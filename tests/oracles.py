@@ -9,6 +9,16 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
     e_k at any points by its cosine formula, not the cached cosine matrix.
     Used across ``test_spectral.py`` and by ``test_sim.py::TestRemainderTerm``.
 
+``cosine_matrix``
+    The whole P x M matrix of the basis functions at the P-point midpoint
+    grid.  The package caches only the top half of the 2M-point grid's
+    matrix and synthesizes and analyses there through the mirror fold
+    (``spectral._folded_values`` and ``_folded_coeffs``); this is the
+    unfolded reference they are checked against, and the orthonormal DCT-II
+    pair checks it.  Used by ``test_spectral.py::TestCosineMatrix`` and
+    ``::TestFoldedPair``, ``test_sim.py::TestFoldedRemainder`` and
+    ``test_lqr.py::TestTrueLoopCertificate``.
+
 ``eigenvectors``
     The plant's dense orthonormal eigenvector matrix V, scattered from its
     per-mode eigen indices ``eig_pos`` and rotations ``eig_rot`` by one
@@ -106,6 +116,18 @@ def basis_function(basis, k: int, x: np.ndarray) -> np.ndarray:
     if k == 0:
         return np.full_like(x, np.sqrt(1.0 / basis.L))
     return np.sqrt(2.0 / basis.L) * np.cos(k * np.pi * x / basis.L)
+
+
+def cosine_matrix(basis, P: int) -> np.ndarray:
+    """C[j, k] = e_k(x_j) at the P midpoints x_j = (j + 1/2) L / P.
+
+    k pi x_j / L = pi k (2j + 1) / (2P), with k (2j + 1) reduced modulo 4P
+    in integers, so every entry is accurate to round-off at any M.
+    """
+    turns = np.outer(2 * np.arange(P) + 1, np.arange(basis.M)) % (4 * P)
+    C = np.sqrt(2.0 / basis.L) * np.cos(np.pi * turns / (2 * P))
+    C[:, 0] = np.sqrt(1.0 / basis.L)
+    return C
 
 
 def eigenvectors(plant) -> np.ndarray:

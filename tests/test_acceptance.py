@@ -33,7 +33,7 @@ from phasestab.config import SimConfig, apply_override
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import _remainder_analysis, fit_exponential_rate, seeded_initial_state, simulate
-from phasestab.spectral import ScalarField, SpectralBasis, _cosine_matrix, _values_on_grid
+from phasestab.spectral import ScalarField, SpectralBasis, _folded_values, _half_cosine_matrix
 from phasestab.stationary import stationary_constant, stationary_minimize
 
 from oracles import (
@@ -318,12 +318,9 @@ def test_c08_remainder_equivalence(default_problem):
         # grid; q = Zt + (-1)^k Zb and G(y) = -kappa (L/P) q
         M, P = basis.M, 2 * basis.M
         sign = (-1.0) ** np.arange(M)
-        # full-grid values folded to [bottom half reversed; top half]
-        pv, gv = (
-            np.stack([v[M:][::-1], v[:M]])
-            for v in (_values_on_grid(basis, f.coeffs, P) for f in (phi, g))
-        )
-        H = _cosine_matrix(basis, P)[:M]
+        # grid values folded to [bottom half reversed; top half]
+        pv, gv = (_folded_values(basis, f.coeffs) for f in (phi, g))
+        H = _half_cosine_matrix(basis)
         Zb, Zt = _remainder_analysis(H, H.T, np.stack([sign * y.coeffs, y.coeffs]), 3.0 * pv, gv)
         direct = -basis.kappa * (basis.L / P) * (Zt + sign * Zb)
         expanded = remainder_G_expanded(y, phi, g)

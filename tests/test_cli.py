@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import phasestab
 from phasestab import lqr
 from phasestab.cli import (
     _gain_digest,
+    _write_npz,
     build_materials,
     load_gain,
     main,
@@ -34,6 +36,7 @@ from phasestab.config import (
     apply_override,
     load_config,
     save_config,
+    step_count,
 )
 from phasestab.io import _jsonable, read_json, read_trajectory_csv, write_json, write_table
 from phasestab.lqr import RiccatiSolution
@@ -42,9 +45,9 @@ from phasestab.sim import _decay_norm
 import oracles
 from phasebench import workloads
 
-# _gain_digest of the default config at lqr.SOLVER_VERSION 1; a change
+# _gain_digest of the default config at lqr.SOLVER_VERSION 2; a change
 # invalidates every cached gain.npz
-DEFAULT_GAIN_DIGEST = "4554a21061bd53bf700d8e0c30f1f7b79ad0b14755e907c535a473eafe5c5635"
+DEFAULT_GAIN_DIGEST = "9ebd1ebb5d131fe1efe2bb994973e1a4f633712d5bcf510af1471b0952504b6b"
 
 
 def fast_config(outdir, **overrides):
@@ -236,6 +239,28 @@ class TestPipeline:
                 assert type(read) is type(fresh) and read == fresh, f.name
         assert all(type(v) is float for v in loaded.residual_history)
 
+    def test_gain_write_copies_no_array(self, tmp_path):
+        # each member goes out as its npy header and then the array's own
+        # buffer: writing a 2 MiB R allocates nothing near its size
+        # (np.savez copies any member under 16 MiB into a bytes object)
+        R = np.random.default_rng(0).standard_normal((512, 512))
+        path = tmp_path / "gain.npz"
+        tracemalloc.start()
+        try:
+            _write_npz(
+                path, R_matrix=R, margin=0.5, residual_history=[1e-3, 1e-9], config_digest="ab"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.nbytes // 16
+        with np.load(path) as data:
+            assert data.files == ["R_matrix", "margin", "residual_history", "config_digest"]
+            assert np.array_equal(data["R_matrix"], R)
+            assert data["margin"].tolist() == 0.5
+            assert data["residual_history"].tolist() == [1e-3, 1e-9]
+            assert str(data["config_digest"]) == "ab"
+
     def test_oracles_stay_off_the_pipeline_path(self):
         # the independent oracles live in tests/oracles.py: no package module
         # defines them, and no source file imports that module
@@ -243,6 +268,7 @@ class TestPipeline:
             "eigenvectors",
             "apply_B",
             "basis_function",
+            "cosine_matrix",
             "to_physical",
             "from_physical",
             "physical_norm",
@@ -521,6 +547,15 @@ class TestMainEntry:
                 "sim.t_end / sim.dt / sim.record_every asks for inf",
             ),
             (["--set", "seed=-1"], "seed must be >= 0, got -1"),
+            # a run of round(t_end / dt) steps would end at 0 or at 2 dt
+            (
+                ["--set", "sim.t_end=0.001"],
+                "sim.t_end = 0.001 is not a positive whole number of sim.dt = 0.005 steps",
+            ),
+            (
+                ["--set", "sim.t_end=0.0124"],
+                "sim.t_end = 0.0124 is not a positive whole number of sim.dt = 0.005 steps",
+            ),
         ],
     )
     def test_configuration_error_exit_two(self, tmp_path, capsys, args, message):
@@ -532,6 +567,24 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_workload_configs_are_whole_numbers_of_steps(self, workload):
+        cfg = workloads.config_for(workload, 0)
+        assert cfg.validate() is cfg
+        assert step_count(cfg.sim.t_end, cfg.sim.dt) * cfg.sim.dt == pytest.approx(cfg.sim.t_end)
+
+    def test_infinite_gramian_exits_three_with_its_own_message(self, tmp_path, capfd):
+        # the Gramian of a horizon of 1e300 overflows; it is checked before
+        # LAPACK's condition number, which would print its own complaint
+        code = main(
+            ["simulate", "--set", "basis.M=16", "--set", "actuator.T0=1e300",
+             "--output-dir", str(tmp_path / "run")]
+        )
+        assert code == 3
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+        assert err == "numerical failure: steering Gramian is not finite at T0 = 1.000e+300\n"
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_step_beyond_block_bound_exit_three(self, tmp_path, capsys, scheme):

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from phasestab import lqr
 from phasestab.actuator import build_actuator
-from phasestab.cli import build_materials
-from phasestab.config import NumericalError, SimConfig
-from phasestab.linearization import PhysicalParams, assemble_plant
+from phasestab.cli import build_materials, main
+from phasestab.config import NumericalError, SimConfig, apply_override
+from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.spectral import ScalarField, SpectralBasis
 from phasestab.stationary import stationary_constant
 
+import oracles
 from oracles import (
     apply_B,
     eigenvectors,
@@ -198,6 +199,33 @@ def test_block_probe_matches_dense_probe(workload):
             for apply_op in (m.plant.apply_operator, lambda X: X @ A_op.T)
         )
         assert block == pytest.approx(dense, rel=1e-12)
+
+
+def _one_draw_probe_residual(R, apply_op, B, Q_diag, samples, rng):
+    """The probe with all its samples drawn and applied at once, as one (samples, n) block."""
+    X = rng.standard_normal((samples, R.shape[0]))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    RX = X @ R.T
+    quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
+    target = (X * X) @ Q_diag
+    return float(np.max(np.abs(quad - target) / target))
+
+
+@pytest.mark.parametrize("workload", ["default", "thin_interface"])
+def test_blocked_probe_equals_one_draw_probe(workload):
+    # blocks of _PROBE_BLOCK rows from one generator are the rows of one
+    # draw, and each row's value is its own: the residual is bit-identical
+    m = _materials(workload)
+    sol = solve_care(m.plant, m.act)
+    args = (sol.R_matrix, m.plant.apply_operator, m.act.B_matrix, m.plant.state_weight_diagonal())
+    for samples, seed in [
+        (lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, lqr._REPORT_SEED), (45, 0),
+    ]:
+        blocked = lqr._probe_residual(*args, samples, np.random.default_rng(seed))
+        assert blocked == _one_draw_probe_residual(*args, samples, np.random.default_rng(seed))
+    assert sol.residual_rel == _one_draw_probe_residual(
+        *args, lqr._REPORT_SAMPLES, np.random.default_rng(lqr._REPORT_SEED)
+    )
 
 
 def _split_points(lo: int, hi: int) -> list[int]:
@@ -505,9 +533,10 @@ class TestFirstStep:
         assert np.linalg.norm(V.T @ A_cl.T @ V - T) <= 64 * eps * np.linalg.norm(A_cl)
 
     def test_synthesis_transient_is_two_dense_arrays(self):
-        # at M = 256, above its inputs, solve_care holds R and the report
-        # probe's (100, n) samples (1.80 n^2 doubles); the dense operator and
-        # a dense eigenvector matrix are never formed (5.09 with them, 2.33
+        # at M = 256, above its inputs, solve_care holds R and one 32-row
+        # block of probe samples at a time (1.31 n^2 doubles; 1.80 with the
+        # report probe's 100 rows drawn at once); the dense operator and a
+        # dense eigenvector matrix are never formed (5.09 with them, 2.33
         # with a scratch n x n array beside R)
         m = _materials("thin_interface")
         n = 2 * m.plant.M
@@ -518,7 +547,7 @@ class TestFirstStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * n * n * 8
+        assert peak <= 1.4 * n * n * 8
 
     def test_first_step_holds_one_dense_array(self):
         # at M = 256 the first step forms X1 as the unstable cross plus the
@@ -758,3 +787,80 @@ class TestClosedLoopSpectrum:
             solution, K_gain=np.zeros_like(solution.K_gain)
         )
         assert closed_loop_margin(zeroed, plant, act) <= 0
+
+
+def _kink_overrides(nu, L, M, tol=1e-8):
+    """--set items of the minimize state from 0 + 0.6 cos(pi x / L): a kink, with g != 0."""
+    return [
+        f"params.nu={nu}", f"basis.L={L}", f"basis.M={M}", "stationary.mode=minimize",
+        "stationary.init_value=0.0", "stationary.init_cos=0.6", f"stationary.tol={tol}",
+    ]
+
+
+def _kink_materials(*args, **kwargs):
+    cfg = SimConfig()
+    for item in _kink_overrides(*args, **kwargs):
+        apply_override(cfg, *item.split("="))
+    return build_materials(cfg.validate())
+
+
+class TestTrueLoopCertificate:
+    """On a nonconstant state the margin is the true closed loop's, Op + diag(kappa) G_hat + B K."""
+
+    @pytest.fixture(scope="class")
+    def kink(self):
+        m = _kink_materials(0.05, 1.0, 64)
+        assert m.plant.g_max > lqr.TRUE_LOOP_G_MAX
+        return m, solve_care(m.plant, m.act)
+
+    def test_true_operator_matches_oracle_matrix(self, kink):
+        # G_hat = (L/P) C^T diag(g) C on the whole P = 2M grid, from g's
+        # coefficients; the package takes it through the folded pair
+        m, _ = kink
+        basis, M = m.basis, m.plant.M
+        P = 2 * M
+        C = oracles.cosine_matrix(basis, P)
+        g = F_second_parts(m.stat.phi_inf)[1].coeffs
+        G_hat = (basis.L / P) * (C.T @ ((C @ g)[:, None] * C))
+        expected = m.plant.operator_matrix()
+        expected[:M, :M] += basis.kappa[:, None] * G_hat
+        actual = lqr._true_operator(m.plant)
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(actual - m.plant.operator_matrix()).max() > 1.0  # g y is not small
+
+    def test_margin_is_the_true_loops_abscissa(self, kink):
+        # the dense abscissa of the shipped gain's true closed loop; the
+        # model's own loop reports 0.0948782
+        m, sol = kink
+        true_loop = lqr._true_operator(m.plant) + m.act.B_matrix @ sol.K_gain
+        spectrum = np.linalg.eigvals(true_loop).real
+        assert sol.margin == pytest.approx(0.1063419, abs=1e-6)
+        assert sol.margin == pytest.approx(spectrum.min(), rel=1e-9)
+        assert sol.min_real == pytest.approx(-spectrum.max(), rel=1e-9)
+
+    def test_unstable_true_loop_exits_3(self, tmp_path, capsys):
+        # the model's gain, with margin 0.0511579 on the model, leaves the
+        # true loop of the nu = 0.03, L = 2 kink an eigenvalue at -0.2834412
+        overrides = _kink_overrides(0.03, 2.0, 128, tol=1e-6)
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["simulate", *args, "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "true closed loop" in err and "-2.834e-01" in err
+        assert not (tmp_path / "synth.json").exists() and not (tmp_path / "gain.npz").exists()
+        m = _kink_materials(0.03, 2.0, 128, tol=1e-6)
+        with pytest.raises(NumericalError) as info:
+            solve_care(m.plant, m.act)
+        assert info.value.facts["margin"] == pytest.approx(-0.2834412, abs=1e-6)
+
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_constant_states_take_no_true_loop_check(self, workload, monkeypatch):
+        # every workload sits on a constant state, g_max = 0 exactly: the
+        # margin stays the eigenbasis one, and no dense operator is formed
+        m = _materials(workload)
+        assert m.plant.g_max == 0.0
+
+        def forbidden(plant):
+            raise AssertionError("the true operator was formed")
+
+        monkeypatch.setattr(lqr, "_true_operator", forbidden)
+        assert solve_care(m.plant, m.act).margin > 0.0

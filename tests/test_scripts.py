@@ -1,5 +1,6 @@
 """Smoke test: each study script runs to completion on a small problem."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -57,3 +58,16 @@ def test_bench_writes_its_file(tmp_path):
     for phase in ("feedback", "remainder", "recording"):
         assert bench["step_profile"]["M=16"][phase] >= 0.0
     assert bench["care_profile"]["M=16"]["rest"] >= 0.0
+
+
+def test_bench_times_a_tier1_suite(tmp_path):
+    # --tier1 runs the checkout's suite once and keeps its wall time, exit
+    # code and summary line; here a checkout with one passing test
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text("def test_one():\n    assert True\n")
+    row = bench.run_tier1(tmp_path)
+    assert row["exit"] == 0 and row["wall_s"] > 0.0
+    assert "1 passed" in row["summary"]

@@ -8,16 +8,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasestab import sim
 from phasestab.actuator import build_actuator
 from phasestab.cli import build_materials
 from phasestab.config import NumericalError, SimConfig
 from phasestab.linearization import F_second_parts, PhysicalParams, assemble_plant
 from phasestab.lqr import solve_care
 from phasestab.sim import (
-    _RECORD_BLOCK,
     BLOWUP_FACTOR,
     NORM_FLOOR,
     _decay_norm,
+    _record_block_rows,
     _remainder_analysis,
     _Stepper,
     fit_exponential_rate,
@@ -27,12 +28,13 @@ from phasestab.sim import (
 from phasestab.spectral import (
     ScalarField,
     SpectralBasis,
-    _cosine_matrix,
-    _values_on_grid,
+    _folded_values,
+    _half_cosine_matrix,
     _weighted_norm,
 )
 from phasestab.stationary import stationary_constant
 
+import oracles
 from oracles import (
     apply_B,
     basis_function,
@@ -42,6 +44,7 @@ from oracles import (
     remainder_G_expanded,
     to_physical,
 )
+from phasebench.workloads import config_for
 
 OMEGA = (0.25, 0.75)  # the actuator interval of the world fixture
 
@@ -72,8 +75,8 @@ def remainder_direct(y, phi, g):
     """G(y) = -kappa (L/P) q from the stepper's folded kernel, q = Zt + (-1)^k Zb."""
     basis, M, P = y.basis, y.basis.M, 2 * y.basis.M
     sign = (-1.0) ** np.arange(M)
-    pv, gv = (fold(_values_on_grid(basis, f.coeffs, P)) for f in (phi, g))
-    H = _cosine_matrix(basis, P)[:M]
+    pv, gv = (_folded_values(basis, f.coeffs) for f in (phi, g))
+    H = _half_cosine_matrix(basis)
     Zb, Zt = _remainder_analysis(H, H.T, np.stack([sign * y.coeffs, y.coeffs]), 3.0 * pv, gv)
     return ScalarField(basis, -basis.kappa * (basis.L / P) * (Zt + sign * Zb))
 
@@ -217,17 +220,22 @@ class TestFoldedRemainder:
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_matches_full_grid_products(self, M, L):
+        # the stepper's inputs, the cached half H and the plant's folded
+        # rows, against the whole oracle matrix C
         basis = SpectralBasis(L=L, M=M)
         P = 2 * M
-        C = _cosine_matrix(basis, P)
+        C = oracles.cosine_matrix(basis, P)
         sign = (-1.0) ** np.arange(M)
         rng = np.random.default_rng(P)
         y, phi3, g = rng.standard_normal((3, M)) * np.exp(-0.25 * np.arange(M))
-        phi3_full, g_full = (_values_on_grid(basis, c, P) for c in (phi3, g))
+        phi3_full, g_full = C @ phi3, C @ g
         grid = (np.empty((2, M)), np.empty((2, M)))
-        H = C[:M]
+        H = _half_cosine_matrix(basis)
+        phi3_folded, g_folded = _folded_values(basis, phi3), _folded_values(basis, g)
+        for folded, full in ((phi3_folded, phi3_full), (g_folded, g_full)):
+            assert np.abs(folded - fold(full)).max() <= 1e-14 * np.abs(full).max()
         Zb, Zt = _remainder_analysis(
-            H, H.T, np.stack([sign * y, y]), fold(phi3_full), fold(g_full), None, grid
+            H, H.T, np.stack([sign * y, y]), phi3_folded, g_folded, None, grid
         )
         # synthesis: the kernel's first grid buffer holds C y folded
         values = C @ y
@@ -250,6 +258,18 @@ class TestFoldedRemainder:
         for row in stepper.ring:
             assert np.abs(row[M : 2 * M]).max() > 0.0
             assert np.array_equal(row[:M], sign * row[M : 2 * M])
+
+    def test_stepper_reads_the_plants_folded_rows(self, kink):
+        # the plant keeps 3 phi_inf and g folded and C-contiguous, and the
+        # stepper multiplies by them and by the cached half as they are
+        _, plant, act, sol = kink
+        stepper = _Stepper(plant, 5e-3, sol, act, True, "imex2")
+        assert plant.remainder_grid.shape == (2, 2, plant.M)
+        for mine, theirs in zip((stepper.phi3, stepper.g), plant.remainder_grid):
+            assert mine.flags.c_contiguous and mine.shape == (2, plant.M)
+            assert np.shares_memory(mine, theirs)
+        assert stepper.H is _half_cosine_matrix(plant.basis)
+        assert plant.g_max == np.abs(plant.remainder_grid[1]).max() > 0.5
 
     def test_ring_holds_signed_copies_closed_loop(self, world):
         basis, _, _, plant, act, sol = world
@@ -363,6 +383,16 @@ class TestStepImex:
         zero = ScalarField.constant(basis, 0.0)
         with pytest.raises(ValueError):
             simulate(plant, zero, zero, dt=1e-3, t_end=1e-3, sol=sol, act=None)
+
+    @pytest.mark.parametrize("t_end", [1e-3, 0.0124, 2.5e-3])
+    def test_t_end_not_a_whole_number_of_steps_rejected(self, world, t_end):
+        # round(t_end / dt) steps would end the run at 0, 2 dt or 0 (or dt)
+        # and still report t_end
+        basis, _, state, plant, _, _ = world
+        zero = ScalarField.constant(basis, 0.0)
+        with pytest.raises(ValueError, match=re.escape(f"sim.t_end = {t_end!r}")):
+            simulate(plant, zero, zero, dt=5e-3, t_end=t_end)
+        assert len(simulate(plant, zero, zero, dt=5e-3, t_end=0.015).times) == 4
 
 
 class ReferenceStep:
@@ -495,6 +525,39 @@ def test_steady_step_allocates_less_than_one_state(world):
         tracemalloc.stop()
     assert np.isfinite(x).all() and np.abs(x).max() > 1e-6 and w.shape == (act.N,)
     assert peak - before < 2 * basis.M * x.itemsize
+
+
+@pytest.fixture(scope="module")
+def thin():
+    """The thin_interface workload's plant (nu = 0.02, M = 256), actuator and gain."""
+    m = build_materials(config_for("thin_interface", 0))
+    return m.basis, m.plant, m.act, solve_care(m.plant, m.act)
+
+
+class TestRecordBlocks:
+    def test_blocks_are_sized_by_bytes(self):
+        # 256 KiB of stacked (2M,) states: 256 rows at M = 64, 64 at M = 256
+        assert [_record_block_rows(M) for M in (64, 256, 4096, 10**6)] == [256, 64, 4, 1]
+
+    def test_rows_at_m256_match_256_row_blocks(self, thin, monkeypatch):
+        # the 401 rows of a thin_interface run, recorded through 64-row blocks,
+        # are byte for byte those of the 256-row blocks that took 1 MiB
+        basis, plant, act, sol = thin
+        y0, z0 = seeded_initial_state(basis, 1e-2, seed=1234)
+
+        def run():
+            return simulate(plant, y0, z0, dt=5e-3, t_end=2.0, sol=sol, act=act)
+
+        rec = run()
+        monkeypatch.setattr(sim, "_RECORD_BLOCK_BYTES", 256 * 2 * basis.M * 8)
+        assert sim._record_block_rows(basis.M) == 256
+        wide = run()
+        assert len(rec.times) == 401
+        for name in (
+            "times", "xi_norms", "h_norms", "mean_y", "mean_z", "control_amplitudes", "final_x",
+        ):
+            assert getattr(rec, name).tobytes() == getattr(wide, name).tobytes(), name
+        assert rec.fitted_rate == wide.fitted_rate
 
 
 class TestSimulate:
@@ -715,8 +778,8 @@ class TestSimulate:
         )
         assert info.value.facts["t"] == t
         assert info.value.facts["norm"] == norm
-        row = round(t / dt) // record_every
-        assert row % _RECORD_BLOCK not in (0, _RECORD_BLOCK - 1)
+        row, rows = round(t / dt) // record_every, _record_block_rows(basis.M)
+        assert row % rows not in (0, rows - 1)
 
     # 700 steps give the full run 701 rows, three blocks of recorded rows, so
     # a row must get the same values at any place in a block

@@ -9,11 +9,16 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasestab.cli import run_pipeline
+from phasestab.config import SimConfig
 from phasestab.spectral import (
     ScalarField,
     SpectralBasis,
     _coeffs_from_grid,
     _cosine_matrix,
+    _folded_coeffs,
+    _folded_values,
+    _half_cosine_matrix,
     _values_on_grid,
     _weighted_norm,
     gradient_values,
@@ -22,6 +27,7 @@ from phasestab.spectral import (
 from phasestab.linearization import F_second_parts
 from phasestab.stationary import _euler_lagrange
 
+import oracles
 from oracles import basis_function
 
 
@@ -227,13 +233,14 @@ class TestPointwiseProduct:
     # F_second_parts and the cube of each stationary iterate
     def test_multiply_by_one(self, basis):
         # multiplying the values by one is exact, so the cube equals the
-        # analysis of a product over three factors seeded with ones, bit for bit
+        # analysis of a product over three factors seeded with ones, bit for
+        # bit; both run on the folded 2M grid
         f = random_field(basis, seed=10)
-        v = _values_on_grid(basis, f.coeffs, 2 * basis.M)
-        seeded = np.ones(2 * basis.M)
+        v = _folded_values(basis, f.coeffs)
+        seeded = np.ones((2, basis.M))
         for _ in range(3):
             seeded *= v
-        assert np.array_equal(cube_coeffs(f), _coeffs_from_grid(basis, seeded))
+        assert np.array_equal(cube_coeffs(f), _folded_coeffs(basis, seeded))
 
     def test_constants_multiply(self, basis):
         sq = square_coeffs(ScalarField.constant(basis, -1.5))
@@ -317,10 +324,12 @@ class TestCosineMatrix:
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_matches_fft_transforms(self, M, L):
-        # reference: the orthonormal DCT-II pair, zero-padded to P points
+        # reference: the orthonormal DCT-II pair, zero-padded to P points; it
+        # checks the whole oracle matrix and, unfolded, the package's folded
+        # synthesis and analysis on the 2M grid
         basis = SpectralBasis(L=L, M=M)
         P = 2 * M
-        C = _cosine_matrix(basis, P)
+        C = oracles.cosine_matrix(basis, P)
         assert C.shape == (P, M)
         rng = np.random.default_rng(M)
         for shape in ((), (3,)):
@@ -330,12 +339,12 @@ class TestCosineMatrix:
             padded[:M] = coeffs
             synthesis = scipy.fft.idct(padded, type=2, norm="ortho", axis=0) / np.sqrt(L / P)
             analysis = scipy.fft.dct(values, type=2, norm="ortho", axis=0)[:M] * np.sqrt(L / P)
-            out = _values_on_grid(basis, coeffs, P)
-            assert out.shape == synthesis.shape
-            assert np.abs(out - synthesis).max() <= 1e-13 * np.abs(synthesis).max()
-            out = _coeffs_from_grid(basis, values)
-            assert out.shape == analysis.shape
-            assert np.abs(out - analysis).max() <= 1e-13 * np.abs(analysis).max()
+            for out in (C @ coeffs, unfold(_folded_values(basis, coeffs))):
+                assert out.shape == synthesis.shape
+                assert np.abs(out - synthesis).max() <= 1e-13 * np.abs(synthesis).max()
+            for out in ((L / P) * (C.T @ values), _folded_coeffs(basis, fold(values))):
+                assert out.shape == analysis.shape
+                assert np.abs(out - analysis).max() <= 1e-13 * np.abs(analysis).max()
 
     @pytest.mark.parametrize("M", [2, 3, 64, 256])
     @pytest.mark.parametrize("L", [1.0, 2.5])
@@ -378,12 +387,99 @@ class TestCosineMatrix:
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_mirror_symmetric(self, M, L):
         # e_k(x_{P-1-j}) = (-1)^k e_k(x_j) on the P = 2M midpoint grid, so the
-        # top M rows carry the whole matrix
-        C = _cosine_matrix(SpectralBasis(L=L, M=M), 2 * M)
+        # top M rows carry the whole matrix; the package's cached half is
+        # those rows
+        basis = SpectralBasis(L=L, M=M)
+        C = oracles.cosine_matrix(basis, 2 * M)
         sign = (-1.0) ** np.arange(M)
         assert np.abs(C[::-1] - sign * C).max() <= 4 * np.finfo(float).eps * np.abs(C).max()
+        H = _half_cosine_matrix(basis)
+        assert H.shape == (M, M)
+        assert np.abs(H - C[:M]).max() <= 4 * np.finfo(float).eps * np.abs(C).max()
 
     def test_cached_and_read_only(self, basis):
-        C = _cosine_matrix(basis, 2 * basis.M)
-        assert _cosine_matrix(basis, 2 * basis.M) is C
-        assert not C.flags.writeable
+        for matrix in (lambda: _half_cosine_matrix(basis), lambda: _cosine_matrix(basis, basis.M)):
+            C = matrix()
+            assert matrix() is C
+            assert not C.flags.writeable
+
+
+def fold(values):
+    """Values on the 2M-point grid (or (2M, n)) as [bottom half reversed; top half]."""
+    M = len(values) // 2
+    return np.stack([values[M:][::-1], values[:M]])
+
+
+def unfold(folded):
+    """The 2M grid values (or (2M, n)) of a folded (2, M) (or (2, M, n)) array."""
+    return np.concatenate([folded[1], folded[0][::-1]])
+
+
+class TestFoldedPair:
+    """The folded synthesis and analysis on the 2M grid against the whole oracle matrix."""
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_matches_oracle_matrix(self, M, L):
+        basis = SpectralBasis(L=L, M=M)
+        P = 2 * M
+        C = oracles.cosine_matrix(basis, P)
+        rng = np.random.default_rng(P + 1)
+        for shape in ((), (3,)):
+            coeffs = rng.standard_normal((M, *shape)) * np.exp(-0.1 * np.arange(M)).reshape(
+                (M,) + (1,) * len(shape)
+            )
+            folded = _folded_values(basis, coeffs)
+            assert folded.shape == (2, M, *shape)
+            values = C @ coeffs
+            assert np.abs(unfold(folded) - values).max() <= 1e-13 * np.abs(values).max()
+            grid = rng.standard_normal((P, *shape))
+            expected = (L / P) * (C.T @ grid)
+            out = _folded_coeffs(basis, fold(grid))
+            assert out.shape == (M, *shape)
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 256])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_exact_on_constant_fields(self, M, L):
+        # a constant's synthesis is the oracle's bit for bit, and a constant
+        # grid analyses to exactly zero higher coefficients, with the c_0 of
+        # the unfolded grid's mean
+        basis = SpectralBasis(L=L, M=M)
+        C = oracles.cosine_matrix(basis, 2 * M)
+        for c in (0.1, 1.0 / 3.0, -0.7, 1.0, 3.0):
+            field = ScalarField.constant(basis, c)
+            values = _folded_values(basis, field.coeffs)
+            assert np.array_equal(unfold(values), C @ field.coeffs)
+            assert np.all(values == values[0, 0])
+            out = _folded_coeffs(basis, np.full((2, M), c))
+            assert np.all(out[1:] == 0.0)
+            assert out[0] == np.sqrt(L) * np.full(2 * M, c).mean()
+        columns = np.tile([0.1, -0.7, 3.0], (2, M, 1))
+        out = _folded_coeffs(basis, columns)
+        assert out.shape == (M, 3)
+        assert np.all(out[1:] == 0.0)
+        assert np.array_equal(out[0], np.sqrt(L) * columns.reshape(2 * M, 3).mean(axis=0))
+
+    def test_pipeline_caches_no_full_dealiasing_matrix(self, tmp_path):
+        # a run caches the 2M grid's top half and the node grid's matrix,
+        # M^2 doubles each: no (2M) x M matrix, though a nonconstant state
+        # synthesizes on the 2M grid in its stationary solve, F_second_parts,
+        # assemble_plant and every step
+        _cosine_matrix.cache_clear()
+        _half_cosine_matrix.cache_clear()
+        cfg = SimConfig()
+        cfg.basis.M = 32
+        cfg.params.nu = 0.05
+        cfg.stationary.mode = "minimize"
+        cfg.stationary.init_value = 0.0
+        cfg.stationary.init_cos = 0.6
+        cfg.sim.t_end = 0.05
+        cfg.output_dir = str(tmp_path)
+        run_pipeline(cfg.validate())
+        basis = SpectralBasis(L=cfg.basis.L, M=32)
+        assert _half_cosine_matrix.cache_info().currsize == 1
+        assert _cosine_matrix.cache_info().currsize == 1
+        assert _half_cosine_matrix(basis).nbytes == 32 * 32 * 8
+        assert _cosine_matrix(basis, 32).nbytes == 32 * 32 * 8
+        assert _cosine_matrix.cache_info().currsize == 1

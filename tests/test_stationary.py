@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasestab import spectral, stationary
+from phasestab import stationary
 from phasestab.cli import build_materials
 from phasestab.config import NumericalError
 from phasestab.lqr import solve_care
 from phasestab.spectral import (
     ScalarField,
     SpectralBasis,
+    _folded_values,
     _values_on_grid,
     gradient_values,
 )
@@ -151,17 +152,16 @@ class TestOneSynthesisPerIterate:
         syntheses, steps = [], []
         linalg_solve = np.linalg.solve
 
-        def counting(basis, coeffs, P):
-            syntheses.append(P == 2 * basis.M)
-            return _values_on_grid(basis, coeffs, P)
+        def counting(basis, coeffs):
+            syntheses.append(True)
+            return _folded_values(basis, coeffs)
 
         def counting_solve(a, b):
             x = linalg_solve(a, b)
             steps.append(True)
             return x
 
-        monkeypatch.setattr(spectral, "_values_on_grid", counting)
-        monkeypatch.setattr(stationary, "_values_on_grid", counting)
+        monkeypatch.setattr(stationary, "_folded_values", counting)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         return syntheses, steps
 
