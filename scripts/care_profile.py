@@ -10,18 +10,20 @@ phase of the solve is then timed alone:
     first       the first Newton step, formed in the plant's eigenbasis: the
                 start gain on the actuator's unstable block, the block
                 solves of its closed loop's Lyapunov equation, mode by mode
-                where it is block diagonal, and R written as the unstable
+                where it is block diagonal, and R kept as the unstable
                 cross plus the modes' 2x2 blocks
     margin      the closed-loop margin from the head of the spectrum
     probe       the quadratic-form residual: 32 probes per iteration and 100
-                for the reported residual
+                for the reported residual, R applied in its compact form
     rest        total minus the phases above: the gain K = B^T R, its
                 eigen-coordinates, and any Newton step after the first.
                 The phases are medians of separate timing loops, so this
                 difference is noisy; it is clamped at 0 and is a floor
     total       one whole solve_care call
     peak        not a time: the tracemalloc peak of one solve_care call above
-                its inputs, in n^2 doubles (n = 2M)
+                its inputs, in n^2 doubles (n = 2M).  No n x n array is
+                formed, so this does not scale as n^2: it falls as M grows
+                (one 32-row probe block and O(n N) arrays)
 
 Newton steps after the first factor the dense closed loop; rest holds
 them (iters - 1 of them).  So that their cost shows also where Newton stops
@@ -57,6 +59,7 @@ from phasestab.config import SimConfig  # noqa: E402
 from phasestab.lqr import (  # noqa: E402
     _PROBE_SAMPLES,
     _REPORT_SAMPLES,
+    _apply_R,
     _dense_step,
     _first_step,
     _margin,
@@ -95,13 +98,16 @@ def profile(M: int, repeats: int) -> tuple[dict[str, float], int, float]:
     peak = tracemalloc.get_traced_memory()[1] / (8.0 * (2 * M) ** 2)
     tracemalloc.stop()
     A_op, B, Q_diag = plant.operator_matrix(), act.B_matrix, plant.state_weight_diagonal()
-    R, K = sol.R_matrix, sol.K_gain
+    K = sol.K_gain
     b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
+
+    def apply_R(X):
+        return _apply_R(X, sol.R_rows, sol.R_cross, sol.R_blocks)
 
     def probe(samples):
         return _ms_per_call(
             lambda: _probe_residual(
-                R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(0)
+                apply_R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(0)
             ),
             repeats,
         )

@@ -153,26 +153,8 @@ def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
     rc = m.cfg.riccati
     sol = solve_care(m.plant, m.act, method=rc.method, tol=rc.tol, max_iters=rc.max_iters)
     members = {f.name: getattr(sol, f.name) for f in _GAIN_FIELDS}
-    _write_npz(outdir / "gain.npz", config_digest=_gain_digest(m.cfg), **members)
+    np.savez(outdir / "gain.npz", config_digest=_gain_digest(m.cfg), **members)
     return sol, write_synth_summary(sol, outdir)
-
-
-def _write_npz(path: Path, **members) -> None:
-    """An uncompressed npz archive, as ``np.savez`` writes, with no copy of any array.
-
-    Each member is its npy header followed by the array's own buffer.
-    ``np.savez`` writes a zip member through ``numpy.lib.format.write_array``,
-    which copies any array under 16 MiB into a bytes object first: the
-    whole (2M)^2 gain R, 2 MiB at M = 256.
-    """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, value in members.items():
-            array = np.asarray(value, order="C")
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array)
-                )
-                member.write(memoryview(array))
 
 
 def write_synth_summary(sol: RiccatiSolution, outdir: Path) -> dict:
@@ -206,8 +188,9 @@ def load_gain(path: Path, m: Materials) -> RiccatiSolution | None:
 
     None (synthesize afresh) when the file is missing, stale or unreadable,
     holds a plain .npy array rather than an npz archive, or lacks a field's
-    member (a file written by older code).  An array field is read as an
-    array, every other field as Python numbers.
+    member (a file written by older code, such as one that holds the dense
+    ``R_matrix`` in place of R's compact members).  An array field is read
+    as an array, every other field as Python numbers.
     """
     if not path.exists():
         return None

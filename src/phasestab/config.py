@@ -30,7 +30,10 @@ SCHEMA_VERSION = 1
 # most rows a run may record (sim.t_end / sim.dt / sim.record_every): at this
 # bound and N = 3 the record arrays hold 8 doubles a row, 640 MB
 MAX_RECORDED_ROWS = 10**7
-# most modes basis.M may ask for: at this bound the (2M)^2 gain R takes 512 MiB
+# most modes basis.M may ask for.  The gain keeps R in compact form, O(M N)
+# doubles, so what holds memory at this bound is the cached M x M cosine
+# matrices (128 MiB each) and, on a nonconstant state, solve_care's dense
+# true-loop check (two (2M)^2 arrays, 512 MiB each, and LAPACK's workspace)
 MAX_MODES = 4096
 # sim.t_end must be a whole number of sim.dt steps to this relative rounding
 STEP_COUNT_RTOL = 1e-9

@@ -41,12 +41,17 @@ eigen-solve of the dense closed loop is off by about eps ||Op|| / margin
 ``min_real``, is minus the largest diagonal entry of Lambda + b k^T, exact
 to first order (to 3e-15 relative on the workloads).
 
-The probe residual applies Op through its 2 x 2 blocks and draws its
-samples in blocks of 32 rows.  The first step keeps the stable block of its
-eigenbasis iterate as one 2 x 2 block per cosine mode and writes R as the
-cross of the unstable modes' rows and columns plus those blocks, into one
-zeroed n x n array (n = 2M), so a synthesis that stops after it holds R and
-one block of probe samples besides its inputs.
+R is kept in the compact form the first step builds it in: the cross of
+the unstable modes' coefficient pairs (r <= 2N columns) plus one symmetric
+2 x 2 block per cosine mode, ``R = cross S^T + S cross^T + blockdiag``, with
+S selecting the columns ``R_rows`` (``RiccatiSolution``).  ``_apply_R``
+takes X to X R in O(k n r) for k rows (n = 2M), with no n x n array, and
+serves the probe's RX, the gain K = B^T R and the input gain of a later
+dense step.  A dense iterate X takes the same form with every column in the
+cross (``R_rows`` = 0..n-1, ``R_cross`` = X / 2, zero blocks).  The probe
+residual applies Op through its 2 x 2 blocks and draws its samples in
+blocks of 32 rows, so a synthesis that stops after the first step holds one
+block of probe samples and O(n N) arrays besides its inputs.
 
 Each later step (``_dense_step``, when the probe residual has not met the
 tolerance) forms the dense Op and takes one dense real Schur form of the
@@ -94,13 +99,48 @@ TRUE_LOOP_G_MAX = 1e-12
 
 @dataclass
 class RiccatiSolution:
-    R_matrix: np.ndarray  # (2M, 2M) symmetric positive definite
+    """The Riccati solution R in compact form, its gain and its certificates.
+
+    R = cross S^T + S cross^T + blockdiag(blocks) is symmetric positive
+    definite: S is the (2M, r) selection of the columns ``R_rows``, and mode
+    k's block ``R_blocks[k]`` sits on rows and columns (k, M + k).
+    ``_apply_R`` applies it; ``R_matrix`` assembles the dense (2M, 2M)
+    matrix on demand and is read by no package code.
+    """
+
+    R_rows: np.ndarray  # (r,) int, the columns of the cross
+    R_cross: np.ndarray  # (2M, r)
+    R_blocks: np.ndarray  # (M, 2, 2), each block symmetric
     K_gain: np.ndarray  # (N, 2M) = B^T R
     residual_rel: float
     margin: float  # -max Re of the closed-loop spectrum
     min_real: float  # min Re of the closed-loop spectrum, to first order
     iterations: int
     residual_history: list[float] = field(default_factory=list, repr=False)
+
+    @property
+    def R_matrix(self) -> np.ndarray:
+        """The dense R, formed as I R: every product there is with 0 or 1, so each entry is exact."""
+        eye = np.eye(self.R_cross.shape[0])
+        return _apply_R(eye, self.R_rows, self.R_cross, self.R_blocks)
+
+
+def _apply_R(
+    X: np.ndarray, rows: np.ndarray, cross: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """X R for R = cross S^T + S cross^T + blockdiag(blocks), in O(k n r) for k rows.
+
+    Two (k, n) x (n, r)-sized products for the cross and four elementwise
+    (k, M) products for the mode blocks; each row of X R is computed from
+    its own row of X alone.
+    """
+    M = blocks.shape[0]
+    XR = X[:, rows] @ cross.T
+    XR[:, rows] += X @ cross
+    Xy, Xz = X[:, :M], X[:, M:]
+    XR[:, :M] += Xy * blocks[:, 0, 0] + Xz * blocks[:, 1, 0]
+    XR[:, M:] += Xy * blocks[:, 0, 1] + Xz * blocks[:, 1, 1]
+    return XR
 
 
 # Probe sets of the quadratic-form residual: the same draw at every Newton
@@ -112,7 +152,7 @@ _PROBE_BLOCK = 32
 
 
 def _probe_residual(
-    R: np.ndarray,
+    apply_R,
     apply_op,
     B: np.ndarray,
     Q_diag: np.ndarray,
@@ -121,17 +161,18 @@ def _probe_residual(
 ) -> float:
     """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x.
 
-    ``apply_op(X)`` is X Op^T, Op applied to each row of X.  The samples are
-    drawn in blocks of ``_PROBE_BLOCK`` rows from the one generator, which
-    gives the rows of a single (samples, dim) draw, and each row's value is
-    its own, so the residual does not depend on the block size; at most
-    one block of (rows, dim) temporaries is alive at a time.
+    ``apply_R(X)`` is X R and ``apply_op(X)`` is X Op^T, R and Op applied to
+    each row of X.  The samples are drawn in blocks of ``_PROBE_BLOCK`` rows
+    from the one generator, which gives the rows of a single (samples, dim)
+    draw, and each row's value is its own, so the residual does not depend
+    on the block size; at most one block of (rows, dim) temporaries is
+    alive at a time.
     """
     worst = []  # each block's largest, NaN included
     for start in range(0, samples, _PROBE_BLOCK):
-        X = rng.standard_normal((min(_PROBE_BLOCK, samples - start), R.shape[0]))
+        X = rng.standard_normal((min(_PROBE_BLOCK, samples - start), B.shape[0]))
         X /= np.linalg.norm(X, axis=1)[:, None]
-        RX = X @ R.T
+        RX = apply_R(X)
         quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
         target = (X * X) @ Q_diag
         worst.append(np.max(np.abs(quad - target) / target))
@@ -208,8 +249,19 @@ def _sylvester_schur(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
         _sylvester_schur(A, B[:h, :h], C[:, :h])
 
 
-def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, float]:
-    """The first Newton-Kleinman iterate X1 from the start gain, and its loop's margin.
+def _shifted_solve(A: np.ndarray, shifts: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Y whose column j solves (A - shifts[j] I) y = F[:, j]: one N x N system per column.
+
+    The (columns, N, N) stack of systems lives only in this call.
+    """
+    stack = np.repeat(A[None], len(shifts), axis=0)
+    diag = np.arange(A.shape[0])
+    stack[:, diag, diag] -= shifts[:, None]
+    return np.linalg.solve(stack, F.T[..., None])[..., 0].T
+
+
+def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[tuple, float]:
+    """The first Newton-Kleinman iterate X1 from the start gain, in compact form, and its margin.
 
     (lam, V) are the plant's orthonormal eigenpairs, ascending; the leading
     N are the actuator's unstable block (Lam_U, V_U) = (``lambdas``,
@@ -230,9 +282,11 @@ def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, floa
     plant's ``eig_pos`` and ``eig_rot``.  Then X1 = V Y V^T is the cross
     E V_U^T + V_U E^T, E = V [Y_UU / 2; Y_SU], which lies in the rows and
     columns of the unstable modes' coefficient pairs, plus each mode's 2 x 2
-    block V_S Y_SS V_S^T on the diagonals of the four M x M quadrants; both
-    parts are written exactly symmetric into X1, the only n x n array.  The loop's
-    margin is min(-max Re spec(A_u), lam_{N+1}).
+    block V_S Y_SS V_S^T on the diagonals of the four M x M quadrants.  X1
+    is returned as the triple (rows, cross, blocks) of ``RiccatiSolution``'s
+    compact form, cross = E V_U[rows]^T and each block symmetrized, and no
+    n x n array is formed.  The loop's margin is
+    min(-max Re spec(A_u), lam_{N+1}).
     """
     lam, M, N = plant.eigenvalues, plant.M, act.N
     n, lam_s, eye = 2 * M, lam[N:], np.eye(N)
@@ -257,23 +311,17 @@ def _first_step(plant: LinearizedPlant, act: Actuator) -> tuple[np.ndarray, floa
     CY = np.empty((N, n))
     CY[:, pos] = np.einsum("ika,kab->ikb", C[:, pos], Y_SS)
     Y_US = -QV_U[N:].T - CY[:, N:]
-    shifted = A_u - lam_s[:, None, None] * eye  # one N x N system per stable column
-    Y_US = np.linalg.solve(shifted, Y_US.T[..., None])[..., 0].T
+    Y_US = _shifted_solve(A_u, lam_s, Y_US)
     update = C[:, N:] @ Y_US.T
     Y_UU = -QV_U[:N] - PD @ PD.T - (update + update.T)  # PD PD^T: K0^T K0 in the eigenbasis
     kron = np.kron(A_u, eye) + np.kron(eye, A_u)
     Y_UU = np.linalg.solve(kron, Y_UU.ravel()).reshape(N, N)
 
-    X = np.zeros((n, n))
     modes = np.flatnonzero(~stable.all(axis=1))
     rows = np.concatenate([modes, M + modes])  # the only rows where V_U is nonzero
     cross = plant.from_eigenbasis(np.concatenate([0.5 * Y_UU, Y_US.T])) @ V_U[rows].T
-    X[:, rows] = cross
-    X[rows] += cross.T
     blocks = np.einsum("akb,kbd,ckd->kac", rot, Y_SS, rot)
-    k = np.arange(M)
-    X.reshape(2, M, 2, M)[:, k, :, k] += 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    return X, margin
+    return (rows, cross, 0.5 * (blocks + blocks.transpose(0, 2, 1))), margin
 
 
 def _dense_step(
@@ -304,7 +352,7 @@ def _dense_step(
 
 def _solve_care_core(
     plant: LinearizedPlant, act: Actuator, tol: float, max_iters: int
-) -> tuple[np.ndarray, int, list[dict]]:
+) -> tuple[tuple, int, list[dict]]:
     """Newton-Kleinman from a stabilizing start, until the probe residual meets tol.
 
     The actuator's unstable block, the plant's leading N eigenpairs, must be
@@ -313,30 +361,34 @@ def _solve_care_core(
     formed in the eigenbasis (``_first_step``); each later iterate factors
     the dense closed loop of the previous one's gain (``_dense_step``), for
     at most max(max_iters, 1) iterates.  The dense Op is formed once, for
-    the first of those later iterates.  A step's NumericalError is raised
-    again as ``iterate {it}: ...``, with the earlier iterates' log as the
-    fact ``history``.
+    the first of those later iterates.  Every iterate is the triple
+    (rows, cross, blocks) of ``RiccatiSolution``'s compact form; a dense
+    iterate X is (0..n-1, X / 2, zero blocks).  A step's NumericalError is
+    raised again as ``iterate {it}: ...``, with the earlier iterates' log as
+    the fact ``history``.
     """
     B, Q_diag = act.B_matrix, plant.state_weight_diagonal()
     history: list[dict] = []
     for it in range(max(max_iters, 1)):
         try:
             if it == 0:
-                X, margin = _first_step(plant, act)
+                R, margin = _first_step(plant, act)
             else:
                 if it == 1:
                     A_op = plant.operator_matrix()
-                X, margin = _dense_step(A_op, B, Q_diag, B.T @ X)
+                X, margin = _dense_step(A_op, B, Q_diag, _apply_R(B.T, *R))
+                R = (np.arange(2 * plant.M), 0.5 * X, np.zeros((plant.M, 2, 2)))
         except NumericalError as exc:
             raise NumericalError(f"iterate {it}: {exc}", history=history) from exc
         # identical probe set every iteration so residuals are comparable
         res = _probe_residual(
-            X, plant.apply_operator, B, Q_diag, _PROBE_SAMPLES, np.random.default_rng(_PROBE_SEED)
+            lambda X: _apply_R(X, *R), plant.apply_operator, B, Q_diag, _PROBE_SAMPLES,
+            np.random.default_rng(_PROBE_SEED),
         )
         history.append({"margin": margin, "residual": res})
         if res <= tol:
             break
-    return X, len(history), history
+    return R, len(history), history
 
 
 _HEAD = 16  # leading eigenpairs the margin's eigenproblem starts with
@@ -428,10 +480,11 @@ def solve_care(
 
     R, iterations, history = _solve_care_core(plant, act, tol=tol, max_iters=max_iters)
 
-    K = B.T @ R
+    K = _apply_R(B.T, *R)
     b, k = plant.to_eigenbasis(B), plant.to_eigenbasis(K.T)
     res = _probe_residual(
-        R, plant.apply_operator, B, Q_diag, _REPORT_SAMPLES, np.random.default_rng(_REPORT_SEED)
+        lambda X: _apply_R(X, *R), plant.apply_operator, B, Q_diag, _REPORT_SAMPLES,
+        np.random.default_rng(_REPORT_SEED),
     )
     margin = _margin(lam, b, k)
     # the largest eigenvalues are the tail's, where the diagonal of
@@ -449,8 +502,11 @@ def solve_care(
                 margin=margin,
             )
 
+    rows, cross, blocks = R
     return RiccatiSolution(
-        R_matrix=R,
+        R_rows=rows,
+        R_cross=cross,
+        R_blocks=blocks,
         K_gain=K,
         residual_rel=res,
         margin=margin,

@@ -97,9 +97,19 @@ it; the tests import it as ``oracles`` through ``pythonpath = ["tests"]``.
 
 ``riccati_residual``
     Re-certifies a gain's quadratic-form identity on a fresh random probe
-    draw through ``lqr._probe_residual``.  Used by
+    draw through ``lqr._probe_residual``, with R applied as the dense
+    ``sol.R_matrix``.  Used by
     ``test_lqr.py::TestRiccatiSolution::test_perturbation_inflates_residual``
     and ``::test_fresh_probe_residual``.
+
+``scatter_R``
+    The dense R of the compact form (``R_rows``, ``R_cross``, ``R_blocks``)
+    by scattering: the cross written into the columns ``R_rows`` of a zeroed
+    n x n array, its transpose added to those rows, then each mode's 2 x 2
+    block added on the diagonals of the four M x M quadrants.  This is how
+    the first Newton step wrote X1 before it kept the compact form; it
+    checks ``RiccatiSolution.R_matrix`` bit for bit.  Used by
+    ``test_lqr.py::TestCompactR`` and by ``test_lqr.py``'s first-step helper.
 """
 
 from __future__ import annotations
@@ -384,7 +394,7 @@ def solve_care_dense(
         for _ in range(max(max_iters, 1)):
             R, margin = lqr._dense_step(A_op, B, Q_diag, K)
             res = lqr._probe_residual(
-                R, lambda X: X @ A_op.T, B, Q_diag, lqr._PROBE_SAMPLES,
+                lambda X: X @ R, lambda X: X @ A_op.T, B, Q_diag, lqr._PROBE_SAMPLES,
                 np.random.default_rng(lqr._PROBE_SEED),
             )
             history.append({"margin": margin, "residual": res})
@@ -400,11 +410,23 @@ def solve_care_dense(
 
 def riccati_residual(sol, plant, act, samples: int = 100, seed: int = 0) -> float:
     """The probe residual of ``sol.R_matrix`` on ``samples`` fresh unit vectors."""
+    R = sol.R_matrix
     return lqr._probe_residual(
-        sol.R_matrix,
+        lambda X: X @ R,
         plant.apply_operator,
         act.B_matrix,
         plant.state_weight_diagonal(),
         samples,
         np.random.default_rng(seed),
     )
+
+
+def scatter_R(rows: np.ndarray, cross: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """R = cross S^T + S cross^T + blockdiag(blocks), scattered into a zeroed n x n array."""
+    n, M = cross.shape[0], blocks.shape[0]
+    R = np.zeros((n, n))
+    R[:, rows] = cross
+    R[rows] += cross.T
+    k = np.arange(M)
+    R.reshape(2, M, 2, M)[:, k, :, k] += blocks
+    return R

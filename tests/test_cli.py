@@ -5,7 +5,6 @@ import json
 import math
 import pkgutil
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +17,6 @@ import phasestab
 from phasestab import lqr
 from phasestab.cli import (
     _gain_digest,
-    _write_npz,
     build_materials,
     load_gain,
     main,
@@ -239,27 +237,49 @@ class TestPipeline:
                 assert type(read) is type(fresh) and read == fresh, f.name
         assert all(type(v) is float for v in loaded.residual_history)
 
-    def test_gain_write_copies_no_array(self, tmp_path):
-        # each member goes out as its npy header and then the array's own
-        # buffer: writing a 2 MiB R allocates nothing near its size
-        # (np.savez copies any member under 16 MiB into a bytes object)
-        R = np.random.default_rng(0).standard_normal((512, 512))
-        path = tmp_path / "gain.npz"
-        tracemalloc.start()
-        try:
-            _write_npz(
-                path, R_matrix=R, margin=0.5, residual_history=[1e-3, 1e-9], config_digest="ab"
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < R.nbytes // 16
-        with np.load(path) as data:
-            assert data.files == ["R_matrix", "margin", "residual_history", "config_digest"]
-            assert np.array_equal(data["R_matrix"], R)
-            assert data["margin"].tolist() == 0.5
-            assert data["residual_history"].tolist() == [1e-3, 1e-9]
-            assert str(data["config_digest"]) == "ab"
+    def test_gain_file_holds_compact_R(self, tmp_path):
+        # at M = 256 gain.npz holds R as the unstable cross and the mode
+        # blocks, 51 KiB (2062 KiB with the dense R)
+        m = build_materials(workloads.config_for("thin_interface", 0))
+        stage_synth(m, tmp_path)
+        assert (tmp_path / "gain.npz").stat().st_size < 64 * 1024
+
+    def test_dense_R_gain_file_resynthesized(self, tmp_path):
+        # a gain.npz in the format older code wrote, with the dense R_matrix
+        # and a matching digest, lacks R's compact members: it is a cache
+        # miss, and the rerun writes the compact file
+        cfg = fast_config(tmp_path / "run")
+        run_pipeline(cfg)
+        gain_path = Path(cfg.output_dir) / "gain.npz"
+        m = build_materials(cfg)
+        sol = load_gain(gain_path, m)
+        old = {"R_matrix": sol.R_matrix}
+        old.update(
+            (f.name, getattr(sol, f.name))
+            for f in dataclasses.fields(RiccatiSolution)
+            if not f.name.startswith("R_")
+        )
+        np.savez(gain_path, config_digest=_gain_digest(cfg), **old)
+        assert load_gain(gain_path, m) is None
+        run_pipeline(cfg)
+        with np.load(gain_path) as data:
+            assert "R_matrix" not in data.files
+            assert {"R_rows", "R_cross", "R_blocks"} <= set(data.files)
+
+    def test_pipeline_never_assembles_dense_R(self, tmp_path, monkeypatch):
+        # a default run and a rerun that reuses its gain apply R only in its
+        # compact form: RiccatiSolution.R_matrix is for tests and users
+        def assembled(sol):
+            raise AssertionError("the pipeline assembled the dense R")
+
+        monkeypatch.setattr(RiccatiSolution, "R_matrix", property(assembled))
+        cfg = SimConfig()
+        cfg.output_dir = str(tmp_path / "run")
+        cfg.validate()
+        run_pipeline(cfg)
+        gain = (tmp_path / "run" / "gain.npz").read_bytes()
+        run_pipeline(cfg)
+        assert (tmp_path / "run" / "gain.npz").read_bytes() == gain
 
     def test_oracles_stay_off_the_pipeline_path(self):
         # the independent oracles live in tests/oracles.py: no package module
@@ -389,7 +409,7 @@ class TestMainEntry:
             # the digest matches, but a member load_gain reads is absent (a
             # file written by older code): KeyError
             with np.load(gain) as data:
-                kept = {name: data[name] for name in data.files if name != "R_matrix"}
+                kept = {name: data[name] for name in data.files if name != "R_cross"}
             np.savez(gain, **kept)
         elif damage == "old_member_names":
             # the member names older code wrote, with a matching digest: a

@@ -139,10 +139,15 @@ class TestRiccatiSolution:
         from dataclasses import replace
 
         rng = np.random.default_rng(23)
-        bump = rng.standard_normal(solution.R_matrix.shape)
+        R = solution.R_matrix
+        bump = rng.standard_normal(R.shape)
         bump = 0.5 * (bump + bump.T)
-        bump *= 0.01 * np.abs(solution.R_matrix).max() / np.abs(bump).max()
-        perturbed = replace(solution, R_matrix=solution.R_matrix + bump)
+        bump *= 0.01 * np.abs(R).max() / np.abs(bump).max()
+        # R + bump in the compact form of a dense iterate
+        perturbed = replace(
+            solution, R_rows=np.arange(len(R)), R_cross=0.5 * (R + bump),
+            R_blocks=np.zeros_like(solution.R_blocks),
+        )
         assert riccati_residual(perturbed, plant, act, samples=100) > 1e-3
 
     def test_fresh_probe_residual(self, problem, solution):
@@ -153,6 +158,11 @@ class TestRiccatiSolution:
         _, plant, act = problem
         with pytest.raises(ValueError, match="tests/oracles.py"):
             solve_care(plant, act, method="integrate")
+
+
+def _apply(sol):
+    """X -> X R through the package's compact form of sol."""
+    return lambda X: lqr._apply_R(X, sol.R_rows, sol.R_cross, sol.R_blocks)
 
 
 def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
@@ -171,12 +181,13 @@ def _loop_probe_residual(R, A_op, B, Q_diag, samples, rng):
 @pytest.mark.parametrize("samples, seed", [(32, 12345), (100, 202), (100, 0)])
 def test_probe_residual_matches_loop(problem, solution, samples, seed):
     _, plant, act = problem
-    R, B, Q_diag = solution.R_matrix, act.B_matrix, plant.state_weight_diagonal()
+    B, Q_diag = act.B_matrix, plant.state_weight_diagonal()
     batched = lqr._probe_residual(
-        R, plant.apply_operator, B, Q_diag, samples, np.random.default_rng(seed)
+        _apply(solution), plant.apply_operator, B, Q_diag, samples, np.random.default_rng(seed)
     )
     looped = _loop_probe_residual(
-        R, plant.operator_matrix(), B, Q_diag, samples, np.random.default_rng(seed)
+        solution.R_matrix, plant.operator_matrix(), B, Q_diag, samples,
+        np.random.default_rng(seed),
     )
     # the residual is a difference of O(1) quadratic forms over their size:
     # summation order moves it by a few eps
@@ -193,7 +204,7 @@ def test_block_probe_matches_dense_probe(workload):
     for samples, seed in [(lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, 0)]:
         block, dense = (
             lqr._probe_residual(
-                sol.R_matrix, apply_op, m.act.B_matrix, m.plant.state_weight_diagonal(), samples,
+                _apply(sol), apply_op, m.act.B_matrix, m.plant.state_weight_diagonal(), samples,
                 np.random.default_rng(seed),
             )
             for apply_op in (m.plant.apply_operator, lambda X: X @ A_op.T)
@@ -201,11 +212,11 @@ def test_block_probe_matches_dense_probe(workload):
         assert block == pytest.approx(dense, rel=1e-12)
 
 
-def _one_draw_probe_residual(R, apply_op, B, Q_diag, samples, rng):
+def _one_draw_probe_residual(apply_R, apply_op, B, Q_diag, samples, rng):
     """The probe with all its samples drawn and applied at once, as one (samples, n) block."""
-    X = rng.standard_normal((samples, R.shape[0]))
+    X = rng.standard_normal((samples, B.shape[0]))
     X /= np.linalg.norm(X, axis=1)[:, None]
-    RX = X @ R.T
+    RX = apply_R(X)
     quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)
     target = (X * X) @ Q_diag
     return float(np.max(np.abs(quad - target) / target))
@@ -217,7 +228,7 @@ def test_blocked_probe_equals_one_draw_probe(workload):
     # draw, and each row's value is its own: the residual is bit-identical
     m = _materials(workload)
     sol = solve_care(m.plant, m.act)
-    args = (sol.R_matrix, m.plant.apply_operator, m.act.B_matrix, m.plant.state_weight_diagonal())
+    args = (_apply(sol), m.plant.apply_operator, m.act.B_matrix, m.plant.state_weight_diagonal())
     for samples, seed in [
         (lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, lqr._REPORT_SEED), (45, 0),
     ]:
@@ -294,7 +305,7 @@ def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
         X = 0.5 * (X + X.T)
         K = B.T @ X
         res = lqr._probe_residual(
-            X, lambda Z: -Z @ A.T, B, Q_diag, lqr._PROBE_SAMPLES,
+            lambda Z: Z @ X, lambda Z: -Z @ A.T, B, Q_diag, lqr._PROBE_SAMPLES,
             np.random.default_rng(lqr._PROBE_SEED),
         )
         history.append({"iteration": it, "margin": margin, "residual": res})
@@ -304,8 +315,13 @@ def _dense_newton_kleinman(A, B, Q_diag, K0, tol, max_iters):
 
 
 def _schur_newton_kleinman(A_op, B, Q_diag, K, iterations):
-    """Kleinman steps from the gain K, each closed loop factored by one real Schur form."""
+    """Kleinman steps from the gain K, each closed loop factored by one real Schur form.
+
+    Each later gain is B^T X as the package applies a dense iterate X: through
+    its compact form, every column in the cross and zero mode blocks.
+    """
     Q = np.diag(Q_diag)
+    M = len(Q_diag) // 2
     for _ in range(iterations):
         T, Z = scipy.linalg.schur((-A_op - B @ K).T, output="real")
         assert np.max(np.diag(T)) < 0
@@ -313,7 +329,7 @@ def _schur_newton_kleinman(A_op, B, Q_diag, K, iterations):
         lqr._sylvester_schur(T, T, Y)
         X = Z @ Y @ Z.T
         X = 0.5 * (X + X.T)
-        K = B.T @ X
+        K = lqr._apply_R(B.T, np.arange(2 * M), 0.5 * X, np.zeros((M, 2, 2)))
     return X
 
 
@@ -356,9 +372,9 @@ def _start_gain(plant, act):
 
 
 def _package_first_step(plant, act):
-    """X1 as ``solve_care`` forms it, in the eigenbasis."""
+    """X1 as ``solve_care`` forms it, in the eigenbasis, scattered into a dense array."""
     X1, _ = lqr._first_step(plant, act)
-    return X1
+    return oracles.scatter_R(*X1)
 
 
 def _scaled_lyapunov_residual(plant, act, K0, X):
@@ -457,8 +473,8 @@ class TestNewtonSchur:
         Q_diag = m.plant.state_weight_diagonal()
         sol = solve_care(m.plant, m.act)
         assert sol.iterations == 3
-        X1 = _package_first_step(m.plant, m.act)
-        R_ref = _schur_newton_kleinman(A_op, B, Q_diag, B.T @ X1, iterations=2)
+        X1, _ = lqr._first_step(m.plant, m.act)
+        R_ref = _schur_newton_kleinman(A_op, B, Q_diag, lqr._apply_R(B.T, *X1), iterations=2)
         assert np.array_equal(sol.R_matrix, R_ref)
 
     def test_far_start_later_steps_reach_dense_care(self):
@@ -532,12 +548,12 @@ class TestFirstStep:
         A_cl = -(m.plant.operator_matrix() + B @ K0)
         assert np.linalg.norm(V.T @ A_cl.T @ V - T) <= 64 * eps * np.linalg.norm(A_cl)
 
-    def test_synthesis_transient_is_two_dense_arrays(self):
-        # at M = 256, above its inputs, solve_care holds R and one 32-row
-        # block of probe samples at a time (1.31 n^2 doubles; 1.80 with the
-        # report probe's 100 rows drawn at once); the dense operator and a
-        # dense eigenvector matrix are never formed (5.09 with them, 2.33
-        # with a scratch n x n array beside R)
+    def test_synthesis_transient_is_one_probe_block(self):
+        # at M = 256, above its inputs, solve_care holds one 32-row block of
+        # probe samples and O(n N) arrays at a time (0.31 n^2 doubles; 1.31
+        # with R scattered into a dense n x n array, 1.80 with the report
+        # probe's 100 rows drawn at once); the dense operator and a dense
+        # eigenvector matrix are never formed (5.09 with them)
         m = _materials("thin_interface")
         n = 2 * m.plant.M
         solve_care(m.plant, m.act)  # warm every cache first
@@ -547,22 +563,23 @@ class TestFirstStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.4 * n * n * 8
+        assert peak <= 0.5 * n * n * 8
 
-    def test_first_step_holds_one_dense_array(self):
-        # at M = 256 the first step forms X1 as the unstable cross plus the
-        # mode blocks, written into one zeroed n x n array (2.33 n^2
-        # doubles with the eigenbasis iterate Y formed densely)
+    def test_first_step_holds_no_dense_array(self):
+        # at M = 256 the first step keeps X1 as the unstable cross plus the
+        # mode blocks, and forms no n x n array (1.25 n^2 doubles with X1
+        # scattered into one, 2.33 with the eigenbasis iterate Y formed
+        # densely)
         m = _materials("thin_interface")
         n = 2 * m.plant.M
-        _package_first_step(m.plant, m.act)  # warm every cache first
+        lqr._first_step(m.plant, m.act)  # warm every cache first
         tracemalloc.start()
         try:
-            _package_first_step(m.plant, m.act)
+            lqr._first_step(m.plant, m.act)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * n * n * 8
+        assert peak <= 0.1 * n * n * 8
 
     def test_stable_only_plant_takes_no_dense_schur(self, schur_shapes):
         # the set-up of test_stable_only_plant_margin_positive: only the two
@@ -579,6 +596,41 @@ class TestFirstStep:
         m = _materials(workload)
         assert solve_care(m.plant, m.act).iterations == 1
         assert schur_shapes == []
+
+
+class TestCompactR:
+    @pytest.mark.parametrize("workload", ["default", "thin_interface", "rho_ensemble"])
+    def test_R_matrix_equals_scatter_assembly(self, workload):
+        # R_matrix assembles the compact form as I R; each entry is one term
+        # or an exact sum, so it equals the scatter into a zeroed array bit
+        # for bit, and X R agrees with the dense product to rounding
+        m = _materials(workload)
+        sol = solve_care(m.plant, m.act)
+        R = sol.R_matrix
+        assert np.array_equal(R, oracles.scatter_R(sol.R_rows, sol.R_cross, sol.R_blocks))
+        X = np.random.default_rng(5).standard_normal((7, len(R)))
+        XR = _apply(sol)(X)
+        assert np.abs(XR - X @ R).max() <= 1e-13 * np.abs(X @ R).max()
+
+    def test_dense_iterate_reassembles_exactly(self, monkeypatch):
+        # at M = 16 Newton takes two dense steps; the last one's X, kept as
+        # every column in the cross with zero blocks, reassembles exactly
+        cfg = SimConfig()
+        cfg.basis.M = 16
+        m = build_materials(cfg.validate())
+        iterates, dense_step = [], lqr._dense_step
+
+        def recorded(*args):
+            X, margin = dense_step(*args)
+            iterates.append(X)
+            return X, margin
+
+        monkeypatch.setattr(lqr, "_dense_step", recorded)
+        sol = solve_care(m.plant, m.act)
+        assert sol.iterations == 3 and len(iterates) == 2
+        assert np.array_equal(sol.R_rows, np.arange(2 * m.plant.M))
+        assert np.array_equal(sol.R_matrix, iterates[-1])
+        assert np.array_equal(oracles.scatter_R(sol.R_rows, sol.R_cross, sol.R_blocks), iterates[-1])
 
 
 def _secular_root(lam, b, k, z0):
