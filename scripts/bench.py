@@ -11,6 +11,10 @@ checkout ``--root`` (default: the one this script sits in) it runs
         once per workload, each in its own process.  It keeps the end-to-end
         metrics of the run's last line and the median and quartiles of its
         per-iteration ``wall_s`` samples.
+    phasebench/run.py --workload W --seed 0 --seconds S --trace 1
+        once per workload after it, and keeps the per-layer metrics of that
+        traced run's last line under the workload's ``layers`` (for
+        example ``io.write_trajectory_csv_s`` and ``sim.us_per_step``).
     scripts/step_profile.py --M ...
         once.  It keeps the microseconds per step of each phase that the
         profile prints, whatever that checkout names them.
@@ -60,16 +64,35 @@ def _samples(lines: list[str], label: str) -> list[float]:
     raise ValueError(f"no {label!r} line in the benchmark output")
 
 
-def run_workload(root: Path, workload: str, seconds: float) -> tuple[dict, dict | None]:
-    """(row, environment) of one ``phasebench/run.py --trace 0`` run."""
+def run_bench(root: Path, workload: str, seconds: float, trace: int) -> tuple[dict, list[str]]:
+    """(last-line result, output lines) of one ``phasebench/run.py`` run.
+
+    The result is {"exit": code} when the run fails or prints nothing.
+    """
     cmd = [sys.executable, str(root / "phasebench" / "run.py"), "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", "0", "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         sys.stderr.write(out.stderr)
-        return {"exit": out.returncode}, None
-    result = json.loads(lines[-1])
+        return {"exit": out.returncode}, lines
+    return json.loads(lines[-1]), lines
+
+
+def run_layers(root: Path, workload: str, seconds: float) -> dict:
+    """{metric: value} of one ``--trace 1`` run, with its correctness; {"exit": code} on failure."""
+    result, _ = run_bench(root, workload, seconds, 1)
+    if "exit" in result:
+        return result
+    layers = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"correct": result["correct"], "failed": result["failed"], **layers}
+
+
+def run_workload(root: Path, workload: str, seconds: float) -> tuple[dict, dict | None]:
+    """(row, environment) of one ``phasebench/run.py --trace 0`` run."""
+    result, lines = run_bench(root, workload, seconds, 0)
+    if "exit" in result:
+        return result, None
     env = None
     for line in lines:
         if " environment " in line:
@@ -146,9 +169,10 @@ def main() -> int:
     status = 0
     for workload in args.workloads:
         row, env = run_workload(root, workload, args.seconds)
+        row["layers"] = run_layers(root, workload, args.seconds)
         bench["workloads"][workload] = row
         bench["environment"] = bench["environment"] or env
-        status |= int(not row.get("correct", False))
+        status |= int(not (row.get("correct", False) and row["layers"].get("correct", False)))
         print(f"{workload}: {json.dumps(row.get('wall_s', row))}", flush=True)
     bench["step_profile"] = run_profile(root, "step_profile.py", args.M, "us per step")
     bench["care_profile"] = run_profile(

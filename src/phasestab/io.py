@@ -3,14 +3,17 @@
 Every table goes through ``write_table``, which writes floats with repr
 (shortest round-trip form), so identical runs produce byte-identical files.
 ``write_columns_dat`` copies columns of such a table as text, which gives
-the bytes that parsing and rewriting them would.  Both stream: neither holds
-a whole table's text in memory.
+the bytes that parsing and rewriting them would.  Both stream _CHUNK_ROWS
+rows at a time, each chunk built by C-level ``map``/``join`` passes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import deque
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +35,16 @@ def write_table(path: str | Path, header: str, columns, sep: str = ",") -> None:
     """Header line, then one line per row of the equal-length columns.
 
     ``tolist()`` turns each column into Python numbers, so floats print as
-    their shortest round-trip repr and int columns stay ints.  The rows go
-    to the file _CHUNK_ROWS at a time.
+    their shortest round-trip repr and int columns stay ints.  Each chunk
+    of _CHUNK_ROWS rows is one ``map(repr)`` per column and one ``join``.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            rows = zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
-            fh.write("".join(sep.join(map(repr, row)) + "\n" for row in rows))
+            fields = [map(repr, c[start : start + _CHUNK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(sep.join, zip(*fields))) + "\n")
 
 
 def write_trajectory_csv(path: str | Path, record) -> None:
@@ -72,9 +75,10 @@ def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None
 
     The fields are copied as text: ``write_table`` already wrote them as
     shortest round-trip reprs, so parsing them would give them back unchanged.
-    A field that ``float`` rejects raises ValueError, and a short row
-    IndexError.  The rows go to a temporary file beside dat_path, which
-    replaces dat_path only once every row is copied.
+    Each chunk of _CHUNK_ROWS lines is one flat list of picked fields (no row
+    list kept, so no collector work), one ``float`` pass and one ``join``.  A
+    bad field raises ValueError and a short row IndexError.  The rows go to a
+    temporary file that replaces dat_path only once every row is copied.
     """
     tmp = Path(f"{dat_path}.tmp")
     try:
@@ -84,19 +88,15 @@ def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None
             # fields past the last picked column are never split apart
             stop = max(picks, default=-1) + 1
             dst.write("# " + " ".join(names) + "\n")
-            dst.writelines(
-                " ".join([_number(fields[j]) for j in picks]) + "\n"
-                for fields in (line.rstrip("\n").split(",", stop) for line in src)
-            )
+            pick = itemgetter(*picks) if len(picks) > 1 else lambda fields: (fields[picks[0]],)
+            while lines := list(islice(src, _CHUNK_ROWS)):
+                rows = (line.rstrip("\n").split(",", stop) for line in lines)
+                flat = list(chain.from_iterable(map(pick, rows)))
+                deque(map(float, flat), maxlen=0)
+                dst.write("\n".join(map(" ".join, zip(*[iter(flat)] * len(picks)))) + "\n")
         os.replace(tmp, dat_path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _number(text: str) -> str:
-    """text, once ``float`` accepts it."""
-    float(text)
-    return text
 
 
 def _jsonable(value):

@@ -161,16 +161,16 @@ def _probe_residual(
 ) -> float:
     """max over random unit x of |x^T(R Op + Op R)x + ||B^T R x||^2 - x^T Ahat x| / x^T Ahat x.
 
-    ``apply_R(X)`` is X R and ``apply_op(X)`` is X Op^T, R and Op applied to
-    each row of X.  The samples are drawn in blocks of ``_PROBE_BLOCK`` rows
-    from the one generator, which gives the rows of a single (samples, dim)
-    draw, and each row's value is its own, so the residual does not depend
-    on the block size; at most one block of (rows, dim) temporaries is
-    alive at a time.
+    ``apply_R(X)`` is X R and ``apply_op(X)`` is X Op^T, applied to each row
+    of X.  Blocks of ``_PROBE_BLOCK`` rows from one generator (a one-row tail
+    joins the block before: BLAS gemv rounds unlike gemm) give the rows of one
+    (samples, dim) draw, each row's value its own, so the residual does not
+    depend on the block size; one block of temporaries is alive at a time.
     """
     worst = []  # each block's largest, NaN included
-    for start in range(0, samples, _PROBE_BLOCK):
-        X = rng.standard_normal((min(_PROBE_BLOCK, samples - start), B.shape[0]))
+    starts = range(0, max(samples - 1, 1), _PROBE_BLOCK)
+    for start, stop in zip(starts, [*starts[1:], samples]):
+        X = rng.standard_normal((stop - start, B.shape[0]))
         X /= np.linalg.norm(X, axis=1)[:, None]
         RX = apply_R(X)
         quad = 2.0 * np.sum(RX * apply_op(X), axis=1) + np.sum((RX @ B) ** 2, axis=1)

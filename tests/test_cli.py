@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -36,7 +37,14 @@ from phasestab.config import (
     save_config,
     step_count,
 )
-from phasestab.io import _jsonable, read_json, read_trajectory_csv, write_json, write_table
+from phasestab.io import (
+    _jsonable,
+    read_json,
+    read_trajectory_csv,
+    write_columns_dat,
+    write_json,
+    write_table,
+)
 from phasestab.lqr import RiccatiSolution
 from phasestab.sim import _decay_norm
 
@@ -690,6 +698,66 @@ class TestJsonWriter:
         assert (tmp_path / "fast.json").read_text() == expected
 
 
+class TestTableWriter:
+    # every repr form a float column can hold, and 17-digit values
+    SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16,
+                0.1 + 0.2, 1.0 / 3.0, -2.718281828459045, 123456789.12345678]
+
+    @classmethod
+    def columns(cls, n_rows):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        specials = np.resize(cls.SPECIALS, n_rows)
+        return [np.arange(n_rows) - 7, floats, specials, specials[::-1].copy()]
+
+    @pytest.mark.parametrize("sep", [",", " "], ids=["comma", "space"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1025])
+    def test_chunks_give_the_bytes_of_the_per_row_route(self, tmp_path, n_rows, sep):
+        columns = self.columns(n_rows)
+        write_table(tmp_path / "table", "h", columns, sep=sep)
+        rows = zip(*(c.tolist() for c in columns))
+        expected = "h\n" + "".join(sep.join(map(repr, row)) + "\n" for row in rows)
+        assert (tmp_path / "table").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "names",
+        [("t", "xi_norm", "h_norm"), ("h_norm",), ("w_1", "t")],
+        ids=["decay", "one", "last-first"],
+    )
+    def test_columns_dat_over_three_chunks_matches_numeric_route(self, tmp_path, names):
+        # 1200 rows are three chunks; parsing the CSV and writing the floats
+        # back gives the bytes of the text copy
+        csv = tmp_path / "trajectory.csv"
+        _, *floats = self.columns(1200)
+        t = np.arange(1200) * 5e-3
+        write_table(csv, "t,xi_norm,h_norm,mean_y,w_1", [t, *floats, np.ones(1200)])
+        write_columns_dat(csv, tmp_path / "decay.dat", names)
+        data = read_trajectory_csv(csv)
+        numeric = tmp_path / "numeric.dat"
+        write_table(numeric, "# " + " ".join(names), [data[n] for n in names], sep=" ")
+        assert (tmp_path / "decay.dat").read_bytes() == numeric.read_bytes()
+        assert len((tmp_path / "decay.dat").read_text().splitlines()) == 1201
+
+    def test_columns_dat_keeps_no_row_lists_for_the_collector(self, tmp_path):
+        # each line's split list dies with its line: a chunk that kept its
+        # 512 row lists would pass gc's first threshold (700) and collect
+        csv = tmp_path / "trajectory.csv"
+        write_table(csv, "t,xi_norm,h_norm", self.columns(4001)[1:])
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            write_columns_dat(csv, tmp_path / "decay.dat", ("t", "xi_norm", "h_norm"))
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == [], gc.get_threshold()
+
+
 class TestReport:
     def test_closed_loop_report_has_rate(self, tmp_path):
         cfg = fast_config(tmp_path / "run")
@@ -801,29 +869,32 @@ class TestReport:
     @pytest.mark.parametrize("reported", [False, True], ids=["fresh", "reported"])
     @pytest.mark.parametrize("damage", ["non-numeric", "short"])
     def test_damaged_trajectory_row_leaves_decay_dat(self, tmp_path, capsys, damage, reported):
-        # a bad field or a cut row fails the copy; decay.dat is replaced only
-        # by a whole copy, and the temporary file is removed
-        cfg = fast_config(tmp_path / "run")
+        # a bad field or a cut row fails the copy, in the first chunk of rows
+        # or a later one; decay.dat is replaced only by a whole copy, and the
+        # temporary file is removed
+        cfg = fast_config(tmp_path / "run", **{"sim.t_end": "6.0"})  # 1201 rows
         run_pipeline(cfg)
         run = Path(cfg.output_dir)
         if reported:
             assert main(["report", str(run)]) == 0
         decay = (run / "decay.dat").read_bytes() if reported else None
         path = run / "trajectory.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[6].split(",")
-        kept = [fields[0], "abc", *fields[2:]] if damage == "non-numeric" else [fields[0] + "\n"]
-        lines[6] = ",".join(kept)
-        path.write_text("".join(lines))
-        capsys.readouterr()
-        assert main(["report", str(run)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert str(path) in captured.err
-        left = [p.name for p in run.iterdir() if p.name.startswith("decay")]
-        assert left == (["decay.dat"] if reported else [])
-        if reported:
-            assert (run / "decay.dat").read_bytes() == decay
+        intact = path.read_text().splitlines(keepends=True)
+        assert len(intact) == 1202
+        for row in (6, 1100):
+            lines = list(intact)
+            t, _, *rest = lines[row].split(",")
+            lines[row] = ",".join([t, "abc", *rest]) if damage == "non-numeric" else t + "\n"
+            path.write_text("".join(lines))
+            capsys.readouterr()
+            assert main(["report", str(run)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(path) in captured.err
+            left = [p.name for p in run.iterdir() if p.name.startswith("decay")]
+            assert left == (["decay.dat"] if reported else [])
+            if reported:
+                assert (run / "decay.dat").read_bytes() == decay
 
     def test_trajectory_with_physical_norm_column_renders(self, tmp_path):
         # trajectory.csv files written before the column was dropped still report

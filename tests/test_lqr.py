@@ -231,12 +231,33 @@ def test_blocked_probe_equals_one_draw_probe(workload):
     args = (_apply(sol), m.plant.apply_operator, m.act.B_matrix, m.plant.state_weight_diagonal())
     for samples, seed in [
         (lqr._PROBE_SAMPLES, lqr._PROBE_SEED), (lqr._REPORT_SAMPLES, lqr._REPORT_SEED), (45, 0),
+        (33, 0), (65, 1),
     ]:
         blocked = lqr._probe_residual(*args, samples, np.random.default_rng(seed))
         assert blocked == _one_draw_probe_residual(*args, samples, np.random.default_rng(seed))
     assert sol.residual_rel == _one_draw_probe_residual(
         *args, lqr._REPORT_SAMPLES, np.random.default_rng(lqr._REPORT_SEED)
     )
+
+
+@pytest.mark.parametrize("samples", [1, 2, 32, 33, 64, 65, 129])
+def test_probe_has_no_one_row_block(problem, solution, samples):
+    # a one-row product goes to BLAS gemv, which rounds unlike gemm: a
+    # one-row tail joins the block before it, and the blocks cover the draw
+    _, plant, act = problem
+    rows = []
+
+    def apply_R(X):
+        rows.append(X.shape[0])
+        return _apply(solution)(X)
+
+    lqr._probe_residual(
+        apply_R, plant.apply_operator, act.B_matrix, plant.state_weight_diagonal(), samples,
+        np.random.default_rng(0),
+    )
+    assert sum(rows) == samples
+    assert max(rows) <= lqr._PROBE_BLOCK + 1
+    assert samples == 1 or min(rows) > 1
 
 
 def _split_points(lo: int, hi: int) -> list[int]:

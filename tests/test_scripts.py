@@ -50,6 +50,11 @@ def test_bench_writes_its_file(tmp_path):
     row = bench["workloads"]["rho_ensemble"]
     assert row["correct"] and row["failed"] == 0
     assert row["wall_s"]["q1"] <= row["wall_s"]["median"] <= row["wall_s"]["q3"]
+    # one traced run's per-layer metrics
+    layers = row["layers"]
+    assert layers["correct"] and layers["failed"] == 0
+    assert layers["sim.calls"] > 0 and layers["sim.us_per_step"] > 0.0
+    assert layers["lqr.calls"] == 1
     assert set(bench["step_profile"]["M=16"]) >= {
         "setup", "solve", "feedback", "remainder", "step", "recording"
     }
