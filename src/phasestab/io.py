@@ -4,7 +4,7 @@ Every table goes through ``write_table``, which writes floats with repr
 (shortest round-trip form), so identical runs produce byte-identical files.
 ``write_columns_dat`` copies columns of such a table as text, which gives
 the bytes that parsing and rewriting them would.  Both stream _CHUNK_ROWS
-rows at a time, each chunk built by C-level ``map``/``join`` passes.
+rows at a time and write each chunk with one C-level ``join``.
 """
 
 from __future__ import annotations
