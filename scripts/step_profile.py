@@ -21,7 +21,9 @@ difference of two such loops:
     remainder   the nonlinear closed loop minus the linear closed loop: the
                 remainder on the folded dealiasing grid
                 (``_remainder_analysis``), two two-row products against the
-                top half H of the cosine matrix, [(-1)^k y; y] H^T and T H;
+                top half H of the cosine matrix, [(-1)^k y; y] H^T and T H,
+                with T = V^3 on the default config's phi_inf = 0, where the
+                stepper drops the zero rows 3 phi_inf and g and their terms;
                 the signed scaling of their two rows into the right-hand
                 side; and the refresh of (-1)^k y after the solve
     step        the nonlinear closed loop, the step ``simulate`` takes

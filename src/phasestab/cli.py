@@ -311,6 +311,10 @@ def render_report(run_dir: Path) -> str:
             add("lambda_gap", spectrum["gap"])
             add("F_l", spectrum["F_l"])
             eigs = spectrum["eigenvalues"]
+            # a JSON number parses to an int or a float; anything else (null,
+            # text, true, a list) would be written into spectrum.dat as is
+            if not all(type(e) in (int, float) for e in eigs):
+                raise TypeError("an eigenvalue is not a number")
             write_table(
                 run_dir / "spectrum.dat", "# i lambda_i", [np.arange(len(eigs)), eigs], sep=" "
             )

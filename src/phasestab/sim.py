@@ -28,6 +28,9 @@ folded values V = [ys; y] H^T, and the unscaled analysis Z = [Zb; Zt] = T H
 of T = V^3 + 3 phi_inf V^2 + g V (the cubic in Horner form, on 3 phi_inf
 and g, which the plant keeps folded the same way in ``remainder_grid``),
 from which the analysis of the whole grid is q = C^T T = Zt + (-1)^k Zb.
+A coefficient row that is identically zero is dropped when the stepper is
+built, with its term: g is zero on every constant state, and 3 phi_inf at
+the uniform mixture phi_inf = 0, where T = V^3.
 The scheme's constants are folded once, when the stepper is built, in one
 pass over both implicit solves: the per-mode factor -kappa L / P times dt
 (imex1) or 2 dt (imex2) with the sign (-1)^k on its Zb row, and SBDF2's
@@ -37,7 +40,8 @@ three history slots [ys; y; z; Zb; Zt; w], writes every intermediate in
 place into a buffer allocated once, and yields views of the state and the
 feedback amplitudes after every recorded step.  A steady step is Z, one
 right-hand side, one block product, the rank-N feedback correction and the
-refresh of ys: 19 NumPy calls and no allocation.  The first step runs
+refresh of ys: 19 NumPy calls on a nonconstant state, 18 on a constant
+one and 17 at phi_inf = 0, and no allocation.  The first step runs
 through the same body with the theta = dt constants.  ``simulate`` copies
 the rows it records and the final state, the stepper's stacked vector.
 
@@ -114,8 +118,9 @@ def _decay_norm(basis, x: np.ndarray, out=None, scratch=None):
 
 
 def _remainder_analysis(
-    H: np.ndarray, HT: np.ndarray, y2: np.ndarray, phi3: np.ndarray, g: np.ndarray,
-    out: np.ndarray | None = None, grid: tuple[np.ndarray, np.ndarray] | None = None,
+    H: np.ndarray, HT: np.ndarray, y2: np.ndarray, phi3: np.ndarray | None,
+    g: np.ndarray | None, out: np.ndarray | None = None,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Unscaled folded analysis Z = f(y2 H^T) H, f(v) = v^3 + 3 phi_inf v^2 + g v.
 
@@ -129,7 +134,11 @@ def _remainder_analysis(
     ((2, M)) and ``grid`` (two (2, M) buffers), Z is written into ``out``
     and the call allocates nothing.  The time loop makes the view HT once:
     one made per call cost about 0.4 us of a 10 us step at M = 64 (2-CPU
-    host, one BLAS thread).
+    host, one BLAS thread).  A row given as None is identically zero, and
+    its term is skipped: v * v in place of (v + 0) v, no t += 0.  Each
+    skipped operation adds or multiplies an exact zero, so Z is the same,
+    bit for bit, as with an all-zero row.  The cubic then takes four
+    elementwise calls with no None row, three with one and two with both.
     """
     v, t = np.empty((2,) + y2.shape) if grid is None else grid
     # methods and positional out arguments: np.dot and out= keywords cost a
@@ -137,9 +146,13 @@ def _remainder_analysis(
     y2.dot(HT, v)
     # Horner form, in place: a float power costs more than both
     # matrix products at P = 128
-    np.add(v, phi3, t)
-    t *= v
-    t += g
+    if phi3 is None:
+        np.multiply(v, v, t)
+    else:
+        np.add(v, phi3, t)
+        t *= v
+    if g is not None:
+        t += g
     t *= v
     return t.dot(H, out)
 
@@ -190,7 +203,8 @@ class _Stepper:
     plant's rows of 3 phi_inf and g (``remainder_grid``), which the plant
     keeps folded and C-contiguous, so the set-up neither slices nor copies
     them; a strided view there would send each in-place product of the
-    step through NumPy's general iterator.
+    step through NumPy's general iterator.  A row that is identically zero
+    is held as None, and the remainder skips its term.
 
     The open-loop part of the solve is the per-mode 2x2 block inverse
     [[d, -b], [-c, a]] / det of I + theta A_k = [[a, b], [c, d]].  The
@@ -231,8 +245,9 @@ class _Stepper:
     theta = dt, [4; 2] for SBDF2), minus [x_{n-1}; Z_{n-1}] for SBDF2; its
     Z part is scaled by the folded e1 or e2 and both its rows are added into
     its y part.  After the solve one product refreshes the new slot's ys.
-    A steady nonlinear closed-loop step makes 19 NumPy calls and allocates
-    no array.
+    A steady nonlinear closed-loop step makes 19 NumPy calls on a
+    nonconstant state, 18 on a constant one (g = 0) and 17 at phi_inf = 0
+    (3 phi_inf = 0 too), and allocates no array.
     """
 
     def __init__(
@@ -298,8 +313,9 @@ class _Stepper:
         P = 2 * M
         self.H = _half_cosine_matrix(basis)
         sign = self.sign = _mirror_sign(M)
-        # 3 phi_inf and g, each folded to [bottom half reversed; top half]
-        self.phi3, self.g = plant.remainder_grid
+        # 3 phi_inf and g, each folded to [bottom half reversed; top half];
+        # None for a row that is identically zero
+        self.phi3, self.g = (row if row.any() else None for row in plant.remainder_grid)
         self.grid = (np.empty((2, M)), np.empty((2, M)))
         e1 = np.empty((2, M))
         np.multiply(basis.kappa, -basis.L / P * dt, e1[1])

@@ -56,6 +56,9 @@ __all__ = [
     "gradient_values",
 ]
 
+_ALIGN = 64  # bytes: the cached cosine matrices start on a cache line
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormal cosine basis on (0, L) with M modes and midpoint nodes."""
@@ -192,8 +195,18 @@ def _cosine_matrix(basis: SpectralBasis, P: int) -> np.ndarray:
 
 
 def _cosine_rows(basis: SpectralBasis, P: int, rows: int) -> np.ndarray:
-    """The first ``rows`` rows of the P-point grid's cosine matrix (read-only)."""
-    mat = np.sqrt(2.0 / basis.L) * np.cos(_midpoint_angles(basis, P, rows))
+    """The first ``rows`` rows of the P-point grid's cosine matrix (read-only).
+
+    The matrix starts on a cache line (``_ALIGN`` bytes) whatever address
+    malloc returns: with H off a 64-byte boundary, the closed-loop time
+    step, whose two products read H, took 34 % longer at M = 256 and 11 %
+    at M = 64 (one BLAS thread; the products are the same bit for bit).
+    """
+    size = rows * basis.M
+    buf = np.empty(size + _ALIGN // 8)
+    start = (-buf.ctypes.data % _ALIGN) // 8
+    mat = buf[start : start + size].reshape(rows, basis.M)
+    np.multiply(np.sqrt(2.0 / basis.L), np.cos(_midpoint_angles(basis, P, rows)), mat)
     mat[:, 0] = np.sqrt(1.0 / basis.L)
     mat.flags.writeable = False
     return mat

@@ -842,6 +842,28 @@ class TestReport:
         assert captured.out == ""
         assert str(run / "spectrum.json") in captured.err
 
+    @pytest.mark.parametrize(
+        "bad", ["null", '"abc"', '"1.5"', "true", "[1.0]"],
+        ids=["null", "text", "numeric-text", "bool", "list"],
+    )
+    def test_non_number_eigenvalue_leaves_spectrum_dat(self, tmp_path, capsys, bad):
+        # a later entry that is not a JSON number fails the report before
+        # spectrum.dat is written, so the earlier file stays as it was
+        run = tmp_path / "run"
+        run.mkdir()
+        spectrum = '{"N_unstable": 2, "eigenvalues": [-1.0, -0.5, %s, 1, 2.5], "gap": 1.0, "F_l": 0.1}'
+        (run / "spectrum.json").write_text(spectrum % "0.5")
+        assert main(["report", str(run)]) == 0
+        written = (run / "spectrum.dat").read_bytes()
+        assert written == b"# i lambda_i\n0 -1.0\n1 -0.5\n2 0.5\n3 1.0\n4 2.5\n"
+        (run / "spectrum.json").write_text(spectrum % bad)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(run / "spectrum.json") in captured.err
+        assert (run / "spectrum.dat").read_bytes() == written
+
     def test_summary_that_is_a_directory_exit_two(self, tmp_path, capsys):
         run = tmp_path / "run"
         (run / "spectrum.json").mkdir(parents=True)

@@ -261,7 +261,8 @@ class TestFoldedRemainder:
 
     def test_stepper_reads_the_plants_folded_rows(self, kink):
         # the plant keeps 3 phi_inf and g folded and C-contiguous, and the
-        # stepper multiplies by them and by the cached half as they are
+        # stepper multiplies by them and by the cached half as they are; on
+        # a nonconstant state neither row is dropped
         _, plant, act, sol = kink
         stepper = _Stepper(plant, 5e-3, sol, act, True, "imex2")
         assert plant.remainder_grid.shape == (2, 2, plant.M)
@@ -281,6 +282,87 @@ class TestFoldedRemainder:
         sign = (-1.0) ** np.arange(M)
         for row in stepper.ring:
             assert np.array_equal(row[:M], sign * row[M : 2 * M])
+
+
+@pytest.fixture(scope="module")
+def zero_row_plants():
+    """Constant states, whose g row is zero: phi_inf = -1, 0, +1 and rho_ensemble's minimizer."""
+    configs = {"rho_ensemble": config_for("rho_ensemble", 0)}
+    for which in (-1, 0, 1):
+        cfg = SimConfig()
+        cfg.basis.M = 16
+        cfg.stationary.which = which
+        configs[f"phi_inf={which}"] = cfg.validate()
+    plants = {}
+    for name, cfg in configs.items():
+        m = build_materials(cfg)
+        plants[name] = m.plant, m.act, solve_care(m.plant, m.act)
+    return plants
+
+
+class _FullRowStepper(_Stepper):
+    """A stepper that keeps both of the plant's rows, zero or not."""
+
+    def __init__(self, plant, *args):
+        super().__init__(plant, *args)
+        self.phi3, self.g = plant.remainder_grid
+
+
+class TestZeroRemainderRows:
+    """Rows of the remainder that are identically zero are dropped, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["phi_inf=-1", "phi_inf=0", "phi_inf=1", "rho_ensemble"])
+    def test_stepper_drops_exactly_the_zero_rows(self, zero_row_plants, name):
+        plant, act, sol = zero_row_plants[name]
+        stepper = _Stepper(plant, 5e-3, sol, act, True, "imex2")
+        assert plant.g_max == 0.0 and stepper.g is None
+        # rho_ensemble's minimizer is phi_inf = +1
+        assert (stepper.phi3 is None) == (name == "phi_inf=0")
+        if stepper.phi3 is not None:
+            assert np.shares_memory(stepper.phi3, plant.remainder_grid[0])
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("name", ["phi_inf=-1", "phi_inf=0", "phi_inf=1", "rho_ensemble"])
+    def test_simulate_matches_the_full_rows(
+        self, zero_row_plants, name, scheme, record_every, monkeypatch
+    ):
+        plant, act, sol = zero_row_plants[name]
+        y0, z0 = seeded_initial_state(plant.basis, 0.1, seed=5)
+
+        def run():
+            return simulate(
+                plant, y0, z0, dt=5e-3, t_end=0.5, sol=sol, act=act, nonlinear=True,
+                scheme=scheme, record_every=record_every,
+            )
+
+        dropped = run()
+        monkeypatch.setattr(sim, "_Stepper", _FullRowStepper)
+        full = run()
+        assert dropped.control_amplitudes.shape[1] == act.N > 0
+        for field in ("times", "xi_norms", "h_norms", "mean_y", "mean_z",
+                      "control_amplitudes", "final_x"):
+            assert np.array_equal(getattr(dropped, field), getattr(full, field)), field
+
+    @pytest.mark.parametrize("rows", ["phi3", "g", "neither"])
+    def test_none_rows_equal_zero_rows_bit_for_bit(self, rows):
+        M = 32
+        basis = SpectralBasis(L=1.0, M=M)
+        H = _half_cosine_matrix(basis)
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal(M) * np.exp(-0.1 * np.arange(M))
+        y2 = np.stack([(-1.0) ** np.arange(M) * y, y])
+        phi3, g = rng.standard_normal((2, 2, M))
+        zero = np.zeros((2, M))
+        phi3, g = (phi3 if rows == "phi3" else None), (g if rows == "g" else None)
+        given = _remainder_analysis(H, H.T, y2, phi3, g)
+        zeros = _remainder_analysis(
+            H, H.T, y2, zero if phi3 is None else phi3, zero if g is None else g
+        )
+        assert np.array_equal(given, zeros)
+        out, grid = np.empty((2, M)), (np.empty((2, M)), np.empty((2, M)))
+        assert _remainder_analysis(H, H.T, y2, phi3, g, out, grid) is out
+        assert np.array_equal(out, zeros)
 
 
 def final_x(plant, y0, z0, dt, n_steps, **kwargs):

@@ -403,6 +403,15 @@ class TestCosineMatrix:
             assert matrix() is C
             assert not C.flags.writeable
 
+    @pytest.mark.parametrize("M", [2, 3, 5, 64, 256, 257])
+    def test_cached_matrices_start_on_a_cache_line(self, M):
+        # the stepper's products against H slow by a third at M = 256 when
+        # malloc leaves H off a 64-byte boundary
+        basis = SpectralBasis(L=1.0, M=M)
+        for C in (_half_cosine_matrix(basis), _cosine_matrix(basis, M)):
+            assert C.ctypes.data % 64 == 0
+            assert C.flags.c_contiguous and C.shape[1] == M
+
 
 def fold(values):
     """Values on the 2M-point grid (or (2M, n)) as [bottom half reversed; top half]."""
