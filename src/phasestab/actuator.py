@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 GRAMIAN_CONDITION_LIMIT = 1e12
-# Gauss-Legendre nodes of the null control's samples and steering residual
+# Gauss-Legendre nodes of the null control's steering residual and energy
 NULL_CONTROL_NODES = 512
 
 
@@ -116,6 +116,8 @@ def build_actuator(
 class KalmanCertificate:
     det: float
     lambda_min: float
+    lambda_max: float
+    n_omega: int  # grid nodes with w > 0
     ok: bool
 
 
@@ -125,12 +127,19 @@ def kalman_certificate(act: Actuator) -> KalmanCertificate:
     Uses the smallest eigenvalue of the Gram matrix D (symmetric positive
     semidefinite up to rounding; ``eigvalsh`` reads its lower triangle)
     rather than the bare determinant, which is fragile under scaling and
-    repeated plant eigenvalues.
+    repeated plant eigenvalues.  D is a sum over the grid nodes with w > 0,
+    each adding a term of rank at most 2, so fewer of them than unstable
+    modes is the usual reason the check fails.
     """
     eigs = np.linalg.eigvalsh(act.D_matrix)
-    lam_min = float(eigs[0])
-    det = float(np.linalg.det(act.D_matrix))
-    return KalmanCertificate(det=det, lambda_min=lam_min, ok=lam_min > 1e-12 * float(eigs[-1]))
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    return KalmanCertificate(
+        det=float(np.linalg.det(act.D_matrix)),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        n_omega=int(np.count_nonzero(act.weight.values > 0.0)),
+        ok=lam_min > 1e-12 * lam_max,
+    )
 
 
 @dataclass
@@ -220,9 +229,15 @@ def null_control(
         raise ValueError(f"horizon must be positive, got {T0}")
     cert = kalman_certificate(act)
     if not cert.ok:
-        raise NumericalError(
-            f"coupling matrix is numerically singular (lambda_min={cert.lambda_min:.3e})"
-        )
+        message = f"coupling matrix is numerically singular (lambda_min={cert.lambda_min:.3e})"
+        if cert.n_omega < act.N:
+            # necessary is only 2 n_omega >= N, and n_omega >= N does not
+            # always suffice, so this names the likely cause, not a sure fix
+            message += (
+                f"; only {cert.n_omega} grid nodes lie inside omega for {act.N} unstable"
+                " modes, the likely cause: a larger basis.M puts more nodes there"
+            )
+        raise NumericalError(message)
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.shape != (act.N,):
         raise ValueError(f"expected {act.N} unstable coordinates, got {xi0.shape}")

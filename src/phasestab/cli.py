@@ -130,17 +130,18 @@ def stage_controllability(m: Materials, outdir: Path) -> dict:
     xi0 = rng.standard_normal(m.act.N)
     xi0 /= np.linalg.norm(xi0)
     plan = null_control(m.act, xi0, T0=m.cfg.actuator.T0)
+    cert = plan.certificate
     summary = {
         "N": m.act.N,
-        "det_D": plan.certificate.det,
-        "lambda_min_D": plan.certificate.lambda_min,
+        "det_D": cert.det,
+        "lambda_min_D": cert.lambda_min,
         "gramian_cond": plan.gramian_cond,
         "T0": plan.T0,
         "steering_error": plan.steering_error,
         "control_energy": plan.energy,
+        "n_omega": cert.n_omega,
+        "lambda_max_D": cert.lambda_max,
     }
-    header = "t," + ",".join(f"w_{j + 1}" for j in range(m.act.N))
-    write_table(outdir / "control_samples.csv", header, [plan.t_nodes, *plan.W_samples.T])
     write_json(outdir / "controllability.json", summary)
     return summary
 

@@ -553,14 +553,18 @@ def simulate(
     block[0] = x
     amps[0] = w
     row = 0
-    for x, w in stepper.run(x, n_steps, record_every):
-        row += 1
-        block[row % rows] = x
-        amps[row] = w
-        if (row + 1) % rows == 0:
-            record_block(row + 1)
-    if n_rows % rows:
-        record_block(n_rows)
+    # a blow-up overflows the remainder and the norms before a block's guard
+    # sees it; the guard reports it, so NumPy's warnings would only precede
+    # that message
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, w in stepper.run(x, n_steps, record_every):
+            row += 1
+            block[row % rows] = x
+            amps[row] = w
+            if (row + 1) % rows == 0:
+                record_block(row + 1)
+        if n_rows % rows:
+            record_block(n_rows)
 
     rate, r2 = fit_exponential_rate(times, xi_s, fit_window)
 

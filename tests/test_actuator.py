@@ -221,6 +221,20 @@ class TestKalmanCertificate:
         cert = kalman_certificate(degenerate)
         assert cert.lambda_min == 0.0
         assert not cert.ok
+        # many nodes lie inside omega for one mode, so the failure names no
+        # node count
+        with pytest.raises(NumericalError) as info:
+            null_control(degenerate, np.ones(1))
+        assert str(info.value) == "coupling matrix is numerically singular (lambda_min=0.000e+00)"
+
+    def test_records_nodes_in_omega_and_largest_eigenvalue(self, setup):
+        basis, _, act = setup
+        cert = kalman_certificate(act)
+        assert cert.n_omega == np.count_nonzero(act.weight.values > 0.0)
+        # the M = 64 midpoint grid puts 32 nodes inside (0.25, 0.75)
+        assert cert.n_omega == np.count_nonzero((basis.nodes > 0.25) & (basis.nodes < 0.75)) == 32
+        eigs = np.linalg.eigvalsh(act.D_matrix)
+        assert (cert.lambda_min, cert.lambda_max) == (eigs[0], eigs[-1])
 
 
 class TestNullControl:

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasestab
-from phasestab import lqr
+from phasestab import cli, lqr
+from phasestab.actuator import kalman_certificate, null_control
 from phasestab.cli import (
     _gain_digest,
     build_materials,
@@ -54,6 +55,27 @@ from phasebench import workloads
 # _gain_digest of the default config at lqr.SOLVER_VERSION 2; a change
 # invalidates every cached gain.npz
 DEFAULT_GAIN_DIGEST = "9ebd1ebb5d131fe1efe2bb994973e1a4f633712d5bcf510af1471b0952504b6b"
+
+
+def _stage_controllability_with_samples(m, outdir):
+    """The controllability stage as it was while it also wrote the plan's samples."""
+    rng = np.random.default_rng(m.cfg.seed)
+    xi0 = rng.standard_normal(m.act.N)
+    xi0 /= np.linalg.norm(xi0)
+    plan = null_control(m.act, xi0, T0=m.cfg.actuator.T0)
+    summary = {
+        "N": m.act.N,
+        "det_D": plan.certificate.det,
+        "lambda_min_D": plan.certificate.lambda_min,
+        "gramian_cond": plan.gramian_cond,
+        "T0": plan.T0,
+        "steering_error": plan.steering_error,
+        "control_energy": plan.energy,
+    }
+    header = "t," + ",".join(f"w_{j + 1}" for j in range(m.act.N))
+    write_table(outdir / "control_samples.csv", header, [plan.t_nodes, *plan.W_samples.T])
+    write_json(outdir / "controllability.json", summary)
+    return summary
 
 
 def fast_config(outdir, **overrides):
@@ -151,21 +173,79 @@ class TestPipeline:
         assert summary["fitted_rate"] is not None
         assert summary["fitted_rate"] > 0
         out = Path(cfg.output_dir)
-        for name in (
-            "config.json",
-            "stationary.json",
-            "stationary_phi.csv",
-            "stationary_phi_modes.csv",
-            "spectrum.json",
-            "controllability.json",
-            "control_samples.csv",
-            "synth.json",
-            "gain.npz",
-            "trajectory.csv",
-            "simulate.json",
-            "summary.json",
-        ):
-            assert (out / name).exists(), name
+        # the open-loop plan's sample table is not written: only its scalars
+        # go to controllability.json
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            (
+                "config.json",
+                "stationary.json",
+                "stationary_phi.csv",
+                "stationary_phi_modes.csv",
+                "spectrum.json",
+                "controllability.json",
+                "synth.json",
+                "gain.npz",
+                "trajectory.csv",
+                "simulate.json",
+                "summary.json",
+            )
+        )
+        assert not (out / "control_samples.csv").exists()
+
+    def test_controllability_command_writes_the_plans_scalars_only(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["controllability", "--set", "basis.M=16", "--output-dir", str(out)])
+        assert code == 0
+        assert [path.name for path in out.iterdir()] == ["controllability.json"]
+        record = read_json(out / "controllability.json")
+        m = build_materials(fast_config(out))
+        xi0 = np.random.default_rng(m.cfg.seed).standard_normal(m.act.N)
+        plan = null_control(m.act, xi0 / np.linalg.norm(xi0), T0=m.cfg.actuator.T0)
+        assert record["steering_error"] == plan.steering_error
+        assert record["gramian_cond"] == plan.gramian_cond
+        assert record["control_energy"] == plan.energy
+        cert = kalman_certificate(m.act)
+        assert record["n_omega"] == cert.n_omega == 8
+        assert record["lambda_max_D"] == cert.lambda_max
+        assert record["lambda_min_D"] == cert.lambda_min
+
+    @pytest.mark.parametrize("workload", ["default", "thin_interface"])
+    def test_run_directory_is_the_sample_route_without_its_table(
+        self, tmp_path, monkeypatch, workload
+    ):
+        # simulate then report, once with the stage that wrote the sample
+        # table; every other file keeps its bytes, and the JSON files differ
+        # only in output_dir and the two Kalman figures the stage now adds
+        runs = {}
+        for route in ("samples", "current"):
+            if route == "samples":
+                monkeypatch.setattr(cli, "stage_controllability", _stage_controllability_with_samples)
+            else:
+                monkeypatch.undo()
+            cfg = workloads.config_for(workload, 0)
+            cfg.output_dir = str(tmp_path / route)
+            run_pipeline(cfg)
+            render_report(Path(cfg.output_dir))
+            runs[route] = Path(cfg.output_dir)
+        current, samples = runs["current"], runs["samples"]
+        names = sorted(path.name for path in current.iterdir())
+        assert (samples / "control_samples.csv").exists()
+        assert names == sorted(p.name for p in samples.iterdir() if p.name != "control_samples.csv")
+        cert = kalman_certificate(build_materials(cfg).act)
+        for name in names:
+            if name not in ("config.json", "summary.json", "controllability.json"):
+                assert (current / name).read_bytes() == (samples / name).read_bytes(), name
+                continue
+            now, then = read_json(current / name), read_json(samples / name)
+            for data in (now, then):
+                data.pop("output_dir", None)
+            if name == "config.json":
+                assert now == then
+                continue
+            record = now if name == "controllability.json" else now["controllability"]
+            assert record.pop("n_omega") == cert.n_omega
+            assert record.pop("lambda_max_D") == cert.lambda_max
+            assert now == then, name
 
     def test_summary_self_contained(self, tmp_path):
         cfg = fast_config(tmp_path / "run")
@@ -535,6 +615,45 @@ class TestMainEntry:
             ]
         )
         assert code == 3
+
+    def test_too_few_nodes_in_omega_named_as_the_likely_cause(self, tmp_path, capsys):
+        # at M = 16 only 2 grid nodes lie inside (0.45, 0.55), against N = 5
+        # unstable modes at nu = 0.01: D has rank at most 4, so the Kalman
+        # check fails, and the message says why and what to raise
+        code = main(
+            [
+                "simulate",
+                "--set", "basis.M=16",
+                "--set", "params.nu=0.01",
+                "--set", "actuator.a=0.45",
+                "--set", "actuator.b=0.55",
+                "--set", "sim.t_end=1",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: coupling matrix is numerically singular (")
+        assert "only 2 grid nodes lie inside omega for 5 unstable modes" in err
+        assert "a larger basis.M" in err
+
+    def test_blowup_prints_the_guards_message_alone(self, tmp_path, capfd):
+        # rho = 3 overflows the explicit remainder at dt = 5e-3; the block
+        # guard reports it, and NumPy's overflow warnings stay off stderr
+        code = main(
+            [
+                "simulate",
+                "--set", "basis.M=16",
+                "--set", "sim.rho=3",
+                "--set", "sim.t_end=1",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        out, err = capfd.readouterr()
+        assert "decay norm" in err
+        assert "RuntimeWarning" not in out + err
+        assert err.count("\n") == 1
 
     def test_singular_coupling_exit_three(self, tmp_path, capsys):
         # no node of the M = 64 grid lies in (0.495, 0.505), so B = 0 and the
