@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NumericalError
+from .config import ActuatorConfig, NumericalError
 from .linearization import LinearizedPlant
-from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _values_on_grid
+from .spectral import ScalarField, SpectralBasis, _coeffs_from_grid, _cosine_matrix
 
 __all__ = [
     "Actuator",
@@ -88,7 +88,7 @@ class Actuator:
 
 
 def build_actuator(
-    plant: LinearizedPlant, omega: tuple[float, float] = (0.25, 0.75)
+    plant: LinearizedPlant, omega: tuple[float, float] = (ActuatorConfig.a, ActuatorConfig.b)
 ) -> Actuator:
     """Assemble the actuator for the plant's unstable subspace."""
     basis = plant.basis
@@ -102,11 +102,9 @@ def build_actuator(
 
     # the y and z components phi_i, psi_i of the eigenpairs at the nodes,
     # weighted by w and transformed back
+    to_values = _cosine_matrix(basis, M)
     B = np.concatenate(
-        [
-            _coeffs_from_grid(basis, w[:, None] * _values_on_grid(basis, part, M))
-            for part in (modes[:M], modes[M:])
-        ]
+        [_coeffs_from_grid(basis, w[:, None] * (to_values @ m)) for m in (modes[:M], modes[M:])]
     )
 
     return Actuator(weight=weight, lambdas=lambdas, modes=modes, D_matrix=modes.T @ B, B_matrix=B)
@@ -222,7 +220,7 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def null_control(
     act: Actuator,
     xi0: np.ndarray,
-    T0: float = 1.0,
+    T0: float = ActuatorConfig.T0,
 ) -> NullControlPlan:
     """Construct the minimum-energy null control on [0, T0] and its steering residual."""
     if T0 <= 0:

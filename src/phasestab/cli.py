@@ -151,8 +151,8 @@ _GAIN_FIELDS = fields(RiccatiSolution)
 
 
 def stage_synth(m: Materials, outdir: Path) -> tuple[RiccatiSolution, dict]:
-    rc = m.cfg.riccati
-    sol = solve_care(m.plant, m.act, method=rc.method, tol=rc.tol, max_iters=rc.max_iters)
+    rc = m.cfg.riccati  # validate has checked rc.method
+    sol = solve_care(m.plant, m.act, tol=rc.tol, max_iters=rc.max_iters)
     members = {f.name: getattr(sol, f.name) for f in _GAIN_FIELDS}
     np.savez(outdir / "gain.npz", config_digest=_gain_digest(m.cfg), **members)
     return sol, write_synth_summary(sol, outdir)
@@ -416,13 +416,22 @@ def _outdir(cfg: SimConfig) -> Path:
     return out
 
 
+# the subcommands that run one stage into the output directory
+_STAGES = {
+    "stationary": stage_stationary,
+    "spectrum": stage_spectrum,
+    "controllability": stage_controllability,
+    "synth": stage_synth,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="phasestab",
         description="Spectral feedback stabilization of a conserved phase-field system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("stationary", "spectrum", "controllability", "synth", "simulate"):
+    for name in (*_STAGES, "simulate"):
         _add_common(sub.add_parser(name))
     report_p = sub.add_parser("report")
     report_p.add_argument("run_dir", type=str)
@@ -441,15 +450,8 @@ def main(argv: list[str] | None = None) -> int:
             print(render_report(run_dir))
             return 0
         cfg = _load(args)
-        if args.command == "stationary":
-            stage_stationary(build_materials(cfg), _outdir(cfg))
-        elif args.command == "spectrum":
-            stage_spectrum(build_materials(cfg), _outdir(cfg))
-        elif args.command == "controllability":
-            stage_controllability(build_materials(cfg), _outdir(cfg))
-        elif args.command == "synth":
-            m = build_materials(cfg)
-            stage_synth(m, _outdir(cfg))
+        if args.command in _STAGES:
+            _STAGES[args.command](build_materials(cfg), _outdir(cfg))
         elif args.command == "simulate":
             summary = run_pipeline(cfg)
             rate = summary["fitted_rate"]

@@ -1,4 +1,4 @@
-"""Fixed on-disk formats: numeric tables (CSV and gnuplot .dat) and JSON summaries.
+"""Fixed on-disk formats: numeric tables (CSV and gnuplot .dat) and JSON (summaries, config).
 
 Every table goes through ``write_table``, which writes floats with repr
 (shortest round-trip form), so identical runs produce byte-identical files.
@@ -99,21 +99,10 @@ def write_columns_dat(csv_path: str | Path, dat_path: str | Path, names) -> None
         tmp.unlink(missing_ok=True)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        # a numeric array's tolist() already holds Python numbers, nested by axis
-        return value.tolist() if value.dtype != object else _jsonable(value.tolist())
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Every JSON file the package writes: indent 2, sorted keys, NumPy values as tolist()."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: str | Path) -> dict:

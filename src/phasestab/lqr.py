@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuator import Actuator
-from .config import NumericalError
+from .config import NumericalError, RiccatiConfig
 from .linearization import LinearizedPlant
 from .spectral import _folded_coeffs, _folded_values
 
@@ -460,9 +460,9 @@ def _margin(lam: np.ndarray, b: np.ndarray, k: np.ndarray) -> float:
 def solve_care(
     plant: LinearizedPlant,
     act: Actuator,
-    method: str = "newton",
-    tol: float = 1e-9,
-    max_iters: int = 50,
+    method: str = RiccatiConfig.method,
+    tol: float = RiccatiConfig.tol,
+    max_iters: int = RiccatiConfig.max_iters,
 ) -> RiccatiSolution:
     """Synthesize the feedback for the assembled plant and actuator.
 

@@ -481,10 +481,10 @@ def simulate(
     t_end: float,
     sol: RiccatiSolution | None = None,
     act: Actuator | None = None,
-    nonlinear: bool = True,
+    nonlinear: bool = RunConfig.nonlinear,
     scheme: str = RunConfig.scheme,
     stat: StationaryState | None = None,
-    record_every: int = 1,
+    record_every: int = RunConfig.record_every,
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording norms, means and feedback amplitudes.
 
@@ -495,9 +495,10 @@ def simulate(
     Raises ValueError unless t_end is a positive whole number of steps dt
     to rounding (``config.step_count``), and NumericalError, with facts
     ``t`` and ``norm``, at the first recorded row whose decay norm exceeds
-    ``BLOWUP_FACTOR`` times its initial value or stops being finite; rows
-    are checked once per block (``_record_block_rows``), so up to one block
-    of further steps runs first.  ``stat`` is not used; it stays for callers
+    ``BLOWUP_FACTOR`` times its initial value or stops being finite (at
+    t = 0 when the initial norm is not finite); rows are checked once per
+    block (``_record_block_rows``), so up to one block of further steps
+    runs first.  ``stat`` is not used; it stays for callers
     that still pass it.
     """
     stepper = _Stepper(plant, dt, sol, act, nonlinear, scheme)
@@ -518,8 +519,6 @@ def simulate(
     xi_s, h_s, my_s, mz_s = np.empty((4, n_rows))
     amps = np.empty((n_rows, len(w)))
     sqrtL = np.sqrt(basis.L)
-    xi0 = _decay_norm(basis, x)
-    bound = BLOWUP_FACTOR * max(xi0, NORM_FLOOR)
     # row r waits in block[r % rows] until its block's pass, which writes
     # straight into the record arrays through one (rows, M) scratch
     rows = _record_block_rows(M)
@@ -554,9 +553,14 @@ def simulate(
     amps[0] = w
     row = 0
     # a blow-up overflows the remainder and the norms before a block's guard
-    # sees it; the guard reports it, so NumPy's warnings would only precede
-    # that message
+    # sees it, and too large an initial state overflows its own norm; the
+    # guard or the check below reports it, so NumPy's warnings would only
+    # precede that message
     with np.errstate(over="ignore", invalid="ignore"):
+        xi0 = float(_decay_norm(basis, x))
+        if not np.isfinite(xi0):
+            raise NumericalError(f"initial decay norm {xi0:.3e} is not finite", t=0.0, norm=xi0)
+        bound = BLOWUP_FACTOR * max(xi0, NORM_FLOOR)
         for x, w in stepper.run(x, n_steps, record_every):
             row += 1
             block[row % rows] = x

@@ -87,11 +87,6 @@ class SpectralBasis:
         return self.L / self.M
 
 
-def _values_on_grid(basis: SpectralBasis, coeffs: np.ndarray, P: int) -> np.ndarray:
-    """Values on the P-point midpoint grid of the M coefficients (or of each (M, n) column)."""
-    return _cosine_matrix(basis, P) @ coeffs
-
-
 def _coeffs_from_grid(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
     """The M coefficients of values on a P-point midpoint grid (or of each (P, n) column).
 
@@ -133,7 +128,7 @@ class ScalarField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _values_on_grid(self.basis, self.coeffs, self.basis.M)
+            self._values = _cosine_matrix(self.basis, self.basis.M) @ self.coeffs
         return self._values
 
     @property

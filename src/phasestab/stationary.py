@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NumericalError
+from .config import NumericalError, StationaryConfig
 from .spectral import (
     ScalarField,
     SpectralBasis,
@@ -86,7 +86,7 @@ def _euler_lagrange(
 
 
 def stationary_constant(
-    which: int, theta: float = 0.0, *, basis: SpectralBasis
+    which: int, theta: float = StationaryConfig.theta, *, basis: SpectralBasis
 ) -> StationaryState:
     """Constant stationary state phi_inf = which in {-1, 0, +1}, with C = 0.
 
@@ -103,13 +103,16 @@ def stationary_constant(
     )
 
 
+# an overflowing iterate is rejected, or reported below as a non-finite
+# residual; NumPy's warnings would only precede that message
+@np.errstate(over="ignore", invalid="ignore")
 def stationary_minimize(
     C: float,
     init: ScalarField,
     nu: float,
-    tol: float = 1e-8,
-    max_iters: int = 20000,
-    theta: float = 0.0,
+    tol: float = StationaryConfig.tol,
+    max_iters: int = StationaryConfig.max_iters,
+    theta: float = StationaryConfig.theta,
 ) -> StationaryState:
     """Bring F = nu*Lap(phi) - phi^3 + phi - C to zero by pseudo-transient continuation.
 
@@ -125,7 +128,7 @@ def stationary_minimize(
     accepted or rejected.
 
     Raises NumericalError, with facts ``last_residual`` and ``iterations``,
-    if the residual tolerance is not met.
+    if the residual tolerance is not met, a NaN residual included.
     """
     basis = init.basis
     phi = np.array(init.coeffs, dtype=float)
@@ -156,10 +159,10 @@ def stationary_minimize(
         history.append(ups)
         jac = _jacobian(basis, phi, nu)
 
-    if res > tol:
+    if not res <= tol:
         raise NumericalError(
-            f"pseudo-transient continuation stalled at residual {res:.3e} after"
-            f" {it} steps (tolerance {tol:.1e})",
+            f"stationary solve: pseudo-transient continuation stalled at residual"
+            f" {res:.3e} after {it} steps (tolerance {tol:.1e})",
             last_residual=res,
             iterations=it,
         )

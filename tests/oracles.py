@@ -118,7 +118,7 @@ import numpy as np
 
 from phasestab import lqr
 from phasestab.config import NumericalError
-from phasestab.spectral import ScalarField, _coeffs_from_grid, _values_on_grid, gradient_values
+from phasestab.spectral import ScalarField, _coeffs_from_grid, _cosine_matrix, gradient_values
 
 
 def basis_function(basis, k: int, x: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ def apply_B(act, W: np.ndarray) -> tuple[ScalarField, ScalarField]:
         raise ValueError(f"expected {act.N} control amplitudes, got shape {W.shape}")
     basis, M = act.weight.basis, act.weight.basis.M
     fy, fz = (
-        ScalarField.from_values(basis, act.weight.values * (_values_on_grid(basis, part, M) @ W))
+        ScalarField.from_values(basis, act.weight.values * (_cosine_matrix(basis, M) @ part @ W))
         for part in (act.modes[:M], act.modes[M:])
     )
     return fy, fz
@@ -285,18 +285,19 @@ def remainder_G_expanded(y: ScalarField, phi_inf: ScalarField, g: ScalarField) -
     if phi_inf.basis.M != basis.M or g.basis.M != basis.M:
         raise ValueError("fields live on different bases")
     P = 2 * basis.M
+    C = _cosine_matrix(basis, P)
 
-    yv = _values_on_grid(basis, y.coeffs, P)
+    yv = C @ y.coeffs
     dyv = gradient_values(y, P)
-    lapyv = _values_on_grid(basis, -basis.kappa * y.coeffs, P)
+    lapyv = C @ (-basis.kappa * y.coeffs)
 
-    pv = _values_on_grid(basis, phi_inf.coeffs, P)
+    pv = C @ phi_inf.coeffs
     dpv = gradient_values(phi_inf, P)
-    lappv = _values_on_grid(basis, -basis.kappa * phi_inf.coeffs, P)
+    lappv = C @ (-basis.kappa * phi_inf.coeffs)
 
-    gv = _values_on_grid(basis, g.coeffs, P)
+    gv = C @ g.coeffs
     dgv = gradient_values(g, P)
-    lapgv = _values_on_grid(basis, -basis.kappa * g.coeffs, P)
+    lapgv = C @ (-basis.kappa * g.coeffs)
 
     total = (
         3.0 * yv**2 * lapyv

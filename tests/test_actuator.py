@@ -14,7 +14,7 @@ from phasestab.actuator import (
 from phasestab.config import NumericalError
 from phasestab.linearization import PhysicalParams, assemble_plant
 from phasestab.sim import fit_exponential_rate
-from phasestab.spectral import ScalarField, SpectralBasis, _values_on_grid
+from phasestab.spectral import ScalarField, SpectralBasis, _cosine_matrix
 from phasestab.stationary import stationary_constant
 
 from oracles import (
@@ -99,8 +99,8 @@ class TestBMaps:
     def test_unit_vector_reproduces_column(self, setup):
         basis, _, act = setup
         M = basis.M
-        phi_values = _values_on_grid(basis, act.modes[:M], M)
-        psi_values = _values_on_grid(basis, act.modes[M:], M)
+        phi_values = _cosine_matrix(basis, M) @ act.modes[:M]
+        psi_values = _cosine_matrix(basis, M) @ act.modes[M:]
         for j in range(act.N):
             e = np.zeros(act.N)
             e[j] = 1.0

@@ -39,7 +39,6 @@ from phasestab.config import (
     step_count,
 )
 from phasestab.io import (
-    _jsonable,
     read_json,
     read_trajectory_csv,
     write_columns_dat,
@@ -102,6 +101,44 @@ class TestConfig:
         save_config(cfg, path)
         loaded = load_config(path)
         assert loaded == cfg
+
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_saved_bytes_are_the_sorted_indented_dump(self, tmp_path, changed):
+        cfg = SimConfig()
+        if changed:  # every field away from its default; a third gives a long repr
+            bump = {
+                bool: lambda v: not v,
+                int: lambda v: v + 1,
+                float: lambda v: v / 3.0,
+                str: lambda v: v + "_x",
+            }
+            sections = [v for v in vars(cfg).values() if dataclasses.is_dataclass(v)]
+            for holder in (cfg, *sections):
+                for f in dataclasses.fields(holder):
+                    value = getattr(holder, f.name)
+                    if not dataclasses.is_dataclass(value):
+                        setattr(holder, f.name, bump[type(value)](value))
+            assert dataclasses.asdict(cfg) != dataclasses.asdict(SimConfig())
+        save_config(cfg, tmp_path / "config.json")
+        expected = json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "config.json").read_text() == expected
+
+    def test_int_and_float_of_one_value_are_one_config(self, tmp_path):
+        # an int in a float field is stored as a float, so the two dicts save
+        # alike and share a gain digest: a rerun reuses the other's gain
+        as_int = load_config(data={"params": {"l0": 1}})
+        as_float = load_config(data={"params": {"l0": 1.0}})
+        assert type(as_int.params.l0) is float
+        assert _gain_digest(as_int) == _gain_digest(as_float)
+        save_config(as_int, tmp_path / "int.json")
+        save_config(as_float, tmp_path / "float.json")
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+        # and a float override of that field parses as a float
+        assert apply_override(as_int, "params.l0", "1.5").params.l0 == 1.5
+
+    def test_int_too_large_for_a_float_field_rejected(self):
+        with pytest.raises(ConfigError, match="params.nu is an int too large for a float"):
+            load_config(data={"params": {"nu": 10**400}})
 
     def test_override_types(self):
         cfg = SimConfig()
@@ -551,6 +588,14 @@ class TestMainEntry:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"seed": "\xff\xfe"}')
+        code = main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {path} is not valid JSON")
+
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "nonexistent.json"
         code = main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "run")])
@@ -655,6 +700,42 @@ class TestMainEntry:
         assert "RuntimeWarning" not in out + err
         assert err.count("\n") == 1
 
+    def test_non_finite_stationary_residual_exit_three(self, tmp_path, capfd):
+        # a start of 1e200 overflows the first Euler-Lagrange evaluation to a
+        # NaN residual, which must not pass as converged into the synthesis
+        code = main(
+            [
+                "simulate",
+                "--set", "stationary.mode=minimize",
+                "--set", "stationary.init_value=1e200",
+                "--set", "basis.M=16",
+                "--set", "sim.t_end=1",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        out, err = capfd.readouterr()
+        assert err.startswith("numerical failure: stationary solve: ")
+        assert "residual nan" in err
+        assert "RuntimeWarning" not in out + err
+        assert err.count("\n") == 1
+
+    def test_overflowing_initial_state_exit_three(self, tmp_path, capfd):
+        # the decay norm of rho = 1e300 data overflows before the first step
+        code = main(
+            [
+                "simulate",
+                "--set", "basis.M=16",
+                "--set", "sim.rho=1e300",
+                "--set", "sim.t_end=1",
+                "--output-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        out, err = capfd.readouterr()
+        assert err == "numerical failure: initial decay norm inf is not finite\n"
+        assert "RuntimeWarning" not in out
+
     def test_singular_coupling_exit_three(self, tmp_path, capsys):
         # no node of the M = 64 grid lies in (0.495, 0.505), so B = 0 and the
         # Kalman check refuses the null control before any Gramian is formed
@@ -677,10 +758,10 @@ class TestMainEntry:
             (["--set", "params.l0=-1"], "params.l0 must be positive"),
             (["--set", "stationary.mode=flow"], "stationary.mode must be 'constant' or"),
             (["--set", "stationary.which=2"], "stationary.which must be -1, 0 or +1"),
-            (["--set", "stationary.tol=0"], "stationary.tol and stationary.max_iters"),
+            (["--set", "stationary.tol=0"], "stationary.tol must be positive, got 0.0"),
             (["--set", "actuator.T0=0"], "actuator.T0 must be positive"),
-            (["--set", "riccati.tol=0"], "riccati.tol and riccati.max_iters"),
-            (["--set", "sim.dt=0"], "sim.dt, sim.t_end and sim.rho must be positive"),
+            (["--set", "riccati.tol=0"], "riccati.tol must be positive, got 0.0"),
+            (["--set", "sim.dt=0"], "sim.dt must be positive, got 0.0"),
             (["--set", "sim.scheme=rk4"], "sim.scheme must be 'imex1' or 'imex2'"),
             (["--set", "sim.record_every=0"], "sim.record_every must be >= 1"),
             (["--config", "not_json"], "is not valid JSON"),
@@ -703,6 +784,10 @@ class TestMainEntry:
                 ["--set", "sim.t_end=0.0124"],
                 "sim.t_end = 0.0124 is not a positive whole number of sim.dt = 0.005 steps",
             ),
+            # each positive field is checked, and named, on its own
+            (["--set", "stationary.max_iters=0"], "stationary.max_iters must be positive, got 0"),
+            (["--set", "riccati.max_iters=0"], "riccati.max_iters must be positive, got 0"),
+            (["--set", "sim.t_end=0"], "sim.t_end must be positive, got 0.0"),
         ],
     )
     def test_configuration_error_exit_two(self, tmp_path, capsys, args, message):
@@ -785,7 +870,7 @@ class TestMainEntry:
 class TestJsonWriter:
     @staticmethod
     def recursive(value):
-        """The element-by-element conversion that ``io._jsonable`` shortcuts for arrays."""
+        """The element-by-element conversion that ``write_json``'s ``tolist`` default shortcuts."""
         if isinstance(value, (np.floating, np.integer)):
             return value.item()
         if isinstance(value, np.ndarray):
@@ -809,12 +894,17 @@ class TestJsonWriter:
             "mixed": np.array([np.float64(0.5), 2], dtype=object),
             "nested": [np.float64(1.5), (np.int64(2), np.ones((2, 2)))],
         }
-        for key, value in payload.items():
-            assert _jsonable(value) == self.recursive(value), key
-            assert json.dumps(_jsonable(value)) == json.dumps(self.recursive(value)), key
         write_json(tmp_path / "fast.json", payload)
         expected = json.dumps(self.recursive(payload), indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "fast.json").read_text() == expected
+
+    def test_numpy_bool_written_as_true(self, tmp_path):
+        # a held certificate is a NumPy comparison
+        held = np.float64(1.0) < 2.0
+        assert type(held) is np.bool_
+        write_json(tmp_path / "held.json", {"held": held, "rows": [held, np.bool_(False)]})
+        text = (tmp_path / "held.json").read_text()
+        assert text == '{\n  "held": true,\n  "rows": [\n    true,\n    false\n  ]\n}\n'
 
 
 class TestTableWriter:

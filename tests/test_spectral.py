@@ -19,7 +19,6 @@ from phasestab.spectral import (
     _folded_coeffs,
     _folded_values,
     _half_cosine_matrix,
-    _values_on_grid,
     _weighted_norm,
     gradient_values,
     laplacian,
@@ -297,7 +296,7 @@ class TestGradientSquared:
         coeffs = rng.standard_normal(basis.M) * np.exp(-0.5 * np.arange(basis.M))
         f = ScalarField(basis, coeffs)
         P = 4096
-        vals = _values_on_grid(basis, f.coeffs, P)
+        vals = _cosine_matrix(basis, P) @ f.coeffs
         h = basis.L / P
         # even extension about both endpoints of the midpoint grid
         padded = np.concatenate([vals[1::-1], vals, vals[:-3:-1]])

@@ -10,8 +10,8 @@ from phasestab.lqr import solve_care
 from phasestab.spectral import (
     ScalarField,
     SpectralBasis,
+    _cosine_matrix,
     _folded_values,
-    _values_on_grid,
     gradient_values,
 )
 from phasestab.stationary import (
@@ -144,6 +144,13 @@ class TestMinimize:
         assert info.value.facts["iterations"] == 2
         assert info.value.facts["last_residual"] > 0
 
+    def test_nan_residual_raises(self, basis):
+        # phi = 1e200 overflows phi^3: NaN > tol is false, and NaN must not pass
+        init = ScalarField.constant(basis, 1e200)
+        with pytest.raises(NumericalError, match="residual nan") as info:
+            stationary_minimize(0.0, init, nu=0.1)
+        assert np.isnan(info.value.facts["last_residual"])
+
 
 class TestOneSynthesisPerIterate:
     @pytest.fixture
@@ -194,7 +201,7 @@ def _upsilon_on_4m_grid(phi, nu, C):
     """The energy's whole integrand, gradient included, by the midpoint rule on 4M points."""
     basis = phi.basis
     P = 4 * basis.M
-    v = _values_on_grid(basis, phi.coeffs, P)
+    v = _cosine_matrix(basis, P) @ phi.coeffs
     g = gradient_values(phi, P)
     integrand = 0.5 * nu * g * g + 0.25 * (v * v - 1.0) ** 2 + C * v
     return float(integrand.sum() * basis.L / P)
